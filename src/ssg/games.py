@@ -245,9 +245,11 @@ class ValueVector:
     __slots__ = ("_vals",)
 
     def __init__(self, values: Iterable[Union[Fraction, int]]):
-        vals = tuple(Fraction(x) for x in values)
+        vals = tuple(x if type(x) is Fraction else Fraction(x) for x in values)
         for idx, x in enumerate(vals):
-            if not 0 <= x <= 1:
+            # A Fraction's denominator is positive, so this is 0 <= x <= 1
+            # in plain integers; certificate vectors hold hundreds of entries.
+            if not 0 <= x.numerator <= x.denominator:
                 raise ValidationError(f"value at vertex {idx + 1} outside [0, 1]: {x}")
         self._vals = vals
 

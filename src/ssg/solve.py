@@ -17,14 +17,18 @@ Exactness on non-stopping mixed games comes from the transform: values
 of the stopping companion are within half the spacing of representable
 values of the original's, so snapping them back recovers the original
 values exactly, and the pair (snapped, companion) is a checkable
-certificate.
+certificate. The companion is solved in contracted form: strategy
+improvement runs on the original n vertices with every edge weighted
+by the chain factor lam = 1 - 2**-(c*n), and the full companion vector
+of the certificate is written out in closed form. The verifiers do not
+trust that shortcut; they rebuild the whole companion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 from . import kernels
 from .exceptions import (
@@ -43,7 +47,7 @@ from .games import (
 )
 from .lp import build_lp_max_free, build_lp_min_free, simplex_optimize, simplex_solve
 from .markov import ReducedGame, is_stopping, reduce_game, solve_value_vector
-from .stopping import StoppingTransform, build_stopping_game
+from .stopping import build_stopping_game, contracted_values, expand_companion_values
 
 DEFAULT_C = 9
 DEFAULT_ORACLE_BUDGET = 16
@@ -388,31 +392,58 @@ def _report(game: Game, values: ValueVector, method: str, iterations: int,
     )
 
 
-def _min_best_reply(game: Game, sigma: Strategy) -> tuple[Strategy, ValueVector]:
-    """Exact min-side best reply on a stopping game by policy iteration.
+Evaluator = Callable[[Strategy, Strategy], ValueVector]
 
-    Evaluate the current reply exactly, switch every min vertex whose
-    other child is strictly better, repeat. Values never increase and
-    the greedy map is deterministic, so the loop settles; the bound is
-    the number of distinct min strategies.
+
+def _min_best_reply(game: Game, sigma: Strategy, evaluate: Evaluator) -> ValueVector:
+    """Exact min-side best reply values on a stopping game by policy
+    iteration.
+
+    Start min at all left children. Evaluate the current reply exactly,
+    point every min vertex at its strictly smaller child (the left one
+    on a tie), repeat. Values never increase and the greedy map is
+    deterministic, so the loop settles; the bound is the number of
+    distinct min strategies.
     """
     mins = game.vertices_of_kind(VertexKind.MIN)
     tau = Strategy.of(VertexKind.MIN, {v: game.children_of(v)[0] for v in mins})
     guard = 2 ** len(mins) + 2
     for _ in range(guard):
-        values = solve_value_vector(reduce_game(game, tau, sigma))
+        values = evaluate(tau, sigma)
         picks = {}
         for i in mins:
             a, b = game.children_of(i)
-            if values[a] == values[b]:
-                picks[i] = min(a, b)
-            else:
-                picks[i] = a if values[a] < values[b] else b
+            picks[i] = a if values[a] <= values[b] else b
         new_tau = Strategy.of(VertexKind.MIN, picks)
         if new_tau == tau:
-            return tau, values
+            return values
         tau = new_tau
     raise InternalCheckError("min policy iteration failed to settle")
+
+
+def _strategy_improvement(game: Game, evaluate: Evaluator) -> tuple[ValueVector, int]:
+    """The loop of hoffman_karp on a stopping game whose strategy pairs
+    evaluate(tau, sigma) solves exactly; returns (optimal values,
+    improvement rounds)."""
+    maxes = game.vertices_of_kind(VertexKind.MAX)
+    bound = 2 ** len(maxes)
+    sigma = Strategy.of(VertexKind.MAX, {v: game.children_of(v)[0] for v in maxes})
+    rounds = 0
+    while True:
+        values = _min_best_reply(game, sigma, evaluate)
+        switched = {}
+        for i in maxes:
+            a, b = game.children_of(i)
+            pick = sigma.pick(i)
+            other = b if pick == a else a
+            if values[other] > values[pick]:
+                switched[i] = other
+        if not switched:
+            return values, rounds
+        if rounds >= bound:
+            raise InternalCheckError("strategy improvement exceeded its round bound")
+        sigma = Strategy.of(VertexKind.MAX, {**sigma.as_dict(), **switched})
+        rounds += 1
 
 
 def hoffman_karp(game: Game) -> SolveReport:
@@ -426,25 +457,10 @@ def hoffman_karp(game: Game) -> SolveReport:
     """
     if not is_stopping(game):
         raise PreconditionError("strategy improvement needs a stopping game; transform first")
-    maxes = game.vertices_of_kind(VertexKind.MAX)
-    bound = 2 ** len(maxes)
-    sigma = Strategy.of(VertexKind.MAX, {v: game.children_of(v)[0] for v in maxes})
-    rounds = 0
-    while True:
-        _tau, values = _min_best_reply(game, sigma)
-        switched = {}
-        for i in maxes:
-            a, b = game.children_of(i)
-            pick = sigma.pick(i)
-            other = b if pick == a else a
-            if values[other] > values[pick]:
-                switched[i] = other
-        if not switched:
-            return _report(game, values, "hk", rounds)
-        if rounds >= bound:
-            raise InternalCheckError("strategy improvement exceeded its round bound")
-        sigma = Strategy.of(VertexKind.MAX, {**sigma.as_dict(), **switched})
-        rounds += 1
+    values, rounds = _strategy_improvement(
+        game, lambda tau, sigma: solve_value_vector(reduce_game(game, tau, sigma))
+    )
+    return _report(game, values, "hk", rounds)
 
 
 def round_to_value_set(x: Fraction, n: int) -> Fraction:
@@ -469,26 +485,30 @@ def round_to_value_set(x: Fraction, n: int) -> Fraction:
     )
 
 
-def _transform_solve(game: Game, c: int) -> tuple[ValueVector, ValueVector, int, StoppingTransform]:
-    """Solve exactly through the stopping companion.
+def _transform_solve(game: Game, c: int) -> tuple[ValueVector, ValueVector, int]:
+    """Solve exactly through the stopping companion, in contracted form.
 
-    Returns (z, s, improvement rounds, transform record): s is the
-    companion's exact optimal vector from strategy improvement, z the
-    snap-back of s onto the original game's representable values. The
-    operator and gap checks are theory-guaranteed; failing them means a
-    bug, not bad input.
+    Returns (z, s, improvement rounds). Strategy improvement runs on the
+    original n vertices with every edge weighted by lam = 1 - 2**-(c*n),
+    which gives the companion's exact optimal values there; s expands
+    them to the whole companion in closed form, and z is their snap-back
+    onto the original game's representable values. lam < 1 makes that
+    game stopping, so no stopping test is needed. The operator and gap
+    checks are theory-guaranteed; failing them means a bug, not bad
+    input.
     """
-    transformed, record = build_stopping_game(game, c)
-    inner = hoffman_karp(transformed)
-    s = inner.values
-    z = ValueVector(round_to_value_set(s[record.mapped(i)], game.n) for i in game.vertices)
+    heads, rounds = _strategy_improvement(
+        game, lambda tau, sigma: contracted_values(game, c, tau, sigma)
+    )
+    s = expand_companion_values(game, c, heads)
+    z = ValueVector(round_to_value_set(x, game.n) for x in heads.components)
     half_sep = value_separation(game.n) / 2
     if apply_operator(game, z) != z:
         raise InternalCheckError("snapped vector is not an operator fixed point")
     for i in game.vertices:
-        if abs(z[i] - s[record.mapped(i)]) >= half_sep:
+        if abs(z[i] - heads[i]) >= half_sep:
             raise InternalCheckError(f"snap-back gap at vertex {i} reaches half a separation")
-    return z, s, inner.iterations, record
+    return z, s, rounds
 
 
 def solve(
@@ -525,7 +545,7 @@ def solve(
         elif is_stopping(game):
             method = "hk"
         else:
-            z, s, rounds, _record = _transform_solve(game, c)
+            z, s, rounds = _transform_solve(game, c)
             cert = Certificate(z=z, s=s, c=c)
             return _report(game, z, "transform", rounds, cert)
 
@@ -560,7 +580,7 @@ def solve(
         report = brute_force_oracle(game, budget=oracle_budget)
 
     if with_certificate and report.certificate is None:
-        z, s, _rounds, _record = _transform_solve(game, c)
+        z, s, _rounds = _transform_solve(game, c)
         if z != report.values:
             raise InternalCheckError("certificate values disagree with the solve result")
         report = SolveReport(
@@ -631,10 +651,13 @@ def verify_ovv_certificate(game: Game, cert: Certificate) -> bool:
     """Check a witness pair without trusting the solver that made it.
 
     Rebuilds the stopping companion for cert.c and checks exactly:
-    z is a fixed point of the game's operator, s of the companion's,
-    and every original vertex's |z - s| gap is below half the value
-    separation. Together these force z to be the optimal value vector.
-    Dimension mismatches raise; failed checks just return False.
+    every z entry has denominator at most 4**n, z is a fixed point of
+    the game's operator, s of the companion's, and every original
+    vertex's |z - s| gap is below half the value separation. Together
+    these force z to be the optimal value vector: the first check keeps
+    z on the grid of representable values, whose points the gap check
+    tells apart. Dimension mismatches raise; failed checks just return
+    False.
     """
     if cert.z.n != game.n:
         raise CertificateError(f"certificate z has {cert.z.n} entries, game has {game.n}")
@@ -643,6 +666,9 @@ def verify_ovv_certificate(game: Game, cert: Certificate) -> bool:
         raise CertificateError(
             f"certificate s has {cert.s.n} entries, companion game has {transformed.n}"
         )
+    bound = 4**game.n
+    if any(x.denominator > bound for x in cert.z.components):
+        return False
     if apply_operator(game, cert.z) != cert.z:
         return False
     if apply_operator(transformed, cert.s) != cert.s:
@@ -667,8 +693,14 @@ def verify_value_certificate(
     the claim holds when s at the mapped start vertex exceeds alpha
     (or, for the complement decision, does not). Sound for alpha with
     denominator at most 4**n because the companion's start value lies
-    within half a separation of the true game value.
+    within half a separation of the true game value; any other alpha
+    raises PreconditionError.
     """
+    alpha = Fraction(alpha)
+    if alpha.denominator > 4**game.n:
+        raise PreconditionError(
+            f"alpha {alpha} has denominator above 4**n = {4**game.n}; the check is unsound there"
+        )
     transformed, record = build_stopping_game(game, c)
     if s.n != transformed.n:
         raise CertificateError(

@@ -11,16 +11,25 @@ from the stopping companion game.
 Vertex numbering in the transformed game: original non-sinks keep their
 ids, chain vertices fill n-1 .. n'-2 (allocated per original vertex in
 ascending order, left edge first), and the two sinks move to n'-1, n'.
+
+The companion never has to be built to be solved. Chain vertex k of an
+edge into j is worth v(j)*(1 - 2**-(m-k)) in closed form, so each
+chain head is worth lam*v(j) with lam = 1 - 2**-m, and the companion
+restricted to the original vertices is the n-vertex game whose edges
+all carry weight lam. contracted_values evaluates strategy pairs on
+that small game and expand_companion_values writes out the full
+companion vector from it; build_stopping_game stays for callers that
+need the companion itself, such as the certificate verifiers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import Iterator, NamedTuple, Union
 
 from .exceptions import PreconditionError
-from .games import Game, Strategy, VertexKind, build_game
+from .games import Game, Strategy, ValueVector, VertexKind, build_game
 from .markov import reduce_game, solve_value_vector
 
 
@@ -50,12 +59,32 @@ class StoppingTransform:
             raise PreconditionError(f"vertex {vid} is not an original-game vertex") from None
 
 
-def build_stopping_game(game: Game, c: int = 9) -> tuple[Game, StoppingTransform]:
-    """Return the stopping companion game and its transform record."""
+def _chain_length(game: Game, c: int) -> int:
+    """m = c * n, after checking the multiplier."""
     if c < 1:
         raise PreconditionError(f"chain multiplier c must be positive, got {c}")
+    return c * game.n
+
+
+def chain_weight(m: int) -> Fraction:
+    """lam = 1 - 2**-m: a chain head's value as a share of its target's."""
+    return 1 - Fraction(1, 2**m)
+
+
+def _chains(game: Game, m: int) -> Iterator[tuple[tuple[int, int], range]]:
+    """Each original edge with the companion ids of its chain, in
+    traversal order. Chains take m consecutive ids from n-1 upward, in
+    Game.edges order: vertices ascending, left edge first."""
+    next_id = game.n - 1
+    for edge in game.edges():
+        yield edge, range(next_id, next_id + m)
+        next_id += m
+
+
+def build_stopping_game(game: Game, c: int = 9) -> tuple[Game, StoppingTransform]:
+    """Return the stopping companion game and its transform record."""
+    m = _chain_length(game, c)
     n = game.n
-    m = c * n
     n_prime = n + m * game.edge_count
     sink0p = n_prime - 1
     sink1p = n_prime
@@ -66,27 +95,24 @@ def build_stopping_game(game: Game, c: int = 9) -> tuple[Game, StoppingTransform
 
     rows: list[tuple[int, VertexKind, int, int]] = []
     edge_chains: dict[tuple[int, int], tuple[int, ...]] = {}
-    next_id = n - 1
+    for (v, j), chain in _chains(game, m):
+        ids = tuple(chain)
+        edge_chains[(v, j)] = ids
+        mj = vertex_map[j]
+        for k, a in enumerate(ids):
+            if k + 1 < m:
+                rows.append((a, VertexKind.AVG, mj, ids[k + 1]))
+            elif mj != sink0p:
+                rows.append((a, VertexKind.AVG, mj, sink0p))
+            else:
+                # The edge already points at the 0-sink; a plain
+                # (sink0, sink0) pair would repeat a child, so the
+                # divert slot loops. Both slots force value 0 and
+                # the exit slot keeps the chain stopping.
+                rows.append((a, VertexKind.AVG, mj, a))
     for v in game.interior:
-        heads = []
-        for j in game.children_of(v):
-            ids = tuple(range(next_id, next_id + m))
-            next_id += m
-            edge_chains[(v, j)] = ids
-            heads.append(ids[0])
-            mj = vertex_map[j]
-            for k, a in enumerate(ids):
-                if k + 1 < m:
-                    rows.append((a, VertexKind.AVG, mj, ids[k + 1]))
-                elif mj != sink0p:
-                    rows.append((a, VertexKind.AVG, mj, sink0p))
-                else:
-                    # The edge already points at the 0-sink; a plain
-                    # (sink0, sink0) pair would repeat a child, so the
-                    # divert slot loops. Both slots force value 0 and
-                    # the exit slot keeps the chain stopping.
-                    rows.append((a, VertexKind.AVG, mj, a))
-        rows.append((v, game.kind(v), heads[0], heads[1]))
+        a, b = game.children_of(v)
+        rows.append((v, game.kind(v), edge_chains[(v, a)][0], edge_chains[(v, b)][0]))
 
     transformed = build_game(n_prime, vertex_map[game.start], rows)
     record = StoppingTransform(
@@ -99,6 +125,74 @@ def build_stopping_game(game: Game, c: int = 9) -> tuple[Game, StoppingTransform
         edge_chains=edge_chains,
     )
     return transformed, record
+
+
+def contracted_values(game: Game, c: int, tau: Strategy, sigma: Strategy) -> ValueVector:
+    """Exact companion values at the original vertices under a strategy
+    pair, without building the companion.
+
+    With both strategies fixed, vertex i satisfies v(i) = lam * (mean
+    of its successors' values), sinks fixed at 0 and 1. Rows scaled by
+    2**(m+1) are integral and strictly diagonally dominant, so
+    fraction-free (Bareiss) elimination runs without pivoting and every
+    division in it is exact. tau and sigma pick original children and
+    must cover every min and max vertex.
+    """
+    lam = chain_weight(_chain_length(game, c))
+    diag = 2 * lam.denominator
+    picks = {**tau.as_dict(), **sigma.as_dict()}
+    size = game.n - 2
+    rows = []
+    for i in game.interior:
+        row = [0] * (size + 1)
+        row[i - 1] = diag
+        succ = (picks[i],) if i in picks else game.children_of(i)
+        w = lam.numerator * (2 // len(succ))
+        for j in succ:
+            if j == game.sink1:
+                row[size] += w
+            elif j != game.sink0:
+                row[j - 1] -= w
+        rows.append(row)
+
+    prev = 1
+    for k in range(size):
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        for row in rows[k + 1:]:
+            f = row[k]
+            for col in range(k + 1, size + 1):
+                row[col] = (pivot * row[col] - f * pivot_row[col]) // prev
+        prev = pivot
+    # prev is now the determinant; back-substitute y = det * v, which is
+    # integral by Cramer's rule, so each division is exact again.
+    y = [0] * size
+    for k in reversed(range(size)):
+        row = rows[k]
+        acc = prev * row[size] - sum(row[col] * y[col] for col in range(k + 1, size))
+        y[k] = acc // row[k]
+    return ValueVector([Fraction(x, prev) for x in y] + [0, 1])
+
+
+def expand_companion_values(game: Game, c: int, values: ValueVector) -> ValueVector:
+    """The companion's full value vector from its values at the original
+    vertices (as contracted_values returns them).
+
+    Chain vertex k of an edge into j is worth v(j) * (1 - 2**-(m-k));
+    the chains of all edges into one j share those values.
+    """
+    m = _chain_length(game, c)
+    powers = [2**e for e in range(m, 0, -1)]
+    by_target: dict[int, list[Fraction]] = {}
+    comps = values.components
+    out = [*comps[:-2], *([Fraction(0)] * (m * game.edge_count)), *comps[-2:]]
+    for (_v, j), chain in _chains(game, m):
+        seg = by_target.get(j)
+        if seg is None:
+            p, q = values[j].numerator, values[j].denominator
+            seg = by_target[j] = [Fraction(p * (t - 1), q * t) for t in powers]
+        out[chain.start - 1:chain.stop - 1] = seg
+    return ValueVector(out)
 
 
 def lift_strategy(transform: StoppingTransform, strategy: Strategy) -> Strategy:

@@ -5,6 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
+from ssg import kernels
 from ssg import (
     BudgetError,
     Certificate,
@@ -18,11 +21,13 @@ from ssg import (
     best_response,
     brute_force_oracle,
     build_game,
+    build_stopping_game,
     decide_value,
     default_epsilon,
     game_value,
     greedy_strategies,
     hoffman_karp,
+    is_stopping,
     random_game,
     round_to_value_set,
     solve,
@@ -45,6 +50,10 @@ from ssg.fixtures import (
 )
 
 HALF = Fraction(1, 2)
+
+requires_numba = pytest.mark.skipif(
+    not kernels.numba_available(), reason="numba not importable"
+)
 
 # a game using all three kinds with a max/min cycle, so it is not stopping
 MIXED_LOOPY = build_game(5, 1, [(1, "max", 2, 3), (2, "min", 1, 3), (3, "avg", 4, 5)])
@@ -336,6 +345,7 @@ def test_method_preconditions():
         solve(GAME_A, method="newton")
 
 
+@requires_numba
 def test_solve_backend_override():
     a = solve(MIXED_STOPPING, method="vi", backend="numpy")
     b = solve(MIXED_STOPPING, method="vi", backend="numba")
@@ -427,6 +437,118 @@ def test_value_certificate_requires_fixed_point():
 def test_value_certificate_dimension_mismatch():
     with pytest.raises(CertificateError):
         verify_value_certificate(GAME_B, ValueVector([0, 1]), HALF)
+
+
+def test_value_certificate_refuses_alpha_off_the_grid():
+    # GAME-A is worth 1/2; an alpha just below it with a huge
+    # denominator falls inside the companion's perturbation, so the
+    # complement check would wrongly certify value <= alpha
+    s = solve(GAME_A, with_certificate=True).certificate.s
+    with pytest.raises(PreconditionError):
+        verify_value_certificate(GAME_A, s, HALF - Fraction(1, 2**100), complement=True)
+
+
+SELF_LOOP_MAX = build_game(3, 1, [(1, "max", 1, 2)])
+
+
+def test_certificate_rejects_off_grid_fixed_point():
+    # vertex 1 is worth 0, but any z[1] is an operator fixed point, and
+    # 4**-7 sits within half a separation of the companion's value
+    cert = solve(SELF_LOOP_MAX, with_certificate=True).certificate
+    assert verify_ovv_certificate(SELF_LOOP_MAX, cert)
+    z = ValueVector([Fraction(1, 4**6) / 4, 0, 1])
+    assert apply_operator(SELF_LOOP_MAX, z) == z
+    assert not verify_ovv_certificate(SELF_LOOP_MAX, Certificate(z=z, s=cert.s, c=cert.c))
+
+
+@st.composite
+def self_loop_games(draw):
+    """Games on 3..6 vertices where each interior vertex may loop on itself."""
+    n = draw(st.integers(3, 6))
+    rows = []
+    for v in range(1, n - 1):
+        kind = draw(st.sampled_from(["max", "min", "avg"]))
+        others = [u for u in range(1, n + 1) if u != v]
+        if draw(st.booleans()):
+            pair = [v, draw(st.sampled_from(others))]
+        else:
+            pair = draw(st.permutations(others))[:2]
+        if draw(st.booleans()):
+            pair.reverse()
+        rows.append((v, kind, *pair))
+    return build_game(n, 1, rows)
+
+
+@given(game=self_loop_games())
+@settings(max_examples=40, deadline=None)
+def test_certificate_sweep_over_self_loops(game):
+    cert = solve(game, with_certificate=True).certificate
+    assert cert.z == brute_force_oracle(game).values
+    assert verify_ovv_certificate(game, cert)
+    shift = value_separation(game.n) / 4
+    for i in game.interior:
+        for delta in (shift, -shift):
+            if not 0 <= cert.z[i] + delta <= 1:
+                continue
+            bumped = list(cert.z.components)
+            bumped[i - 1] += delta
+            bad = Certificate(z=ValueVector(bumped), s=cert.s, c=cert.c)
+            assert not verify_ovv_certificate(game, bad)
+
+
+# ------------------------------------------- contracted companion solve
+
+
+def _mixed_non_stopping(n, count, seed):
+    games = []
+    while len(games) < count:
+        g = random_game(n, seed=seed)
+        seed += 1
+        kinds = (VertexKind.MAX, VertexKind.MIN, VertexKind.AVG)
+        if all(g.has_kind(k) for k in kinds) and not is_stopping(g):
+            games.append(g)
+    return games
+
+
+def _companion_reference(game, c):
+    """Strategy improvement on the built companion, and its snap-back."""
+    transformed, record = build_stopping_game(game, c)
+    ref = hoffman_karp(transformed)
+    z = ValueVector(round_to_value_set(ref.values[record.mapped(i)], game.n) for i in game.vertices)
+    return z, ref.values, ref.iterations
+
+
+def test_transform_route_matches_built_companion():
+    games = [g for n in range(6, 13) for g in _mixed_non_stopping(n, 2 if n < 10 else 1, 100 * n)]
+    # edges into the 0-sink end in a self-looping chain tail
+    assert any(j == g.sink0 for g in games for _v, j in g.edges())
+    assert any(j == g.sink1 for g in games for _v, j in g.edges())
+    for game in games:
+        report = solve(game)
+        assert report.method == "transform"
+        cert = report.certificate
+        z, s, rounds = _companion_reference(game, cert.c)
+        assert cert.s == s
+        assert cert.z == report.values == z
+        assert report.iterations == rounds
+
+
+@pytest.mark.parametrize(
+    "weights, route", [((1, 1, 1), "hk"), ((1, 0, 1), "lp"), ((0, 1, 1), "lp")]
+)
+def test_requested_certificate_matches_built_companion(weights, route):
+    seed = 0
+    checked = 0
+    while checked < 3:
+        game = random_game(6 + checked, weights, seed=seed, require_stopping=route == "hk")
+        seed += 1
+        report = solve(game, with_certificate=True)
+        if report.method != route:
+            continue
+        z, s, _rounds = _companion_reference(game, report.certificate.c)
+        assert report.certificate.s == s
+        assert report.certificate.z == report.values == z
+        checked += 1
 
 
 # ---------------------------------------------------------- invariants

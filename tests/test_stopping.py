@@ -9,7 +9,9 @@ from ssg import (
     Strategy,
     ValueVector,
     VertexKind,
+    build_game,
     build_stopping_game,
+    enumerate_strategies,
     is_stopping,
     lift_strategy,
     random_game,
@@ -20,6 +22,7 @@ from ssg import (
     verify_transform_bound,
 )
 from ssg.fixtures import FIXTURES, GAME_A, GAME_E
+from ssg.stopping import chain_weight, contracted_values, expand_companion_values
 
 
 def test_size_formula():
@@ -126,3 +129,30 @@ def test_chain_values_interpolate():
 def test_rejects_bad_multiplier():
     with pytest.raises(PreconditionError):
         build_stopping_game(GAME_A, 0)
+    with pytest.raises(PreconditionError):
+        contracted_values(GAME_A, 0, Strategy.of(VertexKind.MIN, {}), Strategy.of(VertexKind.MAX, {}))
+    with pytest.raises(PreconditionError):
+        expand_companion_values(GAME_A, 0, ValueVector([Fraction(1, 2), 0, 1]))
+
+
+def test_contracted_values_match_the_built_companion():
+    # every strategy pair, including self loops (GAME-C, GAME-E's cycle)
+    # and edges into either sink: the n-vertex lam-game gives the
+    # companion's values at the original vertices, and the closed form
+    # gives them everywhere else
+    games = [*FIXTURES.values(), build_game(4, 1, [(1, "max", 1, 2), (2, "avg", 2, 4)])]
+    games += [random_game(3 + i % 4, seed=100 + i) for i in range(10)]
+    for g in games:
+        for c in (1, 2):
+            transformed, record = build_stopping_game(g, c)
+            lam = chain_weight(record.m)
+            for tau in enumerate_strategies(g, VertexKind.MIN):
+                for sigma in enumerate_strategies(g, VertexKind.MAX):
+                    full = solve_value_vector(
+                        reduce_game(transformed, lift_strategy(record, tau), lift_strategy(record, sigma))
+                    )
+                    heads = contracted_values(g, c, tau, sigma)
+                    assert heads == ValueVector(full[record.mapped(i)] for i in g.vertices)
+                    assert expand_companion_values(g, c, heads) == full
+                    for (_i, j), chain in record.edge_chains.items():
+                        assert full[chain[0]] == lam * heads[j]
