@@ -21,13 +21,18 @@ certificate. The companion is solved in contracted form: strategy
 improvement runs on the original n vertices with every edge weighted
 by the chain factor lam = 1 - 2**-(c*n), and the full companion vector
 of the certificate is written out in closed form. The verifiers do not
-trust that shortcut; they rebuild the whole companion.
+trust that shortcut: they check s against every equation of the
+companion's operator, in the same closed form, without building it.
+Snap-back is exact only for multipliers c whose transform error stays
+below half the value separation; the solver and both verifiers refuse
+smaller c.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterator, Union
 
 from . import kernels
@@ -47,7 +52,13 @@ from .games import (
 )
 from .lp import build_lp_max_free, build_lp_min_free, simplex_optimize, simplex_solve
 from .markov import ReducedGame, is_stopping, reduce_game, solve_value_vector
-from .stopping import build_stopping_game, contracted_values, expand_companion_values
+from .stopping import (
+    companion_fixed_point,
+    companion_id,
+    contracted_values,
+    expand_companion_values,
+    transform_error_bound,
+)
 
 DEFAULT_C = 9
 DEFAULT_ORACLE_BUDGET = 16
@@ -64,6 +75,33 @@ def value_separation(n: int) -> Fraction:
     representable value identifies it uniquely.
     """
     return Fraction(1, 4 ** (2 * n))
+
+
+@lru_cache(maxsize=64)
+def _smallest_sound_multiplier(n: int) -> int:
+    """The least chain multiplier c for which snap-back is exact at n.
+
+    Snapping companion values back needs the transform's worst-case
+    error, transform_error_bound(n, c), below half the value separation.
+    The bound falls as c grows, so counting up from 1 finds the least
+    sound c; a requested c is never put into the bound, which for a
+    huge c would be a huge power of two. Cached per n because both the
+    solver and the verifiers ask on every call.
+    """
+    half_sep = value_separation(n) / 2
+    least = 1
+    while transform_error_bound(n, least) >= half_sep:
+        least += 1
+    return least
+
+
+def _require_sound_multiplier(n: int, c: int) -> None:
+    least = _smallest_sound_multiplier(n)
+    if c < least:
+        raise PreconditionError(
+            f"chain multiplier c={c} is too small for exact snap-back at n={n}; "
+            f"the smallest sound c is {least}"
+        )
 
 
 def default_epsilon(n: int) -> Fraction:
@@ -493,10 +531,12 @@ def _transform_solve(game: Game, c: int) -> tuple[ValueVector, ValueVector, int]
     which gives the companion's exact optimal values there; s expands
     them to the whole companion in closed form, and z is their snap-back
     onto the original game's representable values. lam < 1 makes that
-    game stopping, so no stopping test is needed. The operator and gap
-    checks are theory-guaranteed; failing them means a bug, not bad
-    input.
+    game stopping, so no stopping test is needed. A c too small for
+    exact snap-back raises PreconditionError; past that, the operator
+    and gap checks are theory-guaranteed, and failing them means a bug,
+    not bad input.
     """
+    _require_sound_multiplier(game.n, c)
     heads, rounds = _strategy_improvement(
         game, lambda tau, sigma: contracted_values(game, c, tau, sigma)
     )
@@ -650,32 +690,31 @@ def decide_value(game: Game, alpha: Fraction) -> bool:
 def verify_ovv_certificate(game: Game, cert: Certificate) -> bool:
     """Check a witness pair without trusting the solver that made it.
 
-    Rebuilds the stopping companion for cert.c and checks exactly:
+    Checks exactly, for the stopping companion with multiplier cert.c:
     every z entry has denominator at most 4**n, z is a fixed point of
-    the game's operator, s of the companion's, and every original
-    vertex's |z - s| gap is below half the value separation. Together
-    these force z to be the optimal value vector: the first check keeps
-    z on the grid of representable values, whose points the gap check
-    tells apart. Dimension mismatches raise; failed checks just return
-    False.
+    the game's operator, s satisfies every equation of the companion's
+    operator (companion_fixed_point, in closed form, without building
+    the companion), and every original vertex's |z - s| gap is below
+    half the value separation. Together these force z to be the optimal
+    value vector: the first check keeps z on the grid of representable
+    values, whose points the gap check tells apart. A z or s of the
+    wrong length raises CertificateError, before any other work; a c
+    too small for exact snap-back raises PreconditionError; failed
+    checks just return False.
     """
     if cert.z.n != game.n:
         raise CertificateError(f"certificate z has {cert.z.n} entries, game has {game.n}")
-    transformed, record = build_stopping_game(game, cert.c)
-    if cert.s.n != transformed.n:
-        raise CertificateError(
-            f"certificate s has {cert.s.n} entries, companion game has {transformed.n}"
-        )
+    _require_sound_multiplier(game.n, cert.c)
+    if not companion_fixed_point(game, cert.c, cert.s):
+        return False
     bound = 4**game.n
     if any(x.denominator > bound for x in cert.z.components):
         return False
     if apply_operator(game, cert.z) != cert.z:
         return False
-    if apply_operator(transformed, cert.s) != cert.s:
-        return False
     half_sep = value_separation(game.n) / 2
     for i in game.vertices:
-        if abs(cert.z[i] - cert.s[record.mapped(i)]) >= half_sep:
+        if abs(cert.z[i] - cert.s[companion_id(game, cert.s.n, i)]) >= half_sep:
             return False
     return True
 
@@ -689,24 +728,23 @@ def verify_value_certificate(
 ) -> bool:
     """Check a witness for the decision 'game value > alpha'.
 
-    s must be an exact operator fixed point of the stopping companion;
-    the claim holds when s at the mapped start vertex exceeds alpha
-    (or, for the complement decision, does not). Sound for alpha with
-    denominator at most 4**n because the companion's start value lies
-    within half a separation of the true game value; any other alpha
-    raises PreconditionError.
+    s must be an exact operator fixed point of the stopping companion
+    with multiplier c, which companion_fixed_point checks in closed
+    form without building the companion; the claim holds when s at the
+    start vertex's companion id exceeds alpha (or, for the complement
+    decision, does not). Sound for alpha with denominator at most 4**n
+    and for c large enough for exact snap-back, because then the
+    companion's start value lies within half a separation of the true
+    game value; any other alpha or c raises PreconditionError. An s of
+    the wrong length raises CertificateError.
     """
     alpha = Fraction(alpha)
     if alpha.denominator > 4**game.n:
         raise PreconditionError(
             f"alpha {alpha} has denominator above 4**n = {4**game.n}; the check is unsound there"
         )
-    transformed, record = build_stopping_game(game, c)
-    if s.n != transformed.n:
-        raise CertificateError(
-            f"certificate s has {s.n} entries, companion game has {transformed.n}"
-        )
-    if apply_operator(transformed, s) != s:
+    _require_sound_multiplier(game.n, c)
+    if not companion_fixed_point(game, c, s):
         return False
-    at_start = s[record.mapped(game.start)]
+    at_start = s[companion_id(game, s.n, game.start)]
     return at_start <= alpha if complement else at_start > alpha

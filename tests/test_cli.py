@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from ssg import is_stopping, parse_game, serialize_game
+from ssg import build_game, is_stopping, parse_game, serialize_game
 from ssg.cli import main
 from ssg.fixtures import GAME_A, GAME_B, GAME_E, GAME_G
 
@@ -106,6 +106,14 @@ def test_solve_method_override(game_file, capsys):
     code, out, _ = run(capsys, "solve", "--method", "oracle", game_file(GAME_E))
     assert code == 0
     assert "method: oracle" in out.splitlines()
+
+
+def test_solve_refuses_unsound_multiplier(game_file, capsys):
+    mixed = build_game(5, 1, [(1, "max", 2, 3), (2, "min", 1, 3), (3, "avg", 4, 5)])
+    code, out, err = run(capsys, "solve", "--c", "3", game_file(mixed))
+    assert code == 1
+    assert out == ""
+    assert "the smallest sound c is 8" in err
 
 
 # ------------------------------------------------------- value, decide
@@ -235,6 +243,22 @@ def test_certify_rejects_tampered_certificate(game_file, tmp_path, capsys):
     code, out, _ = run(capsys, "certify", "--cert", cert, game)
     assert code == 1
     assert out == "certificate rejected\n"
+
+
+def test_certify_refuses_huge_multiplier(game_file, tmp_path, capsys):
+    # a companion with c = 10**9 would need billions of rows; the short
+    # s is turned away before anything is built
+    game = game_file(GAME_B)
+    cert = tmp_path / "cert.json"
+    run(capsys, "solve", "--cert-out", str(cert), game)
+    doc = json.loads(cert.read_text())
+    doc["c"] = 10**9
+    cert.write_text(json.dumps(doc))
+
+    code, out, err = run(capsys, "certify", "--cert", str(cert), game)
+    assert code == 1
+    assert out == ""
+    assert "certificate s has" in err
 
 
 def test_certify_malformed_certificate_is_domain_error(game_file, tmp_path, capsys):

@@ -391,6 +391,11 @@ def test_certificate_rejects_perturbed_claim():
     bumped[0] = bumped[0] + sep
     bad = Certificate(z=ValueVector(bumped), s=cert.s, c=cert.c)
     assert not verify_ovv_certificate(MIXED_LOOPY, bad)
+    # a companion chain entry off its equation, far below the gap check
+    warped = list(cert.s.components)
+    warped[-3] += Fraction(1, 2**200) if warped[-3] < 1 else -Fraction(1, 2**200)
+    bad = Certificate(z=cert.z, s=ValueVector(warped), c=cert.c)
+    assert not verify_ovv_certificate(MIXED_LOOPY, bad)
 
 
 def test_certificate_rejects_wrong_fixed_point():
@@ -437,6 +442,35 @@ def test_value_certificate_requires_fixed_point():
 def test_value_certificate_dimension_mismatch():
     with pytest.raises(CertificateError):
         verify_value_certificate(GAME_B, ValueVector([0, 1]), HALF)
+
+
+def test_certificate_with_huge_multiplier_is_refused_before_any_work():
+    # the companion for c = 10**9 would have billions of vertices; the
+    # size check turns the short s away without building anything
+    cert = solve(GAME_D, with_certificate=True).certificate
+    with pytest.raises(CertificateError):
+        verify_ovv_certificate(GAME_D, Certificate(z=cert.z, s=cert.s, c=10**9))
+    with pytest.raises(CertificateError):
+        verify_value_certificate(GAME_D, cert.s, HALF, c=10**9)
+
+
+def test_unsound_multiplier_is_refused():
+    # snap-back needs transform_error_bound(n, c) < value_separation(n) / 2,
+    # which first holds at c = 8; below it c = 1 used to end in an
+    # InternalCheckError and c = 3 in "no representable value"
+    game = random_game(8, (1, 1, 1), seed=9)
+    for c in (1, 3, 4, 7):
+        with pytest.raises(PreconditionError, match="smallest sound c is 8"):
+            solve(game, c=c)
+        with pytest.raises(PreconditionError, match="smallest sound c is 8"):
+            solve(MIXED_STOPPING, c=c, with_certificate=True)
+    assert solve(game, c=8).method == "transform"
+    cert = solve(GAME_D, with_certificate=True).certificate
+    for c in (0, 7):
+        with pytest.raises(PreconditionError, match="smallest sound c is 8"):
+            verify_ovv_certificate(GAME_D, Certificate(z=cert.z, s=cert.s, c=c))
+        with pytest.raises(PreconditionError, match="smallest sound c is 8"):
+            verify_value_certificate(GAME_D, cert.s, HALF, c=c)
 
 
 def test_value_certificate_refuses_alpha_off_the_grid():

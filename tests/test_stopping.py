@@ -9,9 +9,11 @@ from ssg import (
     Strategy,
     ValueVector,
     VertexKind,
+    apply_operator,
     build_game,
     build_stopping_game,
     enumerate_strategies,
+    hoffman_karp,
     is_stopping,
     lift_strategy,
     random_game,
@@ -22,7 +24,12 @@ from ssg import (
     verify_transform_bound,
 )
 from ssg.fixtures import FIXTURES, GAME_A, GAME_E
-from ssg.stopping import chain_weight, contracted_values, expand_companion_values
+from ssg.stopping import (
+    chain_weight,
+    companion_fixed_point,
+    contracted_values,
+    expand_companion_values,
+)
 
 
 def test_size_formula():
@@ -133,6 +140,8 @@ def test_rejects_bad_multiplier():
         contracted_values(GAME_A, 0, Strategy.of(VertexKind.MIN, {}), Strategy.of(VertexKind.MAX, {}))
     with pytest.raises(PreconditionError):
         expand_companion_values(GAME_A, 0, ValueVector([Fraction(1, 2), 0, 1]))
+    with pytest.raises(PreconditionError):
+        companion_fixed_point(GAME_A, 0, ValueVector([Fraction(1, 2), 0, 1]))
 
 
 def test_contracted_values_match_the_built_companion():
@@ -156,3 +165,34 @@ def test_contracted_values_match_the_built_companion():
                     assert expand_companion_values(g, c, heads) == full
                     for (_i, j), chain in record.edge_chains.items():
                         assert full[chain[0]] == lam * heads[j]
+
+
+def _moved(s, vid):
+    """s with the entry at companion id vid moved by 2**-70, inside [0, 1]."""
+    comps = list(s.components)
+    d = Fraction(1, 2**70)
+    comps[vid - 1] += d if comps[vid - 1] + d <= 1 else -d
+    return ValueVector(comps)
+
+
+def test_companion_fixed_point_matches_the_built_companion():
+    # the closed-form check gives the built companion's verdict on the
+    # solver's s and on copies with one entry moved: a sink, an original
+    # vertex, and the head, middle and tail of every chain, over self
+    # loops (GAME-C, GAME-E's cycle) and edges into either sink
+    games = [*FIXTURES.values(), build_game(4, 1, [(1, "max", 1, 2), (2, "avg", 2, 4)])]
+    games += [random_game(3 + i % 4, seed=100 + i) for i in range(10)]
+    assert any(j == g.sink0 for g in games for _v, j in g.edges())
+    assert any(j == g.sink1 for g in games for _v, j in g.edges())
+    for g in games:
+        for c in (1, 2, 9):
+            transformed, record = build_stopping_game(g, c)
+            s = hoffman_karp(transformed).values
+            assert companion_fixed_point(g, c, s)
+            ids = [transformed.n - 1, transformed.n, *g.interior]
+            for chain in record.edge_chains.values():
+                ids += [chain[0], chain[len(chain) // 2], chain[-1]]
+            for vid in ids:
+                moved = _moved(s, vid)
+                built = apply_operator(transformed, moved) == moved
+                assert companion_fixed_point(g, c, moved) == built
