@@ -7,7 +7,9 @@ error, 2 on a usage error; decide exits 3 when the answer is false and
 certify exits 1 when the certificate is rejected.
 
 Output is text by default; --format json emits one structured document
-with a schema: 1 field, sorted keys, and rationals as "p/q" strings.
+with a schema: 2 field, sorted keys, and rationals as "p/q" strings.
+Certificate files carry the same schema field, and certify refuses a
+certificate of any other schema.
 The json output of deterministic verbs is byte-stable across runs for
 identical inputs; bench rows carry wall-clock timings and are not.
 """
@@ -49,7 +51,7 @@ from .solve import (
 )
 from .stopping import build_stopping_game
 
-SCHEMA = 1
+SCHEMA = 2
 
 _EDGE_RE = re.compile(r"^\s*(\d+)\s*->\s*(\d+)\s*$")
 
@@ -59,6 +61,12 @@ def _rational_arg(text: str) -> Fraction:
         return parse_rational(text)
     except SSGError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _positive_int_arg(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 def _weights_arg(text: str) -> tuple[int, int, int]:
@@ -209,6 +217,10 @@ def _load_certificate(path: str) -> Certificate:
     for field in ("z", "s", "c"):
         if field not in doc:
             raise SSGError(f"certificate file is missing field {field!r}")
+    if doc.get("schema") != SCHEMA:
+        raise SSGError(
+            f"certificate file has schema {doc.get('schema')!r}; this version reads schema {SCHEMA}"
+        )
     c = doc["c"]
     if not isinstance(c, int) or c < 1:
         raise SSGError(f"certificate field 'c' must be a positive integer, got {c!r}")
@@ -614,8 +626,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="file listing one game path per line")
     p.add_argument("--methods", type=_methods_arg, default=("auto", "vi"),
                    metavar="LIST", help="comma list, e.g. auto,vi,hk,mc")
-    p.add_argument("--repeat", type=int, default=1)
-    p.add_argument("--plays", type=int, default=100_000, help="rollouts per mc row")
+    p.add_argument("--repeat", type=_positive_int_arg, default=1)
+    p.add_argument("--plays", type=_positive_int_arg, default=100_000,
+                   help="rollouts per mc row")
     p.add_argument("--seed", type=int, default=0, help="rollout seed for mc rows")
     p.add_argument("--budget", type=int, default=DEFAULT_ORACLE_BUDGET)
 

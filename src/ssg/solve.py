@@ -6,7 +6,7 @@ player vertices, mean at avg vertices) that agrees with the reachable
 absorption probabilities. Methods:
 
   value_iteration  approximate, iterates the operator from zero
-  solve_avg_free   exact attractor layering for games without chance
+  avg_free_run     exact attractor layering for games without chance
   hoffman_karp     exact strategy improvement for stopping games
   (LP)             exact simplex when one player has no choices
   brute_force_oracle  exact by enumeration, for cross-checking
@@ -19,10 +19,11 @@ values of the original's, so snapping them back recovers the original
 values exactly, and the pair (snapped, companion) is a checkable
 certificate. The companion is solved in contracted form: strategy
 improvement runs on the original n vertices with every edge weighted
-by the chain factor lam = 1 - 2**-(c*n), and the full companion vector
-of the certificate is written out in closed form. The verifiers do not
-trust that shortcut: they check s against every equation of the
-companion's operator, in the same closed form, without building it.
+by the chain factor lam = 1 - 2**-(c*n), and s holds the companion's
+values at those n vertices only; every chain entry is fixed by its
+target, so it adds no evidence. The verifiers check s against the
+lam-weighted operator (contracted_fixed_point), whose unique fixed
+point is the companion's optimum at the original vertices.
 Snap-back is exact only for multipliers c whose transform error stays
 below half the value separation; the solver and both verifiers refuse
 smaller c.
@@ -52,13 +53,7 @@ from .games import (
 )
 from .lp import build_lp_max_free, build_lp_min_free, simplex_optimize, simplex_solve
 from .markov import ReducedGame, is_stopping, reduce_game, solve_value_vector
-from .stopping import (
-    companion_fixed_point,
-    companion_id,
-    contracted_values,
-    expand_companion_values,
-    transform_error_bound,
-)
+from .stopping import contracted_values, transform_error_bound
 
 DEFAULT_C = 9
 DEFAULT_ORACLE_BUDGET = 16
@@ -138,6 +133,39 @@ def apply_operator(game: Game, v: ValueVector) -> ValueVector:
             else:
                 out.append((v[a] + v[b]) / 2)
     return ValueVector(out)
+
+
+def contracted_fixed_point(game: Game, c: int, s: ValueVector) -> bool:
+    """Whether s is the fixed point of the lam-weighted operator, which
+    is the chain companion's operator with multiplier c contracted onto
+    the original vertices.
+
+    An s without n entries raises CertificateError before any other
+    work. The sinks must read 0 and 1, and every interior i must satisfy
+    s(i) = lam * t with t = apply_operator(game, s)[i] and
+    lam = 1 - 2**-m, m = c*n. That map is a lam-contraction, so its only
+    fixed point is the companion's optimal value vector at the original
+    vertices. 2**m is never formed: t = 0 forces s(i) = 0, and otherwise
+    (t - s(i)) / t must be 1 over a power of two of bit length m + 1, so
+    a certificate naming a huge c is as cheap to refuse as any other.
+    """
+    if s.n != game.n:
+        raise CertificateError(f"certificate s has {s.n} entries, game has {game.n}")
+    if s[game.sink0] != 0 or s[game.sink1] != 1:
+        return False
+    m = c * game.n
+    op = apply_operator(game, s)
+    for i in game.interior:
+        t = op[i]
+        if t == 0:
+            if s[i] != 0:
+                return False
+            continue
+        gap = (t - s[i]) / t
+        q = gap.denominator
+        if gap.numerator != 1 or q & (q - 1) or q.bit_length() != m + 1:
+            return False
+    return True
 
 
 def _progress_ranks(game: Game, v: ValueVector) -> dict[int, int]:
@@ -355,12 +383,6 @@ def avg_free_run(game: Game) -> tuple[ValueVector, int]:
     return ValueVector(val[v] for v in game.vertices), passes
 
 
-def solve_avg_free(game: Game) -> ValueVector:
-    """Exact optimal values of a game without chance vertices."""
-    values, _passes = avg_free_run(game)
-    return values
-
-
 def best_response(game: Game, fixed: Strategy) -> tuple[Strategy, ValueVector]:
     """Optimal reply values against one fixed strategy, via the exact LP.
 
@@ -391,9 +413,11 @@ class Certificate:
     """Witness pair for the exact-solve pipeline.
 
     z claims to be the optimal value vector of the game; s the optimal
-    value vector of its chain-stopping companion with multiplier c.
-    Acceptance requires both to be operator fixed points with every
-    original vertex's gap below half the value separation.
+    values of its chain-stopping companion with multiplier c at the n
+    original vertices, i.e. the fixed point of the lam-weighted
+    operator. Acceptance requires z to be an operator fixed point on the
+    value grid, s a fixed point of the lam-weighted operator, and every
+    vertex's gap between them below half the value separation.
     """
 
     z: ValueVector
@@ -528,25 +552,23 @@ def _transform_solve(game: Game, c: int) -> tuple[ValueVector, ValueVector, int]
 
     Returns (z, s, improvement rounds). Strategy improvement runs on the
     original n vertices with every edge weighted by lam = 1 - 2**-(c*n),
-    which gives the companion's exact optimal values there; s expands
-    them to the whole companion in closed form, and z is their snap-back
-    onto the original game's representable values. lam < 1 makes that
-    game stopping, so no stopping test is needed. A c too small for
+    which gives s, the companion's exact optimal values there, and z is
+    their snap-back onto the original game's representable values.
+    lam < 1 makes that game stopping, so no stopping test is needed. A c too small for
     exact snap-back raises PreconditionError; past that, the operator
     and gap checks are theory-guaranteed, and failing them means a bug,
     not bad input.
     """
     _require_sound_multiplier(game.n, c)
-    heads, rounds = _strategy_improvement(
+    s, rounds = _strategy_improvement(
         game, lambda tau, sigma: contracted_values(game, c, tau, sigma)
     )
-    s = expand_companion_values(game, c, heads)
-    z = ValueVector(round_to_value_set(x, game.n) for x in heads.components)
+    z = ValueVector(round_to_value_set(x, game.n) for x in s.components)
     half_sep = value_separation(game.n) / 2
     if apply_operator(game, z) != z:
         raise InternalCheckError("snapped vector is not an operator fixed point")
     for i in game.vertices:
-        if abs(z[i] - heads[i]) >= half_sep:
+        if abs(z[i] - s[i]) >= half_sep:
             raise InternalCheckError(f"snap-back gap at vertex {i} reaches half a separation")
     return z, s, rounds
 
@@ -692,10 +714,10 @@ def verify_ovv_certificate(game: Game, cert: Certificate) -> bool:
 
     Checks exactly, for the stopping companion with multiplier cert.c:
     every z entry has denominator at most 4**n, z is a fixed point of
-    the game's operator, s satisfies every equation of the companion's
-    operator (companion_fixed_point, in closed form, without building
-    the companion), and every original vertex's |z - s| gap is below
-    half the value separation. Together these force z to be the optimal
+    the game's operator, s is the fixed point of the lam-weighted
+    operator (contracted_fixed_point), hence the companion's optimum at
+    the original vertices, and every vertex's |z - s| gap is below half
+    the value separation. Together these force z to be the optimal
     value vector: the first check keeps z on the grid of representable
     values, whose points the gap check tells apart. A z or s of the
     wrong length raises CertificateError, before any other work; a c
@@ -705,7 +727,7 @@ def verify_ovv_certificate(game: Game, cert: Certificate) -> bool:
     if cert.z.n != game.n:
         raise CertificateError(f"certificate z has {cert.z.n} entries, game has {game.n}")
     _require_sound_multiplier(game.n, cert.c)
-    if not companion_fixed_point(game, cert.c, cert.s):
+    if not contracted_fixed_point(game, cert.c, cert.s):
         return False
     bound = 4**game.n
     if any(x.denominator > bound for x in cert.z.components):
@@ -714,7 +736,7 @@ def verify_ovv_certificate(game: Game, cert: Certificate) -> bool:
         return False
     half_sep = value_separation(game.n) / 2
     for i in game.vertices:
-        if abs(cert.z[i] - cert.s[companion_id(game, cert.s.n, i)]) >= half_sep:
+        if abs(cert.z[i] - cert.s[i]) >= half_sep:
             return False
     return True
 
@@ -728,10 +750,10 @@ def verify_value_certificate(
 ) -> bool:
     """Check a witness for the decision 'game value > alpha'.
 
-    s must be an exact operator fixed point of the stopping companion
-    with multiplier c, which companion_fixed_point checks in closed
-    form without building the companion; the claim holds when s at the
-    start vertex's companion id exceeds alpha (or, for the complement
+    s must hold the stopping companion's values at the n original
+    vertices for multiplier c, which contracted_fixed_point checks as
+    the fixed point of the lam-weighted operator; the claim holds when
+    s at the start vertex exceeds alpha (or, for the complement
     decision, does not). Sound for alpha with denominator at most 4**n
     and for c large enough for exact snap-back, because then the
     companion's start value lies within half a separation of the true
@@ -744,7 +766,7 @@ def verify_value_certificate(
             f"alpha {alpha} has denominator above 4**n = {4**game.n}; the check is unsound there"
         )
     _require_sound_multiplier(game.n, c)
-    if not companion_fixed_point(game, c, s):
+    if not contracted_fixed_point(game, c, s):
         return False
-    at_start = s[companion_id(game, s.n, game.start)]
+    at_start = s[game.start]
     return at_start <= alpha if complement else at_start > alpha

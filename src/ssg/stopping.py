@@ -17,21 +17,21 @@ edge into j is worth v(j)*(1 - 2**-(m-k)) in closed form, so each
 chain head is worth lam*v(j) with lam = 1 - 2**-m, and the companion
 restricted to the original vertices is the n-vertex game whose edges
 all carry weight lam. contracted_values evaluates strategy pairs on
-that small game, expand_companion_values writes out the full companion
-vector from it, and companion_fixed_point checks a claimed companion
-vector against every equation of the companion's operator in the same
-closed form. build_stopping_game stays for callers that need the
-companion itself: the transform verb, verify_transform_bound, and the
-tests, which use it as the reference.
+that small game, and solve.contracted_fixed_point checks a claimed
+vector against its operator. Chain entries are fixed by their
+targets, so a certificate carries only the n original values.
+build_stopping_game stays for callers that need the companion itself:
+the transform verb, verify_transform_bound, and the tests, which use
+it as the reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Union
+from typing import NamedTuple, Union
 
-from .exceptions import CertificateError, PreconditionError
+from .exceptions import PreconditionError
 from .games import Game, Strategy, ValueVector, VertexKind, build_game
 from .markov import reduce_game, solve_value_vector
 
@@ -69,44 +69,26 @@ def _chain_length(game: Game, c: int) -> int:
     return c * game.n
 
 
-def companion_size(game: Game, c: int) -> int:
-    """n' = n + c*n*|E|, the companion's vertex count."""
-    return game.n + _chain_length(game, c) * game.edge_count
-
-
-def companion_id(game: Game, n_prime: int, v: int) -> int:
-    """Original vertex v's id in a companion of n_prime vertices:
-    interior ids stay, the sinks move to n'-1 and n'."""
-    return v if v < game.sink0 else v + n_prime - game.n
-
-
 def chain_weight(m: int) -> Fraction:
     """lam = 1 - 2**-m: a chain head's value as a share of its target's."""
     return 1 - Fraction(1, 2**m)
-
-
-def _chains(game: Game, m: int) -> Iterator[tuple[tuple[int, int], range]]:
-    """Each original edge with the companion ids of its chain, in
-    traversal order. Chains take m consecutive ids from n-1 upward, in
-    Game.edges order: vertices ascending, left edge first."""
-    next_id = game.n - 1
-    for edge in game.edges():
-        yield edge, range(next_id, next_id + m)
-        next_id += m
 
 
 def build_stopping_game(game: Game, c: int = 9) -> tuple[Game, StoppingTransform]:
     """Return the stopping companion game and its transform record."""
     m = _chain_length(game, c)
     n = game.n
-    n_prime = companion_size(game, c)
+    n_prime = n + m * game.edge_count
     sink0p = n_prime - 1
-    vertex_map = {v: companion_id(game, n_prime, v) for v in game.vertices}
+    # interior ids stay, the sinks move to n'-1 and n'
+    vertex_map = {v: v if v < game.sink0 else v + n_prime - n for v in game.vertices}
 
     rows: list[tuple[int, VertexKind, int, int]] = []
     edge_chains: dict[tuple[int, int], tuple[int, ...]] = {}
-    for (v, j), chain in _chains(game, m):
-        ids = tuple(chain)
+    next_id = n - 1
+    for v, j in game.edges():
+        ids = tuple(range(next_id, next_id + m))
+        next_id += m
         edge_chains[(v, j)] = ids
         mj = vertex_map[j]
         for k, a in enumerate(ids):
@@ -182,82 +164,6 @@ def contracted_values(game: Game, c: int, tau: Strategy, sigma: Strategy) -> Val
         acc = prev * row[size] - sum(row[col] * y[col] for col in range(k + 1, size))
         y[k] = acc // row[k]
     return ValueVector([Fraction(x, prev) for x in y] + [0, 1])
-
-
-def expand_companion_values(game: Game, c: int, values: ValueVector) -> ValueVector:
-    """The companion's full value vector from its values at the original
-    vertices (as contracted_values returns them).
-
-    Chain vertex k of an edge into j is worth v(j) * (1 - 2**-(m-k));
-    the chains of all edges into one j share those values.
-    """
-    m = _chain_length(game, c)
-    powers = [2**e for e in range(m, 0, -1)]
-    by_target: dict[int, list[Fraction]] = {}
-    comps = values.components
-    out = [*comps[:-2], *([Fraction(0)] * (m * game.edge_count)), *comps[-2:]]
-    for (_v, j), chain in _chains(game, m):
-        seg = by_target.get(j)
-        if seg is None:
-            p, q = values[j].numerator, values[j].denominator
-            seg = by_target[j] = [Fraction(p * (t - 1), q * t) for t in powers]
-        out[chain.start - 1:chain.stop - 1] = seg
-    return ValueVector(out)
-
-
-def companion_fixed_point(game: Game, c: int, s: ValueVector) -> bool:
-    """Whether s is a fixed point of the companion's operator, checked
-    equation by equation without building the companion.
-
-    The size comes first, so an s that cannot fit a huge c is turned
-    away before any per-vertex work: s without n' entries raises
-    CertificateError. Then the sinks must hold 0 and 1. Given them, the
-    equations of a chain into j have exactly one solution, entry
-    k = t * (1 - 2**-(m-k)) with t = s at j (a chain into the 0-sink
-    ends in a self-loop, which forces 0, as the closed form does), and
-    each entry is compared with it by integer cross-multiplication.
-    Last, every original interior vertex must be the max, min or mean
-    of its two chain heads, by its kind. The verdict is that of
-    apply_operator on the built companion.
-    """
-    n_prime = companion_size(game, c)
-    if s.n != n_prime:
-        raise CertificateError(f"certificate s has {s.n} entries, companion game has {n_prime}")
-    vals = s.components
-    if vals[-2] != 0 or vals[-1] != 1:
-        return False
-    m = _chain_length(game, c)
-    powers = [1 << e for e in range(m, 0, -1)]
-    # chains into one j share their equations, hence their solution:
-    # the first is checked entry by entry, the rest against it
-    checked: dict[int, tuple[Fraction, ...]] = {}
-    heads = []
-    for (_v, j), chain in _chains(game, m):
-        seg = vals[chain.start - 1:chain.stop - 1]
-        first = checked.get(j)
-        if first is None:
-            t = vals[companion_id(game, n_prime, j) - 1]
-            p, q = t.numerator, t.denominator
-            # entry x = p*(2**e - 1) / (q * 2**e), e = m - k
-            for x, pw in zip(seg, powers):
-                if x.numerator * q * pw != p * (pw - 1) * x.denominator:
-                    return False
-            checked[j] = seg
-        elif seg != first:
-            return False
-        heads.append(seg[0])
-    for v in game.interior:
-        a, b = heads[2 * v - 2], heads[2 * v - 1]
-        kind = game.kind(v)
-        if kind is VertexKind.MAX:
-            want = max(a, b)
-        elif kind is VertexKind.MIN:
-            want = min(a, b)
-        else:
-            want = (a + b) / 2
-        if vals[v - 1] != want:
-            return False
-    return True
 
 
 def lift_strategy(transform: StoppingTransform, strategy: Strategy) -> Strategy:

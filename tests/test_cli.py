@@ -5,7 +5,15 @@ import json
 
 import pytest
 
-from ssg import build_game, is_stopping, parse_game, serialize_game
+from ssg import (
+    build_game,
+    build_stopping_game,
+    format_rational,
+    hoffman_karp,
+    is_stopping,
+    parse_game,
+    serialize_game,
+)
 from ssg.cli import main
 from ssg.fixtures import GAME_A, GAME_B, GAME_E, GAME_G
 
@@ -45,7 +53,7 @@ def test_validate_json(game_file, capsys):
     code, out, _ = run(capsys, "validate", "--format", "json", game_file(GAME_B))
     doc = json.loads(out)
     assert code == 0
-    assert doc["schema"] == 1
+    assert doc["schema"] == 2
     assert doc["ok"] is True
     assert doc["kinds"] == {"max": 0, "min": 0, "avg": 2}
 
@@ -81,7 +89,7 @@ def test_solve_json_schema(game_file, capsys):
     code, out, _ = run(capsys, "solve", "--format", "json", game_file(GAME_G))
     doc = json.loads(out)
     assert code == 0
-    assert doc["schema"] == 1
+    assert doc["schema"] == 2
     assert doc["verb"] == "solve"
     assert doc["value"] == "3/4"
     assert doc["values"] == ["3/4", "1/2", "3/4", "0", "1"]
@@ -246,8 +254,8 @@ def test_certify_rejects_tampered_certificate(game_file, tmp_path, capsys):
 
 
 def test_certify_refuses_huge_multiplier(game_file, tmp_path, capsys):
-    # a companion with c = 10**9 would need billions of rows; the short
-    # s is turned away before anything is built
+    # lam = 1 - 2**-(c*n) for c = 10**9 is never formed; the c = 9
+    # values fail the lam-operator check at once
     game = game_file(GAME_B)
     cert = tmp_path / "cert.json"
     run(capsys, "solve", "--cert-out", str(cert), game)
@@ -255,10 +263,27 @@ def test_certify_refuses_huge_multiplier(game_file, tmp_path, capsys):
     doc["c"] = 10**9
     cert.write_text(json.dumps(doc))
 
-    code, out, err = run(capsys, "certify", "--cert", str(cert), game)
+    code, out, _ = run(capsys, "certify", "--cert", str(cert), game)
+    assert code == 1
+    assert out == "certificate rejected\n"
+
+
+def test_certify_refuses_other_schema(game_file, tmp_path, capsys):
+    # a schema-1 certificate carried s on the whole chain companion
+    game = GAME_A
+    cert = tmp_path / "cert.json"
+    run(capsys, "solve", "--cert-out", str(cert), game_file(game))
+    doc = json.loads(cert.read_text())
+    transformed, _ = build_stopping_game(game, doc["c"])
+    full = hoffman_karp(transformed).values
+    doc["schema"] = 1
+    doc["s"] = [format_rational(x) for x in full.components]
+    cert.write_text(json.dumps(doc))
+
+    code, out, err = run(capsys, "certify", "--cert", str(cert), game_file(game))
     assert code == 1
     assert out == ""
-    assert "certificate s has" in err
+    assert "schema 1" in err and "schema 2" in err
 
 
 def test_certify_malformed_certificate_is_domain_error(game_file, tmp_path, capsys):
@@ -372,6 +397,20 @@ def test_bench_unknown_method_is_usage_error(tmp_path, capsys):
     suite.write_text("x.ssg\n")
     code, _, _ = run(capsys, "bench", "--suite", str(suite), "--methods", "fast")
     assert code == 2
+
+
+@pytest.mark.parametrize("flag", ["--repeat", "--plays"])
+@pytest.mark.parametrize("count", ["0", "-1", "two"])
+def test_bench_non_positive_count_is_usage_error(game_file, tmp_path, capsys, flag, count):
+    # --repeat 0 used to time nothing and crash on the missing report
+    game_file(GAME_B, "b.ssg")
+    suite = tmp_path / "suite.txt"
+    suite.write_text("b.ssg\n")
+    code, _, err = run(
+        capsys, "bench", "--suite", str(suite), "--methods", "auto,mc", flag, count
+    )
+    assert code == 2
+    assert "positive integer" in err
 
 
 # ------------------------------------------------------------- failures

@@ -18,6 +18,7 @@ from ssg import (
     ValueVector,
     VertexKind,
     apply_operator,
+    avg_free_run,
     best_response,
     brute_force_oracle,
     build_game,
@@ -31,7 +32,6 @@ from ssg import (
     random_game,
     round_to_value_set,
     solve,
-    solve_avg_free,
     value_iteration,
     value_separation,
     verify_ovv_certificate,
@@ -142,18 +142,18 @@ def test_vi_iterates_monotone_and_consistent():
 
 
 def test_avg_free_max_reaches_sink():
-    v = solve_avg_free(GAME_F)
+    v = avg_free_run(GAME_F)[0]
     assert v[1] == 1
 
 
 def test_avg_free_cycles_are_worthless():
-    assert solve_avg_free(GAME_D) == ValueVector([0, 0, 0, 1])
-    assert solve_avg_free(GAME_E) == ValueVector([0, 0, 0, 1])
+    assert avg_free_run(GAME_D)[0] == ValueVector([0, 0, 0, 1])
+    assert avg_free_run(GAME_E)[0] == ValueVector([0, 0, 0, 1])
 
 
 def test_avg_free_rejects_chance():
     with pytest.raises(PreconditionError):
-        solve_avg_free(GAME_A)
+        avg_free_run(GAME_A)[0]
 
 
 # ------------------------------------------------------- best response
@@ -391,7 +391,7 @@ def test_certificate_rejects_perturbed_claim():
     bumped[0] = bumped[0] + sep
     bad = Certificate(z=ValueVector(bumped), s=cert.s, c=cert.c)
     assert not verify_ovv_certificate(MIXED_LOOPY, bad)
-    # a companion chain entry off its equation, far below the gap check
+    # an s entry off the lam-operator's equation, far below the gap check
     warped = list(cert.s.components)
     warped[-3] += Fraction(1, 2**200) if warped[-3] < 1 else -Fraction(1, 2**200)
     bad = Certificate(z=cert.z, s=ValueVector(warped), c=cert.c)
@@ -415,7 +415,9 @@ def test_certificate_dimension_mismatch():
     with pytest.raises(CertificateError):
         verify_ovv_certificate(GAME_A, Certificate(z=cert.z, s=cert.s, c=cert.c))
     with pytest.raises(CertificateError):
-        verify_ovv_certificate(GAME_D, Certificate(z=cert.z, s=cert.z, c=cert.c))
+        verify_ovv_certificate(
+            GAME_D, Certificate(z=cert.z, s=ValueVector(cert.s.components[1:]), c=cert.c)
+        )
 
 
 def test_value_certificate_decides_threshold():
@@ -445,13 +447,15 @@ def test_value_certificate_dimension_mismatch():
 
 
 def test_certificate_with_huge_multiplier_is_refused_before_any_work():
-    # the companion for c = 10**9 would have billions of vertices; the
-    # size check turns the short s away without building anything
+    # lam = 1 - 2**-(c*n) for c = 10**9 is never formed: the check reads
+    # the bit length of each entry's gap, so GAME-B's c = 9 values are
+    # refused at once, and GAME-D's all-zero values, a fixed point for
+    # every c, are accepted just as fast
+    cert = solve(GAME_B, with_certificate=True).certificate
+    assert not verify_ovv_certificate(GAME_B, Certificate(z=cert.z, s=cert.s, c=10**9))
+    assert not verify_value_certificate(GAME_B, cert.s, HALF, c=10**9)
     cert = solve(GAME_D, with_certificate=True).certificate
-    with pytest.raises(CertificateError):
-        verify_ovv_certificate(GAME_D, Certificate(z=cert.z, s=cert.s, c=10**9))
-    with pytest.raises(CertificateError):
-        verify_value_certificate(GAME_D, cert.s, HALF, c=10**9)
+    assert verify_ovv_certificate(GAME_D, Certificate(z=cert.z, s=cert.s, c=10**9))
 
 
 def test_unsound_multiplier_is_refused():
@@ -545,11 +549,13 @@ def _mixed_non_stopping(n, count, seed):
 
 
 def _companion_reference(game, c):
-    """Strategy improvement on the built companion, and its snap-back."""
+    """Strategy improvement on the built companion: its values at the
+    original vertices, their snap-back, and the round count."""
     transformed, record = build_stopping_game(game, c)
     ref = hoffman_karp(transformed)
-    z = ValueVector(round_to_value_set(ref.values[record.mapped(i)], game.n) for i in game.vertices)
-    return z, ref.values, ref.iterations
+    s = ValueVector(ref.values[record.mapped(i)] for i in game.vertices)
+    z = ValueVector(round_to_value_set(x, game.n) for x in s.components)
+    return z, s, ref.iterations
 
 
 def test_transform_route_matches_built_companion():

@@ -9,7 +9,6 @@ from ssg import (
     Strategy,
     ValueVector,
     VertexKind,
-    apply_operator,
     build_game,
     build_stopping_game,
     enumerate_strategies,
@@ -24,12 +23,8 @@ from ssg import (
     verify_transform_bound,
 )
 from ssg.fixtures import FIXTURES, GAME_A, GAME_E
-from ssg.stopping import (
-    chain_weight,
-    companion_fixed_point,
-    contracted_values,
-    expand_companion_values,
-)
+from ssg.solve import contracted_fixed_point
+from ssg.stopping import chain_weight, contracted_values
 
 
 def test_size_formula():
@@ -138,17 +133,13 @@ def test_rejects_bad_multiplier():
         build_stopping_game(GAME_A, 0)
     with pytest.raises(PreconditionError):
         contracted_values(GAME_A, 0, Strategy.of(VertexKind.MIN, {}), Strategy.of(VertexKind.MAX, {}))
-    with pytest.raises(PreconditionError):
-        expand_companion_values(GAME_A, 0, ValueVector([Fraction(1, 2), 0, 1]))
-    with pytest.raises(PreconditionError):
-        companion_fixed_point(GAME_A, 0, ValueVector([Fraction(1, 2), 0, 1]))
 
 
 def test_contracted_values_match_the_built_companion():
     # every strategy pair, including self loops (GAME-C, GAME-E's cycle)
     # and edges into either sink: the n-vertex lam-game gives the
-    # companion's values at the original vertices, and the closed form
-    # gives them everywhere else
+    # companion's values at the original vertices, and each chain head
+    # is worth lam times its target
     games = [*FIXTURES.values(), build_game(4, 1, [(1, "max", 1, 2), (2, "avg", 2, 4)])]
     games += [random_game(3 + i % 4, seed=100 + i) for i in range(10)]
     for g in games:
@@ -162,37 +153,33 @@ def test_contracted_values_match_the_built_companion():
                     )
                     heads = contracted_values(g, c, tau, sigma)
                     assert heads == ValueVector(full[record.mapped(i)] for i in g.vertices)
-                    assert expand_companion_values(g, c, heads) == full
                     for (_i, j), chain in record.edge_chains.items():
                         assert full[chain[0]] == lam * heads[j]
 
 
 def _moved(s, vid):
-    """s with the entry at companion id vid moved by 2**-70, inside [0, 1]."""
+    """s with the entry at vid moved by 2**-70, inside [0, 1]."""
     comps = list(s.components)
     d = Fraction(1, 2**70)
     comps[vid - 1] += d if comps[vid - 1] + d <= 1 else -d
     return ValueVector(comps)
 
 
-def test_companion_fixed_point_matches_the_built_companion():
-    # the closed-form check gives the built companion's verdict on the
-    # solver's s and on copies with one entry moved: a sink, an original
-    # vertex, and the head, middle and tail of every chain, over self
-    # loops (GAME-C, GAME-E's cycle) and edges into either sink
+def test_contracted_fixed_point_matches_the_built_companion():
+    # the lam-operator check accepts the built companion's optimum at the
+    # original vertices and rejects every copy with one entry moved (each
+    # sink, each interior vertex), over self loops (GAME-C, GAME-E's
+    # cycle), edges into either sink, and a sink no edge reaches (GAME-C)
     games = [*FIXTURES.values(), build_game(4, 1, [(1, "max", 1, 2), (2, "avg", 2, 4)])]
     games += [random_game(3 + i % 4, seed=100 + i) for i in range(10)]
     assert any(j == g.sink0 for g in games for _v, j in g.edges())
     assert any(j == g.sink1 for g in games for _v, j in g.edges())
+    assert any(all(j != g.sink1 for _v, j in g.edges()) for g in games)
     for g in games:
         for c in (1, 2, 9):
             transformed, record = build_stopping_game(g, c)
-            s = hoffman_karp(transformed).values
-            assert companion_fixed_point(g, c, s)
-            ids = [transformed.n - 1, transformed.n, *g.interior]
-            for chain in record.edge_chains.values():
-                ids += [chain[0], chain[len(chain) // 2], chain[-1]]
-            for vid in ids:
-                moved = _moved(s, vid)
-                built = apply_operator(transformed, moved) == moved
-                assert companion_fixed_point(g, c, moved) == built
+            full = hoffman_karp(transformed).values
+            s = ValueVector(full[record.mapped(i)] for i in g.vertices)
+            assert contracted_fixed_point(g, c, s)
+            for vid in g.vertices:
+                assert not contracted_fixed_point(g, c, _moved(s, vid))
