@@ -69,6 +69,12 @@ def _positive_int_arg(text: str) -> int:
     return int(text)
 
 
+def _non_negative_int_arg(text: str) -> int:
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _weights_arg(text: str) -> tuple[int, int, int]:
     parts = text.split(":")
     if len(parts) != 3 or not all(p.isdigit() for p in parts):
@@ -565,7 +571,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--approx",
-        type=int,
+        type=_non_negative_int_arg,
         metavar="DIGITS",
         help="append a decimal rendering with this many digits",
     )

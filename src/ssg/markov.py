@@ -7,6 +7,12 @@ vertices that can reach a sink at all and b is the unit vector of the
 1-sink. Vertices that cannot reach a sink sit on closed cycles and are
 worth exactly 0, so their rows are zeroed and the rest of the system
 becomes uniquely solvable.
+
+solve_value_vector is the package's one exact evaluator of a strategy
+pair. It also takes an edge weight lam, solving v = lam (Q v + b): at
+lam = 1 for Hoffman-Karp and the brute-force oracle, and at the chain
+factor lam = 1 - 2**-(c*n) for the stopping transform, whose companion
+game contracts to the original vertices with that weight on every edge.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterator, Mapping, Union
 
 from . import kernels
@@ -162,83 +169,105 @@ def build_linear_system(rg: ReducedGame) -> LinearSystem:
     return LinearSystem(tuple(rows), tuple(b), t)
 
 
-def solve_value_vector(rg: ReducedGame) -> ValueVector:
-    """Exact absorption probabilities of a fully reduced game.
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
-    Sparse Gaussian elimination over the sink-reaching vertices only.
-    Columns are eliminated in descending vertex id; the pivot is the
-    lowest-numbered remaining row with a nonzero coefficient, which
-    makes the whole procedure deterministic. On chain-structured games
-    (including stopping-transform outputs) this order keeps the fill-in
-    near zero, so the cost stays close to linear in the vertex count.
+
+def solve_value_vector(rg: ReducedGame, lam: Fraction = Fraction(1)) -> ValueVector:
+    """Exact values of a fully reduced game whose every edge carries
+    weight lam, 0 < lam <= 1: v(i) = lam * (mean of i's successors).
+
+    lam = 1 gives the absorption probabilities into the 1-sink. There a
+    vertex that cannot reach a sink sits on a closed cycle, its row
+    would make the system singular, so sink_reachable_set picks the
+    rows and every other vertex is worth 0. For lam < 1 every row is
+    strictly diagonally dominant, so the whole system is nonsingular
+    and closed cycles solve to 0 on their own; no reachability pass.
+
+    With lam = p/q, row i scaled by 2q is integral: 2q*v(i) minus
+    p*(2 // |succ|)*v(j) for each successor j, equal to that weight if
+    one successor is the 1-sink. Rows are sparse dicts holding the
+    constant in column 0. Columns are eliminated in
+    descending vertex id; the pivot is the lowest-numbered remaining
+    row with a nonzero coefficient, which makes the procedure
+    deterministic. A row update cross-multiplies by the two rows'
+    pivot-column entries over their gcd, and each updated row is then
+    divided by the gcd of its entries, which keeps them from growing
+    into full-size minors. On chain-structured games this order keeps
+    the fill-in near zero. Back-substitution carries (numerator,
+    denominator) pairs and makes one Fraction per vertex.
     """
     _require_fully_reduced(rg, "solve_value_vector")
+    p, q = lam.numerator, lam.denominator
+    if not 0 < p <= q:
+        raise PreconditionError(f"edge weight lam must lie in (0, 1], got {lam}")
     game = rg.game
-    t = sink_reachable_set(rg)
+    live = sink_reachable_set(rg) if p == q else game.interior
 
-    known: dict[int, Fraction] = {game.sink0: Fraction(0), game.sink1: Fraction(1)}
-    for v in game.interior:
-        if v not in t:
-            known[v] = Fraction(0)
-
-    # Row v: v - sum(w * child) = const, with known children folded into const.
-    rows: dict[int, dict[int, Fraction]] = {}
-    rhs: dict[int, Fraction] = {}
-    col_index: dict[int, set[int]] = {}
-    for v in t:
+    rows: dict[int, dict[int, int]] = {}
+    for v in live:
         succ = rg.successors(v)
-        w = Fraction(1, len(succ))
-        coeffs = {v: Fraction(1)}
-        const = Fraction(0)
+        w = p * (2 // len(succ))
+        row = {v: 2 * q}
         for j in succ:
-            if j in t:
-                coeffs[j] = coeffs.get(j, Fraction(0)) - w
-            else:
-                const += w * known[j]
-        rows[v] = {c: x for c, x in coeffs.items() if x != 0}
-        rhs[v] = const
-        for c in rows[v]:
-            col_index.setdefault(c, set()).add(v)
+            if j in live:
+                # no entry cancels: a self loop leaves 2q - w > 0, except
+                # a lone one at lam = 1, whose vertex reaches no sink
+                row[j] = row.get(j, 0) - w
+            elif j == game.sink1:
+                row[0] = w
+        rows[v] = row
 
-    remaining = set(t)
+    remaining = sorted(live)
     pivots: list[tuple[int, int]] = []
-    for col in sorted(t, reverse=True):
-        holders = col_index.get(col, set()) & remaining
+    for col in remaining[::-1]:
+        holders = [r for r in remaining if col in rows[r]]
         if not holders:
             raise InternalCheckError(f"singular system at column {col}")
-        prow = min(holders)
-        remaining.discard(prow)
+        prow = holders[0]
+        remaining.remove(prow)
         pivots.append((col, prow))
         pcoeffs = rows[prow]
         pval = pcoeffs[col]
-        for r in sorted(holders - {prow}):
+        for r in holders[1:]:
             rrow = rows[r]
-            factor = rrow[col] / pval
+            rval = rrow.pop(col)
+            g = gcd(pval, rval)
+            fp, fr = pval // g, rval // g
+            if fp != 1:
+                rrow = {c2: fp * x2 for c2, x2 in rrow.items()}
             for c2, x2 in pcoeffs.items():
-                if c2 == col:
-                    del rrow[col]
-                    col_index[c2].discard(r)
-                    continue
-                nv = rrow.get(c2, Fraction(0)) - factor * x2
-                if nv == 0:
-                    if c2 in rrow:
-                        del rrow[c2]
-                        col_index[c2].discard(r)
-                else:
-                    rrow[c2] = nv
-                    col_index.setdefault(c2, set()).add(r)
-            rhs[r] -= factor * rhs[prow]
+                if c2 != col:
+                    nv = rrow.get(c2, 0) - fr * x2
+                    if nv:
+                        rrow[c2] = nv
+                    else:
+                        rrow.pop(c2, None)
+            g = gcd(*rrow.values())
+            rows[r] = {c2: x2 // g for c2, x2 in rrow.items()} if g > 1 else rrow
 
-    values = dict(known)
+    values: dict[int, tuple[int, int]] = {}
     for col, prow in reversed(pivots):
-        acc = rhs[prow]
-        prowc = rows[prow]
-        for c2, x2 in prowc.items():
-            if c2 != col:
-                acc -= x2 * values[c2]
-        values[col] = acc / prowc[col]
+        pcoeffs = rows[prow]
+        num, den = pcoeffs.get(0, 0), 1
+        for c2, x2 in pcoeffs.items():
+            if c2 == col or c2 == 0:
+                continue
+            vn, vd = values[c2]
+            if vd == den:
+                num -= x2 * vn
+            else:
+                g = gcd(den, vd)
+                num = num * (vd // g) - x2 * vn * (den // g)
+                den = den // g * vd
+        den *= pcoeffs[col]
+        g = gcd(num, den)
+        if den < 0:
+            g = -g
+        values[col] = (num // g, den // g)
 
-    return ValueVector(values[v] for v in game.vertices)
+    interior = [Fraction(*values[v]) if v in values else _ZERO for v in game.interior]
+    return ValueVector(interior + [_ZERO, _ONE])  # the sinks are ids n-1 and n
 
 
 def in_value_set(x: Fraction, t: int) -> bool:

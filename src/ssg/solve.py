@@ -21,7 +21,9 @@ certificate. The companion is solved in contracted form: strategy
 improvement runs on the original n vertices with every edge weighted
 by the chain factor lam = 1 - 2**-(c*n), and s holds the companion's
 values at those n vertices only; every chain entry is fixed by its
-target, so it adds no evidence. The verifiers check s against the
+target, so it adds no evidence. hoffman_karp and the transform share
+that loop and its one exact evaluator, markov.solve_value_vector, at
+lam = 1 and at the chain factor. The verifiers check s against the
 lam-weighted operator (contracted_fixed_point), whose unique fixed
 point is the companion's optimum at the original vertices.
 Snap-back is exact only for multipliers c whose transform error stays
@@ -34,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator, Union
+from typing import Iterator, Union
 
 from . import kernels
 from .exceptions import (
@@ -51,9 +53,9 @@ from .games import (
     VertexKind,
     enumerate_strategies,
 )
-from .lp import build_lp_max_free, build_lp_min_free, simplex_optimize, simplex_solve
-from .markov import ReducedGame, is_stopping, reduce_game, solve_value_vector
-from .stopping import contracted_values, transform_error_bound
+from .lp import build_lp_max_free, build_lp_min_free, simplex_optimize
+from .markov import ReducedGame, is_stopping, solve_value_vector
+from .stopping import chain_weight, transform_error_bound
 
 DEFAULT_C = 9
 DEFAULT_ORACLE_BUDGET = 16
@@ -383,31 +385,6 @@ def avg_free_run(game: Game) -> tuple[ValueVector, int]:
     return ValueVector(val[v] for v in game.vertices), passes
 
 
-def best_response(game: Game, fixed: Strategy) -> tuple[Strategy, ValueVector]:
-    """Optimal reply values against one fixed strategy, via the exact LP.
-
-    Fixing one player leaves a one-player game; the matching linear
-    program's optimum is its value vector. The reply strategy is read
-    off greedily with the lower-index tie-break.
-    """
-    if fixed.owner is VertexKind.MIN:
-        values = simplex_solve(build_lp_min_free(reduce_game(game, tau=fixed)))
-        free = VertexKind.MAX
-    else:
-        values = simplex_solve(build_lp_max_free(reduce_game(game, sigma=fixed)))
-        free = VertexKind.MIN
-    picks = {}
-    for i in game.vertices_of_kind(free):
-        a, b = game.children_of(i)
-        if values[a] == values[b]:
-            picks[i] = min(a, b)
-        elif free is VertexKind.MAX:
-            picks[i] = a if values[a] > values[b] else b
-        else:
-            picks[i] = a if values[a] < values[b] else b
-    return Strategy.of(free, picks), values
-
-
 @dataclass(frozen=True)
 class Certificate:
     """Witness pair for the exact-solve pipeline.
@@ -454,45 +431,45 @@ def _report(game: Game, values: ValueVector, method: str, iterations: int,
     )
 
 
-Evaluator = Callable[[Strategy, Strategy], ValueVector]
+def _min_best_reply(
+    game: Game, sigma: Strategy, tau: Strategy, lam: Fraction
+) -> tuple[ValueVector, Strategy]:
+    """Exact min-side best reply to sigma on a stopping game by policy
+    iteration, starting from tau; returns (values, reply).
 
-
-def _min_best_reply(game: Game, sigma: Strategy, evaluate: Evaluator) -> ValueVector:
-    """Exact min-side best reply values on a stopping game by policy
-    iteration.
-
-    Start min at all left children. Evaluate the current reply exactly,
-    point every min vertex at its strictly smaller child (the left one
-    on a tie), repeat. Values never increase and the greedy map is
-    deterministic, so the loop settles; the bound is the number of
-    distinct min strategies.
+    Evaluate the current reply exactly, point every min vertex at its
+    strictly smaller child (the left one on a tie), repeat. Values never
+    increase and the greedy map is deterministic, so the loop settles
+    on the unique best-reply values whatever tau it starts from; the
+    bound is the number of distinct min strategies.
     """
     mins = game.vertices_of_kind(VertexKind.MIN)
-    tau = Strategy.of(VertexKind.MIN, {v: game.children_of(v)[0] for v in mins})
     guard = 2 ** len(mins) + 2
     for _ in range(guard):
-        values = evaluate(tau, sigma)
+        values = solve_value_vector(ReducedGame(game, tau, sigma), lam)
         picks = {}
         for i in mins:
             a, b = game.children_of(i)
             picks[i] = a if values[a] <= values[b] else b
         new_tau = Strategy.of(VertexKind.MIN, picks)
         if new_tau == tau:
-            return values
+            return values, tau
         tau = new_tau
     raise InternalCheckError("min policy iteration failed to settle")
 
 
-def _strategy_improvement(game: Game, evaluate: Evaluator) -> tuple[ValueVector, int]:
-    """The loop of hoffman_karp on a stopping game whose strategy pairs
-    evaluate(tau, sigma) solves exactly; returns (optimal values,
-    improvement rounds)."""
+def _strategy_improvement(game: Game, lam: Fraction) -> tuple[ValueVector, int]:
+    """The loop of hoffman_karp on a game whose every edge carries
+    weight lam, which must make it stopping; returns (optimal values,
+    improvement rounds). Each round's min reply starts from the last."""
     maxes = game.vertices_of_kind(VertexKind.MAX)
+    mins = game.vertices_of_kind(VertexKind.MIN)
     bound = 2 ** len(maxes)
     sigma = Strategy.of(VertexKind.MAX, {v: game.children_of(v)[0] for v in maxes})
+    tau = Strategy.of(VertexKind.MIN, {v: game.children_of(v)[0] for v in mins})
     rounds = 0
     while True:
-        values = _min_best_reply(game, sigma, evaluate)
+        values, tau = _min_best_reply(game, sigma, tau, lam)
         switched = {}
         for i in maxes:
             a, b = game.children_of(i)
@@ -519,9 +496,7 @@ def hoffman_karp(game: Game) -> SolveReport:
     """
     if not is_stopping(game):
         raise PreconditionError("strategy improvement needs a stopping game; transform first")
-    values, rounds = _strategy_improvement(
-        game, lambda tau, sigma: solve_value_vector(reduce_game(game, tau, sigma))
-    )
+    values, rounds = _strategy_improvement(game, Fraction(1))
     return _report(game, values, "hk", rounds)
 
 
@@ -560,9 +535,7 @@ def _transform_solve(game: Game, c: int) -> tuple[ValueVector, ValueVector, int]
     not bad input.
     """
     _require_sound_multiplier(game.n, c)
-    s, rounds = _strategy_improvement(
-        game, lambda tau, sigma: contracted_values(game, c, tau, sigma)
-    )
+    s, rounds = _strategy_improvement(game, chain_weight(c * game.n))
     z = ValueVector(round_to_value_set(x, game.n) for x in s.components)
     half_sep = value_separation(game.n) / 2
     if apply_operator(game, z) != z:

@@ -14,15 +14,16 @@ ascending order, left edge first), and the two sinks move to n'-1, n'.
 
 The companion never has to be built to be solved. Chain vertex k of an
 edge into j is worth v(j)*(1 - 2**-(m-k)) in closed form, so each
-chain head is worth lam*v(j) with lam = 1 - 2**-m, and the companion
-restricted to the original vertices is the n-vertex game whose edges
-all carry weight lam. contracted_values evaluates strategy pairs on
-that small game, and solve.contracted_fixed_point checks a claimed
-vector against its operator. Chain entries are fixed by their
-targets, so a certificate carries only the n original values.
-build_stopping_game stays for callers that need the companion itself:
-the transform verb, verify_transform_bound, and the tests, which use
-it as the reference.
+chain head is worth lam*v(j) with lam = chain_weight(m) = 1 - 2**-m,
+and the companion restricted to the original vertices is the n-vertex
+game whose edges all carry weight lam. solve._transform_solve evaluates
+strategy pairs on that small game with markov.solve_value_vector, the
+same evaluator Hoffman-Karp uses at lam = 1, and
+solve.contracted_fixed_point checks a claimed vector against its
+operator. Chain entries are fixed by their targets, so a certificate
+carries only the n original values. build_stopping_game stays for
+callers that need the companion itself: the transform verb,
+verify_transform_bound, and the tests, which use it as the reference.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from fractions import Fraction
 from typing import NamedTuple, Union
 
 from .exceptions import PreconditionError
-from .games import Game, Strategy, ValueVector, VertexKind, build_game
+from .games import Game, Strategy, VertexKind, build_game
 from .markov import reduce_game, solve_value_vector
 
 
@@ -62,13 +63,6 @@ class StoppingTransform:
             raise PreconditionError(f"vertex {vid} is not an original-game vertex") from None
 
 
-def _chain_length(game: Game, c: int) -> int:
-    """m = c * n, after checking the multiplier."""
-    if c < 1:
-        raise PreconditionError(f"chain multiplier c must be positive, got {c}")
-    return c * game.n
-
-
 def chain_weight(m: int) -> Fraction:
     """lam = 1 - 2**-m: a chain head's value as a share of its target's."""
     return 1 - Fraction(1, 2**m)
@@ -76,8 +70,10 @@ def chain_weight(m: int) -> Fraction:
 
 def build_stopping_game(game: Game, c: int = 9) -> tuple[Game, StoppingTransform]:
     """Return the stopping companion game and its transform record."""
-    m = _chain_length(game, c)
+    if c < 1:
+        raise PreconditionError(f"chain multiplier c must be positive, got {c}")
     n = game.n
+    m = c * n
     n_prime = n + m * game.edge_count
     sink0p = n_prime - 1
     # interior ids stay, the sinks move to n'-1 and n'
@@ -117,53 +113,6 @@ def build_stopping_game(game: Game, c: int = 9) -> tuple[Game, StoppingTransform
         edge_chains=edge_chains,
     )
     return transformed, record
-
-
-def contracted_values(game: Game, c: int, tau: Strategy, sigma: Strategy) -> ValueVector:
-    """Exact companion values at the original vertices under a strategy
-    pair, without building the companion.
-
-    With both strategies fixed, vertex i satisfies v(i) = lam * (mean
-    of its successors' values), sinks fixed at 0 and 1. Rows scaled by
-    2**(m+1) are integral and strictly diagonally dominant, so
-    fraction-free (Bareiss) elimination runs without pivoting and every
-    division in it is exact. tau and sigma pick original children and
-    must cover every min and max vertex.
-    """
-    lam = chain_weight(_chain_length(game, c))
-    diag = 2 * lam.denominator
-    picks = {**tau.as_dict(), **sigma.as_dict()}
-    size = game.n - 2
-    rows = []
-    for i in game.interior:
-        row = [0] * (size + 1)
-        row[i - 1] = diag
-        succ = (picks[i],) if i in picks else game.children_of(i)
-        w = lam.numerator * (2 // len(succ))
-        for j in succ:
-            if j == game.sink1:
-                row[size] += w
-            elif j != game.sink0:
-                row[j - 1] -= w
-        rows.append(row)
-
-    prev = 1
-    for k in range(size):
-        pivot_row = rows[k]
-        pivot = pivot_row[k]
-        for row in rows[k + 1:]:
-            f = row[k]
-            for col in range(k + 1, size + 1):
-                row[col] = (pivot * row[col] - f * pivot_row[col]) // prev
-        prev = pivot
-    # prev is now the determinant; back-substitute y = det * v, which is
-    # integral by Cramer's rule, so each division is exact again.
-    y = [0] * size
-    for k in reversed(range(size)):
-        row = rows[k]
-        acc = prev * row[size] - sum(row[col] * y[col] for col in range(k + 1, size))
-        y[k] = acc // row[k]
-    return ValueVector([Fraction(x, prev) for x in y] + [0, 1])
 
 
 def lift_strategy(transform: StoppingTransform, strategy: Strategy) -> Strategy:

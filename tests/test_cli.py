@@ -413,6 +413,15 @@ def test_bench_non_positive_count_is_usage_error(game_file, tmp_path, capsys, fl
     assert "positive integer" in err
 
 
+@pytest.mark.parametrize("verb", [["solve"], ["reduce", "--sigma", "1->3"]])
+@pytest.mark.parametrize("digits", ["-1", "-2", "x"])
+def test_negative_approx_is_usage_error(game_file, capsys, verb, digits):
+    # --approx -2 used to end in a format-specifier ValueError traceback
+    code, _, err = run(capsys, *verb, "--approx", digits, game_file(GAME_G))
+    assert code == 2
+    assert "non-negative integer" in err
+
+
 # ------------------------------------------------------------- failures
 
 

@@ -188,3 +188,56 @@ def test_deterministic_game_chain():
     g = build_game(5, 1, [(1, "max", 2, 3), (2, "max", 4, 5), (3, "max", 4, 5)])
     rg = fully_reduce(g, sigma_picks={1: 2, 2: 5, 3: 4})
     assert solve_value_vector(rg) == ValueVector([1, 1, 0, 0, 1])
+
+
+def _sympy_values(rg, lam):
+    """rg's lam-weighted values from sympy's exact solver, built from
+    the definition: every interior vertex is lam times the mean of its
+    successors, except that at lam = 1 a vertex with no path to a sink
+    is worth 0. Also reports whether some vertex has no such path."""
+    sympy = pytest.importorskip("sympy")
+    game = rg.game
+    alive = {game.sink0, game.sink1}
+    grew = True
+    while grew:
+        grew = False
+        for v in game.interior:
+            if v not in alive and any(j in alive for j in rg.successors(v)):
+                alive.add(v)
+                grew = True
+    lam = sympy.Rational(lam.numerator, lam.denominator)
+    a = sympy.zeros(game.n, game.n)
+    b = sympy.zeros(game.n, 1)
+    for v in game.vertices:
+        a[v - 1, v - 1] = 1
+        if v in game.interior and (lam != 1 or v in alive):
+            succ = rg.successors(v)
+            for j in succ:
+                a[v - 1, j - 1] -= lam / len(succ)
+    b[game.sink1 - 1] = 1
+    x = a.LUsolve(b)
+    return ValueVector(Fraction(int(e.p), int(e.q)) for e in x), len(alive) < game.n
+
+
+def test_solve_value_vector_matches_sympy():
+    # random strategy pairs up to n = 30 at lam = 1, where some pairs
+    # trap vertices on closed cycles, and on lam-games at c in {1, 9};
+    # the fixtures add self loops, which the generator never draws
+    from random import Random
+
+    rng = Random(7)
+    games = [*FIXTURES.values()]
+    games += [random_game(n, w, seed=n) for n in (6, 12, 20, 30) for w in ((1, 1, 1), (1, 1, 3))]
+    trapped = 0
+    for g in games:
+        for _ in range(1 if g.n > 12 else 2):
+            tau, sigma = (
+                Strategy.of(kind, {v: rng.choice(g.children_of(v)) for v in g.vertices_of_kind(kind)})
+                for kind in (VertexKind.MIN, VertexKind.MAX)
+            )
+            rg = reduce_game(g, tau, sigma)
+            for lam in (Fraction(1), 1 - Fraction(1, 2**g.n), 1 - Fraction(1, 2 ** (9 * g.n))):
+                expected, has_trap = _sympy_values(rg, lam)
+                trapped += has_trap and lam == 1
+                assert solve_value_vector(rg, lam) == expected, (g.n, lam)
+    assert trapped

@@ -19,7 +19,6 @@ from ssg import (
     VertexKind,
     apply_operator,
     avg_free_run,
-    best_response,
     brute_force_oracle,
     build_game,
     build_stopping_game,
@@ -154,27 +153,6 @@ def test_avg_free_cycles_are_worthless():
 def test_avg_free_rejects_chance():
     with pytest.raises(PreconditionError):
         avg_free_run(GAME_A)[0]
-
-
-# ------------------------------------------------------- best response
-
-
-def test_best_response_vs_min_cycling():
-    reply, values = best_response(GAME_E, Strategy.of(VertexKind.MIN, {2: 1}))
-    assert values == ValueVector([0, 0, 0, 1])
-    assert reply.pick(1) == 2  # zero everywhere, lower index wins
-
-
-def test_best_response_vs_min_quitting():
-    reply, values = best_response(GAME_E, Strategy.of(VertexKind.MIN, {2: 4}))
-    assert values == ValueVector([1, 1, 0, 1])
-    assert reply.pick(1) == 2
-
-
-def test_best_response_with_no_free_vertices():
-    reply, values = best_response(GAME_G, Strategy.of(VertexKind.MAX, {1: 2}))
-    assert values == ValueVector([HALF, HALF, Fraction(3, 4), 0, 1])
-    assert reply.as_dict() == {}
 
 
 # ------------------------------------------------- strategy improvement

@@ -6,6 +6,7 @@ import pytest
 
 from ssg import (
     PreconditionError,
+    ReducedGame,
     Strategy,
     ValueVector,
     VertexKind,
@@ -24,7 +25,7 @@ from ssg import (
 )
 from ssg.fixtures import FIXTURES, GAME_A, GAME_E
 from ssg.solve import contracted_fixed_point
-from ssg.stopping import chain_weight, contracted_values
+from ssg.stopping import chain_weight
 
 
 def test_size_formula():
@@ -131,8 +132,10 @@ def test_chain_values_interpolate():
 def test_rejects_bad_multiplier():
     with pytest.raises(PreconditionError):
         build_stopping_game(GAME_A, 0)
-    with pytest.raises(PreconditionError):
-        contracted_values(GAME_A, 0, Strategy.of(VertexKind.MIN, {}), Strategy.of(VertexKind.MAX, {}))
+    rg = reduce_game(GAME_A, None, None)
+    for lam in (Fraction(0), Fraction(-1, 2), Fraction(3, 2)):
+        with pytest.raises(PreconditionError):
+            solve_value_vector(rg, lam)
 
 
 def test_contracted_values_match_the_built_companion():
@@ -151,7 +154,7 @@ def test_contracted_values_match_the_built_companion():
                     full = solve_value_vector(
                         reduce_game(transformed, lift_strategy(record, tau), lift_strategy(record, sigma))
                     )
-                    heads = contracted_values(g, c, tau, sigma)
+                    heads = solve_value_vector(ReducedGame(g, tau, sigma), lam)
                     assert heads == ValueVector(full[record.mapped(i)] for i in g.vertices)
                     for (_i, j), chain in record.edge_chains.items():
                         assert full[chain[0]] == lam * heads[j]
