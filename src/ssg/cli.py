@@ -25,7 +25,6 @@ import time
 from fractions import Fraction
 from typing import Callable, Union
 
-from . import kernels
 from .exceptions import SSGError
 from .games import (
     Game,
@@ -448,61 +447,26 @@ def _time_best(fn: Callable, repeat: int):
 
 
 def _bench_rows(game: Game, name: str, methods, args):
-    backends = ["numba", "numpy"] if kernels.numba_available() else ["numpy"]
     for method in methods:
+        row = {
+            "game": name,
+            "n": game.n,
+            "method": method,
+            "iterations": None,
+            "ms": None,
+            "value": None,
+            "error": None,
+        }
         if method == "mc":
             report = solve(game, "auto")
             rg = reduce_game(game, report.tau, report.sigma)
-            for b in backends:
-                mc_estimate(rg, plays=32, seed=args.seed, backend=b)  # warm the jit
-                est, secs = _time_best(
-                    lambda b=b: mc_estimate(rg, plays=args.plays, seed=args.seed, backend=b),
-                    args.repeat,
-                )
-                yield {
-                    "game": name,
-                    "n": game.n,
-                    "method": "mc",
-                    "backend": b,
-                    "iterations": est.plays,
-                    "ms": round(secs * 1000, 3),
-                    "value": format_rational(est.value),
-                    "error": None,
-                }
-        elif method == "vi":
-            for b in backends:
-                row = {
-                    "game": name,
-                    "n": game.n,
-                    "method": "vi",
-                    "backend": b,
-                    "iterations": None,
-                    "ms": None,
-                    "value": None,
-                    "error": None,
-                }
-                try:
-                    solve(game, "vi", backend=b)  # warm the jit
-                    report, secs = _time_best(
-                        lambda b=b: solve(game, "vi", backend=b), args.repeat
-                    )
-                    row["iterations"] = report.iterations
-                    row["ms"] = round(secs * 1000, 3)
-                    row["value"] = format_rational(report.values[game.start])
-                except SSGError as exc:
-                    row["error"] = type(exc).__name__
-                yield row
+            est, secs = _time_best(
+                lambda: mc_estimate(rg, plays=args.plays, seed=args.seed), args.repeat
+            )
+            row["iterations"] = est.plays
+            row["ms"] = round(secs * 1000, 3)
+            row["value"] = format_rational(est.value)
         else:
-            row = {
-                "game": name,
-                "n": game.n,
-                "method": method,
-                "backend": None,
-                "iterations": None,
-                "ms": None,
-                "value": None,
-                "error": None,
-            }
             try:
                 report, secs = _time_best(
                     lambda: solve(game, method, oracle_budget=args.budget), args.repeat
@@ -512,7 +476,7 @@ def _bench_rows(game: Game, name: str, methods, args):
                 row["value"] = format_rational(report.values[game.start])
             except SSGError as exc:
                 row["error"] = type(exc).__name__
-            yield row
+        yield row
 
 
 def _cmd_bench(args) -> int:
@@ -535,13 +499,12 @@ def _cmd_bench(args) -> int:
         _emit_json({"verb": "bench", "rows": rows})
         return 0
 
-    headers = ["game", "n", "method", "backend", "iters", "ms", "value"]
+    headers = ["game", "n", "method", "iters", "ms", "value"]
     table = [
         [
             r["game"],
             str(r["n"]),
             r["method"],
-            r["backend"] or "-",
             "-" if r["iterations"] is None else str(r["iterations"]),
             "-" if r["ms"] is None else f"{r['ms']:.3f}",
             r["error"] or r["value"] or "-",

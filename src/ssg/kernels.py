@@ -1,37 +1,18 @@
 """Integer fixed-point sweeps and random-walk rollouts.
 
-The two hot loops of the package live here: value-iteration sweeps on a
-2**-K fixed-point grid and Monte-Carlo play rollouts. Both have a numba
-implementation and a plain numpy one. numba is used when importable;
-setting SSG_PURE_NUMPY=1 in the environment forces the numpy path, and
-callers can override per call. The sweep kernels use identical integer
-semantics on both paths, so their results match bit for bit.
+The two approximate loops of the package live here: value-iteration
+sweeps on a 2**-K fixed-point grid, run on Python integers so any K
+works, and Monte-Carlo play rollouts, run on numpy arrays.
 
-Values are integers in [0, 2**K] meaning v * 2**-K with K <= 60, which
-keeps every intermediate sum below 2**63. Averages round down; max and
-min are exact. Sweeps start from zero with the sinks pinned at their
-constants; rounding down keeps them monotone nondecreasing and never
-above the true fixed point.
+Values are integers in [0, 2**K] meaning v * 2**-K. Averages round
+down; max and min are exact. Sweeps start from zero with the sinks
+pinned at their constants; rounding down keeps them monotone
+nondecreasing and never above the true fixed point.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    _HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
-    _HAS_NUMBA = False
-
-ENV_PURE_NUMPY = "SSG_PURE_NUMPY"
-
-# Largest K such that sums of two values stay inside int64.
-K_MAX_INT64 = 60
 
 KIND_MAX = 0
 KIND_MIN = 1
@@ -48,23 +29,9 @@ KIND_CODES = {
 }
 
 
-def numba_available() -> bool:
-    return _HAS_NUMBA
-
-
-def backend(override: str | None = None) -> str:
-    """Resolve which implementation to run: 'numba' or 'numpy'."""
-    if override is not None:
-        if override not in ("numba", "numpy"):
-            raise ValueError(f"unknown backend {override!r} (want 'numba' or 'numpy')")
-        if override == "numba" and not _HAS_NUMBA:
-            raise RuntimeError("numba backend requested but numba is not importable")
-        return override
-    if not _HAS_NUMBA:
-        return "numpy"
-    if os.environ.get(ENV_PURE_NUMPY, "").strip().lower() in ("1", "true", "yes", "on"):
-        return "numpy"
-    return "numba"
+def backend() -> str:
+    """Name of the array library the rollouts run on."""
+    return "numpy"
 
 
 def sweep_ints(kind, c0, c1, v: list[int], one: int) -> list[int]:
@@ -92,124 +59,52 @@ def start_vector(kind, one: int) -> list[int]:
     return [one if k == KIND_SINK1 else 0 for k in kind]
 
 
-def vi_run_object(kind, c0, c1, one: int, thr: int, max_iters: int):
-    """Sweep loop on Python integers; used when K exceeds the int64 range.
+def sweeps(kind, c0, c1, one: int, thr: int, max_iters: int):
+    """Yield (values, residual) after each sweep from the start vector.
 
-    Returns (values, productive_sweeps, converged). A sweep counts as
-    productive when it changed at least one component.
+    The residual is the largest componentwise increase in grid units.
+    The sequence ends after the first sweep whose residual is at most
+    thr, or after max_iters sweeps.
     """
-    kind = list(kind)
-    c0 = list(c0)
-    c1 = list(c1)
     v = start_vector(kind, one)
-    productive = 0
-    sweeps = 0
-    while sweeps < max_iters:
+    for _ in range(max_iters):
         new = sweep_ints(kind, c0, c1, v, one)
         res = max((b - a for a, b in zip(v, new)), default=0)
         v = new
-        sweeps += 1
-        if res > 0:
-            productive += 1
+        yield v, res
         if res <= thr:
-            return v, productive, True
-    return v, productive, False
+            return
 
 
-def _vi_run_numpy(kind, c0, c1, one, thr, max_iters):
-    m_max = kind == KIND_MAX
-    m_min = kind == KIND_MIN
-    m_s0 = kind == KIND_SINK0
-    m_s1 = kind == KIND_SINK1
-    v = np.zeros(len(kind), dtype=np.int64)
-    v[m_s1] = one
-    productive = 0
-    sweeps = 0
-    while sweeps < max_iters:
-        left = v[c0]
-        right = v[c1]
-        new = np.where(
-            m_max,
-            np.maximum(left, right),
-            np.where(m_min, np.minimum(left, right), (left + right) >> 1),
-        )
-        new[m_s0] = 0
-        new[m_s1] = one
-        res = int((new - v).max()) if len(new) else 0
-        v = new
-        sweeps += 1
-        if res > 0:
-            productive += 1
-        if res <= thr:
-            return v, productive, True
-    return v, productive, False
+def vi_run(kind, c0, c1, one: int, thr: int, max_iters: int):
+    """Run the sweep loop from the pinned-sink start vector.
 
-
-if _HAS_NUMBA:
-
-    @njit(cache=True)
-    def _vi_run_numba(kind, c0, c1, one, thr, max_iters):  # pragma: no cover - jitted
-        n = kind.shape[0]
-        v = np.zeros(n, dtype=np.int64)
-        for i in range(n):
-            if kind[i] == 4:
-                v[i] = one
-        new = np.zeros(n, dtype=np.int64)
-        productive = 0
-        sweeps = 0
-        while sweeps < max_iters:
-            res = 0
-            for i in range(n):
-                k = kind[i]
-                a = v[c0[i]]
-                b = v[c1[i]]
-                if k == 0:
-                    x = a if a > b else b
-                elif k == 1:
-                    x = a if a < b else b
-                elif k == 2:
-                    x = (a + b) >> 1
-                elif k == 3:
-                    x = 0
-                else:
-                    x = one
-                new[i] = x
-                d = x - v[i]
-                if d > res:
-                    res = d
-            for i in range(n):
-                v[i] = new[i]
-            sweeps += 1
-            if res > 0:
-                productive += 1
-            if res <= thr:
-                return v, productive, True
-        return v, productive, False
-
-
-def vi_run(kind, c0, c1, one: int, thr: int, max_iters: int, backend_override: str | None = None):
-    """Run the int64 sweep loop from the pinned-sink start vector.
-
-    Requires one <= 2**K_MAX_INT64. Returns (values array, productive
-    sweeps, converged flag); convergence means the last residual was at
-    most thr in grid units.
+    Returns (values, productive sweeps, converged flag). A sweep is
+    productive when it changed at least one component; convergence means
+    the last residual was at most thr in grid units.
     """
-    if one > (1 << K_MAX_INT64):
-        raise ValueError("fixed-point scale too large for the int64 kernels")
+    v = start_vector(kind, one)
+    productive = 0
+    res = None
+    for v, res in sweeps(kind, c0, c1, one, thr, max_iters):
+        if res > 0:
+            productive += 1
+    return v, productive, res is not None and res <= thr
+
+
+# The benchmark tracer looks up both names.
+vi_run_object = vi_run
+
+
+def mc_run(kind, s0, s1, start: int, plays: int, max_steps: int, seed: int):
+    """Roll out random plays; returns (hits of the 1-sink, truncated plays).
+
+    All plays advance together, one step per round; each avg vertex
+    flips a fair coin drawn from a RandomState seeded with seed.
+    """
     kind = np.ascontiguousarray(kind, dtype=np.int8)
-    c0 = np.ascontiguousarray(c0, dtype=np.int64)
-    c1 = np.ascontiguousarray(c1, dtype=np.int64)
-    thr = min(thr, one)
-    if backend(backend_override) == "numba":
-        v, productive, converged = _vi_run_numba(
-            kind, c0, c1, np.int64(one), np.int64(thr), np.int64(max_iters)
-        )
-    else:
-        v, productive, converged = _vi_run_numpy(kind, c0, c1, one, thr, max_iters)
-    return v, int(productive), bool(converged)
-
-
-def _mc_run_numpy(kind, s0, s1, start, plays, max_steps, seed):
+    s0 = np.ascontiguousarray(s0, dtype=np.int64)
+    s1 = np.ascontiguousarray(s1, dtype=np.int64)
     rs = np.random.RandomState(seed)
     pos = np.full(plays, start, dtype=np.int64)
     active = np.arange(plays)
@@ -235,54 +130,3 @@ def _mc_run_numpy(kind, s0, s1, start, plays, max_steps, seed):
             nxt[avg] = picked
         pos[active] = nxt
     return hits, int(active.size)
-
-
-if _HAS_NUMBA:
-
-    @njit(cache=True)
-    def _mc_run_numba(kind, s0, s1, start, plays, max_steps, seed):  # pragma: no cover - jitted
-        np.random.seed(seed)
-        hits = 0
-        truncated = 0
-        for _ in range(plays):
-            pos = start
-            steps = 0
-            resolved = False
-            while steps < max_steps:
-                k = kind[pos]
-                if k == 3:
-                    resolved = True
-                    break
-                if k == 4:
-                    hits += 1
-                    resolved = True
-                    break
-                if k == 2:
-                    if np.random.random() < 0.5:
-                        pos = s0[pos]
-                    else:
-                        pos = s1[pos]
-                else:
-                    pos = s0[pos]
-                steps += 1
-            if not resolved:
-                truncated += 1
-        return hits, truncated
-
-
-def mc_run(kind, s0, s1, start: int, plays: int, max_steps: int, seed: int, backend_override: str | None = None):
-    """Roll out random plays; returns (hits of the 1-sink, truncated plays).
-
-    The two backends draw from different generator states, so their
-    counts agree only statistically, not exactly.
-    """
-    kind = np.ascontiguousarray(kind, dtype=np.int8)
-    s0 = np.ascontiguousarray(s0, dtype=np.int64)
-    s1 = np.ascontiguousarray(s1, dtype=np.int64)
-    if backend(backend_override) == "numba":
-        hits, truncated = _mc_run_numba(
-            kind, s0, s1, np.int64(start), np.int64(plays), np.int64(max_steps), np.int64(seed)
-        )
-    else:
-        hits, truncated = _mc_run_numpy(kind, s0, s1, start, plays, max_steps, seed)
-    return int(hits), int(truncated)

@@ -334,7 +334,7 @@ def is_stopping_exhaustive(game: Game, max_player_vertices: int = 12) -> bool:
 
 
 def _reduced_arrays(rg: ReducedGame):
-    """Pack a fully reduced game into flat arrays for the rollout kernels."""
+    """Pack a fully reduced game into flat arrays for the rollout kernel."""
     import numpy as np
 
     game = rg.game
@@ -374,7 +374,6 @@ def mc_estimate(
     plays: int = 100_000,
     seed: int = 0,
     max_steps: Union[int, None] = None,
-    backend: Union[str, None] = None,
 ) -> MCEstimate:
     """Monte-Carlo estimate of one vertex's value in a reduced game.
 
@@ -391,6 +390,8 @@ def mc_estimate(
         raise PreconditionError(f"start out of range: {start}")
     if max_steps is None:
         max_steps = 4096 * game.n
+    if max_steps < 1:
+        raise PreconditionError(f"max_steps must be positive, got {max_steps}")
     kind, s0, s1 = _reduced_arrays(rg)
-    hits, truncated = kernels.mc_run(kind, s0, s1, start - 1, plays, max_steps, seed, backend)
+    hits, truncated = kernels.mc_run(kind, s0, s1, start - 1, plays, max_steps, seed)
     return MCEstimate(hits=hits, plays=plays, truncated=truncated)

@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import Iterator, Union
 
 from . import kernels
@@ -60,6 +61,8 @@ from .stopping import chain_weight, transform_error_bound
 DEFAULT_C = 9
 DEFAULT_ORACLE_BUDGET = 16
 DEFAULT_MAX_ITERS = 200_000
+# Floor of the value-iteration grid exponent K (see _grid_setup).
+MIN_GRID_BITS = 60
 
 METHODS = ("auto", "vi", "hk", "lp", "avg-free", "oracle")
 
@@ -241,7 +244,7 @@ def greedy_strategies(game: Game, v: ValueVector) -> tuple[Strategy, Strategy]:
 
 
 def _operator_arrays(game: Game):
-    """Kind codes and 0-based child indices for the sweep kernels."""
+    """Kind codes and 0-based child indices for the sweep loop."""
     kind = []
     c0 = []
     c1 = []
@@ -261,17 +264,18 @@ def _operator_arrays(game: Game):
 def _grid_setup(n: int, epsilon: Union[Fraction, None]):
     """Pick the fixed-point scale for a tolerance; returns (eps, K, thr).
 
-    The grid is at least 16x finer than epsilon. Whenever that fits the
-    int64 kernels the full 60 bits are used (extra precision is free);
-    otherwise the big-integer path gets 16 guard bits.
+    The grid is at least 16x finer than epsilon. K is never below
+    MIN_GRID_BITS; past that floor it gets 16 guard bits above what
+    epsilon needs. Approximations and sweep counts depend on K, so
+    this rule fixes them for a given game and epsilon.
     """
     eps = Fraction(epsilon) if epsilon is not None else default_epsilon(n)
     if eps <= 0:
         raise PreconditionError(f"epsilon must be positive, got {eps}")
     scaled = (16 * eps.denominator + eps.numerator - 1) // eps.numerator
     bits = max(20, (max(scaled, 1) - 1).bit_length())
-    if bits <= kernels.K_MAX_INT64:
-        bits = kernels.K_MAX_INT64
+    if bits <= MIN_GRID_BITS:
+        bits = MIN_GRID_BITS
     else:
         bits += 16
     one = 1 << bits
@@ -279,11 +283,19 @@ def _grid_setup(n: int, epsilon: Union[Fraction, None]):
     return eps, bits, min(thr, one)
 
 
+def _vi_setup(game: Game, epsilon: Union[Fraction, None], max_iters: int):
+    """Check value-iteration arguments and lay out the sweep inputs;
+    returns (eps, one, thr, kind, c0, c1) with one = 2**K."""
+    if max_iters < 1:
+        raise PreconditionError(f"max_iters must be positive, got {max_iters}")
+    eps, bits, thr = _grid_setup(game.n, epsilon)
+    return (eps, 1 << bits, thr, *_operator_arrays(game))
+
+
 def value_iteration(
     game: Game,
     max_iters: int = DEFAULT_MAX_ITERS,
     epsilon: Union[Fraction, None] = None,
-    backend: Union[str, None] = None,
 ) -> tuple[ValueVector, int]:
     """Iterate the update operator from zero (sinks pinned) until the
     largest componentwise change drops below epsilon.
@@ -294,16 +306,8 @@ def value_iteration(
     a sweep is productive if it changed anything. Raises
     NonConvergenceError (with partial values attached) at max_iters.
     """
-    if max_iters < 1:
-        raise PreconditionError(f"max_iters must be positive, got {max_iters}")
-    eps, bits, thr = _grid_setup(game.n, epsilon)
-    one = 1 << bits
-    kind, c0, c1 = _operator_arrays(game)
-    if bits <= kernels.K_MAX_INT64:
-        raw, productive, converged = kernels.vi_run(kind, c0, c1, one, thr, max_iters, backend)
-        ints = [int(x) for x in raw]
-    else:
-        ints, productive, converged = kernels.vi_run_object(kind, c0, c1, one, thr, max_iters)
+    eps, one, thr, kind, c0, c1 = _vi_setup(game, epsilon, max_iters)
+    ints, productive, converged = kernels.vi_run(kind, c0, c1, one, thr, max_iters)
     values = ValueVector(Fraction(x, one) for x in ints)
     if not converged:
         raise NonConvergenceError(
@@ -319,23 +323,14 @@ def vi_iterates(
     epsilon: Union[Fraction, None] = None,
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> Iterator[ValueVector]:
-    """Yield the start vector and every sweep result, stopping where
-    value_iteration would stop. Same grid arithmetic, so the final
-    yield equals value_iteration's result exactly."""
-    _eps, bits, thr = _grid_setup(game.n, epsilon)
-    one = 1 << bits
-    kind, c0, c1 = _operator_arrays(game)
-    v = kernels.start_vector(kind, one)
-    yield ValueVector(Fraction(x, one) for x in v)
-    sweeps = 0
-    while sweeps < max_iters:
-        new = kernels.sweep_ints(kind, c0, c1, v, one)
-        res = max((b - a for a, b in zip(v, new)), default=0)
-        v = new
-        sweeps += 1
-        yield ValueVector(Fraction(x, one) for x in v)
-        if res <= thr:
-            return
+    """Iterate over the start vector and every sweep result, stopping
+    where value_iteration would stop. Same sweep loop, so the last
+    vector equals value_iteration's result exactly. Arguments are
+    checked at the call, before the first vector is drawn."""
+    _eps, one, thr, kind, c0, c1 = _vi_setup(game, epsilon, max_iters)
+    swept = (v for v, _res in kernels.sweeps(kind, c0, c1, one, thr, max_iters))
+    vectors = chain([kernels.start_vector(kind, one)], swept)
+    return (ValueVector(Fraction(x, one) for x in v) for v in vectors)
 
 
 def avg_free_run(game: Game) -> tuple[ValueVector, int]:
@@ -554,7 +549,6 @@ def solve(
     epsilon: Union[Fraction, None] = None,
     max_iters: int = DEFAULT_MAX_ITERS,
     oracle_budget: int = DEFAULT_ORACLE_BUDGET,
-    backend: Union[str, None] = None,
 ) -> SolveReport:
     """Compute the optimal value vector by the requested method.
 
@@ -602,7 +596,7 @@ def solve(
     elif method == "vi":
         if not is_stopping(game):
             raise PreconditionError("vi method needs a stopping game; transform first")
-        approx, iters = value_iteration(game, max_iters=max_iters, epsilon=epsilon, backend=backend)
+        approx, iters = value_iteration(game, max_iters=max_iters, epsilon=epsilon)
         z = ValueVector(round_to_value_set(x, game.n) for x in approx.components)
         if apply_operator(game, z) != z:
             raise NonConvergenceError(

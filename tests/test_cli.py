@@ -349,10 +349,10 @@ def test_bench_table(game_file, tmp_path, capsys):
     code, out, _ = run(capsys, "bench", "--suite", str(suite))
     assert code == 0
     lines = out.splitlines()
-    assert lines[0].split() == ["game", "n", "method", "backend", "iters", "ms", "value"]
-    assert any("auto" in line for line in lines[1:])
-    vi_rows = [line for line in lines[1:] if " vi " in line]
-    assert any("numpy" in line for line in vi_rows)
+    assert lines[0].split() == ["game", "n", "method", "iters", "ms", "value"]
+    assert [line.split()[2] for line in lines[1:]] == ["auto", "vi"]
+    vi_row = lines[2].split()
+    assert vi_row[-1] == "2/3" and int(vi_row[3]) > 0
 
 
 def test_bench_json_rows(game_file, tmp_path, capsys):

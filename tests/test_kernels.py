@@ -1,12 +1,11 @@
-"""Backend selection and integer kernel equivalence.
+"""The integer sweep loop and the numpy rollout.
 
-The value-iteration kernels must be bit-identical between numba and
-numpy; the rollout kernels only need to agree statistically since the
-two paths consume their random streams differently.
+Sweeps must follow the fixed-point operator exactly, on any grid width,
+and stop by the same rule as the loop written out in this file. Rollouts
+must be reproducible per seed and count plays that start on a sink.
 """
 
 import numpy as np
-import pytest
 
 from ssg import kernels
 from ssg.fixtures import GAME_B
@@ -15,40 +14,8 @@ from ssg.solve import _operator_arrays
 import ssg
 
 
-requires_numba = pytest.mark.skipif(
-    not kernels.numba_available(), reason="numba not importable"
-)
-
-
-def test_backend_default_prefers_numba_when_present(monkeypatch):
-    monkeypatch.delenv(kernels.ENV_PURE_NUMPY, raising=False)
-    expected = "numba" if kernels.numba_available() else "numpy"
-    assert kernels.backend() == expected
-
-
-@pytest.mark.parametrize("flag", ["1", "true", "YES", " on "])
-def test_env_flag_forces_numpy(monkeypatch, flag):
-    monkeypatch.setenv(kernels.ENV_PURE_NUMPY, flag)
+def test_backend_is_numpy():
     assert kernels.backend() == "numpy"
-
-
-@pytest.mark.parametrize("flag", ["0", "", "off", "no"])
-def test_env_flag_other_values_ignored(monkeypatch, flag):
-    monkeypatch.setenv(kernels.ENV_PURE_NUMPY, flag)
-    expected = "numba" if kernels.numba_available() else "numpy"
-    assert kernels.backend() == expected
-
-
-def test_backend_override_beats_env(monkeypatch):
-    monkeypatch.setenv(kernels.ENV_PURE_NUMPY, "1")
-    assert kernels.backend("numpy") == "numpy"
-    if kernels.numba_available():
-        assert kernels.backend("numba") == "numba"
-
-
-def test_backend_rejects_unknown_override():
-    with pytest.raises(ValueError):
-        kernels.backend("fortran")
 
 
 def test_sweep_ints_operator_semantics():
@@ -73,47 +40,29 @@ def test_avg_rounds_down():
     assert out[0] == 5  # (3 + 8) >> 1
 
 
-def _arrays(game):
-    kind, c0, c1 = _operator_arrays(game)
-    return kind, c0, c1
+def _reference_run(kind, c0, c1, one, thr, max_iters):
+    """The sweep loop written out: (values, productive sweeps, converged)."""
+    v = kernels.start_vector(kind, one)
+    productive = 0
+    for _ in range(max_iters):
+        new = kernels.sweep_ints(kind, c0, c1, v, one)
+        res = max(b - a for a, b in zip(v, new))
+        productive += res > 0
+        v = new
+        if res <= thr:
+            return v, productive, True
+    return v, productive, False
 
 
 def test_vi_run_matches_object_loop():
-    kind, c0, c1 = _arrays(GAME_B)
-    one = 1 << kernels.K_MAX_INT64
-    thr = 0
-    got_obj, prod_obj, conv_obj = kernels.vi_run_object(kind, c0, c1, one, thr, 500)
-    got_np, prod_np, conv_np = kernels.vi_run(kind, c0, c1, one, thr, 500, "numpy")
-    assert list(got_np) == got_obj
-    assert (prod_np, conv_np) == (prod_obj, conv_obj)
-
-
-@requires_numba
-def test_vi_backends_bit_identical():
-    for seed in range(12):
-        g = ssg.random_game(3 + seed % 6, seed=seed)
-        kind, c0, c1 = _arrays(g)
-        one = 1 << kernels.K_MAX_INT64
-        a = kernels.vi_run(kind, c0, c1, one, 1 << 20, 3000, "numba")
-        b = kernels.vi_run(kind, c0, c1, one, 1 << 20, 3000, "numpy")
-        assert list(a[0]) == list(b[0])
-        assert a[1:] == b[1:]
-
-
-def test_vi_run_rejects_oversized_scale():
-    kind, c0, c1 = _arrays(GAME_B)
-    with pytest.raises(ValueError):
-        kernels.vi_run(kind, c0, c1, 1 << 61, 0, 10, "numpy")
-
-
-def test_vi_env_flag_changes_nothing_numerically(monkeypatch):
-    kind, c0, c1 = _arrays(GAME_B)
-    one = 1 << kernels.K_MAX_INT64
-    monkeypatch.delenv(kernels.ENV_PURE_NUMPY, raising=False)
-    a = kernels.vi_run(kind, c0, c1, one, 1 << 10, 2000)
-    monkeypatch.setenv(kernels.ENV_PURE_NUMPY, "1")
-    b = kernels.vi_run(kind, c0, c1, one, 1 << 10, 2000)
-    assert list(a[0]) == list(b[0]) and a[1:] == b[1:]
+    for game in (GAME_B, ssg.random_game(12, seed=3, require_stopping=True)):
+        kind, c0, c1 = _operator_arrays(game)
+        for bits in (20, 60, 61, 140):
+            one = 1 << bits
+            for thr in (0, one >> 24):
+                for max_iters in (1, 7, 500):
+                    expect = _reference_run(kind, c0, c1, one, thr, max_iters)
+                    assert kernels.vi_run(kind, c0, c1, one, thr, max_iters) == expect
 
 
 def test_start_vector_pins_sinks():
@@ -129,25 +78,13 @@ def _mc_arrays(game):
 
 def test_mc_run_numpy_deterministic_per_seed():
     kind, s0, s1 = _mc_arrays(GAME_B)
-    a = kernels.mc_run(kind, s0, s1, 0, 5000, 4096, 42, "numpy")
-    b = kernels.mc_run(kind, s0, s1, 0, 5000, 4096, 42, "numpy")
+    a = kernels.mc_run(kind, s0, s1, 0, 5000, 4096, 42)
+    b = kernels.mc_run(kind, s0, s1, 0, 5000, 4096, 42)
     assert a == b
-
-
-@requires_numba
-def test_mc_backends_statistically_agree():
-    kind, s0, s1 = _mc_arrays(GAME_B)
-    plays = 60_000
-    hits_nb, trunc_nb = kernels.mc_run(kind, s0, s1, 0, plays, 4096, 7, "numba")
-    hits_np, trunc_np = kernels.mc_run(kind, s0, s1, 0, plays, 4096, 7, "numpy")
-    assert trunc_nb == trunc_np == 0
-    # true value 2/3; allow a generous 4-sigma band around it
-    for hits in (hits_nb, hits_np):
-        assert abs(hits / plays - 2 / 3) < 0.01
 
 
 def test_mc_run_counts_immediate_sinks():
     kind = np.array([kernels.KIND_SINK0, kernels.KIND_SINK1], dtype=np.int8)
     s = np.array([0, 1], dtype=np.int64)
-    assert kernels.mc_run(kind, s, s, 1, 100, 16, 0, "numpy") == (100, 0)
-    assert kernels.mc_run(kind, s, s, 0, 100, 16, 0, "numpy") == (0, 0)
+    assert kernels.mc_run(kind, s, s, 1, 100, 16, 0) == (100, 0)
+    assert kernels.mc_run(kind, s, s, 0, 100, 16, 0) == (0, 0)

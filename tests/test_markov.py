@@ -181,6 +181,9 @@ def test_mc_estimate_validates_arguments():
         mc_estimate(rg, plays=0)
     with pytest.raises(PreconditionError):
         mc_estimate(rg, start=9)
+    for max_steps in (0, -1):
+        with pytest.raises(PreconditionError):
+            mc_estimate(rg, start=3, plays=10, max_steps=max_steps)
 
 
 def test_deterministic_game_chain():

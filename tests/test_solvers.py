@@ -7,7 +7,6 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from ssg import kernels
 from ssg import (
     BudgetError,
     Certificate,
@@ -49,10 +48,6 @@ from ssg.fixtures import (
 )
 
 HALF = Fraction(1, 2)
-
-requires_numba = pytest.mark.skipif(
-    not kernels.numba_available(), reason="numba not importable"
-)
 
 # a game using all three kinds with a max/min cycle, so it is not stopping
 MIXED_LOOPY = build_game(5, 1, [(1, "max", 2, 3), (2, "min", 1, 3), (3, "avg", 4, 5)])
@@ -126,15 +121,21 @@ def test_vi_iteration_cap():
 def test_vi_rejects_bad_max_iters():
     with pytest.raises(PreconditionError):
         value_iteration(GAME_A, max_iters=0)
+    with pytest.raises(PreconditionError):
+        vi_iterates(GAME_A, max_iters=0)
 
 
 def test_vi_iterates_monotone_and_consistent():
-    seen = list(vi_iterates(GAME_B))
-    assert len(seen) >= 2
-    for prev, cur in zip(seen, seen[1:]):
-        assert prev.leq(cur)
-    final, _ = value_iteration(GAME_B)
-    assert seen[-1] == final
+    # From n = 10 the default epsilon needs a grid finer than 2**-60.
+    games = [GAME_B] + [random_game(n, seed=n, require_stopping=True) for n in range(5, 13)]
+    for game in games:
+        seen = list(vi_iterates(game))
+        assert len(seen) >= 2
+        for prev, cur in zip(seen, seen[1:]):
+            assert prev.leq(cur)
+        final, productive = value_iteration(game)
+        assert seen[-1] == final
+        assert sum(prev != cur for prev, cur in zip(seen, seen[1:])) == productive
 
 
 # ------------------------------------------------------ avg-free games
@@ -321,13 +322,6 @@ def test_method_preconditions():
         solve(MIXED_STOPPING, method="lp")
     with pytest.raises(PreconditionError):
         solve(GAME_A, method="newton")
-
-
-@requires_numba
-def test_solve_backend_override():
-    a = solve(MIXED_STOPPING, method="vi", backend="numpy")
-    b = solve(MIXED_STOPPING, method="vi", backend="numba")
-    assert a.values == b.values
 
 
 # ---------------------------------------------------- value & decision

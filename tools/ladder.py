@@ -8,12 +8,14 @@ seed = --seed, --seed + 1, ... and keeps the first --games games that
 hold all three vertex kinds and are non-stopping (auto `solve` takes the
 transform route); with require_stopping, the first --games stopping
 ones (hk route).
-Each kept game is solved once with `solve(game, "auto")` and timed with
-perf_counter. The run writes BENCH_<label>.json at the root of the
-checkout: per game n, seed, route, seconds and a hash of the output
-(values, strategies, method, iterations and certificate z, s, c), plus
-the core count and whether numba imports. Two checkouts that produce
-the same hashes give bit-identical answers on the ladder.
+Each kept game is solved once with `solve(game, "auto")`, and each
+stopping one also with `solve(game, "vi")` (value iteration snapped
+back to exact values); every solve is timed with perf_counter. The run
+writes BENCH_<label>.json at the root of the checkout: one row per
+solve with n, seed, route, seconds and a hash of the output (values,
+strategies, method, iterations and certificate z, s, c), plus the core
+count. Two checkouts that produce the same hashes give bit-identical
+answers on the ladder.
 """
 
 from __future__ import annotations
@@ -61,14 +63,6 @@ def draw(n: int, games: int, seed: int) -> list[tuple[int, bool, ssg.Game]]:
     return kept
 
 
-def numba_imports() -> bool:
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="output goes to BENCH_<label>.json")
@@ -79,19 +73,20 @@ def main(argv=None) -> int:
     rows = []
     for n in SIZES:
         for seed, stopping, game in draw(n, args.games, args.seed):
-            t0 = perf_counter()
-            report = ssg.solve(game, "auto")
-            seconds = perf_counter() - t0
-            rows.append({
-                "n": n,
-                "seed": seed,
-                "stopping": stopping,
-                "route": report.method,
-                "seconds": round(seconds, 6),
-                "iterations": report.iterations,
-                "hash": output_hash(report),
-            })
-            print(f"n={n:3d} seed={seed:4d} {report.method:9s} {seconds:9.4f} s", flush=True)
+            for method in ("auto", "vi") if stopping else ("auto",):
+                t0 = perf_counter()
+                report = ssg.solve(game, method)
+                seconds = perf_counter() - t0
+                rows.append({
+                    "n": n,
+                    "seed": seed,
+                    "stopping": stopping,
+                    "route": report.method,
+                    "seconds": round(seconds, 6),
+                    "iterations": report.iterations,
+                    "hash": output_hash(report),
+                })
+                print(f"n={n:3d} seed={seed:4d} {report.method:9s} {seconds:9.4f} s", flush=True)
 
     summary = {}
     for row in rows:
@@ -104,7 +99,6 @@ def main(argv=None) -> int:
         "first_seed": args.seed,
         "environment": {
             "cores": os.cpu_count(),
-            "numba": numba_imports(),
             "python": platform.python_version(),
             "machine": platform.machine(),
         },
