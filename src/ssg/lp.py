@@ -9,6 +9,8 @@ keep the play away from the 1-sink forever are pinned to 0 first, since
 otherwise cycling solutions would satisfy every <= row while being too
 large. Both builders also accept a reduced game whose missing player is
 fixed by strategy; fixed vertices turn into pass-through equalities.
+Neither writes bound rows: v >= 0 is the simplex's own nonnegativity,
+and v <= 1 follows from the rows of the max-free program.
 
 The simplex is an exact two-phase primal method over Fractions with
 Bland's anti-cycling rule. Variables are implicitly nonnegative.
@@ -16,7 +18,6 @@ Bland's anti-cycling rule. Variables are implicitly nonnegative.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Union
@@ -28,7 +29,7 @@ from .exceptions import (
     UnboundedError,
 )
 from .games import Game, ValueVector, VertexKind, format_rational
-from .markov import ReducedGame
+from .markov import ReducedGame, attractor
 
 RELATIONS = ("<=", ">=", "=")
 
@@ -116,7 +117,8 @@ def build_lp_min_free(game: Union[Game, ReducedGame]) -> LinearProgram:
     Accepts a plain game without min vertices or a reduced game whose
     min side is fixed. Minimizing the value sum pushes every component
     down onto the max/avg dominance rows, and vertices trapped in
-    cycles fall to 0 on their own.
+    cycles fall to 0 on their own. The simplex keeps every variable
+    nonnegative, so the program has no v >= 0 rows.
     """
     rg = _as_reduced(game)
     g = rg.game
@@ -127,8 +129,6 @@ def build_lp_min_free(game: Union[Game, ReducedGame]) -> LinearProgram:
         Constraint(tuple(_unit(n, g.sink0)), "=", Fraction(0)),
         Constraint(tuple(_unit(n, g.sink1)), "=", Fraction(1)),
     ]
-    for i in range(1, n + 1):
-        cons.append(Constraint(tuple(_unit(n, i)), ">=", Fraction(0)))
     for v in g.interior:
         succ = rg.successors(v)
         if len(succ) == 1:
@@ -149,45 +149,28 @@ def build_lp_min_free(game: Union[Game, ReducedGame]) -> LinearProgram:
 def zero_value_set(game: Union[Game, ReducedGame]) -> frozenset[int]:
     """Vertices whose value is exactly 0 when max has no choices.
 
-    Complements the least fixpoint of "can be steered to the 1-sink
-    with positive probability": the 1-sink itself, any avg vertex with
-    a qualifying child, any min vertex with both children qualifying,
-    any fixed vertex whose pick qualifies. Everything outside, the min
-    player can trap away from the 1-sink forever. Always contains the
-    0-sink.
+    The complement of the attractor of the 1-sink with min blocking:
+    the vertices that reach the 1-sink with positive probability are an
+    avg or fixed vertex with one such successor, or a free min vertex
+    with both. From everything outside, the min player can keep the play
+    away from the 1-sink forever. Always contains the 0-sink.
     """
     rg = _as_reduced(game)
     g = rg.game
     if g.has_kind(VertexKind.MAX) and rg.sigma is None:
         raise PreconditionError("zero_value_set needs the max side absent or fixed")
-    need = {}
-    preds: dict[int, list[int]] = {}
-    for v in g.interior:
-        succ = rg.successors(v)
-        need[v] = 2 if (g.kind(v) is VertexKind.MIN and len(succ) == 2) else 1
-        for j in succ:
-            preds.setdefault(j, []).append(v)
-    reach = {g.sink1}
-    counts: dict[int, int] = {}
-    queue = deque(reach)
-    while queue:
-        v = queue.popleft()
-        for p in preds.get(v, ()):
-            if p in reach:
-                continue
-            counts[p] = counts.get(p, 0) + 1
-            if counts[p] >= need[p]:
-                reach.add(p)
-                queue.append(p)
-    return frozenset(set(g.vertices) - reach)
+    return frozenset(g.vertices).difference(attractor(rg, (g.sink1,), (VertexKind.MIN,)))
 
 
 def build_lp_max_free(game: Union[Game, ReducedGame]) -> LinearProgram:
     """LP whose unique optimum is the value vector when max has no choices.
 
     Mirror image of the min-free program: maximize the value sum under
-    v(i) <= 1 and min/avg dominance rows, with the zero_value_set
-    pinned to 0 so that cycling cannot inflate the optimum.
+    the min/avg dominance rows, with the zero_value_set pinned to 0 so
+    that cycling cannot inflate the optimum. No v <= 1 rows are needed:
+    the vertices at a largest value above 1 would have all their
+    successors among themselves, so none of them could reach the 1-sink,
+    yet every vertex outside the zero set does.
     """
     rg = _as_reduced(game)
     g = rg.game
@@ -204,7 +187,6 @@ def build_lp_max_free(game: Union[Game, ReducedGame]) -> LinearProgram:
     for v in g.interior:
         if v in zero:
             continue
-        cons.append(Constraint(tuple(_unit(n, v)), "<=", Fraction(1)))
         succ = rg.successors(v)
         if len(succ) == 1:
             cons.append(Constraint(_edge_row(n, v, succ), "=", Fraction(0)))

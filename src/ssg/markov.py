@@ -1,4 +1,4 @@
-"""Reduced games, their exact value vectors, and the stopping test.
+"""Reduced games, attractors, exact value vectors, and the stopping test.
 
 Fixing one player's strategy removes that player's choices; fixing both
 leaves a Markov chain. The chain's absorption probabilities into the
@@ -13,15 +13,19 @@ pair. It also takes an edge weight lam, solving v = lam (Q v + b): at
 lam = 1 for Hoffman-Karp and the brute-force oracle, and at the chain
 factor lam = 1 - 2**-(c*n) for the stopping transform, whose companion
 game contracts to the original vertices with that weight on every edge.
+
+attractor is the package's one qualitative engine: the linear-time
+attractor of a reachability game (Condon 1992). The stopping test, the
+sink-reaching rows of the evaluator, the LP's zero set and the solver
+for games without chance are all calls of it.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, Mapping, Union
+from typing import Collection, Mapping, Union
 
 from . import kernels
 from .exceptions import BudgetError, InternalCheckError, PreconditionError, StrategyError
@@ -47,25 +51,22 @@ class ReducedGame:
     sigma: Union[Strategy, None] = None
 
     def successors(self, v: int) -> tuple[int, ...]:
-        kind = self.game.kind(v)
-        if kind.is_sink:
+        children = self.game.children[v - 1]
+        if children is None:  # a sink
             return ()
-        if kind is VertexKind.MIN and self.tau is not None:
+        # test the strategies first: an enum member lookup is the slower check
+        kind = self.game.kinds[v - 1]
+        if self.tau is not None and kind is VertexKind.MIN:
             return (self.tau.pick(v),)
-        if kind is VertexKind.MAX and self.sigma is not None:
+        if self.sigma is not None and kind is VertexKind.MAX:
             return (self.sigma.pick(v),)
-        return self.game.children_of(v)
+        return children
 
     @property
     def fully_reduced(self) -> bool:
         min_done = self.tau is not None or not self.game.has_kind(VertexKind.MIN)
         max_done = self.sigma is not None or not self.game.has_kind(VertexKind.MAX)
         return min_done and max_done
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        for v in self.game.interior:
-            for j in self.successors(v):
-                yield (v, j)
 
 
 def reduce_game(game: Game, tau: Union[Strategy, None] = None, sigma: Union[Strategy, None] = None) -> ReducedGame:
@@ -86,26 +87,52 @@ def _require_fully_reduced(rg: ReducedGame, what: str) -> None:
         raise PreconditionError(f"{what} needs both players' strategies fixed")
 
 
-def sink_reachable_set(rg: ReducedGame) -> frozenset[int]:
-    """Non-sink vertices with a directed path to either sink.
+def attractor(
+    rg: ReducedGame, target: Collection[int], blocking: Collection[VertexKind]
+) -> dict[int, int]:
+    """The least vertex set holding target and every interior vertex
+    with enough successors under rg already in it, as {vertex: layer}.
 
-    Backward traversal from the sinks over the reduced edge relation.
+    "Enough" is all successors when the vertex's kind is in blocking and
+    one otherwise, so for blocking = {MIN} it is the set from which max
+    forces a visit to target, and for blocking = () the set with a path
+    to target. target is layer 0; a vertex joins one layer after the
+    successor that completes its need, so its layer is the length of
+    the longest forced path into target. Linear time: predecessor lists
+    and need counters, one frontier per layer.
     """
-    _require_fully_reduced(rg, "sink_reachable_set")
     game = rg.game
-    preds: dict[int, list[int]] = {}
+    kinds = game.kinds
+    preds: list[list[int]] = [[] for _ in range(game.n + 1)]
+    need = [0] * (game.n + 1)
     for v in game.interior:
-        for j in rg.successors(v):
-            preds.setdefault(j, []).append(v)
-    seen = {game.sink0, game.sink1}
-    queue = deque(seen)
-    while queue:
-        v = queue.popleft()
-        for p in preds.get(v, ()):
-            if p not in seen:
-                seen.add(p)
-                queue.append(p)
-    return frozenset(seen - {game.sink0, game.sink1})
+        succ = rg.successors(v)
+        need[v] = len(succ) if kinds[v - 1] in blocking else 1
+        for j in succ:
+            preds[j].append(v)
+    layers = dict.fromkeys(target, 0)
+    for v in layers:
+        need[v] = 0  # counts below zero never reach zero again
+    frontier = list(layers)
+    depth = 0
+    while frontier:
+        depth += 1
+        joined = []
+        for v in frontier:
+            for p in preds[v]:
+                need[p] -= 1
+                if need[p] == 0:
+                    layers[p] = depth
+                    joined.append(p)
+        frontier = joined
+    return layers
+
+
+def sink_reachable_set(rg: ReducedGame) -> frozenset[int]:
+    """Non-sink vertices with a directed path to either sink."""
+    _require_fully_reduced(rg, "sink_reachable_set")
+    sinks = (rg.game.sink0, rg.game.sink1)
+    return frozenset(attractor(rg, sinks, ())).difference(sinks)
 
 
 class LinearSystem:
@@ -284,33 +311,14 @@ def is_stopping(game: Game) -> bool:
     """Whether every play reaches a sink with probability 1 under all
     strategy pairs.
 
-    Least fixpoint of 'surely progresses toward a sink': an avg vertex
-    qualifies once one child does (the coin eventually takes that exit),
-    a player vertex only once both children do (the owner may pick
-    either). The game is stopping iff the fixpoint covers every vertex.
-    Equivalent to the per-strategy-pair definition, but linear time.
+    The attractor of the sinks with both players blocking: an avg vertex
+    joins once one child has (the coin eventually takes that exit), a
+    player vertex only once both have (the owner may pick either). The
+    game is stopping iff it covers every vertex. Equivalent to the
+    per-strategy-pair definition, but linear time.
     """
-    n = game.n
-    need = {}
-    for v in game.interior:
-        need[v] = 1 if game.kind(v) is VertexKind.AVG else 2
-    preds: dict[int, list[int]] = {}
-    for v in game.interior:
-        for j in game.children_of(v):
-            preds.setdefault(j, []).append(v)
-    covered = {game.sink0, game.sink1}
-    counts: dict[int, int] = {}
-    queue = deque(covered)
-    while queue:
-        v = queue.popleft()
-        for p in preds.get(v, ()):
-            if p in covered:
-                continue
-            counts[p] = counts.get(p, 0) + 1
-            if counts[p] >= need[p]:
-                covered.add(p)
-                queue.append(p)
-    return len(covered) == n
+    blocking = (VertexKind.MAX, VertexKind.MIN)
+    return len(attractor(ReducedGame(game), (game.sink0, game.sink1), blocking)) == game.n
 
 
 def is_stopping_exhaustive(game: Game, max_player_vertices: int = 12) -> bool:
@@ -333,26 +341,18 @@ def is_stopping_exhaustive(game: Game, max_player_vertices: int = 12) -> bool:
     return True
 
 
-def _reduced_arrays(rg: ReducedGame):
-    """Pack a fully reduced game into flat arrays for the rollout kernel."""
-    import numpy as np
-
+def _reduced_arrays(rg: ReducedGame) -> tuple[list[int], list[int], list[int]]:
+    """Kind codes and 0-based successor indices of every vertex, for the
+    sweep and rollout loops. A sink points at itself and a lone
+    successor fills both slots."""
     game = rg.game
-    kind = np.empty(game.n, dtype=np.int8)
-    s0 = np.empty(game.n, dtype=np.int64)
-    s1 = np.empty(game.n, dtype=np.int64)
+    kind, c0, c1 = [], [], []
     for v in game.vertices:
-        k = game.kind(v)
-        kind[v - 1] = kernels.KIND_CODES[k.value]
-        succ = rg.successors(v)
-        if not succ:
-            s0[v - 1] = s1[v - 1] = v - 1
-        elif len(succ) == 1:
-            s0[v - 1] = s1[v - 1] = succ[0] - 1
-        else:
-            s0[v - 1] = succ[0] - 1
-            s1[v - 1] = succ[1] - 1
-    return kind, s0, s1
+        kind.append(kernels.KIND_CODES[game.kind(v).value])
+        succ = rg.successors(v) or (v,)
+        c0.append(succ[0] - 1)
+        c1.append(succ[-1] - 1)
+    return kind, c0, c1
 
 
 @dataclass(frozen=True)

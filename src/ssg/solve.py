@@ -6,7 +6,7 @@ player vertices, mean at avg vertices) that agrees with the reachable
 absorption probabilities. Methods:
 
   value_iteration  approximate, iterates the operator from zero
-  avg_free_run     exact attractor layering for games without chance
+  avg_free_run     exact max attractor of the 1-sink, for games without chance
   hoffman_karp     exact strategy improvement for stopping games
   (LP)             exact simplex when one player has no choices
   brute_force_oracle  exact by enumeration, for cross-checking
@@ -55,7 +55,7 @@ from .games import (
     enumerate_strategies,
 )
 from .lp import build_lp_max_free, build_lp_min_free, simplex_optimize
-from .markov import ReducedGame, is_stopping, solve_value_vector
+from .markov import ReducedGame, _reduced_arrays, attractor, is_stopping, solve_value_vector
 from .stopping import chain_weight, transform_error_bound
 
 DEFAULT_C = 9
@@ -180,6 +180,11 @@ def _progress_ranks(game: Game, v: ValueVector) -> dict[int, int]:
     child is, an avg vertex once either child is. Vertices with a path
     to a sink through optimal play all get ranked; a positive-value
     vertex left unranked would contradict v being optimal.
+
+    Not markov.attractor: each pass ranks vertices in id order and a
+    vertex ranked earlier in a pass counts for later ones, so ranks
+    depend on vertex ids. They break greedy ties, and attractor layers
+    would pick other, equally optimal, strategies.
     """
     ranks = {game.sink0: 0, game.sink1: 0}
     pending = set(game.interior)
@@ -243,24 +248,6 @@ def greedy_strategies(game: Game, v: ValueVector) -> tuple[Strategy, Strategy]:
     )
 
 
-def _operator_arrays(game: Game):
-    """Kind codes and 0-based child indices for the sweep loop."""
-    kind = []
-    c0 = []
-    c1 = []
-    for i in game.vertices:
-        k = game.kind(i)
-        kind.append(kernels.KIND_CODES[k.value])
-        if k.is_sink:
-            c0.append(i - 1)
-            c1.append(i - 1)
-        else:
-            a, b = game.children_of(i)
-            c0.append(a - 1)
-            c1.append(b - 1)
-    return kind, c0, c1
-
-
 def _grid_setup(n: int, epsilon: Union[Fraction, None]):
     """Pick the fixed-point scale for a tolerance; returns (eps, K, thr).
 
@@ -289,7 +276,7 @@ def _vi_setup(game: Game, epsilon: Union[Fraction, None], max_iters: int):
     if max_iters < 1:
         raise PreconditionError(f"max_iters must be positive, got {max_iters}")
     eps, bits, thr = _grid_setup(game.n, epsilon)
-    return (eps, 1 << bits, thr, *_operator_arrays(game))
+    return (eps, 1 << bits, thr, *_reduced_arrays(ReducedGame(game)))
 
 
 def value_iteration(
@@ -335,49 +322,20 @@ def vi_iterates(
 
 def avg_free_run(game: Game) -> tuple[ValueVector, int]:
     """Attractor solve for games without chance vertices; returns the
-    exact 0/1 value vector and the number of passes executed.
+    exact 0/1 value vector and the attractor depth.
 
-    Two sweeps of rules per pass over undetermined vertices: a max
-    vertex becomes 1 as soon as a determined child is 1, a min vertex 0
-    as soon as a determined child is 0; with both children determined
-    the vertex takes their max/min. Vertices never determined have no
-    way to force the 1-sink and no need to avoid it: they are 0.
-    The loop runs at most n-2 passes.
+    Without chance a vertex is worth 1 exactly when max can force the
+    play into the 1-sink: the attractor of the 1-sink with min blocking
+    (a max vertex joins once one child has, a min vertex once both
+    have). From every other vertex min keeps the play away from it
+    forever, so those are worth 0. The depth, the largest attractor
+    layer, is the longest forced path to the 1-sink, at most n-2.
     """
     if game.has_kind(VertexKind.AVG):
         raise PreconditionError("game has avg vertices; this solver handles player-only games")
-    val: dict[int, Fraction] = {v: Fraction(0) for v in game.vertices}
-    val[game.sink1] = Fraction(1)
-    done = {game.sink0, game.sink1}
-    passes = 0
-    while len(done) < game.n:
-        changed = False
-        for i in game.interior:
-            if i in done:
-                continue
-            a, b = game.children_of(i)
-            a_done = a in done
-            b_done = b in done
-            if game.kind(i) is VertexKind.MAX:
-                if (a_done and val[a] == 1) or (b_done and val[b] == 1):
-                    val[i] = Fraction(1)
-                elif a_done and b_done:
-                    val[i] = max(val[a], val[b])
-                else:
-                    continue
-            else:
-                if (a_done and val[a] == 0) or (b_done and val[b] == 0):
-                    val[i] = Fraction(0)
-                elif a_done and b_done:
-                    val[i] = min(val[a], val[b])
-                else:
-                    continue
-            done.add(i)
-            changed = True
-        passes += 1
-        if not changed:
-            break
-    return ValueVector(val[v] for v in game.vertices), passes
+    wins = attractor(ReducedGame(game), (game.sink1,), (VertexKind.MIN,))
+    values = ValueVector(int(v in wins) for v in game.vertices)
+    return values, max(wins.values())
 
 
 @dataclass(frozen=True)
@@ -556,6 +514,8 @@ def solve(
     is no chance, the LP when one player is absent, strategy
     improvement when the game is stopping, and otherwise the chain
     transform (solve the stopping companion, snap values back, verify).
+    hoffman_karp's own stopping test makes that last choice, so the
+    test runs once.
     The transform path always attaches a certificate; pass
     with_certificate to force one on the other paths too.
     """
@@ -566,23 +526,20 @@ def solve(
     has_max = game.has_kind(VertexKind.MAX)
     has_min = game.has_kind(VertexKind.MIN)
 
-    if method == "auto":
+    routed = method == "auto"
+    if routed:
         if not has_avg:
             method = "avg-free"
         elif not has_min or not has_max:
             method = "lp"
-        elif is_stopping(game):
-            method = "hk"
         else:
-            z, s, rounds = _transform_solve(game, c)
-            cert = Certificate(z=z, s=s, c=c)
-            return _report(game, z, "transform", rounds, cert)
+            method = "hk"
 
     if method == "avg-free":
         if has_avg:
             raise PreconditionError("avg-free method on a game with avg vertices")
-        values, passes = avg_free_run(game)
-        report = _report(game, values, "avg-free", passes)
+        values, depth = avg_free_run(game)
+        report = _report(game, values, "avg-free", depth)
     elif method == "lp":
         if has_min and has_max:
             raise PreconditionError("lp method needs a game with at most one player present")
@@ -592,7 +549,14 @@ def solve(
             result = simplex_optimize(build_lp_max_free(game))
         report = _report(game, ValueVector(result.values), "lp", result.pivots)
     elif method == "hk":
-        report = hoffman_karp(game)
+        try:
+            report = hoffman_karp(game)
+        except PreconditionError:
+            if not routed:
+                raise
+            # hoffman_karp's stopping test found the game non-stopping
+            z, s, rounds = _transform_solve(game, c)
+            return _report(game, z, "transform", rounds, Certificate(z=z, s=s, c=c))
     elif method == "vi":
         if not is_stopping(game):
             raise PreconditionError("vi method needs a stopping game; transform first")

@@ -9,8 +9,7 @@ import numpy as np
 
 from ssg import kernels
 from ssg.fixtures import GAME_B
-from ssg.markov import reduce_game
-from ssg.solve import _operator_arrays
+from ssg.markov import ReducedGame, _reduced_arrays
 import ssg
 
 
@@ -56,7 +55,7 @@ def _reference_run(kind, c0, c1, one, thr, max_iters):
 
 def test_vi_run_matches_object_loop():
     for game in (GAME_B, ssg.random_game(12, seed=3, require_stopping=True)):
-        kind, c0, c1 = _operator_arrays(game)
+        kind, c0, c1 = _reduced_arrays(ReducedGame(game))
         for bits in (20, 60, 61, 140):
             one = 1 << bits
             for thr in (0, one >> 24):
@@ -70,14 +69,8 @@ def test_start_vector_pins_sinks():
     assert kernels.start_vector(kind, 64) == [0, 0, 64]
 
 
-def _mc_arrays(game):
-    from ssg.markov import _reduced_arrays
-
-    return _reduced_arrays(reduce_game(game, None, None))
-
-
 def test_mc_run_numpy_deterministic_per_seed():
-    kind, s0, s1 = _mc_arrays(GAME_B)
+    kind, s0, s1 = _reduced_arrays(ReducedGame(GAME_B))
     a = kernels.mc_run(kind, s0, s1, 0, 5000, 4096, 42)
     b = kernels.mc_run(kind, s0, s1, 0, 5000, 4096, 42)
     assert a == b

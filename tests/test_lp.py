@@ -17,12 +17,15 @@ from ssg import (
     build_lp_max_free,
     build_lp_min_free,
     dump_lp,
+    random_game,
     reduce_game,
     simplex_optimize,
     simplex_solve,
+    solve,
+    verify_ovv_certificate,
     zero_value_set,
 )
-from ssg.fixtures import FIXTURES, GAME_A, GAME_C, GAME_E, GAME_F, GAME_G
+from ssg.fixtures import FIXTURES, GAME_A, GAME_B, GAME_C, GAME_E, GAME_F, GAME_G
 
 
 def lp_of(coeff_rows, relations, rhs, objective, direction):
@@ -190,3 +193,17 @@ def test_lp_matches_chain_solve_on_one_player_pool():
         g = ssg.random_game(3 + seed % 6, weights=(1, 0, 2), seed=seed)
         lp_values = simplex_solve(build_lp_min_free(g))
         assert lp_values == ssg.brute_force_oracle(g).values
+
+
+def test_builders_write_no_bound_rows():
+    for lp in (build_lp_min_free(GAME_A), build_lp_max_free(GAME_C), build_lp_max_free(GAME_B)):
+        singles = [c for c in lp.constraints if sum(x != 0 for x in c.coeffs) == 1]
+        assert all(c.relation == "=" for c in singles), dump_lp(lp)
+
+
+@pytest.mark.parametrize("weights", [(1, 0, 1), (0, 1, 1)])
+def test_lp_agrees_with_the_transform_above_n8(weights):
+    for n in range(10, 15):
+        game = random_game(n, weights=weights, seed=n)
+        report = solve(game, "lp", with_certificate=True)
+        assert verify_ovv_certificate(game, report.certificate)

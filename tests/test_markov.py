@@ -11,6 +11,7 @@ from ssg import (
     StrategyError,
     ValueVector,
     VertexKind,
+    attractor,
     build_game,
     build_linear_system,
     enumerate_strategies,
@@ -20,6 +21,7 @@ from ssg import (
     mc_estimate,
     random_game,
     reduce_game,
+    ReducedGame,
     sink_reachable_set,
     solve_value_vector,
 )
@@ -55,6 +57,23 @@ def test_sink_reachable_set_drops_trapped_cycle():
     assert sink_reachable_set(rg) == frozenset()
     rg = fully_reduce(GAME_E, tau_picks={2: 4}, sigma_picks={1: 2})
     assert sink_reachable_set(rg) == frozenset({1, 2})
+
+
+def test_attractor_layers_count_forced_steps():
+    # GAME-E: max 1 -> (2, 0-sink 3), min 2 -> (1, 1-sink 4)
+    rg = ReducedGame(GAME_E)
+    assert attractor(rg, (4,), ()) == {4: 0, 2: 1, 1: 2}
+    # min at 2 blocks: it can always pick 1, so only the target is forced
+    assert attractor(rg, (4,), (VertexKind.MIN,)) == {4: 0}
+    # an interior target stays at layer 0; 2 joins once both children have
+    assert attractor(rg, (1, 4), (VertexKind.MIN,)) == {1: 0, 4: 0, 2: 1}
+
+
+def test_attractor_follows_fixed_strategies():
+    rg = fully_reduce(GAME_E, tau_picks={2: 4}, sigma_picks={1: 2})
+    assert attractor(rg, (4,), (VertexKind.MIN, VertexKind.MAX)) == {4: 0, 2: 1, 1: 2}
+    rg = fully_reduce(GAME_E, tau_picks={2: 1}, sigma_picks={1: 2})
+    assert attractor(rg, (3, 4), ()) == {3: 0, 4: 0}
 
 
 def test_linear_system_shape():

@@ -151,6 +151,24 @@ def test_avg_free_cycles_are_worthless():
     assert avg_free_run(GAME_E)[0] == ValueVector([0, 0, 0, 1])
 
 
+def test_avg_free_passes_are_the_attractor_depth():
+    # min 1 -> (2, 3), max 2 -> (3, 0-sink), min 3 -> (4, 1-sink), max 4 -> sinks:
+    # each vertex is forced one step after the last of its needed children
+    chain = build_game(6, 1, [(1, "min", 2, 3), (2, "max", 3, 5), (3, "min", 4, 6), (4, "max", 5, 6)])
+    assert avg_free_run(chain) == (ValueVector([1, 1, 1, 1, 0, 1]), 4)
+    assert avg_free_run(GAME_F) == (ValueVector([1, 0, 1]), 1)
+    assert avg_free_run(GAME_D) == (ValueVector([0, 0, 0, 1]), 0)
+
+
+@pytest.mark.parametrize("n", [10, 20, 40, 60])
+def test_avg_free_agrees_with_the_transform_above_n8(n):
+    for seed in range(3):
+        game = random_game(n, weights=(1, 1, 0), seed=seed)
+        report = solve(game, "avg-free", with_certificate=True)
+        assert report.iterations <= n - 2
+        assert verify_ovv_certificate(game, report.certificate)
+
+
 def test_avg_free_rejects_chance():
     with pytest.raises(PreconditionError):
         avg_free_run(GAME_A)[0]
@@ -320,6 +338,8 @@ def test_method_preconditions():
         solve(GAME_A, method="avg-free")
     with pytest.raises(PreconditionError):
         solve(MIXED_STOPPING, method="lp")
+    with pytest.raises(PreconditionError):
+        solve(MIXED_LOOPY, method="hk")  # auto sends it to the transform
     with pytest.raises(PreconditionError):
         solve(GAME_A, method="newton")
 

@@ -3,16 +3,18 @@
     python3 tools/ladder.py --label NAME [--games 3] [--seed 0]
 
 Run from anywhere; the package is imported from the checkout's `src/`.
-For each n in SIZES it draws `random_game(n, (1, 1, 1), seed)` for
-seed = --seed, --seed + 1, ... and keeps the first --games games that
-hold all three vertex kinds and are non-stopping (auto `solve` takes the
-transform route); with require_stopping, the first --games stopping
-ones (hk route).
-Each kept game is solved once with `solve(game, "auto")`, and each
-stopping one also with `solve(game, "vi")` (value iteration snapped
-back to exact values); every solve is timed with perf_counter. The run
-writes BENCH_<label>.json at the root of the checkout: one row per
-solve with n, seed, route, seconds and a hash of the output (values,
+For each n in SIZES it draws games from three families, scanning
+seed = --seed, --seed + 1, ... and keeping the first --games of each:
+`random_game(n, (1, 1, 1), seed)` games that hold all three vertex
+kinds and are non-stopping (auto `solve` takes the transform route);
+the same drawn with require_stopping (hk route); and
+`random_game(n, (1, 1, 0), seed)` games that hold both players
+(avg-free route). Each kept game is solved once with
+`solve(game, "auto")`, and each stopping mixed one also with
+`solve(game, "vi")` (value iteration snapped back to exact values);
+every solve is timed with perf_counter. The run writes
+BENCH_<label>.json at the root of the checkout: one row per solve with
+n, weights, seed, route, seconds and a hash of the output (values,
 strategies, method, iterations and certificate z, s, c), plus the core
 count. Two checkouts that produce the same hashes give bit-identical
 answers on the ladder.
@@ -36,6 +38,8 @@ import ssg  # noqa: E402
 
 SIZES = (8, 16, 24, 32, 40, 60)
 KINDS = (ssg.VertexKind.MAX, ssg.VertexKind.MIN, ssg.VertexKind.AVG)
+# (weights, stopping): stopping True draws with require_stopping
+FAMILIES = (((1, 1, 1), False), ((1, 1, 1), True), ((1, 1, 0), False))
 
 
 def output_hash(report) -> str:
@@ -48,17 +52,23 @@ def output_hash(report) -> str:
     return h.hexdigest()[:16]
 
 
-def draw(n: int, games: int, seed: int) -> list[tuple[int, bool, ssg.Game]]:
-    """The first `games` non-stopping and `games` stopping mixed games
-    at size n, scanning seeds upward from `seed`. Large mixed games are
-    rarely stopping, so stopping ones are drawn with require_stopping."""
+def draw(n: int, games: int, seed: int) -> list[tuple[int, tuple, bool, ssg.Game]]:
+    """The first `games` games of each family at size n, scanning seeds
+    upward from `seed`, as (seed, weights, stopping, game). A kept game
+    holds every kind its weights allow. Large mixed games are rarely
+    stopping, so stopping ones are drawn with require_stopping; mixed
+    games drawn without it are kept only when non-stopping."""
     kept = []
-    for stopping in (False, True):
-        s = seed
-        while sum(k[1] == stopping for k in kept) < games:
-            g = ssg.random_game(n, (1, 1, 1), seed=s, require_stopping=stopping)
-            if ssg.is_stopping(g) == stopping and all(g.has_kind(k) for k in KINDS):
-                kept.append((s, stopping, g))
+    for weights, stopping in FAMILIES:
+        mixed = all(weights)
+        s, found = seed, 0
+        while found < games:
+            g = ssg.random_game(n, weights, seed=s, require_stopping=stopping)
+            if all(g.has_kind(k) for k, w in zip(KINDS, weights) if w) and (
+                not mixed or ssg.is_stopping(g) == stopping
+            ):
+                kept.append((s, weights, stopping, g))
+                found += 1
             s += 1
     return kept
 
@@ -72,13 +82,14 @@ def main(argv=None) -> int:
 
     rows = []
     for n in SIZES:
-        for seed, stopping, game in draw(n, args.games, args.seed):
+        for seed, weights, stopping, game in draw(n, args.games, args.seed):
             for method in ("auto", "vi") if stopping else ("auto",):
                 t0 = perf_counter()
                 report = ssg.solve(game, method)
                 seconds = perf_counter() - t0
                 rows.append({
                     "n": n,
+                    "weights": list(weights),
                     "seed": seed,
                     "stopping": stopping,
                     "route": report.method,
@@ -93,7 +104,7 @@ def main(argv=None) -> int:
         summary.setdefault(f"{row['route']}/n={row['n']}", []).append(row["seconds"])
     doc = {
         "label": args.label,
-        "weights": [1, 1, 1],
+        "families": [{"weights": list(w), "stopping": st} for w, st in FAMILIES],
         "sizes": list(SIZES),
         "games_per_size_and_route": args.games,
         "first_seed": args.seed,
