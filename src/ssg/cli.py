@@ -550,9 +550,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("solve", _cmd_solve, "compute optimal values and strategies")
     p.add_argument("--method", choices=METHODS, default="auto")
-    p.add_argument("--c", type=int, default=DEFAULT_C, metavar="C",
+    p.add_argument("--c", type=_positive_int_arg, default=DEFAULT_C, metavar="C",
                    help="stopping-transform multiplier for the exact pipeline")
-    p.add_argument("--budget", type=int, default=DEFAULT_ORACLE_BUDGET,
+    p.add_argument("--budget", type=_non_negative_int_arg, default=DEFAULT_ORACLE_BUDGET,
                    help="strategy-bit budget for --method oracle")
     p.add_argument("--cert-out", metavar="FILE",
                    help="write a verification certificate to FILE")
@@ -571,7 +571,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="max strategy as comma-separated i->j pairs")
 
     p = add("transform", _cmd_transform, "emit the stopping companion game")
-    p.add_argument("--c", type=int, default=DEFAULT_C, metavar="C")
+    p.add_argument("--c", type=_positive_int_arg, default=DEFAULT_C, metavar="C")
     p.add_argument("--map", action="store_true",
                    help="include the original-to-companion vertex map")
 
@@ -580,14 +580,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("gen", _cmd_gen, "generate a seeded random game", game_arg=False)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int_arg, default=0)
     p.add_argument("--weights", type=_weights_arg, default=(1, 1, 1), metavar="A:B:C",
                    help="relative frequency of max:min:avg vertices")
     p.add_argument("--stopping", action="store_true",
                    help="retry seeds until the game is stopping")
 
     p = add("oracle", _cmd_oracle, "solve by enumerating all strategy pairs")
-    p.add_argument("--budget", type=int, default=DEFAULT_ORACLE_BUDGET)
+    p.add_argument("--budget", type=_non_negative_int_arg, default=DEFAULT_ORACLE_BUDGET)
 
     p = add("bench", _cmd_bench, "time solver methods over a suite of games",
             game_arg=False)
@@ -598,8 +598,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeat", type=_positive_int_arg, default=1)
     p.add_argument("--plays", type=_positive_int_arg, default=100_000,
                    help="rollouts per mc row")
-    p.add_argument("--seed", type=int, default=0, help="rollout seed for mc rows")
-    p.add_argument("--budget", type=int, default=DEFAULT_ORACLE_BUDGET)
+    p.add_argument("--seed", type=_non_negative_int_arg, default=0, help="rollout seed for mc rows")
+    p.add_argument("--budget", type=_non_negative_int_arg, default=DEFAULT_ORACLE_BUDGET)
 
     return parser
 

@@ -18,7 +18,8 @@ def random_game(
     require_stopping: bool = False,
     max_attempts: int = 1000,
 ) -> Game:
-    """Draw a game from PCG64(seed); identical arguments give identical games.
+    """Draw a game from PCG64(seed), seed >= 0; identical arguments give
+    identical games.
 
     Draw protocol, fixed for reproducibility: first the kind of each
     vertex 1..n-2 in ascending order, one integer in [0, sum(weights))
@@ -37,6 +38,8 @@ def random_game(
         raise PreconditionError(f"weights must be three nonnegative integers, not all zero: {weights}")
     if max_attempts < 1:
         raise PreconditionError(f"max_attempts must be positive, got {max_attempts}")
+    if seed < 0:
+        raise PreconditionError(f"seed must be a non-negative integer, got {seed}")
 
     total = sum(weights)
     cut_max = weights[0]

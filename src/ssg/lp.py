@@ -12,14 +12,18 @@ fixed by strategy; fixed vertices turn into pass-through equalities.
 Neither writes bound rows: v >= 0 is the simplex's own nonnegativity,
 and v <= 1 follows from the rows of the max-free program.
 
-The simplex is an exact two-phase primal method over Fractions with
-Bland's anti-cycling rule. Variables are implicitly nonnegative.
+The simplex is an exact two-phase primal method with Bland's
+anti-cycling rule. Its tableau is integers over one common denominator,
+updated by integer-preserving (Edmonds–Bareiss) pivots, and Fractions
+appear only in the optimum it returns. Variables are implicitly
+nonnegative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 from typing import NamedTuple, Union
 
 from .exceptions import (
@@ -209,22 +213,42 @@ class SimplexResult(NamedTuple):
     pivots: int
 
 
+def _rational(x) -> Union[int, Fraction]:
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
 def simplex_optimize(lp: LinearProgram) -> SimplexResult:
     """Exact two-phase primal simplex with Bland's rule.
 
     Raises InfeasibleError or UnboundedError as appropriate; otherwise
     returns an optimal vertex of the feasible region.
+
+    The tableau is held as integers T over one positive common
+    denominator d, so the true tableau is T / d. A pivot on (r, j) with
+    p = T[r][j] keeps row r, replaces every other row (the reduced-cost
+    row included) by (T[i]·p − T[i][j]·T[r]) / d and sets d = p. By
+    Sylvester's identity that division is exact as long as T is d times
+    B⁻¹A for an integer matrix A whose basis columns B have determinant
+    d (Edmonds 1967, Bareiss 1968). So each row is scaled to integers by
+    the lcm of its own denominators, which puts that lcm on the row's
+    starting basic column, and d starts as the product of those lcms;
+    one global lcm would not be that determinant and would make the
+    divisions inexact. Rows of the true tableau are never rescaled: the
+    phase-1 cost row is the sum of the artificial rows, so a rescaled
+    row would change which column Bland's rule picks. A negative pivot,
+    only met when a leftover artificial is pivoted out after phase 1,
+    negates row r first, which keeps d positive.
     """
     nv = len(lp.variables)
     maximize = lp.direction == "max"
-    obj = [x if maximize else -x for x in lp.objective]
+    obj = [_rational(x) if maximize else -_rational(x) for x in lp.objective]
 
     # Normalize to Ax (rel) b with b >= 0, then add slack/artificial columns.
     rows = []
     for con in lp.constraints:
-        coeffs = list(con.coeffs)
+        coeffs = [_rational(x) for x in con.coeffs]
         rel = con.relation
-        rhs = con.rhs
+        rhs = _rational(con.rhs)
         if rhs < 0:
             coeffs = [-x for x in coeffs]
             rhs = -rhs
@@ -236,97 +260,95 @@ def simplex_optimize(lp: LinearProgram) -> SimplexResult:
     ncols = nv + n_slack + n_art
     art_start = nv + n_slack
 
-    tableau: list[list[Fraction]] = []
+    tableau: list[list[int]] = []
+    scales: list[int] = []
     basis: list[int] = []
     slack_at = nv
     art_at = art_start
     artificial_rows = []
     for coeffs, rel, rhs in rows:
-        row = [Fraction(x) for x in coeffs] + [Fraction(0)] * (ncols - nv) + [Fraction(rhs)]
+        scale = lcm(rhs.denominator, *(x.denominator for x in coeffs))
+        row = [x.numerator * (scale // x.denominator) for x in coeffs]
+        row += [0] * (ncols - nv) + [rhs.numerator * (scale // rhs.denominator)]
         if rel == "<=":
-            row[slack_at] = Fraction(1)
+            row[slack_at] = scale
             basis.append(slack_at)
             slack_at += 1
         elif rel == ">=":
-            row[slack_at] = Fraction(-1)
+            row[slack_at] = -scale
             slack_at += 1
-            row[art_at] = Fraction(1)
+            row[art_at] = scale
             basis.append(art_at)
             artificial_rows.append(len(tableau))
             art_at += 1
         else:
-            row[art_at] = Fraction(1)
+            row[art_at] = scale
             basis.append(art_at)
             artificial_rows.append(len(tableau))
             art_at += 1
         tableau.append(row)
+        scales.append(scale)
 
+    d = prod(scales)
+    tableau = [[x * (d // scale) for x in row] for row, scale in zip(tableau, scales)]
     m = len(tableau)
     pivots = 0
 
     def pivot(r: int, j: int) -> None:
-        nonlocal pivots
+        # Updates every row in the tableau, including a reduced-cost row
+        # that run_phase appends below the m constraint rows.
+        nonlocal d, pivots
         pivots += 1
         prow = tableau[r]
-        pv = prow[j]
-        tableau[r] = [x / pv for x in prow]
-        prow = tableau[r]
-        for i in range(m):
+        p = prow[j]
+        if p < 0:
+            prow = tableau[r] = [-x for x in prow]
+            p = -p
+        for i, row in enumerate(tableau):
             if i == r:
                 continue
-            factor = tableau[i][j]
-            if factor != 0:
-                tableau[i] = [x - factor * y for x, y in zip(tableau[i], prow)]
+            f = row[j]
+            if f:
+                tableau[i] = [(x * p - f * y) // d for x, y in zip(row, prow)]
+            elif p != d:
+                tableau[i] = [x * p // d for x in row]
         basis[r] = j
+        d = p
 
-    def run_phase(cost: list[Fraction], allowed: range) -> None:
-        # cost[j] holds the reduced cost z_j - c_j; optimal when all >= 0.
-        nonlocal pivots
-        zrow = list(cost)
-
-        def apply_pivot_to_z(r: int, j: int) -> None:
-            factor = zrow[j]
-            if factor != 0:
-                prow = tableau[r]
-                for k in range(len(zrow)):
-                    zrow[k] -= factor * prow[k]
-
+    def run_phase(zrow: list[int], allowed: range) -> None:
+        # zrow holds the reduced costs z_j - c_j times a positive factor;
+        # optimal when all >= 0.
+        tableau.append(zrow)
         while True:
             if pivots > _MAX_PIVOTS:
                 raise InternalCheckError("simplex exceeded its pivot budget")
-            enter = -1
-            for j in allowed:
-                if zrow[j] < 0:
-                    enter = j
-                    break
+            zrow = tableau[-1]
+            enter = next((j for j in allowed if zrow[j] < 0), -1)
             if enter < 0:
-                return
-            leave = -1
-            best = None
+                break
+            # Least ratio b/a over rows with a > 0; b/a < bnum/bden
+            # exactly when b·bden − bnum·a < 0.
+            leave, bnum, bden = -1, 0, 1
             for i in range(m):
-                a = tableau[i][enter]
+                row = tableau[i]
+                a = row[enter]
                 if a > 0:
-                    ratio = tableau[i][-1] / a
-                    if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                        best = ratio
-                        leave = i
+                    cross = row[-1] * bden - bnum * a
+                    if leave < 0 or cross < 0 or (cross == 0 and basis[i] < basis[leave]):
+                        leave, bnum, bden = i, row[-1], a
             if leave < 0:
                 raise UnboundedError("objective is unbounded over the feasible region")
             pivot(leave, enter)
-            apply_pivot_to_z(leave, enter)
+        tableau.pop()
 
     if n_art:
         # Phase 1: drive the artificial variables to zero.
-        cost = [Fraction(0)] * (ncols + 1)
-        for j in range(art_start, ncols):
-            cost[j] = Fraction(1)
+        zrow = [0] * art_start + [d] * n_art + [0]
         # Canonicalize against the starting basis (artificials are basic).
         for r in artificial_rows:
-            for k in range(ncols + 1):
-                cost[k] -= tableau[r][k]
-        run_phase(cost, range(0, ncols))
-        infeas = sum((tableau[i][-1] for i in range(m) if basis[i] >= art_start), Fraction(0))
-        if infeas != 0:
+            zrow = [z - x for z, x in zip(zrow, tableau[r])]
+        run_phase(zrow, range(0, ncols))
+        if any(tableau[i][-1] for i in range(m) if basis[i] >= art_start):
             raise InfeasibleError("constraints admit no solution")
         # Pivot leftover artificials out of the basis, or drop dead rows.
         for i in range(m - 1, -1, -1):
@@ -340,21 +362,21 @@ def simplex_optimize(lp: LinearProgram) -> SimplexResult:
                 del basis[i]
                 m -= 1
 
-    cost = [Fraction(0)] * (ncols + 1)
-    for j in range(nv):
-        cost[j] = -obj[j]
+    # Phase 2 costs, scaled to integers by the lcm of their denominators.
+    den = lcm(*(x.denominator for x in obj))
+    cost = [x.numerator * (den // x.denominator) for x in obj]
+    zrow = [-c * d for c in cost] + [0] * (ncols + 1 - nv)
     for i in range(m):
         bj = basis[i]
-        cb = obj[bj] if bj < nv else Fraction(0)
+        cb = cost[bj] if bj < nv else 0
         if cb != 0:
-            for k in range(ncols + 1):
-                cost[k] += cb * tableau[i][k]
-    run_phase(cost, range(0, art_start))
+            zrow = [z + cb * x for z, x in zip(zrow, tableau[i])]
+    run_phase(zrow, range(0, art_start))
 
     values = [Fraction(0)] * nv
     for i in range(m):
         if basis[i] < nv:
-            values[basis[i]] = tableau[i][-1]
+            values[basis[i]] = Fraction(tableau[i][-1], d)
     objective = sum((c * x for c, x in zip(lp.objective, values)), Fraction(0))
     return SimplexResult(values=tuple(values), objective=objective, pivots=pivots)
 

@@ -379,10 +379,13 @@ def mc_estimate(
 
     A sanity tool, not an exact method. Plays still unresolved after
     max_steps count as misses, which biases long-cycling games low.
+    The seed feeds a numpy RandomState, so it must lie in [0, 2**32).
     """
     _require_fully_reduced(rg, "mc_estimate")
     if plays < 1:
         raise PreconditionError(f"plays must be positive, got {plays}")
+    if not 0 <= seed < 2**32:
+        raise PreconditionError(f"seed must be in [0, 2**32), got {seed}")
     game = rg.game
     if start is None:
         start = game.start

@@ -323,6 +323,14 @@ def test_gen_bad_weights_is_usage_error(capsys):
     assert code == 2
 
 
+def test_gen_negative_seed_is_usage_error(capsys):
+    # used to end in a numpy ValueError traceback
+    code, out, err = run(capsys, "gen", "--n", "5", "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert "non-negative integer" in err
+
+
 # -------------------------------------------------------------- oracle
 
 
@@ -411,6 +419,35 @@ def test_bench_non_positive_count_is_usage_error(game_file, tmp_path, capsys, fl
     )
     assert code == 2
     assert "positive integer" in err
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        ("solve --c 0", "positive integer"),
+        ("solve --c -1", "positive integer"),
+        ("transform --c 0", "positive integer"),
+        ("transform --c -1", "positive integer"),
+        ("solve --method oracle --budget -1", "non-negative integer"),
+        ("oracle --budget -1", "non-negative integer"),
+    ],
+)
+def test_non_positive_multiplier_or_negative_budget_is_usage_error(game_file, capsys, argv, expected):
+    # solve --c 0 used to exit 0 with c ignored on the lp route, and
+    # oracle --budget -1 to report a budget of -1 as exceeded
+    code, _, err = run(capsys, *argv.split(), game_file(GAME_G))
+    assert code == 2
+    assert expected in err
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--budget"])
+def test_bench_negative_seed_or_budget_is_usage_error(game_file, tmp_path, capsys, flag):
+    game_file(GAME_B, "b.ssg")
+    suite = tmp_path / "suite.txt"
+    suite.write_text("b.ssg\n")
+    code, _, err = run(capsys, "bench", "--suite", str(suite), "--methods", "auto,mc", flag, "-1")
+    assert code == 2
+    assert "non-negative integer" in err
 
 
 @pytest.mark.parametrize("verb", [["solve"], ["reduce", "--sigma", "1->3"]])

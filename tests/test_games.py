@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from ssg import (
     FormatError,
     Game,
+    PreconditionError,
     Strategy,
     StrategyError,
     ValidationError,
@@ -227,6 +228,12 @@ def test_round_trip_fixtures(name):
 def test_round_trip_random_games(seed, n):
     g = random_game(n, seed=seed)
     assert parse_game(serialize_game(g)) == g
+
+
+def test_random_game_rejects_negative_seed():
+    with pytest.raises(PreconditionError, match="seed"):
+        random_game(5, seed=-1)
+    assert random_game(5, seed=2**70).n == 5
 
 
 @given(num=st.integers(0, 10**9), den=st.integers(1, 10**9))

@@ -1,6 +1,9 @@
 """LP builders for one-player games and the exact simplex underneath."""
 
+import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -17,6 +20,7 @@ from ssg import (
     build_lp_max_free,
     build_lp_min_free,
     dump_lp,
+    format_rational,
     random_game,
     reduce_game,
     simplex_optimize,
@@ -101,6 +105,166 @@ def test_simplex_redundant_rows_do_not_change_optimum():
     base = lp_of([[1, 1]], ["<="], [2], [1, 1], "max")
     padded = lp_of([[1, 1], [1, 1], [2, 2]], ["<=", "<=", "<="], [2, 2, 4], [1, 1], "max")
     assert simplex_optimize(base).objective == simplex_optimize(padded).objective == 2
+
+
+def _solve_square(rows, rhs):
+    """The unique solution of a square system, or None if it is singular."""
+    n = len(rows)
+    a = [list(row) + [b] for row, b in zip(rows, rhs)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
+        if piv is None:
+            return None
+        a[col], a[piv] = a[piv], a[col]
+        for i in range(n):
+            if i != col and a[i][col] != 0:
+                f = a[i][col] / a[col][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    return [a[i][n] / a[i][i] for i in range(n)]
+
+
+def _feasible(rows, x):
+    if any(v < 0 for v in x):
+        return False
+    for coeffs, rel, rhs in rows:
+        lhs = sum(c * v for c, v in zip(coeffs, x))
+        if not {"<=": lhs <= rhs, ">=": lhs >= rhs, "=": lhs == rhs}[rel]:
+            return False
+    return True
+
+
+def _basic_solutions(rows, nv):
+    """Every feasible x >= 0 at which nv independent rows or bounds are tight."""
+    planes = [(coeffs, rhs) for coeffs, _, rhs in rows]
+    planes += [(tuple(Fraction(k == j) for k in range(nv)), Fraction(0)) for j in range(nv)]
+    for subset in combinations(planes, nv):
+        x = _solve_square([p[0] for p in subset], [p[1] for p in subset])
+        if x is not None and _feasible(rows, x):
+            yield x
+
+
+def _brute_force_optimum(lp):
+    """"infeasible", "unbounded" or the optimal objective, by enumeration.
+
+    x >= 0 makes the region pointed, so it is empty exactly when it has
+    no basic solution, and otherwise the optimum is attained at one
+    unless some recession direction r improves the objective. Scaled to
+    sum(r) = 1 those directions form a polytope, enumerated the same way.
+    """
+    nv = len(lp.variables)
+    sign = 1 if lp.direction == "max" else -1
+    rows = [(c.coeffs, c.relation, c.rhs) for c in lp.constraints]
+
+    def gain(x):
+        return sign * sum(c * v for c, v in zip(lp.objective, x))
+
+    points = list(_basic_solutions(rows, nv))
+    if not points:
+        return "infeasible"
+    rays = [(coeffs, rel, Fraction(0)) for coeffs, rel, _ in rows]
+    rays.append(((Fraction(1),) * nv, "=", Fraction(1)))
+    if any(gain(r) > 0 for r in _basic_solutions(rays, nv)):
+        return "unbounded"
+    return sign * max(gain(x) for x in points)
+
+
+def _random_lp(rng):
+    def rational():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 7)) if rng.random() < 0.75 else Fraction(0)
+
+    nv = rng.randint(1, 4)
+    rows = [
+        Constraint(tuple(rational() for _ in range(nv)), rng.choice(("<=", ">=", "=")), rational())
+        for _ in range(rng.randint(0, 5))
+    ]
+    if rows and rng.random() < 0.2:
+        rows.append(rng.choice(rows))  # a duplicate equality leaves a dead row
+    return LinearProgram(
+        variables=tuple(f"x{i}" for i in range(1, nv + 1)),
+        objective=tuple(rational() for _ in range(nv)),
+        direction=rng.choice(("min", "max")),
+        constraints=tuple(rows),
+    )
+
+
+def _check_against_enumeration(lp):
+    expected = _brute_force_optimum(lp)
+    if expected == "infeasible":
+        with pytest.raises(InfeasibleError):
+            simplex_optimize(lp)
+    elif expected == "unbounded":
+        with pytest.raises(UnboundedError):
+            simplex_optimize(lp)
+    else:
+        res = simplex_optimize(lp)
+        assert _feasible([(c.coeffs, c.relation, c.rhs) for c in lp.constraints], res.values)
+        assert res.objective == expected == sum(c * v for c, v in zip(lp.objective, res.values))
+        return "optimal"
+    return expected
+
+
+def test_simplex_matches_basic_solution_enumeration():
+    rng = random.Random(9)
+    outcomes = Counter(_check_against_enumeration(_random_lp(rng)) for _ in range(300))
+    assert min(outcomes[k] for k in ("infeasible", "unbounded", "optimal")) >= 30, outcomes
+
+
+@pytest.mark.parametrize(
+    "rows, relations, rhs, objective, direction, expected",
+    [
+        # -x2 >= 0 leaves its artificial basic at 0 after phase 1, and
+        # pivoting it out meets the negative entry -1
+        ([[0, -1]], [">="], [0], [1, -1], "min", (0, 0)),
+        # a duplicated equality and a 0 = 0 row are dropped as dead rows
+        ([[1, 1], [1, 1], [0, 0]], ["=", "=", "="], [1, 1, 0], [1, 0], "min", (0, 1)),
+        ([[1, 2], [Fraction(1, 2), 1]], ["=", "="], [3, Fraction(3, 2)], [1, 1], "max", (3, 0)),
+    ],
+)
+def test_simplex_clean_up_branches(rows, relations, rhs, objective, direction, expected):
+    lp = lp_of(rows, relations, rhs, objective, direction)
+    assert simplex_optimize(lp).values == expected
+    assert _check_against_enumeration(lp) == "optimal"
+
+
+_PINNED_FIXTURES = {
+    # fixture: (values, pivots) of the min-free and the max-free program
+    "GAME-A": ("1/2 0 1", 3, "1/2 0 1", 3),
+    "GAME-B": ("2/3 1/3 0 1", 4, "2/3 1/3 0 1", 4),
+    "GAME-C": ("0 0 1", 2, "0 0 1", 3),
+    "GAME-D": ("0 0 0 1", 3, "0 0 0 1", 4),
+    "GAME-E": ("0 0 0 1", 5, "0 0 0 1", 4),
+    "GAME-F": ("1 0 1", 4, "1 0 1", 3),
+    "GAME-G": ("3/4 1/2 3/4 0 1", 6, "3/4 1/2 3/4 0 1", 5),
+}
+
+_PINNED_RANDOM = [
+    # (n, weights, seed, values, pivots)
+    (10, (1, 0, 1), 7, "0 0 1/8 0 1/2 0 1/4 0 0 1", 11),
+    (14, (1, 0, 1), 0, "11/12 5/12 11/12 5/6 11/12 11/12 5/6 1 5/6 5/6 5/6 2/3 0 1", 25),
+    (20, (1, 0, 1), 4, "7/8 1 1 1/2 3/4 1 7/16 1 1 1 1 1 15/32 15/16 15/32 1 1/2 1/2 0 1", 31),
+    (10, (0, 1, 1), 6, "0 1/2 1/2 1/4 1/8 0 1/4 1/2 0 1", 11),
+    (14, (0, 1, 1), 11, "0 0 0 0 1/7 1/2 4/7 0 0 1/7 0 2/7 0 1", 14),
+    (20, (0, 1, 1), 3, "0 0 0 0 3/16 1/8 1/2 0 0 0 0 0 1/4 0 0 0 1/4 3/16 0 1", 20),
+]
+
+
+def _values_and_pivots(lp):
+    res = simplex_optimize(lp)
+    return " ".join(format_rational(x) for x in res.values), res.pivots
+
+
+def test_simplex_pivot_sequence_is_pinned():
+    # Bland's rule and its tie-breaks fix the pivot sequence; a change to
+    # the tableau arithmetic must not move it.
+    for name, game in FIXTURES.items():
+        report = solve(game)
+        min_free = build_lp_min_free(reduce_game(game, tau=report.tau))
+        max_free = build_lp_max_free(reduce_game(game, sigma=report.sigma))
+        assert _values_and_pivots(min_free) + _values_and_pivots(max_free) == _PINNED_FIXTURES[name]
+    for n, weights, seed, values, pivots in _PINNED_RANDOM:
+        game = random_game(n, weights, seed=seed)
+        build = build_lp_min_free if weights[1] == 0 else build_lp_max_free
+        assert _values_and_pivots(build(game)) == (values, pivots)
 
 
 def test_lp_shape_validation():

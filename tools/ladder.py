@@ -3,13 +3,15 @@
     python3 tools/ladder.py --label NAME [--games 3] [--seed 0]
 
 Run from anywhere; the package is imported from the checkout's `src/`.
-For each n in SIZES it draws games from three families, scanning
+For each n in SIZES it draws games from five families, scanning
 seed = --seed, --seed + 1, ... and keeping the first --games of each:
 `random_game(n, (1, 1, 1), seed)` games that hold all three vertex
 kinds and are non-stopping (auto `solve` takes the transform route);
-the same drawn with require_stopping (hk route); and
+the same drawn with require_stopping (hk route);
 `random_game(n, (1, 1, 0), seed)` games that hold both players
-(avg-free route). Each kept game is solved once with
+(avg-free route); and `random_game(n, (1, 0, 1), seed)` and
+`random_game(n, (0, 1, 1), seed)` games that hold their one player and
+avg vertices (lp route). Each kept game is solved once with
 `solve(game, "auto")`, and each stopping mixed one also with
 `solve(game, "vi")` (value iteration snapped back to exact values);
 every solve is timed with perf_counter. The run writes
@@ -39,7 +41,13 @@ import ssg  # noqa: E402
 SIZES = (8, 16, 24, 32, 40, 60)
 KINDS = (ssg.VertexKind.MAX, ssg.VertexKind.MIN, ssg.VertexKind.AVG)
 # (weights, stopping): stopping True draws with require_stopping
-FAMILIES = (((1, 1, 1), False), ((1, 1, 1), True), ((1, 1, 0), False))
+FAMILIES = (
+    ((1, 1, 1), False),
+    ((1, 1, 1), True),
+    ((1, 1, 0), False),
+    ((1, 0, 1), False),
+    ((0, 1, 1), False),
+)
 
 
 def output_hash(report) -> str:
