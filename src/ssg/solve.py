@@ -315,9 +315,10 @@ def vi_iterates(
     vector equals value_iteration's result exactly. Arguments are
     checked at the call, before the first vector is drawn."""
     _eps, one, thr, kind, c0, c1 = _vi_setup(game, epsilon, max_iters)
-    swept = (v for v, _res in kernels.sweeps(kind, c0, c1, one, thr, max_iters))
-    vectors = chain([kernels.start_vector(kind, one)], swept)
-    return (ValueVector(Fraction(x, one) for x in v) for v in vectors)
+    layout = kernels.sweep_layout(kind, c0, c1, one)
+    swept = (v for v, _gain, _converged in kernels.sweeps(layout, thr, max_iters))
+    vectors = chain([layout.start()], swept)
+    return (ValueVector(Fraction(x, one) for x in layout.in_vertex_order(v)) for v in vectors)
 
 
 def avg_free_run(game: Game) -> tuple[ValueVector, int]:
@@ -468,7 +469,9 @@ def round_to_value_set(x: Fraction, n: int) -> Fraction:
         best = Fraction(0)
     elif best > 1:
         best = Fraction(1)
-    if abs(x - best) < value_separation(n) / 2:
+    # |x - best| < 4**(-2n) / 2, cross-multiplied over both denominators
+    gap = x.numerator * best.denominator - best.numerator * x.denominator
+    if abs(gap) << (4 * n + 1) < x.denominator * best.denominator:
         return best
     raise PreconditionError(
         f"no representable value within half a separation of {x} for n={n}"

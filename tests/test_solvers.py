@@ -224,6 +224,12 @@ def test_rounding_clamps_into_unit_interval():
 def test_rounding_refuses_distant_points():
     with pytest.raises(PreconditionError):
         round_to_value_set(Fraction(51, 100), 3)
+    half_sep = value_separation(3) / 2
+    with pytest.raises(PreconditionError):
+        round_to_value_set(HALF + half_sep, 3)
+    with pytest.raises(PreconditionError):
+        round_to_value_set(HALF - half_sep, 3)
+    assert round_to_value_set(HALF + half_sep - Fraction(1, 10**30), 3) == HALF
 
 
 # ------------------------------------------------------ greedy readout
@@ -326,6 +332,14 @@ def test_methods_agree_on_stopping_game():
 def test_vi_method_snaps_to_exact_values():
     report = solve(GAME_B, method="vi")
     assert report.values == ValueVector([Fraction(2, 3), Fraction(1, 3), 0, 1])
+
+
+@pytest.mark.parametrize("n", [16, 24, 40])
+def test_vi_agrees_with_hk_above_n8(n):
+    for seed in range(3):
+        game = random_game(n, seed=seed, require_stopping=True)
+        vi, hk = solve(game, "vi"), solve(game, "hk")
+        assert (vi.values, vi.tau, vi.sigma) == (hk.values, hk.tau, hk.sigma)
 
 
 def test_vi_method_needs_stopping():

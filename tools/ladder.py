@@ -13,13 +13,15 @@ the same drawn with require_stopping (hk route);
 `random_game(n, (0, 1, 1), seed)` games that hold their one player and
 avg vertices (lp route). Each kept game is solved once with
 `solve(game, "auto")`, and each stopping mixed one also with
-`solve(game, "vi")` (value iteration snapped back to exact values);
-every solve is timed with perf_counter. The run writes
+`solve(game, "vi")` (value iteration snapped back to exact values)
+and with an `mc` row: `mc_estimate` of MC_PLAYS plays, seeded with the
+game's seed, on the game reduced by the auto solve's strategies;
+every solve and rollout is timed with perf_counter. The run writes
 BENCH_<label>.json at the root of the checkout: one row per solve with
 n, weights, seed, route, seconds and a hash of the output (values,
-strategies, method, iterations and certificate z, s, c), plus the core
-count. Two checkouts that produce the same hashes give bit-identical
-answers on the ladder.
+strategies, method, iterations and certificate z, s, c; for `mc` rows,
+hits and truncated plays), plus the core count. Two checkouts that
+produce the same hashes give bit-identical answers on the ladder.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 import ssg  # noqa: E402
 
 SIZES = (8, 16, 24, 32, 40, 60)
+MC_PLAYS = 4000
 KINDS = (ssg.VertexKind.MAX, ssg.VertexKind.MIN, ssg.VertexKind.AVG)
 # (weights, stopping): stopping True draws with require_stopping
 FAMILIES = (
@@ -58,6 +61,10 @@ def output_hash(report) -> str:
     if cert is not None:
         h.update(repr(([str(x) for x in cert.z.components], [str(x) for x in cert.s.components], cert.c)).encode())
     return h.hexdigest()[:16]
+
+
+def mc_hash(est) -> str:
+    return hashlib.sha256(repr((est.hits, est.truncated)).encode()).hexdigest()[:16]
 
 
 def draw(n: int, games: int, seed: int) -> list[tuple[int, tuple, bool, ssg.Game]]:
@@ -89,23 +96,34 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     rows = []
+
+    def record(n, seed, weights, stopping, route, seconds, iterations, digest):
+        rows.append({
+            "n": n,
+            "weights": list(weights),
+            "seed": seed,
+            "stopping": stopping,
+            "route": route,
+            "seconds": round(seconds, 6),
+            "iterations": iterations,
+            "hash": digest,
+        })
+        print(f"n={n:3d} seed={seed:4d} {route:9s} {seconds:9.4f} s", flush=True)
+
     for n in SIZES:
         for seed, weights, stopping, game in draw(n, args.games, args.seed):
             for method in ("auto", "vi") if stopping else ("auto",):
                 t0 = perf_counter()
                 report = ssg.solve(game, method)
                 seconds = perf_counter() - t0
-                rows.append({
-                    "n": n,
-                    "weights": list(weights),
-                    "seed": seed,
-                    "stopping": stopping,
-                    "route": report.method,
-                    "seconds": round(seconds, 6),
-                    "iterations": report.iterations,
-                    "hash": output_hash(report),
-                })
-                print(f"n={n:3d} seed={seed:4d} {report.method:9s} {seconds:9.4f} s", flush=True)
+                record(n, seed, weights, stopping, report.method, seconds, report.iterations,
+                       output_hash(report))
+                if stopping and method == "auto":
+                    rg = ssg.reduce_game(game, report.tau, report.sigma)
+                    t0 = perf_counter()
+                    est = ssg.mc_estimate(rg, plays=MC_PLAYS, seed=seed)
+                    seconds = perf_counter() - t0
+                    record(n, seed, weights, stopping, "mc", seconds, None, mc_hash(est))
 
     summary = {}
     for row in rows:
