@@ -63,6 +63,8 @@ DEFAULT_ORACLE_BUDGET = 16
 DEFAULT_MAX_ITERS = 200_000
 # Floor of the value-iteration grid exponent K (see _grid_setup).
 MIN_GRID_BITS = 60
+# Sweeps between two snap tries of the vi route (see _vi_solve).
+SNAP_SPACING = 8
 
 METHODS = ("auto", "vi", "hk", "lp", "avg-free", "oracle")
 
@@ -72,8 +74,10 @@ def value_separation(n: int) -> Fraction:
 
     Two distinct rationals with denominators at most 4**n differ by at
     least 1/(q*q') >= 4**(-2n); anything closer than half of that to a
-    representable value identifies it uniquely.
+    representable value identifies it uniquely. n must be positive.
     """
+    if n < 1:
+        raise PreconditionError(f"game size must be positive, got n={n}")
     return Fraction(1, 4 ** (2 * n))
 
 
@@ -112,7 +116,9 @@ def default_epsilon(n: int) -> Fraction:
     at least 2**-n, so the tail is at most about n * 2**n * epsilon.
     The extra 4**-(n+1) under the quarter-separation target absorbs
     that amplification, leaving the final approximation within a
-    quarter separation of the exact fixed point.
+    quarter separation of the exact fixed point. value_iteration stops
+    there; the vi route of solve usually stops earlier, at the first
+    snapped iterate that is a fixed point, and epsilon is its last try.
     """
     return value_separation(n) / 4 ** (n + 1)
 
@@ -138,6 +144,32 @@ def apply_operator(game: Game, v: ValueVector) -> ValueVector:
             else:
                 out.append((v[a] + v[b]) / 2)
     return ValueVector(out)
+
+
+def _is_fixed_point(game: Game, z: list[tuple[int, int]]) -> bool:
+    """Whether T z = z, for z given as reduced (numerator, denominator)
+    pairs in vertex order; the same answer as apply_operator(game, z) == z.
+
+    Reduced pairs are equal exactly when their values are, so a sink
+    or player vertex compares pairs, after max or min picks its child
+    by cross-multiplying, and an avg vertex cross-multiplies the mean.
+    No Fraction is built.
+    """
+    for (p, q), kind, pair in zip(z, game.kinds, game.children):
+        if pair is None:
+            if p != (q if kind is VertexKind.SINK1 else 0):
+                return False
+            continue
+        pa, qa = z[pair[0] - 1]
+        pb, qb = z[pair[1] - 1]
+        if kind is VertexKind.AVG:
+            if 2 * p * qa * qb != q * (pa * qb + pb * qa):
+                return False
+        else:
+            left = (pa * qb >= pb * qa) == (kind is VertexKind.MAX)
+            if (p, q) != ((pa, qa) if left else (pb, qb)):
+                return False
+    return True
 
 
 def contracted_fixed_point(game: Game, c: int, s: ValueVector) -> bool:
@@ -454,28 +486,62 @@ def hoffman_karp(game: Game) -> SolveReport:
     return _report(game, values, "hk", rounds)
 
 
+def _snap(num: int, den: int, n: int) -> Union[tuple[int, int], None]:
+    """The integer core of round_to_value_set: the representable value
+    within half a separation of num/den (den > 0, not necessarily
+    reduced) as a reduced (numerator, denominator) pair, or None.
+
+    The continued fraction of num/den runs until the next convergent's
+    denominator would pass 4**n; the closer of the last convergent and
+    the largest semiconvergent within the bound wins, the convergent on
+    a tie, which is Fraction.limit_denominator's choice. Both are
+    reduced, since neighbouring convergents have determinant +-1.
+    """
+    bound = 1 << (2 * n)
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    a, b = num, den
+    while b:
+        k = a // b
+        if q0 + k * q1 > bound:
+            k = (bound - q0) // q1
+            p, q = p0 + k * p1, q0 + k * q1
+            if abs(p1 * den - num * q1) * q <= abs(p * den - num * q) * q1:
+                p, q = p1, q1
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + k * p1, q0 + k * q1
+        a, b = b, a - k * b
+    else:
+        p, q = p1, q1
+    if p < 0:
+        p, q = 0, 1
+    elif p > q:
+        p, q = 1, 1
+    # |num/den - p/q| < 4**(-2n) / 2, cross-multiplied over both denominators
+    if abs(num * q - p * den) << (4 * n + 1) < den * q:
+        return p, q
+    return None
+
+
 def round_to_value_set(x: Fraction, n: int) -> Fraction:
     """Snap an approximation to the unique representable vertex value
     within half the separation 4**(-2n).
 
     Representable values for an n-vertex game have denominator at most
-    4**n; the closest one is found by best rational approximation. If
-    even that lies half a separation or more away the precondition was
-    violated and the call fails rather than guess.
+    4**n; the closest one is found by best rational approximation, an
+    integer continued fraction on x's numerator and denominator (see
+    _snap), and clamped into [0, 1]. If even that lies half a
+    separation or more away the precondition was violated and the call
+    fails rather than guess. n must be positive.
     """
+    if n < 1:
+        raise PreconditionError(f"game size must be positive, got n={n}")
     x = Fraction(x)
-    best = x.limit_denominator(4**n)
-    if best < 0:
-        best = Fraction(0)
-    elif best > 1:
-        best = Fraction(1)
-    # |x - best| < 4**(-2n) / 2, cross-multiplied over both denominators
-    gap = x.numerator * best.denominator - best.numerator * x.denominator
-    if abs(gap) << (4 * n + 1) < x.denominator * best.denominator:
-        return best
-    raise PreconditionError(
-        f"no representable value within half a separation of {x} for n={n}"
-    )
+    snapped = _snap(x.numerator, x.denominator, n)
+    if snapped is None:
+        raise PreconditionError(
+            f"no representable value within half a separation of {x} for n={n}"
+        )
+    return Fraction(*snapped)
 
 
 def _transform_solve(game: Game, c: int) -> tuple[ValueVector, ValueVector, int]:
@@ -486,20 +552,73 @@ def _transform_solve(game: Game, c: int) -> tuple[ValueVector, ValueVector, int]
     which gives s, the companion's exact optimal values there, and z is
     their snap-back onto the original game's representable values.
     lam < 1 makes that game stopping, so no stopping test is needed. A c too small for
-    exact snap-back raises PreconditionError; past that, the operator
-    and gap checks are theory-guaranteed, and failing them means a bug,
-    not bad input.
+    exact snap-back raises PreconditionError; past that, the snap-back
+    (which refuses a gap of half a separation) and the operator check
+    are theory-guaranteed, and failing them means a bug, not bad input.
     """
     _require_sound_multiplier(game.n, c)
     s, rounds = _strategy_improvement(game, chain_weight(c * game.n))
     z = ValueVector(round_to_value_set(x, game.n) for x in s.components)
-    half_sep = value_separation(game.n) / 2
-    if apply_operator(game, z) != z:
+    if not _is_fixed_point(game, [x.as_integer_ratio() for x in z.components]):
         raise InternalCheckError("snapped vector is not an operator fixed point")
-    for i in game.vertices:
-        if abs(z[i] - s[i]) >= half_sep:
-            raise InternalCheckError(f"snap-back gap at vertex {i} reaches half a separation")
     return z, s, rounds
+
+
+def _snap_fixed_point(game: Game, ints: list[int], one: int) -> Union[list[tuple[int, int]], None]:
+    """Snap grid integers (vertex order, value x / one) and return the
+    snapped pairs if they form an operator fixed point, else None; the
+    first component without a representable value within half a
+    separation ends the try."""
+    z = []
+    for x in ints:
+        pair = _snap(x, one, game.n)
+        if pair is None:
+            return None
+        z.append(pair)
+    return z if _is_fixed_point(game, z) else None
+
+
+def _vi_solve(
+    game: Game, epsilon: Union[Fraction, None], max_iters: int
+) -> tuple[ValueVector, int]:
+    """The vi route on a stopping game: sweep from zero and return the
+    exact values with the productive sweeps run, or raise
+    NonConvergenceError with the last iterate attached.
+
+    Vertex values have denominators at most 4**n, so an iterate within
+    half a separation of the value snaps to it, and on a stopping game
+    T has one fixed point, so a snapped z with T z = z is the value.
+    The sweep's gain bounds its residual from above, so once the gain
+    first falls to half a separation (one >> (4n+1) grid units) the
+    iterate is snapped and tested, and again every SNAP_SPACING sweeps.
+    The sweep that reaches epsilon is the last try.
+    """
+    eps, one, thr, kind, c0, c1 = _vi_setup(game, epsilon, max_iters)
+    layout = kernels.sweep_layout(kind, c0, c1, one)
+    near = one >> (4 * game.n + 1)
+    productive = 0
+    due = None
+    for sweep, (v, gain, converged) in enumerate(kernels.sweeps(layout, thr, max_iters)):
+        productive += gain > 0
+        if due is None and gain <= near:
+            due = sweep
+        if converged or sweep == due:
+            z = _snap_fixed_point(game, layout.in_vertex_order(v), one)
+            if z is not None:
+                return ValueVector(Fraction(p, q) for p, q in z), productive
+            due = sweep + SNAP_SPACING
+    approx = ValueVector(Fraction(x, one) for x in layout.in_vertex_order(v))
+    if converged:
+        raise NonConvergenceError(
+            "value iteration result does not snap to a fixed point; lower epsilon",
+            values=approx,
+            iterations=productive,
+        )
+    raise NonConvergenceError(
+        f"value iteration did not reach epsilon={eps} within {max_iters} sweeps",
+        values=approx,
+        iterations=productive,
+    )
 
 
 def solve(
@@ -521,6 +640,9 @@ def solve(
     test runs once.
     The transform path always attaches a certificate; pass
     with_certificate to force one on the other paths too.
+    vi, on stopping games only, runs value iteration until a snapped
+    iterate passes the exact test T z = z, with epsilon as the last try
+    (default_epsilon when None), and counts the productive sweeps run.
     """
     if method not in METHODS:
         raise PreconditionError(f"unknown method {method!r}; want one of {', '.join(METHODS)}")
@@ -563,14 +685,7 @@ def solve(
     elif method == "vi":
         if not is_stopping(game):
             raise PreconditionError("vi method needs a stopping game; transform first")
-        approx, iters = value_iteration(game, max_iters=max_iters, epsilon=epsilon)
-        z = ValueVector(round_to_value_set(x, game.n) for x in approx.components)
-        if apply_operator(game, z) != z:
-            raise NonConvergenceError(
-                "value iteration result does not snap to a fixed point; lower epsilon",
-                values=approx,
-                iterations=iters,
-            )
+        z, iters = _vi_solve(game, epsilon, max_iters)
         report = _report(game, z, "vi", iters)
     else:  # oracle
         report = brute_force_oracle(game, budget=oracle_budget)
@@ -666,7 +781,7 @@ def verify_ovv_certificate(game: Game, cert: Certificate) -> bool:
     bound = 4**game.n
     if any(x.denominator > bound for x in cert.z.components):
         return False
-    if apply_operator(game, cert.z) != cert.z:
+    if not _is_fixed_point(game, [x.as_integer_ratio() for x in cert.z.components]):
         return False
     half_sep = value_separation(game.n) / 2
     for i in game.vertices:

@@ -1,6 +1,7 @@
 """End-to-end solver behavior: operator, iteration, improvement, oracle,
 dispatch, and certificate checking."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,7 @@ from ssg.fixtures import (
     GAME_F,
     GAME_G,
 )
+from ssg.solve import _is_fixed_point, _snap
 
 HALF = Fraction(1, 2)
 
@@ -76,6 +78,60 @@ def test_operator_fixed_point_family(x):
 def test_operator_keeps_sinks():
     v = apply_operator(GAME_G, ValueVector([0, 0, 0, 0, 1]))
     assert v[4] == 0 and v[5] == 1
+
+
+def _reference_fixed_point(game, vals):
+    """apply_operator(game, z) == z written out on a list of Fractions,
+    which unlike a ValueVector may leave [0, 1]."""
+    for v, x in zip(game.vertices, vals):
+        kind = game.kind(v)
+        if kind.is_sink:
+            want = Fraction(kind is VertexKind.SINK1)
+        else:
+            a, b = (vals[c - 1] for c in game.children_of(v))
+            if kind is VertexKind.MAX:
+                want = max(a, b)
+            elif kind is VertexKind.MIN:
+                want = min(a, b)
+            else:
+                want = (a + b) / 2
+        if x != want:
+            return False
+    return True
+
+
+def test_integer_fixed_point_test_matches_operator():
+    rng = random.Random(5)
+    games = list(FIXTURES.values()) + [MIXED_LOOPY, MIXED_STOPPING]
+    games += [random_game(n, seed=s) for n in range(3, 13) for s in range(4)]
+    verdicts = set()
+    for game in games:
+        z = list(solve(game).values.components)
+        step = Fraction(1, 4**game.n)
+        candidates = [z, [1 - x for x in z]]
+        for i in range(game.n):
+            for shift in (step, -step):
+                moved = list(z)
+                moved[i] += shift
+                candidates.append(moved)
+        wrong = list(z)
+        wrong[game.sink0 - 1], wrong[game.sink1 - 1] = Fraction(1, 2), Fraction(0)
+        candidates.append(wrong)
+        # interior entries outside [0, 1]
+        for x in (Fraction(-1, 3), Fraction(5, 2)):
+            candidates.append([x] * (game.n - 2) + [Fraction(0), Fraction(1)])
+        candidates.append([Fraction(rng.randint(-6, 12), 6) for _ in range(game.n)])
+        for vals in candidates:
+            expect = _reference_fixed_point(game, vals)
+            if all(0 <= x <= 1 for x in vals):
+                assert expect == (apply_operator(game, ValueVector(vals)) == ValueVector(vals))
+            assert _is_fixed_point(game, [x.as_integer_ratio() for x in vals]) == expect
+            verdicts.add(expect)
+    assert verdicts == {True, False}
+    # min vertices mirroring each other hold any common value up to the
+    # 1-sink's, negative ones included
+    for x, fixed in ((Fraction(-1), True), (Fraction(1, 8), True), (Fraction(2), False)):
+        assert _is_fixed_point(GAME_D, [x.as_integer_ratio()] * 2 + [(0, 1), (1, 1)]) == fixed
 
 
 # ----------------------------------------------------- value iteration
@@ -232,6 +288,58 @@ def test_rounding_refuses_distant_points():
     assert round_to_value_set(HALF + half_sep - Fraction(1, 10**30), 3) == HALF
 
 
+def test_rounding_and_separation_need_a_positive_size():
+    for n in (0, -1):
+        with pytest.raises(PreconditionError, match="game size must be positive"):
+            round_to_value_set(Fraction(1, 3), n)
+        with pytest.raises(PreconditionError, match="game size must be positive"):
+            value_separation(n)
+
+
+def _reference_snap(x, n):
+    """The snap as limit_denominator, clamping and the half-separation
+    refusal; None where round_to_value_set refuses."""
+    best = min(max(x.limit_denominator(4**n), Fraction(0)), Fraction(1))
+    return best if abs(x - best) < value_separation(n) / 2 else None
+
+
+def test_rounding_matches_limit_denominator():
+    rng = random.Random(11)
+    checked = refused = 0
+    for n in range(1, 13):
+        half_sep = value_separation(n) / 2
+        for _ in range(150):
+            q = rng.randint(1, 4**n)
+            base = Fraction(rng.randint(-q, 2 * q), q)
+            tiny = Fraction(1, 2 ** rng.randint(4 * n + 2, 4 * n + 40))
+            for x in (
+                base,
+                base + half_sep,
+                base - half_sep,
+                base + half_sep - tiny,
+                base - half_sep + tiny,
+                base + Fraction(rng.randint(-10**6, 10**6), 10**6 * 4 ** (2 * n)),
+                Fraction(rng.randint(-2 * 10**9, 3 * 10**9), 10**9),
+                Fraction(rng.getrandbits(6 * n + 40), 2 ** (6 * n + 40)),
+            ):
+                expect = _reference_snap(x, n)
+                if expect is None:
+                    refused += 1
+                    with pytest.raises(PreconditionError):
+                        round_to_value_set(x, n)
+                else:
+                    assert round_to_value_set(x, n) == expect, (x, n)
+                    got = _snap(x.numerator, x.denominator, n)
+                    assert got == expect.as_integer_ratio()
+                # the vi route snaps grid integers, which need not be reduced
+                k = rng.randint(2, 2**70)
+                assert _snap(x.numerator * k, x.denominator * k, n) == _snap(
+                    x.numerator, x.denominator, n
+                )
+                checked += 1
+    assert refused and refused < checked
+
+
 # ------------------------------------------------------ greedy readout
 
 
@@ -334,7 +442,66 @@ def test_vi_method_snaps_to_exact_values():
     assert report.values == ValueVector([Fraction(2, 3), Fraction(1, 3), 0, 1])
 
 
-@pytest.mark.parametrize("n", [16, 24, 40])
+def test_vi_method_caps_sweeps():
+    # GAME-B is worth (2/3, 1/3), which no finite sweep count reaches
+    with pytest.raises(NonConvergenceError, match="within 1 sweeps") as info:
+        solve(GAME_B, "vi", max_iters=1)
+    assert info.value.iterations == 1
+    assert info.value.values == ValueVector([HALF, 0, 0, 1])
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 4), Fraction(1, 1000)])
+def test_vi_method_coarse_epsilon_asks_for_a_lower_one(eps):
+    # at 1/4 the iterate (5/8, 1/4) snaps to itself, which is no fixed
+    # point; at 1/1000 the iterate's 341/512 has no representable value
+    # within half a separation
+    with pytest.raises(NonConvergenceError, match="lower epsilon") as info:
+        solve(GAME_B, "vi", epsilon=eps)
+    approx, sweeps = value_iteration(GAME_B, epsilon=eps)
+    assert (info.value.values, info.value.iterations) == (approx, sweeps)
+
+
+def _reference_vi_stop(game):
+    """The vi route's stopping rule written out on vi_iterates with
+    Fractions: the first snap try comes at the first sweep whose gain
+    (sum increase) is at most half a separation, later ones every 8
+    sweeps; returns (snapped values, productive sweeps) at the first try
+    whose snap is an operator fixed point."""
+    half_sep = value_separation(game.n) / 2
+    iterates = vi_iterates(game)
+    prev = next(iterates)
+    productive = 0
+    due = None
+    for sweep, cur in enumerate(iterates):
+        productive += cur != prev
+        if due is None and sum(cur.components) - sum(prev.components) <= half_sep:
+            due = sweep
+        prev = cur
+        if sweep == due:
+            try:
+                z = ValueVector(round_to_value_set(x, game.n) for x in cur.components)
+            except PreconditionError:
+                z = None
+            if z is not None and apply_operator(game, z) == z:
+                return z, productive
+            due = sweep + 8
+    raise AssertionError("no snapped fixed point before epsilon")
+
+
+def test_vi_method_stops_at_the_first_snapped_fixed_point():
+    fewer = 0
+    for n in range(8, 25, 4):
+        for seed in range(3):
+            game = random_game(n, seed=seed, require_stopping=True)
+            report = solve(game, "vi")
+            assert (report.values, report.iterations) == _reference_vi_stop(game)
+            _approx, sweeps = value_iteration(game)
+            assert report.iterations <= sweeps
+            fewer += report.iterations < sweeps
+    assert fewer
+
+
+@pytest.mark.parametrize("n", [16, 24, 40, 60])
 def test_vi_agrees_with_hk_above_n8(n):
     for seed in range(3):
         game = random_game(n, seed=seed, require_stopping=True)
