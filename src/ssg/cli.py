@@ -7,8 +7,9 @@ error, 2 on a usage error; decide exits 3 when the answer is false and
 certify exits 1 when the certificate is rejected.
 
 Output is text by default; --format json emits one structured document
-with a schema: 2 field, sorted keys, and rationals as "p/q" strings.
-Certificate files carry the same schema field, and certify refuses a
+with a schema: 3 field, sorted keys, and rationals as "p/q" strings.
+Certificate files carry the same schema field, the values z and the
+max strategy sigma as [vertex, child] pairs; certify refuses a
 certificate of any other schema.
 The json output of deterministic verbs is byte-stable across runs for
 identical inputs; bench rows carry wall-clock timings and are not.
@@ -50,7 +51,7 @@ from .solve import (
 )
 from .stopping import build_stopping_game
 
-SCHEMA = 2
+SCHEMA = 3
 
 _EDGE_RE = re.compile(r"^\s*(\d+)\s*->\s*(\d+)\s*$")
 
@@ -150,12 +151,7 @@ def _values_json(values: ValueVector) -> list[str]:
 
 
 def _certificate_json(cert: Certificate, n: int) -> dict:
-    return {
-        "c": cert.c,
-        "n": n,
-        "s": _values_json(cert.s),
-        "z": _values_json(cert.z),
-    }
+    return {"n": n, "sigma": _strategy_edges(cert.sigma), "z": _values_json(cert.z)}
 
 
 def _emit_json(doc: dict) -> None:
@@ -212,6 +208,18 @@ def _parse_value_list(raw, what: str) -> ValueVector:
         raise SSGError(f"certificate field {what!r}: {exc}") from None
 
 
+def _parse_sigma(raw) -> Strategy:
+    well_formed = isinstance(raw, list) and all(
+        isinstance(p, list) and len(p) == 2 and all(type(x) is int for x in p) for p in raw
+    )
+    if not well_formed:
+        raise SSGError("certificate field 'sigma' must be a list of [vertex, child] integer pairs")
+    try:
+        return Strategy(VertexKind.MAX, tuple(tuple(p) for p in raw))
+    except SSGError as exc:
+        raise SSGError(f"certificate field 'sigma': {exc}") from None
+
+
 def _load_certificate(path: str) -> Certificate:
     try:
         doc = json.loads(_read_text(path))
@@ -219,21 +227,14 @@ def _load_certificate(path: str) -> Certificate:
         raise SSGError(f"certificate file is not valid json: {exc}") from None
     if not isinstance(doc, dict):
         raise SSGError("certificate file must hold a json object")
-    for field in ("z", "s", "c"):
-        if field not in doc:
-            raise SSGError(f"certificate file is missing field {field!r}")
     if doc.get("schema") != SCHEMA:
         raise SSGError(
             f"certificate file has schema {doc.get('schema')!r}; this version reads schema {SCHEMA}"
         )
-    c = doc["c"]
-    if not isinstance(c, int) or c < 1:
-        raise SSGError(f"certificate field 'c' must be a positive integer, got {c!r}")
-    return Certificate(
-        z=_parse_value_list(doc["z"], "z"),
-        s=_parse_value_list(doc["s"], "s"),
-        c=c,
-    )
+    for field in ("z", "sigma"):
+        if field not in doc:
+            raise SSGError(f"certificate file is missing field {field!r}")
+    return Certificate(z=_parse_value_list(doc["z"], "z"), sigma=_parse_sigma(doc["sigma"]))
 
 
 def _strategy_from_edges(
@@ -394,7 +395,7 @@ def _cmd_certify(args) -> int:
     cert = _load_certificate(args.cert)
     accepted = verify_ovv_certificate(game, cert)
     if args.format == "json":
-        _emit_json({"verb": "certify", "accepted": accepted, "c": cert.c, "n": game.n})
+        _emit_json({"verb": "certify", "accepted": accepted, "n": game.n})
     else:
         print("certificate accepted" if accepted else "certificate rejected")
     return 0 if accepted else 1

@@ -16,8 +16,9 @@ game contracts to the original vertices with that weight on every edge.
 
 attractor is the package's one qualitative engine: the linear-time
 attractor of a reachability game (Condon 1992). The stopping test, the
-sink-reaching rows of the evaluator, the LP's zero set and the solver
-for games without chance are all calls of it.
+sink-reaching rows of the evaluator, the LP's zero set, the solver for
+games without chance, optimal strategy extraction and the certificate
+check are all calls of it.
 """
 
 from __future__ import annotations
@@ -92,6 +93,8 @@ def attractor(
 ) -> dict[int, int]:
     """The least vertex set holding target and every interior vertex
     with enough successors under rg already in it, as {vertex: layer}.
+    rg may be any successor view: an object with the game as .game and
+    a successors(v) method, such as solve's tight-edge view.
 
     "Enough" is all successors when the vertex's kind is in blocking and
     one otherwise, so for blocking = {MIN} it is the set from which max

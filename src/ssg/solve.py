@@ -16,24 +16,34 @@ absorption probabilities. Methods:
 Exactness on non-stopping mixed games comes from the transform: values
 of the stopping companion are within half the spacing of representable
 values of the original's, so snapping them back recovers the original
-values exactly, and the pair (snapped, companion) is a checkable
-certificate. The companion is solved in contracted form: strategy
+values exactly. The companion is solved in contracted form: strategy
 improvement runs on the original n vertices with every edge weighted
-by the chain factor lam = 1 - 2**-(c*n), and s holds the companion's
-values at those n vertices only; every chain entry is fixed by its
-target, so it adds no evidence. hoffman_karp and the transform share
-that loop and its one exact evaluator, markov.solve_value_vector, at
-lam = 1 and at the chain factor. The verifiers check s against the
-lam-weighted operator (contracted_fixed_point), whose unique fixed
-point is the companion's optimum at the original vertices.
-Snap-back is exact only for multipliers c whose transform error stays
-below half the value separation; the solver and both verifiers refuse
+by the chain factor lam = 1 - 2**-(c*n), which gives the companion's
+values s at those n vertices; every chain entry is fixed by its
+target. hoffman_karp and the transform share that loop and its one
+exact evaluator, markov.solve_value_vector, at lam = 1 and at the chain
+factor. Snap-back is exact only for multipliers c whose transform
+error stays below half the value separation; the solver refuses
 smaller c.
+
+Strategies and certificates share one qualitative engine,
+markov.attractor, run over the tight edges of a value vector z: both
+children of an avg vertex, and the children attaining z at a player
+vertex. Its target is the 1-sink and every vertex worth 0, and min
+blocks. greedy_strategies lets each player vertex pick its tight child
+in the lowest layer. A certificate is the pair (z, sigma), and the
+value is the least fixed point of the operator T, so z is the value
+exactly when T z = z, sigma is z-greedy, and the attractor with max
+fixed to sigma covers every vertex (the end-component argument of
+Kelmendi, Kraemer, Kretinsky and Weininger, CAV 2018): a set where
+z - val(G_sigma) is largest and positive would be closed under avg
+children, sigma and one tight child per min vertex, and no vertex of
+it could join.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -46,6 +56,7 @@ from .exceptions import (
     InternalCheckError,
     NonConvergenceError,
     PreconditionError,
+    StrategyError,
 )
 from .games import (
     Game,
@@ -53,6 +64,7 @@ from .games import (
     ValueVector,
     VertexKind,
     enumerate_strategies,
+    validate_strategy,
 )
 from .lp import build_lp_max_free, build_lp_min_free, simplex_optimize
 from .markov import ReducedGame, _reduced_arrays, attractor, is_stopping, solve_value_vector
@@ -89,8 +101,8 @@ def _smallest_sound_multiplier(n: int) -> int:
     error, transform_error_bound(n, c), below half the value separation.
     The bound falls as c grows, so counting up from 1 finds the least
     sound c; a requested c is never put into the bound, which for a
-    huge c would be a huge power of two. Cached per n because both the
-    solver and the verifiers ask on every call.
+    huge c would be a huge power of two. Cached per n because every
+    transform solve asks.
     """
     half_sep = value_separation(n) / 2
     least = 1
@@ -172,104 +184,66 @@ def _is_fixed_point(game: Game, z: list[tuple[int, int]]) -> bool:
     return True
 
 
-def contracted_fixed_point(game: Game, c: int, s: ValueVector) -> bool:
-    """Whether s is the fixed point of the lam-weighted operator, which
-    is the chain companion's operator with multiplier c contracted onto
-    the original vertices.
+class _TightEdges:
+    """A successor view of game for markov.attractor: the edges that a
+    z-greedy play may take.
 
-    An s without n entries raises CertificateError before any other
-    work. The sinks must read 0 and 1, and every interior i must satisfy
-    s(i) = lam * t with t = apply_operator(game, s)[i] and
-    lam = 1 - 2**-m, m = c*n. That map is a lam-contraction, so its only
-    fixed point is the companion's optimal value vector at the original
-    vertices. 2**m is never formed: t = 0 forces s(i) = 0, and otherwise
-    (t - s(i)) / t must be 1 over a power of two of bit length m + 1, so
-    a certificate naming a huge c is as cheap to refuse as any other.
+    An avg vertex keeps both children, a player vertex the children
+    that attain the max or min of z over its pair; with sigma given, a
+    max vertex keeps sigma's pick instead.
     """
-    if s.n != game.n:
-        raise CertificateError(f"certificate s has {s.n} entries, game has {game.n}")
-    if s[game.sink0] != 0 or s[game.sink1] != 1:
-        return False
-    m = c * game.n
-    op = apply_operator(game, s)
-    for i in game.interior:
-        t = op[i]
-        if t == 0:
-            if s[i] != 0:
-                return False
-            continue
-        gap = (t - s[i]) / t
-        q = gap.denominator
-        if gap.numerator != 1 or q & (q - 1) or q.bit_length() != m + 1:
-            return False
-    return True
 
-
-def _progress_ranks(game: Game, v: ValueVector) -> dict[int, int]:
-    """Backward layering over value-preserving edges.
-
-    Rank 0 is the sinks; a player vertex is ranked once some optimal
-    child is, an avg vertex once either child is. Vertices with a path
-    to a sink through optimal play all get ranked; a positive-value
-    vertex left unranked would contradict v being optimal.
-
-    Not markov.attractor: each pass ranks vertices in id order and a
-    vertex ranked earlier in a pass counts for later ones, so ranks
-    depend on vertex ids. They break greedy ties, and attractor layers
-    would pick other, equally optimal, strategies.
-    """
-    ranks = {game.sink0: 0, game.sink1: 0}
-    pending = set(game.interior)
-    while pending:
-        added = False
-        for i in sorted(pending):
-            kind = game.kind(i)
-            a, b = game.children_of(i)
-            if kind is VertexKind.AVG:
-                options = (a, b)
-            elif kind is VertexKind.MAX:
-                best = max(v[a], v[b])
-                options = tuple(c for c in (a, b) if v[c] == best)
+    def __init__(self, game: Game, z: ValueVector, sigma: Union[Strategy, None] = None):
+        self.game = game
+        self._values = values = z.components
+        self._succ = []
+        for v, kind, pair in zip(game.vertices, game.kinds, game.children):
+            if pair is None or kind is VertexKind.AVG:
+                self._succ.append(pair or ())
+            elif sigma is not None and kind is VertexKind.MAX:
+                self._succ.append((sigma.pick(v),))
             else:
-                best = min(v[a], v[b])
-                options = tuple(c for c in (a, b) if v[c] == best)
-            ranked = [ranks[c] for c in options if c in ranks]
-            if ranked:
-                ranks[i] = min(ranked) + 1
-                pending.discard(i)
-                added = True
-        if not added:
-            break
-    return ranks
+                a, b = pair
+                za, zb = values[a - 1], values[b - 1]
+                if za == zb:
+                    self._succ.append(pair)
+                else:
+                    self._succ.append((a,) if (za > zb) == (kind is VertexKind.MAX) else (b,))
+
+    def successors(self, v: int) -> tuple[int, ...]:
+        return self._succ[v - 1]
+
+    def layers(self) -> dict[int, int]:
+        """The attractor over these edges of the 1-sink and every vertex
+        worth 0 under z, with min blocking, as {vertex: layer}."""
+        zeros = (v for v, x in zip(self.game.vertices, self._values) if x == 0)
+        return attractor(self, (self.game.sink1, *zeros), (VertexKind.MIN,))
 
 
 def greedy_strategies(game: Game, v: ValueVector) -> tuple[Strategy, Strategy]:
-    """Extract locally optimal strategies from an optimal value vector.
+    """Optimal positional strategies read off the optimal value vector v.
 
-    Ties between equal-valued children break toward the lower child id,
-    except at positive-value vertices, where they break toward the
-    child closer to a sink under optimal play (then lower id). The
-    exception keeps ties from forming positive-value cycles, which
-    would strand the play and lose value; ties at value 0 cannot lose
-    anything, so they stay literal.
+    Each player vertex picks, among its tight children (those attaining
+    v), the one in the lowest layer of the tight-edge attractor (see
+    _TightEdges.layers), then the lower id. A max vertex thereby always
+    steps one layer down, so the attractor with max fixed to sigma
+    still covers every vertex and verify_ovv_certificate accepts
+    (v, sigma): sigma is optimal. A merely v-greedy sigma need not be,
+    since on a tie at positive value min may close a cycle with it.
+    Any v-greedy tau is optimal; the same rule picks it.
     """
     if v.n != game.n:
         raise PreconditionError(f"value vector length {v.n} does not match game size {game.n}")
-    ranks = _progress_ranks(game, v)
+    tight = _TightEdges(game, v)
+    layers = tight.layers()
     tau_picks: dict[int, int] = {}
     sigma_picks: dict[int, int] = {}
-    for i in game.interior:
-        kind = game.kind(i)
-        if not kind.is_player:
+    for i, kind in zip(game.interior, game.kinds):
+        if kind is VertexKind.AVG:
             continue
-        a, b = game.children_of(i)
-        if v[a] != v[b]:
-            want_max = kind is VertexKind.MAX
-            pick = a if (v[a] > v[b]) == want_max else b
-        elif v[i] == 0:
-            pick = min(a, b)
-        else:
-            pick = min((c for c in (a, b)), key=lambda c: (ranks.get(c, game.n + 1), c))
+        options = tight.successors(i)
+        # layers stay below n; a vertex outside the attractor sorts last
+        pick = min(options, key=lambda c: (layers.get(c, game.n), c))
         if kind is VertexKind.MIN:
             tau_picks[i] = pick
         else:
@@ -373,23 +347,14 @@ def avg_free_run(game: Game) -> tuple[ValueVector, int]:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Witness pair for the exact-solve pipeline.
-
-    z claims to be the optimal value vector of the game; s the optimal
-    values of its chain-stopping companion with multiplier c at the n
-    original vertices, i.e. the fixed point of the lam-weighted
-    operator. Acceptance requires z to be an operator fixed point on the
-    value grid, s a fixed point of the lam-weighted operator, and every
-    vertex's gap between them below half the value separation.
+    """Witness pair for an exact solve: z claims to be the optimal value
+    vector of the game and sigma an optimal max strategy.
+    verify_ovv_certificate checks the pair without trusting the solver
+    that made it.
     """
 
     z: ValueVector
-    s: ValueVector
-    c: int = DEFAULT_C
-
-    @property
-    def separation(self) -> Fraction:
-        return value_separation(self.z.n)
+    sigma: Strategy
 
 
 @dataclass(frozen=True)
@@ -404,17 +369,9 @@ class SolveReport:
     certificate: Union[Certificate, None] = None
 
 
-def _report(game: Game, values: ValueVector, method: str, iterations: int,
-            certificate: Union[Certificate, None] = None) -> SolveReport:
+def _report(game: Game, values: ValueVector, method: str, iterations: int) -> SolveReport:
     tau, sigma = greedy_strategies(game, values)
-    return SolveReport(
-        values=values,
-        tau=tau,
-        sigma=sigma,
-        method=method,
-        iterations=iterations,
-        certificate=certificate,
-    )
+    return SolveReport(values=values, tau=tau, sigma=sigma, method=method, iterations=iterations)
 
 
 def _min_best_reply(
@@ -638,8 +595,9 @@ def solve(
     transform (solve the stopping companion, snap values back, verify).
     hoffman_karp's own stopping test makes that last choice, so the
     test runs once.
-    The transform path always attaches a certificate; pass
-    with_certificate to force one on the other paths too.
+    The transform path always attaches the certificate (values, sigma);
+    with_certificate attaches it on every path and checks it with
+    verify_ovv_certificate, raising InternalCheckError on a rejection.
     vi, on stopping games only, runs value iteration until a snapped
     iterate passes the exact test T z = z, with epsilon as the last try
     (default_epsilon when None), and counts the productive sweeps run.
@@ -680,8 +638,8 @@ def solve(
             if not routed:
                 raise
             # hoffman_karp's stopping test found the game non-stopping
-            z, s, rounds = _transform_solve(game, c)
-            return _report(game, z, "transform", rounds, Certificate(z=z, s=s, c=c))
+            z, _s, rounds = _transform_solve(game, c)
+            report = _report(game, z, "transform", rounds)
     elif method == "vi":
         if not is_stopping(game):
             raise PreconditionError("vi method needs a stopping game; transform first")
@@ -690,18 +648,11 @@ def solve(
     else:  # oracle
         report = brute_force_oracle(game, budget=oracle_budget)
 
-    if with_certificate and report.certificate is None:
-        z, s, _rounds = _transform_solve(game, c)
-        if z != report.values:
-            raise InternalCheckError("certificate values disagree with the solve result")
-        report = SolveReport(
-            values=report.values,
-            tau=report.tau,
-            sigma=report.sigma,
-            method=report.method,
-            iterations=report.iterations,
-            certificate=Certificate(z=z, s=s, c=c),
-        )
+    if with_certificate or report.method == "transform":
+        cert = Certificate(z=report.values, sigma=report.sigma)
+        if with_certificate and not verify_ovv_certificate(game, cert):
+            raise InternalCheckError("the solve result fails its own certificate check")
+        report = replace(report, certificate=cert)
     return report
 
 
@@ -761,61 +712,50 @@ def decide_value(game: Game, alpha: Fraction) -> bool:
 def verify_ovv_certificate(game: Game, cert: Certificate) -> bool:
     """Check a witness pair without trusting the solver that made it.
 
-    Checks exactly, for the stopping companion with multiplier cert.c:
-    every z entry has denominator at most 4**n, z is a fixed point of
-    the game's operator, s is the fixed point of the lam-weighted
-    operator (contracted_fixed_point), hence the companion's optimum at
-    the original vertices, and every vertex's |z - s| gap is below half
-    the value separation. Together these force z to be the optimal
-    value vector: the first check keeps z on the grid of representable
-    values, whose points the gap check tells apart. A z or s of the
-    wrong length raises CertificateError, before any other work; a c
-    too small for exact snap-back raises PreconditionError; failed
-    checks just return False.
+    Accepts exactly when T z = z (checked in integers, _is_fixed_point),
+    sigma is z-greedy, and the tight-edge attractor with max fixed to
+    sigma covers every vertex (_TightEdges.layers). The first makes z a
+    fixed point, hence at least the value, which is the least one. The
+    other two make z at most val(G_sigma), hence at most the value: a
+    set where z - val(G_sigma) is largest and positive holds no target
+    vertex and keeps both children of its avg vertices, sigma's pick
+    and one tight child of each min vertex, so none of its vertices
+    could join the attractor. So an accepted z is the value and sigma
+    is optimal, and every optimal sigma is accepted with the value. A z
+    of the wrong length, or a sigma that is not a max strategy of the
+    game (a missed max vertex, a pick off the game's edges, a min
+    vertex named), raises CertificateError; failed checks return False.
     """
-    if cert.z.n != game.n:
-        raise CertificateError(f"certificate z has {cert.z.n} entries, game has {game.n}")
-    _require_sound_multiplier(game.n, cert.c)
-    if not contracted_fixed_point(game, cert.c, cert.s):
+    z, sigma = cert.z, cert.sigma
+    if z.n != game.n:
+        raise CertificateError(f"certificate z has {z.n} entries, game has {game.n}")
+    if sigma.owner is not VertexKind.MAX:
+        raise CertificateError("certificate sigma must be a max strategy")
+    try:
+        validate_strategy(game, sigma)
+    except StrategyError as exc:
+        raise CertificateError(f"certificate sigma: {exc}") from None
+    if not _is_fixed_point(game, [x.as_integer_ratio() for x in z.components]):
         return False
-    bound = 4**game.n
-    if any(x.denominator > bound for x in cert.z.components):
+    if any(z[j] != z[v] for v, j in sigma.picks):
         return False
-    if not _is_fixed_point(game, [x.as_integer_ratio() for x in cert.z.components]):
-        return False
-    half_sep = value_separation(game.n) / 2
-    for i in game.vertices:
-        if abs(cert.z[i] - cert.s[i]) >= half_sep:
-            return False
-    return True
+    return len(_TightEdges(game, z, sigma).layers()) == game.n
 
 
 def verify_value_certificate(
     game: Game,
-    s: ValueVector,
+    cert: Certificate,
     alpha: Fraction,
-    c: int = DEFAULT_C,
     complement: bool = False,
 ) -> bool:
-    """Check a witness for the decision 'game value > alpha'.
-
-    s must hold the stopping companion's values at the n original
-    vertices for multiplier c, which contracted_fixed_point checks as
-    the fixed point of the lam-weighted operator; the claim holds when
-    s at the start vertex exceeds alpha (or, for the complement
-    decision, does not). Sound for alpha with denominator at most 4**n
-    and for c large enough for exact snap-back, because then the
-    companion's start value lies within half a separation of the true
-    game value; any other alpha or c raises PreconditionError. An s of
-    the wrong length raises CertificateError.
+    """Check a witness for the decision 'game value > alpha', or for
+    'game value <= alpha' with complement: cert must pass
+    verify_ovv_certificate, which makes z the exact value vector, and
+    z at the start vertex must exceed alpha (or, for the complement,
+    not). Exact for every rational alpha.
     """
     alpha = Fraction(alpha)
-    if alpha.denominator > 4**game.n:
-        raise PreconditionError(
-            f"alpha {alpha} has denominator above 4**n = {4**game.n}; the check is unsound there"
-        )
-    _require_sound_multiplier(game.n, c)
-    if not contracted_fixed_point(game, c, s):
+    if not verify_ovv_certificate(game, cert):
         return False
-    at_start = s[game.start]
+    at_start = cert.z[game.start]
     return at_start <= alpha if complement else at_start > alpha

@@ -18,12 +18,12 @@ chain head is worth lam*v(j) with lam = chain_weight(m) = 1 - 2**-m,
 and the companion restricted to the original vertices is the n-vertex
 game whose edges all carry weight lam. solve._transform_solve evaluates
 strategy pairs on that small game with markov.solve_value_vector, the
-same evaluator Hoffman-Karp uses at lam = 1, and
-solve.contracted_fixed_point checks a claimed vector against its
-operator. Chain entries are fixed by their targets, so a certificate
-carries only the n original values. build_stopping_game stays for
-callers that need the companion itself: the transform verb,
-verify_transform_bound, and the tests, which use it as the reference.
+same evaluator Hoffman-Karp uses at lam = 1, and snaps the values
+back onto the original game's. The companion stays inside that solve:
+certificates hold the original game's values and max strategy only.
+build_stopping_game stays for callers that need the companion itself:
+the transform verb, verify_transform_bound, and the tests, which use it
+as the reference.
 """
 
 from __future__ import annotations

@@ -166,8 +166,20 @@ def test_criterion_6_strategy_improvement(pool, announce):
         assert ran >= 100
 
 
+def _min_reply(game, sigma):
+    """min's best reply to sigma by brute force: the componentwise least
+    value vector over every min strategy."""
+    replies = [
+        solve_value_vector(reduce_game(game, tau, sigma))
+        for tau in enumerate_strategies(game, VertexKind.MIN)
+    ]
+    return ValueVector(min(r[v] for r in replies) for v in game.vertices)
+
+
 def test_criterion_7_certificates(announce):
-    with announce(7, "certificates accept the truth and reject every unit perturbation"):
+    with announce(7, "certificates accept the truth, reject every unit perturbation of z "
+                     "and accept a flipped sigma exactly when it is optimal"):
+        flips = {True: 0, False: 0}
         for i in range(50):
             n = 3 + i % 4
             game = random_game(n, weights=(1, 1, 1), seed=6000 + i)
@@ -176,20 +188,25 @@ def test_criterion_7_certificates(announce):
             assert verify_ovv_certificate(game, cert)
 
             delta = value_separation(game.n)
+            maxes = game.vertices_of_kind(VertexKind.MAX)
             rng = random.Random(7000 + i)
             for _ in range(64):
-                bump_z = rng.randrange(2) == 0
-                vec = cert.z if bump_z else cert.s
-                idx = rng.randrange(vec.n)
-                x = vec.components[idx]
+                if maxes and rng.randrange(2) == 0:
+                    v = rng.choice(maxes)
+                    a, b = game.children_of(v)
+                    picks = {**cert.sigma.as_dict(), v: b if cert.sigma.pick(v) == a else a}
+                    flipped = Strategy.of(VertexKind.MAX, picks)
+                    optimal = _min_reply(game, flipped) == cert.z
+                    flips[optimal] += 1
+                    bad = Certificate(z=cert.z, sigma=flipped)
+                    assert verify_ovv_certificate(game, bad) == optimal
+                    continue
+                idx = rng.randrange(n)
+                x = cert.z.components[idx]
                 shift = delta if x + delta <= 1 else -delta
-                bumped = list(vec.components)
+                bumped = list(cert.z.components)
                 bumped[idx] = x + shift
-                bad = Certificate(
-                    z=ValueVector(bumped) if bump_z else cert.z,
-                    s=cert.s if bump_z else ValueVector(bumped),
-                    c=cert.c,
-                )
+                bad = Certificate(z=ValueVector(bumped), sigma=cert.sigma)
                 assert not verify_ovv_certificate(game, bad)
 
             w = report.values[game.start]
@@ -203,10 +220,11 @@ def test_criterion_7_certificates(announce):
             }
             for alpha in alphas:
                 expected = decide_value(game, alpha)
-                assert verify_value_certificate(game, cert.s, alpha) == expected
+                assert verify_value_certificate(game, cert, alpha) == expected
                 assert verify_value_certificate(
-                    game, cert.s, alpha, complement=True
+                    game, cert, alpha, complement=True
                 ) == (not expected)
+        assert flips[True] and flips[False]
 
 
 def test_criterion_8_strategy_path_agrees(pool, announce):

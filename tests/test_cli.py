@@ -7,9 +7,6 @@ import pytest
 
 from ssg import (
     build_game,
-    build_stopping_game,
-    format_rational,
-    hoffman_karp,
     is_stopping,
     parse_game,
     serialize_game,
@@ -53,7 +50,7 @@ def test_validate_json(game_file, capsys):
     code, out, _ = run(capsys, "validate", "--format", "json", game_file(GAME_B))
     doc = json.loads(out)
     assert code == 0
-    assert doc["schema"] == 2
+    assert doc["schema"] == 3
     assert doc["ok"] is True
     assert doc["kinds"] == {"max": 0, "min": 0, "avg": 2}
 
@@ -89,7 +86,7 @@ def test_solve_json_schema(game_file, capsys):
     code, out, _ = run(capsys, "solve", "--format", "json", game_file(GAME_G))
     doc = json.loads(out)
     assert code == 0
-    assert doc["schema"] == 2
+    assert doc["schema"] == 3
     assert doc["verb"] == "solve"
     assert doc["value"] == "3/4"
     assert doc["values"] == ["3/4", "1/2", "3/4", "0", "1"]
@@ -253,45 +250,64 @@ def test_certify_rejects_tampered_certificate(game_file, tmp_path, capsys):
     assert out == "certificate rejected\n"
 
 
-def test_certify_refuses_huge_multiplier(game_file, tmp_path, capsys):
-    # lam = 1 - 2**-(c*n) for c = 10**9 is never formed; the c = 9
-    # values fail the lam-operator check at once
-    game = game_file(GAME_B)
+def test_certify_refuses_non_edge_sigma_pick(game_file, tmp_path, capsys):
+    # GAME-G's max vertex 1 has children 2 and 3; 1 -> 4 is no edge
+    game = game_file(GAME_G)
     cert = tmp_path / "cert.json"
     run(capsys, "solve", "--cert-out", str(cert), game)
     doc = json.loads(cert.read_text())
-    doc["c"] = 10**9
+    assert doc["sigma"] == [[1, 3]]
+    doc["sigma"] = [[1, 4]]
     cert.write_text(json.dumps(doc))
 
-    code, out, _ = run(capsys, "certify", "--cert", str(cert), game)
+    code, out, err = run(capsys, "certify", "--cert", str(cert), game)
     assert code == 1
-    assert out == "certificate rejected\n"
+    assert out == ""
+    assert "1->4 is not an edge" in err
+
+
+def test_certify_json_reports_the_verdict(game_file, tmp_path, capsys):
+    game = game_file(GAME_G)
+    cert = str(tmp_path / "cert.json")
+    run(capsys, "solve", "--cert-out", cert, game)
+    code, out, _ = run(capsys, "certify", "--format", "json", "--cert", cert, game)
+    assert code == 0
+    assert json.loads(out) == {"verb": "certify", "accepted": True, "n": 5, "schema": 3}
 
 
 def test_certify_refuses_other_schema(game_file, tmp_path, capsys):
-    # a schema-1 certificate carried s on the whole chain companion
+    # a schema-2 certificate carried the companion's values s and the
+    # chain multiplier c in place of sigma
     game = GAME_A
     cert = tmp_path / "cert.json"
     run(capsys, "solve", "--cert-out", str(cert), game_file(game))
     doc = json.loads(cert.read_text())
-    transformed, _ = build_stopping_game(game, doc["c"])
-    full = hoffman_karp(transformed).values
-    doc["schema"] = 1
-    doc["s"] = [format_rational(x) for x in full.components]
+    del doc["sigma"]
+    doc.update(schema=2, c=9, s=doc["z"])
     cert.write_text(json.dumps(doc))
 
     code, out, err = run(capsys, "certify", "--cert", str(cert), game_file(game))
     assert code == 1
     assert out == ""
-    assert "schema 1" in err and "schema 2" in err
+    assert "schema 2" in err and "schema 3" in err
 
 
 def test_certify_malformed_certificate_is_domain_error(game_file, tmp_path, capsys):
     bad = tmp_path / "cert.json"
-    bad.write_text('{"z": ["1/2"], "s": ["0"]}')
+    bad.write_text('{"schema": 3, "z": ["1/2", "0", "1"]}')
     code, _, err = run(capsys, "certify", "--cert", str(bad), game_file(GAME_A))
     assert code == 1
-    assert "missing field 'c'" in err
+    assert "missing field 'sigma'" in err
+
+
+@pytest.mark.parametrize("sigma", ['"1->3"', "[[1]]", "[[1, 2.5]]", "[[1, true]]", "[[1, 2], [1, 3]]"])
+def test_certify_malformed_sigma_is_domain_error(game_file, tmp_path, capsys, sigma):
+    bad = tmp_path / "cert.json"
+    bad.write_text('{"schema": 3, "z": ["3/4", "1/2", "3/4", "0", "1"], "sigma": %s}' % sigma)
+    code, out, err = run(capsys, "certify", "--cert", str(bad), game_file(GAME_G))
+    assert code == 1
+    assert out == ""
+    assert "certificate field 'sigma'" in err
 
 
 # ----------------------------------------------------------------- gen

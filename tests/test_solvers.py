@@ -14,6 +14,7 @@ from ssg import (
     CertificateError,
     NonConvergenceError,
     PreconditionError,
+    ReducedGame,
     Strategy,
     ValueVector,
     VertexKind,
@@ -24,6 +25,7 @@ from ssg import (
     build_stopping_game,
     decide_value,
     default_epsilon,
+    enumerate_strategies,
     game_value,
     greedy_strategies,
     hoffman_karp,
@@ -31,6 +33,7 @@ from ssg import (
     random_game,
     round_to_value_set,
     solve,
+    solve_value_vector,
     value_iteration,
     value_separation,
     verify_ovv_certificate,
@@ -47,7 +50,7 @@ from ssg.fixtures import (
     GAME_F,
     GAME_G,
 )
-from ssg.solve import _is_fixed_point, _snap
+from ssg.solve import DEFAULT_C, _is_fixed_point, _snap, _transform_solve
 
 HALF = Fraction(1, 2)
 
@@ -375,6 +378,58 @@ def test_reported_strategies_achieve_the_values():
         assert chained == report.values
 
 
+def _repick(sigma, v, child):
+    return Strategy.of(VertexKind.MAX, {**sigma.as_dict(), v: child})
+
+
+def _best_replies(game, tau, sigma):
+    """Brute-force best replies as value vectors: the componentwise least
+    over min strategies against sigma, and the greatest over max
+    strategies against tau."""
+    against_sigma = [
+        solve_value_vector(ReducedGame(game, t, sigma))
+        for t in enumerate_strategies(game, VertexKind.MIN)
+    ]
+    against_tau = [
+        solve_value_vector(ReducedGame(game, tau, m))
+        for m in enumerate_strategies(game, VertexKind.MAX)
+    ]
+    return (
+        ValueVector(min(r[v] for r in against_sigma) for v in game.vertices),
+        ValueVector(max(r[v] for r in against_tau) for v in game.vertices),
+    )
+
+
+def test_greedy_sigma_leaves_min_no_cycle():
+    # max vertex 1 has children 6 and 3, both worth 1. Min vertex 3 has
+    # children 1 and the 1-sink, so against 1 -> 3 min answers 3 -> 1
+    # and the play cycles at value 0; 6 is one layer nearer the sink
+    game = random_game(8, (1, 1, 1), seed=23)
+    report = solve(game)
+    assert (game.children_of(1), game.children_of(3)) == ((6, 3), (1, 8))
+    assert report.values[1] == report.values[3] == report.values[6] == 1
+    assert report.sigma.pick(1) == 6
+    trap = _repick(report.sigma, 1, 3)
+    assert _best_replies(game, report.tau, trap)[0][1] == 0
+    assert not verify_ovv_certificate(game, Certificate(z=report.values, sigma=trap))
+
+
+@pytest.mark.parametrize("weights", [(1, 1, 1), (1, 1, 0)])
+def test_reported_strategies_are_best_responses(weights):
+    # non-stopping games with both players: min's best reply to sigma and
+    # max's best reply to tau both hold every vertex at the value
+    checked = 0
+    for n in range(6, 11):
+        for seed in range(40):
+            game = random_game(n, weights, seed=seed)
+            if is_stopping(game) or not (game.has_kind(VertexKind.MAX) and game.has_kind(VertexKind.MIN)):
+                continue
+            report = solve(game)
+            assert _best_replies(game, report.tau, report.sigma) == (report.values,) * 2, (n, seed)
+            checked += 1
+    assert checked >= 80
+
+
 # ------------------------------------------------------------- oracle
 
 
@@ -554,7 +609,7 @@ def test_certificate_roundtrip():
     report = solve(MIXED_LOOPY, with_certificate=True)
     cert = report.certificate
     assert verify_ovv_certificate(MIXED_LOOPY, cert)
-    assert cert.separation == value_separation(MIXED_LOOPY.n)
+    assert (cert.z, cert.sigma) == (report.values, report.sigma)
 
 
 def test_certificate_rejects_perturbed_claim():
@@ -562,23 +617,21 @@ def test_certificate_rejects_perturbed_claim():
     sep = value_separation(MIXED_LOOPY.n)
     bumped = list(cert.z.components)
     bumped[0] = bumped[0] + sep
-    bad = Certificate(z=ValueVector(bumped), s=cert.s, c=cert.c)
+    bad = Certificate(z=ValueVector(bumped), sigma=cert.sigma)
     assert not verify_ovv_certificate(MIXED_LOOPY, bad)
-    # an s entry off the lam-operator's equation, far below the gap check
-    warped = list(cert.s.components)
-    warped[-3] += Fraction(1, 2**200) if warped[-3] < 1 else -Fraction(1, 2**200)
-    bad = Certificate(z=cert.z, s=ValueVector(warped), c=cert.c)
+    # every interior vertex is worth 1/2, so 1 -> 2 is z-greedy too, but
+    # min answers 2 -> 1 and the play cycles at value 0
+    assert cert.sigma.pick(1) == 3
+    bad = Certificate(z=cert.z, sigma=_repick(cert.sigma, 1, 2))
     assert not verify_ovv_certificate(MIXED_LOOPY, bad)
 
 
 def test_certificate_rejects_wrong_fixed_point():
-    # (1/8, 1/8, 0, 1) satisfies the operator but sits far from the
-    # companion's vector, so the gap check catches it
+    # (1/8, 1/8, 0, 1) satisfies the operator, but each min vertex has
+    # the other as its only tight child, so neither joins the attractor
     cert = solve(GAME_D, with_certificate=True).certificate
     assert verify_ovv_certificate(GAME_D, cert)
-    imposter = Certificate(
-        z=ValueVector([Fraction(1, 8), Fraction(1, 8), 0, 1]), s=cert.s, c=cert.c
-    )
+    imposter = Certificate(z=ValueVector([Fraction(1, 8), Fraction(1, 8), 0, 1]), sigma=cert.sigma)
     assert apply_operator(GAME_D, imposter.z) == imposter.z
     assert not verify_ovv_certificate(GAME_D, imposter)
 
@@ -586,49 +639,55 @@ def test_certificate_rejects_wrong_fixed_point():
 def test_certificate_dimension_mismatch():
     cert = solve(GAME_D, with_certificate=True).certificate
     with pytest.raises(CertificateError):
-        verify_ovv_certificate(GAME_A, Certificate(z=cert.z, s=cert.s, c=cert.c))
+        verify_ovv_certificate(GAME_A, cert)
     with pytest.raises(CertificateError):
         verify_ovv_certificate(
-            GAME_D, Certificate(z=cert.z, s=ValueVector(cert.s.components[1:]), c=cert.c)
+            GAME_D, Certificate(z=ValueVector(cert.z.components[1:]), sigma=cert.sigma)
         )
 
 
 def test_value_certificate_decides_threshold():
-    s = solve(GAME_B, with_certificate=True).certificate.s
-    assert verify_value_certificate(GAME_B, s, HALF)
-    assert not verify_value_certificate(GAME_B, s, HALF, complement=True)
-    assert not verify_value_certificate(GAME_B, s, Fraction(3, 4))
-    assert verify_value_certificate(GAME_B, s, Fraction(3, 4), complement=True)
+    cert = solve(GAME_B, with_certificate=True).certificate
+    assert verify_value_certificate(GAME_B, cert, HALF)
+    assert not verify_value_certificate(GAME_B, cert, HALF, complement=True)
+    assert not verify_value_certificate(GAME_B, cert, Fraction(3, 4))
+    assert verify_value_certificate(GAME_B, cert, Fraction(3, 4), complement=True)
 
 
 def test_value_certificate_strict_at_the_value():
-    s = solve(GAME_A, with_certificate=True).certificate.s
-    assert not verify_value_certificate(GAME_A, s, HALF)
-    assert verify_value_certificate(GAME_A, s, Fraction(1, 4))
+    cert = solve(GAME_A, with_certificate=True).certificate
+    assert not verify_value_certificate(GAME_A, cert, HALF)
+    assert verify_value_certificate(GAME_A, cert, Fraction(1, 4))
 
 
 def test_value_certificate_requires_fixed_point():
     cert = solve(GAME_B, with_certificate=True).certificate
-    warped = list(cert.s.components)
+    warped = list(cert.z.components)
     warped[0] = Fraction(9, 10)
-    assert not verify_value_certificate(GAME_B, ValueVector(warped), Fraction(1, 10))
+    bad = Certificate(z=ValueVector(warped), sigma=cert.sigma)
+    assert not verify_value_certificate(GAME_B, bad, Fraction(1, 10))
 
 
 def test_value_certificate_dimension_mismatch():
+    empty = Strategy.of(VertexKind.MAX, {})
     with pytest.raises(CertificateError):
-        verify_value_certificate(GAME_B, ValueVector([0, 1]), HALF)
+        verify_value_certificate(GAME_B, Certificate(z=ValueVector([0, 1]), sigma=empty), HALF)
 
 
-def test_certificate_with_huge_multiplier_is_refused_before_any_work():
-    # lam = 1 - 2**-(c*n) for c = 10**9 is never formed: the check reads
-    # the bit length of each entry's gap, so GAME-B's c = 9 values are
-    # refused at once, and GAME-D's all-zero values, a fixed point for
-    # every c, are accepted just as fast
-    cert = solve(GAME_B, with_certificate=True).certificate
-    assert not verify_ovv_certificate(GAME_B, Certificate(z=cert.z, s=cert.s, c=10**9))
-    assert not verify_value_certificate(GAME_B, cert.s, HALF, c=10**9)
-    cert = solve(GAME_D, with_certificate=True).certificate
-    assert verify_ovv_certificate(GAME_D, Certificate(z=cert.z, s=cert.s, c=10**9))
+def test_certificate_refuses_sigma_off_the_game():
+    # a missed max vertex, a pick that is no edge, a min vertex named,
+    # and a min strategy in sigma's place
+    cert = solve(MIXED_LOOPY, with_certificate=True).certificate
+    for sigma in (
+        Strategy.of(VertexKind.MAX, {}),
+        Strategy.of(VertexKind.MAX, {1: 4}),
+        Strategy.of(VertexKind.MAX, {1: 3, 2: 3}),
+        Strategy.of(VertexKind.MIN, {2: 3}),
+    ):
+        with pytest.raises(CertificateError, match="sigma"):
+            verify_ovv_certificate(MIXED_LOOPY, Certificate(z=cert.z, sigma=sigma))
+        with pytest.raises(CertificateError, match="sigma"):
+            verify_value_certificate(MIXED_LOOPY, Certificate(z=cert.z, sigma=sigma), HALF)
 
 
 def test_unsound_multiplier_is_refused():
@@ -639,37 +698,33 @@ def test_unsound_multiplier_is_refused():
     for c in (1, 3, 4, 7):
         with pytest.raises(PreconditionError, match="smallest sound c is 8"):
             solve(game, c=c)
-        with pytest.raises(PreconditionError, match="smallest sound c is 8"):
-            solve(MIXED_STOPPING, c=c, with_certificate=True)
     assert solve(game, c=8).method == "transform"
-    cert = solve(GAME_D, with_certificate=True).certificate
-    for c in (0, 7):
-        with pytest.raises(PreconditionError, match="smallest sound c is 8"):
-            verify_ovv_certificate(GAME_D, Certificate(z=cert.z, s=cert.s, c=c))
-        with pytest.raises(PreconditionError, match="smallest sound c is 8"):
-            verify_value_certificate(GAME_D, cert.s, HALF, c=c)
 
 
-def test_value_certificate_refuses_alpha_off_the_grid():
-    # GAME-A is worth 1/2; an alpha just below it with a huge
-    # denominator falls inside the companion's perturbation, so the
-    # complement check would wrongly certify value <= alpha
-    s = solve(GAME_A, with_certificate=True).certificate.s
-    with pytest.raises(PreconditionError):
-        verify_value_certificate(GAME_A, s, HALF - Fraction(1, 2**100), complement=True)
+def test_value_certificate_is_exact_off_the_grid():
+    # GAME-A is worth 1/2, and an accepted z is the exact value, so an
+    # alpha just below it with a huge denominator is decided like any other
+    cert = solve(GAME_A, with_certificate=True).certificate
+    alpha = HALF - Fraction(1, 2**100)
+    assert verify_value_certificate(GAME_A, cert, alpha)
+    assert not verify_value_certificate(GAME_A, cert, alpha, complement=True)
 
 
 SELF_LOOP_MAX = build_game(3, 1, [(1, "max", 1, 2)])
 
 
 def test_certificate_rejects_off_grid_fixed_point():
-    # vertex 1 is worth 0, but any z[1] is an operator fixed point, and
-    # 4**-7 sits within half a separation of the companion's value
+    # vertex 1 is worth 0, but any z[1] is an operator fixed point: the
+    # greatest one, 1, and one off the value grid. 1 -> 2 is not z-greedy
+    # there, and 1 -> 1 keeps vertex 1 out of the attractor
     cert = solve(SELF_LOOP_MAX, with_certificate=True).certificate
     assert verify_ovv_certificate(SELF_LOOP_MAX, cert)
-    z = ValueVector([Fraction(1, 4**6) / 4, 0, 1])
-    assert apply_operator(SELF_LOOP_MAX, z) == z
-    assert not verify_ovv_certificate(SELF_LOOP_MAX, Certificate(z=z, s=cert.s, c=cert.c))
+    for top in (Fraction(1), Fraction(1, 4**6) / 4):
+        z = ValueVector([top, 0, 1])
+        assert apply_operator(SELF_LOOP_MAX, z) == z
+        for child in (1, 2):
+            sigma = Strategy.of(VertexKind.MAX, {1: child})
+            assert not verify_ovv_certificate(SELF_LOOP_MAX, Certificate(z=z, sigma=sigma))
 
 
 @st.composite
@@ -703,7 +758,7 @@ def test_certificate_sweep_over_self_loops(game):
                 continue
             bumped = list(cert.z.components)
             bumped[i - 1] += delta
-            bad = Certificate(z=ValueVector(bumped), s=cert.s, c=cert.c)
+            bad = Certificate(z=ValueVector(bumped), sigma=cert.sigma)
             assert not verify_ovv_certificate(game, bad)
 
 
@@ -739,11 +794,11 @@ def test_transform_route_matches_built_companion():
     for game in games:
         report = solve(game)
         assert report.method == "transform"
-        cert = report.certificate
-        z, s, rounds = _companion_reference(game, cert.c)
-        assert cert.s == s
-        assert cert.z == report.values == z
-        assert report.iterations == rounds
+        z, s, rounds = _transform_solve(game, DEFAULT_C)
+        ref_z, ref_s, ref_rounds = _companion_reference(game, DEFAULT_C)
+        assert s == ref_s
+        assert report.certificate.z == report.values == z == ref_z
+        assert report.iterations == rounds == ref_rounds
 
 
 @pytest.mark.parametrize(
@@ -758,9 +813,10 @@ def test_requested_certificate_matches_built_companion(weights, route):
         report = solve(game, with_certificate=True)
         if report.method != route:
             continue
-        z, s, _rounds = _companion_reference(game, report.certificate.c)
-        assert report.certificate.s == s
-        assert report.certificate.z == report.values == z
+        z, s, _rounds = _transform_solve(game, DEFAULT_C)
+        ref_z, ref_s, _ref_rounds = _companion_reference(game, DEFAULT_C)
+        assert s == ref_s
+        assert report.certificate.z == report.values == z == ref_z
         checked += 1
 
 

@@ -19,7 +19,7 @@ game's seed, on the game reduced by the auto solve's strategies;
 every solve and rollout is timed with perf_counter. The run writes
 BENCH_<label>.json at the root of the checkout: one row per solve with
 n, weights, seed, route, seconds and a hash of the output (values,
-strategies, method, iterations and certificate z, s, c; for `mc` rows,
+strategies, method, iterations and certificate z and sigma; for `mc` rows,
 hits and truncated plays), plus the core count. Two checkouts that
 produce the same hashes give bit-identical answers on the ladder.
 """
@@ -59,7 +59,7 @@ def output_hash(report) -> str:
     h.update(repr((report.tau.picks, report.sigma.picks, report.method, report.iterations)).encode())
     cert = report.certificate
     if cert is not None:
-        h.update(repr(([str(x) for x in cert.z.components], [str(x) for x in cert.s.components], cert.c)).encode())
+        h.update(repr(([str(x) for x in cert.z.components], cert.sigma.picks)).encode())
     return h.hexdigest()[:16]
 
 
