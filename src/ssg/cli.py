@@ -42,14 +42,13 @@ from .markov import is_stopping, mc_estimate, reduce_game, solve_value_vector
 from .solve import (
     METHODS,
     Certificate,
-    DEFAULT_C,
     DEFAULT_ORACLE_BUDGET,
     SolveReport,
     brute_force_oracle,
     solve,
     verify_ovv_certificate,
 )
-from .stopping import build_stopping_game
+from .stopping import DEFAULT_C, build_stopping_game
 
 SCHEMA = 3
 
@@ -237,14 +236,6 @@ def _load_certificate(path: str) -> Certificate:
     return Certificate(z=_parse_value_list(doc["z"], "z"), sigma=_parse_sigma(doc["sigma"]))
 
 
-def _strategy_from_edges(
-    game: Game, owner: VertexKind, edges: tuple[tuple[int, int], ...]
-) -> Union[Strategy, None]:
-    if not game.vertices_of_kind(owner):
-        return None
-    return Strategy.of(owner, dict(edges))
-
-
 # ---------------------------------------------------------------- verbs
 
 
@@ -277,7 +268,6 @@ def _cmd_solve(args) -> int:
     report = solve(
         game,
         method=args.method,
-        c=args.c,
         with_certificate=args.cert_out is not None,
         oracle_budget=args.budget,
     )
@@ -346,8 +336,8 @@ def _cmd_strategies(args) -> int:
 
 def _cmd_reduce(args) -> int:
     game = _read_game(args.game)
-    tau = _strategy_from_edges(game, VertexKind.MIN, args.tau)
-    sigma = _strategy_from_edges(game, VertexKind.MAX, args.sigma)
+    tau = Strategy(VertexKind.MIN, args.tau)
+    sigma = Strategy(VertexKind.MAX, args.sigma)
     rg = reduce_game(game, tau, sigma)
     values = solve_value_vector(rg)
     if args.format == "json":
@@ -355,8 +345,8 @@ def _cmd_reduce(args) -> int:
             "verb": "reduce",
             "values": _values_json(values),
             "value": format_rational(values[game.start]),
-            "tau": _strategy_edges(tau) if tau else [],
-            "sigma": _strategy_edges(sigma) if sigma else [],
+            "tau": _strategy_edges(tau),
+            "sigma": _strategy_edges(sigma),
         }
         if args.approx is not None:
             doc["values_approx"] = [_decimal(x, args.approx) for _, x in values.items()]
@@ -541,7 +531,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     def add(verb, handler, help_text, game_arg=True, parents=(common,)):
-        p = sub.add_parser(verb, help=help_text, parents=list(parents))
+        # no prefix matching: a dropped flag such as solve --c must not
+        # resolve to a longer one such as --cert-out
+        p = sub.add_parser(verb, help=help_text, parents=list(parents), allow_abbrev=False)
         if game_arg:
             p.add_argument("game", nargs="?", default="-", help="game file, or '-' for stdin")
         p.set_defaults(func=handler)
@@ -551,8 +543,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("solve", _cmd_solve, "compute optimal values and strategies")
     p.add_argument("--method", choices=METHODS, default="auto")
-    p.add_argument("--c", type=_positive_int_arg, default=DEFAULT_C, metavar="C",
-                   help="stopping-transform multiplier for the exact pipeline")
     p.add_argument("--budget", type=_non_negative_int_arg, default=DEFAULT_ORACLE_BUDGET,
                    help="strategy-bit budget for --method oracle")
     p.add_argument("--cert-out", metavar="FILE",

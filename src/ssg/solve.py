@@ -22,9 +22,10 @@ by the chain factor lam = 1 - 2**-(c*n), which gives the companion's
 values s at those n vertices; every chain entry is fixed by its
 target. hoffman_karp and the transform share that loop and its one
 exact evaluator, markov.solve_value_vector, at lam = 1 and at the chain
-factor. Snap-back is exact only for multipliers c whose transform
-error stays below half the value separation; the solver refuses
-smaller c.
+factor. c is fixed at stopping.DEFAULT_C = 9, whose transform error
+2**(-6n) stays below half the value separation at every n, so
+snap-back is exact; the transform and the vi route snap and test
+T z = z through one integer helper, _snap_fixed_point.
 
 Strategies and certificates share one qualitative engine,
 markov.attractor, run over the tight edges of a value vector z: both
@@ -45,9 +46,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain
-from typing import Iterator, Union
+from typing import Iterable, Iterator, Union
 
 from . import kernels
 from .exceptions import (
@@ -68,9 +68,8 @@ from .games import (
 )
 from .lp import build_lp_max_free, build_lp_min_free, simplex_optimize
 from .markov import ReducedGame, _reduced_arrays, attractor, is_stopping, solve_value_vector
-from .stopping import chain_weight, transform_error_bound
+from .stopping import DEFAULT_C, chain_weight
 
-DEFAULT_C = 9
 DEFAULT_ORACLE_BUDGET = 16
 DEFAULT_MAX_ITERS = 200_000
 # Floor of the value-iteration grid exponent K (see _grid_setup).
@@ -91,33 +90,6 @@ def value_separation(n: int) -> Fraction:
     if n < 1:
         raise PreconditionError(f"game size must be positive, got n={n}")
     return Fraction(1, 4 ** (2 * n))
-
-
-@lru_cache(maxsize=64)
-def _smallest_sound_multiplier(n: int) -> int:
-    """The least chain multiplier c for which snap-back is exact at n.
-
-    Snapping companion values back needs the transform's worst-case
-    error, transform_error_bound(n, c), below half the value separation.
-    The bound falls as c grows, so counting up from 1 finds the least
-    sound c; a requested c is never put into the bound, which for a
-    huge c would be a huge power of two. Cached per n because every
-    transform solve asks.
-    """
-    half_sep = value_separation(n) / 2
-    least = 1
-    while transform_error_bound(n, least) >= half_sep:
-        least += 1
-    return least
-
-
-def _require_sound_multiplier(n: int, c: int) -> None:
-    least = _smallest_sound_multiplier(n)
-    if c < least:
-        raise PreconditionError(
-            f"chain multiplier c={c} is too small for exact snap-back at n={n}; "
-            f"the smallest sound c is {least}"
-        )
 
 
 def default_epsilon(n: int) -> Fraction:
@@ -501,38 +473,40 @@ def round_to_value_set(x: Fraction, n: int) -> Fraction:
     return Fraction(*snapped)
 
 
-def _transform_solve(game: Game, c: int) -> tuple[ValueVector, ValueVector, int]:
-    """Solve exactly through the stopping companion, in contracted form.
-
-    Returns (z, s, improvement rounds). Strategy improvement runs on the
-    original n vertices with every edge weighted by lam = 1 - 2**-(c*n),
-    which gives s, the companion's exact optimal values there, and z is
-    their snap-back onto the original game's representable values.
-    lam < 1 makes that game stopping, so no stopping test is needed. A c too small for
-    exact snap-back raises PreconditionError; past that, the snap-back
-    (which refuses a gap of half a separation) and the operator check
-    are theory-guaranteed, and failing them means a bug, not bad input.
-    """
-    _require_sound_multiplier(game.n, c)
-    s, rounds = _strategy_improvement(game, chain_weight(c * game.n))
-    z = ValueVector(round_to_value_set(x, game.n) for x in s.components)
-    if not _is_fixed_point(game, [x.as_integer_ratio() for x in z.components]):
-        raise InternalCheckError("snapped vector is not an operator fixed point")
-    return z, s, rounds
-
-
-def _snap_fixed_point(game: Game, ints: list[int], one: int) -> Union[list[tuple[int, int]], None]:
-    """Snap grid integers (vertex order, value x / one) and return the
-    snapped pairs if they form an operator fixed point, else None; the
-    first component without a representable value within half a
-    separation ends the try."""
+def _snap_fixed_point(game: Game, pairs: Iterable[tuple[int, int]]) -> Union[ValueVector, None]:
+    """Snap (numerator, denominator) pairs in vertex order, denominators
+    positive and not necessarily reduced, and return the snapped vector
+    if it is an operator fixed point, else None; the first component
+    without a representable value within half a separation ends the
+    try."""
     z = []
-    for x in ints:
-        pair = _snap(x, one, game.n)
+    for num, den in pairs:
+        pair = _snap(num, den, game.n)
         if pair is None:
             return None
         z.append(pair)
-    return z if _is_fixed_point(game, z) else None
+    if not _is_fixed_point(game, z):
+        return None
+    return ValueVector(Fraction(p, q) for p, q in z)
+
+
+def _transform_solve(game: Game) -> tuple[ValueVector, ValueVector, int]:
+    """Solve exactly through the stopping companion, in contracted form.
+
+    Returns (z, s, improvement rounds). Strategy improvement runs on
+    the original n vertices with every edge weighted by
+    lam = 1 - 2**-(DEFAULT_C*n), which gives s, the companion's exact
+    optimal values there, and z is their snap-back onto the original
+    game's representable values. lam < 1 makes that game stopping, so
+    no stopping test is needed. At DEFAULT_C the transform error stays
+    below half a separation, so the snap and the test T z = z are
+    theory-guaranteed, and failing them means a bug, not bad input.
+    """
+    s, rounds = _strategy_improvement(game, chain_weight(DEFAULT_C * game.n))
+    z = _snap_fixed_point(game, (x.as_integer_ratio() for x in s.components))
+    if z is None:
+        raise InternalCheckError("companion values do not snap to an operator fixed point")
+    return z, s, rounds
 
 
 def _vi_solve(
@@ -560,9 +534,9 @@ def _vi_solve(
         if due is None and gain <= near:
             due = sweep
         if converged or sweep == due:
-            z = _snap_fixed_point(game, layout.in_vertex_order(v), one)
+            z = _snap_fixed_point(game, ((x, one) for x in layout.in_vertex_order(v)))
             if z is not None:
-                return ValueVector(Fraction(p, q) for p, q in z), productive
+                return z, productive
             due = sweep + SNAP_SPACING
     approx = ValueVector(Fraction(x, one) for x in layout.in_vertex_order(v))
     if converged:
@@ -581,7 +555,6 @@ def _vi_solve(
 def solve(
     game: Game,
     method: str = "auto",
-    c: int = DEFAULT_C,
     with_certificate: bool = False,
     epsilon: Union[Fraction, None] = None,
     max_iters: int = DEFAULT_MAX_ITERS,
@@ -592,7 +565,8 @@ def solve(
     auto picks the cheapest exact path: the attractor solver when there
     is no chance, the LP when one player is absent, strategy
     improvement when the game is stopping, and otherwise the chain
-    transform (solve the stopping companion, snap values back, verify).
+    transform (solve the stopping companion with chains of DEFAULT_C * n
+    coin flips per edge, snap values back, verify T z = z).
     hoffman_karp's own stopping test makes that last choice, so the
     test runs once.
     The transform path always attaches the certificate (values, sigma);
@@ -638,7 +612,7 @@ def solve(
             if not routed:
                 raise
             # hoffman_karp's stopping test found the game non-stopping
-            z, _s, rounds = _transform_solve(game, c)
+            z, _s, rounds = _transform_solve(game)
             report = _report(game, z, "transform", rounds)
     elif method == "vi":
         if not is_stopping(game):

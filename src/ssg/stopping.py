@@ -36,6 +36,10 @@ from .exceptions import PreconditionError
 from .games import Game, Strategy, VertexKind, build_game
 from .markov import reduce_game, solve_value_vector
 
+# The chain-length multiplier: chains of DEFAULT_C * n coin flips keep
+# transform_error_bound below half the value separation at every n >= 1.
+DEFAULT_C = 9
+
 
 @dataclass(frozen=True)
 class StoppingTransform:
@@ -68,7 +72,7 @@ def chain_weight(m: int) -> Fraction:
     return 1 - Fraction(1, 2**m)
 
 
-def build_stopping_game(game: Game, c: int = 9) -> tuple[Game, StoppingTransform]:
+def build_stopping_game(game: Game, c: int = DEFAULT_C) -> tuple[Game, StoppingTransform]:
     """Return the stopping companion game and its transform record."""
     if c < 1:
         raise PreconditionError(f"chain multiplier c must be positive, got {c}")

@@ -113,14 +113,6 @@ def test_solve_method_override(game_file, capsys):
     assert "method: oracle" in out.splitlines()
 
 
-def test_solve_refuses_unsound_multiplier(game_file, capsys):
-    mixed = build_game(5, 1, [(1, "max", 2, 3), (2, "min", 1, 3), (3, "avg", 4, 5)])
-    code, out, err = run(capsys, "solve", "--c", "3", game_file(mixed))
-    assert code == 1
-    assert out == ""
-    assert "the smallest sound c is 8" in err
-
-
 # ------------------------------------------------------- value, decide
 
 
@@ -188,6 +180,26 @@ def test_reduce_missing_pick_is_domain_error(game_file, capsys):
 def test_reduce_bad_edge_syntax_is_usage_error(game_file, capsys):
     code, _, _ = run(capsys, "reduce", "--sigma", "1=>2", game_file(GAME_E))
     assert code == 2
+
+
+# max-only with avg: `gen --n 6 --seed 3`
+MAX_ONLY = build_game(6, 1, [(1, "avg", 2, 6), (2, "max", 6, 1), (3, "max", 6, 2), (4, "max", 3, 6)])
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        # the last pick for vertex 2 used to win silently
+        (["--sigma", "2->6,3->6,4->3,2->1"], "same vertex twice"),
+        # tau used to be dropped on a game without min vertices
+        (["--tau", "7->9", "--sigma", "2->6,3->6,4->3"], "picks for non-min vertices"),
+    ],
+)
+def test_reduce_refuses_picks_it_cannot_use(game_file, capsys, argv, expected):
+    code, out, err = run(capsys, "reduce", *argv, game_file(MAX_ONLY))
+    assert code == 1
+    assert out == ""
+    assert expected in err
 
 
 # ----------------------------------------------------------- transform
@@ -440,8 +452,6 @@ def test_bench_non_positive_count_is_usage_error(game_file, tmp_path, capsys, fl
 @pytest.mark.parametrize(
     "argv, expected",
     [
-        ("solve --c 0", "positive integer"),
-        ("solve --c -1", "positive integer"),
         ("transform --c 0", "positive integer"),
         ("transform --c -1", "positive integer"),
         ("solve --method oracle --budget -1", "non-negative integer"),
@@ -449,11 +459,19 @@ def test_bench_non_positive_count_is_usage_error(game_file, tmp_path, capsys, fl
     ],
 )
 def test_non_positive_multiplier_or_negative_budget_is_usage_error(game_file, capsys, argv, expected):
-    # solve --c 0 used to exit 0 with c ignored on the lp route, and
-    # oracle --budget -1 to report a budget of -1 as exceeded
+    # oracle --budget -1 used to report a budget of -1 as exceeded
     code, _, err = run(capsys, *argv.split(), game_file(GAME_G))
     assert code == 2
     assert expected in err
+
+
+def test_solve_has_no_multiplier_flag(game_file, capsys):
+    # the transform route's chain length is fixed; --c must not resolve
+    # to --cert-out by prefix either
+    code, out, err = run(capsys, "solve", "--c", "9", game_file(GAME_G))
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --c" in err
 
 
 @pytest.mark.parametrize("flag", ["--seed", "--budget"])

@@ -50,7 +50,8 @@ from ssg.fixtures import (
     GAME_F,
     GAME_G,
 )
-from ssg.solve import DEFAULT_C, _is_fixed_point, _snap, _transform_solve
+from ssg.solve import _is_fixed_point, _snap, _transform_solve
+from ssg.stopping import DEFAULT_C
 
 HALF = Fraction(1, 2)
 
@@ -690,17 +691,6 @@ def test_certificate_refuses_sigma_off_the_game():
             verify_value_certificate(MIXED_LOOPY, Certificate(z=cert.z, sigma=sigma), HALF)
 
 
-def test_unsound_multiplier_is_refused():
-    # snap-back needs transform_error_bound(n, c) < value_separation(n) / 2,
-    # which first holds at c = 8; below it c = 1 used to end in an
-    # InternalCheckError and c = 3 in "no representable value"
-    game = random_game(8, (1, 1, 1), seed=9)
-    for c in (1, 3, 4, 7):
-        with pytest.raises(PreconditionError, match="smallest sound c is 8"):
-            solve(game, c=c)
-    assert solve(game, c=8).method == "transform"
-
-
 def test_value_certificate_is_exact_off_the_grid():
     # GAME-A is worth 1/2, and an accepted z is the exact value, so an
     # alpha just below it with a huge denominator is decided like any other
@@ -794,11 +784,21 @@ def test_transform_route_matches_built_companion():
     for game in games:
         report = solve(game)
         assert report.method == "transform"
-        z, s, rounds = _transform_solve(game, DEFAULT_C)
+        z, s, rounds = _transform_solve(game)
         ref_z, ref_s, ref_rounds = _companion_reference(game, DEFAULT_C)
         assert s == ref_s
         assert report.certificate.z == report.values == z == ref_z
         assert report.iterations == rounds == ref_rounds
+
+
+@pytest.mark.parametrize("n", [20, 40, 60])
+def test_transform_route_certifies_large_games(n):
+    # building the companion is out of reach here (about 18 n**2
+    # vertices), so the certificate check is the reference
+    for game in _mixed_non_stopping(n, 3, 1000 * n):
+        report = solve(game, with_certificate=True)
+        assert report.method == "transform"
+        assert verify_ovv_certificate(game, report.certificate)
 
 
 @pytest.mark.parametrize(
@@ -813,7 +813,7 @@ def test_requested_certificate_matches_built_companion(weights, route):
         report = solve(game, with_certificate=True)
         if report.method != route:
             continue
-        z, s, _rounds = _transform_solve(game, DEFAULT_C)
+        z, s, _rounds = _transform_solve(game)
         ref_z, ref_s, _ref_rounds = _companion_reference(game, DEFAULT_C)
         assert s == ref_s
         assert report.certificate.z == report.values == z == ref_z

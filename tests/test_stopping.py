@@ -20,10 +20,11 @@ from ssg import (
     solve_value_vector,
     transform_error_bound,
     validate_game,
+    value_separation,
     verify_transform_bound,
 )
 from ssg.fixtures import FIXTURES, GAME_A, GAME_E
-from ssg.stopping import chain_weight
+from ssg.stopping import DEFAULT_C, chain_weight
 
 
 def test_size_formula():
@@ -70,6 +71,15 @@ def test_error_bound_magnitudes():
     assert transform_error_bound(3, 4) == Fraction(1, 8)
     assert transform_error_bound(2, 1) == 16
     assert transform_error_bound(4, 9) == Fraction(1, 2**24)
+
+
+def test_default_multiplier_snaps_back_at_every_size():
+    # the transform route relies on this: companion values lie within
+    # half a separation of the original game's, so snap-back is exact
+    for n in range(1, 301):
+        assert transform_error_bound(n, DEFAULT_C) < value_separation(n) / 2
+    # and 8, the next value down, is not sound at n = 1
+    assert transform_error_bound(1, DEFAULT_C - 1) >= value_separation(1) / 2
 
 
 def test_lift_strategy_targets_chain_heads():

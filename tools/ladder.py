@@ -18,10 +18,13 @@ and with an `mc` row: `mc_estimate` of MC_PLAYS plays, seeded with the
 game's seed, on the game reduced by the auto solve's strategies;
 every solve and rollout is timed with perf_counter. The run writes
 BENCH_<label>.json at the root of the checkout: one row per solve with
-n, weights, seed, route, seconds and a hash of the output (values,
+n, weights, seed, route, seconds, a hash of the output (values,
 strategies, method, iterations and certificate z and sigma; for `mc` rows,
-hits and truncated plays), plus the core count. Two checkouts that
-produce the same hashes give bit-identical answers on the ladder.
+hits and truncated plays) and a values_hash of the value vector alone
+(for `mc` rows, that of the auto solve whose strategies the plays
+follow), plus the core count. Two checkouts that produce the same hashes
+give bit-identical answers on the ladder; the same values_hashes show
+bit-identical value vectors even where strategies or routes differ.
 """
 
 from __future__ import annotations
@@ -53,9 +56,17 @@ FAMILIES = (
 )
 
 
+def _values_repr(values) -> bytes:
+    return repr([str(x) for x in values.components]).encode()
+
+
+def values_hash(report) -> str:
+    return hashlib.sha256(_values_repr(report.values)).hexdigest()[:16]
+
+
 def output_hash(report) -> str:
     h = hashlib.sha256()
-    h.update(repr([str(x) for x in report.values.components]).encode())
+    h.update(_values_repr(report.values))
     h.update(repr((report.tau.picks, report.sigma.picks, report.method, report.iterations)).encode())
     cert = report.certificate
     if cert is not None:
@@ -97,7 +108,7 @@ def main(argv=None) -> int:
 
     rows = []
 
-    def record(n, seed, weights, stopping, route, seconds, iterations, digest):
+    def record(n, seed, weights, stopping, route, seconds, iterations, digest, values_digest):
         rows.append({
             "n": n,
             "weights": list(weights),
@@ -107,6 +118,7 @@ def main(argv=None) -> int:
             "seconds": round(seconds, 6),
             "iterations": iterations,
             "hash": digest,
+            "values_hash": values_digest,
         })
         print(f"n={n:3d} seed={seed:4d} {route:9s} {seconds:9.4f} s", flush=True)
 
@@ -117,13 +129,14 @@ def main(argv=None) -> int:
                 report = ssg.solve(game, method)
                 seconds = perf_counter() - t0
                 record(n, seed, weights, stopping, report.method, seconds, report.iterations,
-                       output_hash(report))
+                       output_hash(report), values_hash(report))
                 if stopping and method == "auto":
                     rg = ssg.reduce_game(game, report.tau, report.sigma)
                     t0 = perf_counter()
                     est = ssg.mc_estimate(rg, plays=MC_PLAYS, seed=seed)
                     seconds = perf_counter() - t0
-                    record(n, seed, weights, stopping, "mc", seconds, None, mc_hash(est))
+                    record(n, seed, weights, stopping, "mc", seconds, None, mc_hash(est),
+                           values_hash(report))
 
     summary = {}
     for row in rows:
