@@ -26,7 +26,7 @@ import time
 from fractions import Fraction
 from typing import Callable, Union
 
-from .exceptions import SSGError
+from .exceptions import FormatError, SSGError
 from .games import (
     Game,
     Strategy,
@@ -111,10 +111,14 @@ def _methods_arg(text: str) -> tuple[str, ...]:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        name = "standard input" if path == "-" else path
+        raise FormatError(f"{name} is not valid UTF-8 ({exc.reason} at byte {exc.start})") from None
 
 
 def _read_game(path: str) -> Game:

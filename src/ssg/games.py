@@ -12,6 +12,7 @@ probability of that event under optimal play from both sides.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -144,12 +145,15 @@ def build_game(
     """
     if n < 2:
         raise ValidationError(f"vertex count must be at least 2, got {n}")
-    kinds: list[Union[VertexKind, None]] = [None] * n
-    children: list[Union[tuple[int, int], None]] = [None] * n
+    # keyed by id, so a huge n in a header costs nothing before the check
+    # for missing vertices; ids are in range and distinct, so that check
+    # stops within len(rows) + 1 steps
+    kinds: dict[int, VertexKind] = {}
+    children: dict[int, tuple[int, int]] = {}
     for vid, kind, c1, c2 in rows:
         if not 1 <= vid <= n - 2:
             raise ValidationError(f"vertex id {vid} out of range 1..{n - 2}")
-        if kinds[vid - 1] is not None:
+        if vid in kinds:
             raise ValidationError(f"duplicate vertex line for vertex {vid}")
         if isinstance(kind, str):
             try:
@@ -158,14 +162,18 @@ def build_game(
                 raise ValidationError(f"unknown vertex kind {kind!r}") from None
         elif kind.is_sink:
             raise ValidationError(f"vertex {vid} may not be declared a sink")
-        kinds[vid - 1] = kind
-        children[vid - 1] = (c1, c2)
-    for v in range(1, n - 1):
-        if kinds[v - 1] is None:
+        kinds[vid] = kind
+        children[vid] = (c1, c2)
+    interior = range(1, n - 1)
+    for v in interior:
+        if v not in kinds:
             raise ValidationError(f"missing vertex {v}")
-    kinds[n - 2] = VertexKind.SINK0
-    kinds[n - 1] = VertexKind.SINK1
-    game = Game(n=n, start=start, kinds=tuple(kinds), children=tuple(children))
+    game = Game(
+        n=n,
+        start=start,
+        kinds=(*(kinds[v] for v in interior), VertexKind.SINK0, VertexKind.SINK1),
+        children=(*(children[v] for v in interior), None, None),
+    )
     validate_game(game)
     return game
 
@@ -184,7 +192,14 @@ class Strategy:
     def __post_init__(self):
         if self.owner not in (VertexKind.MAX, VertexKind.MIN):
             raise StrategyError(f"strategy owner must be max or min, got {self.owner.value}")
-        ordered = tuple(sorted(self.picks))
+        picks = []
+        for v, c in self.picks:
+            try:
+                # operator.index also takes numpy integers, but not 3.0
+                picks.append((operator.index(v), operator.index(c)))
+            except TypeError:
+                raise StrategyError(f"strategy pick {v!r}->{c!r} needs integer vertex ids") from None
+        ordered = tuple(sorted(picks))
         if len({v for v, _ in ordered}) != len(ordered):
             raise StrategyError("strategy picks the same vertex twice")
         object.__setattr__(self, "picks", ordered)

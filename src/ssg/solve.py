@@ -25,7 +25,9 @@ exact evaluator, markov.solve_value_vector, at lam = 1 and at the chain
 factor. c is fixed at stopping.DEFAULT_C = 9, whose transform error
 2**(-6n) stays below half the value separation at every n, so
 snap-back is exact; the transform and the vi route snap and test
-T z = z through one integer helper, _snap_fixed_point.
+T z = z through one integer helper, _snap_fixed_point. Both players
+run one policy-iteration loop, _improve; min's reply switches only on
+a strict improvement.
 
 Strategies and certificates share one qualitative engine,
 markov.attractor, run over the tight edges of a value vector z: both
@@ -44,10 +46,11 @@ it could join.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from . import kernels
 from .exceptions import (
@@ -346,68 +349,63 @@ def _report(game: Game, values: ValueVector, method: str, iterations: int) -> So
     return SolveReport(values=values, tau=tau, sigma=sigma, method=method, iterations=iterations)
 
 
-def _min_best_reply(
-    game: Game, sigma: Strategy, tau: Strategy, lam: Fraction
-) -> tuple[ValueVector, Strategy]:
-    """Exact min-side best reply to sigma on a stopping game by policy
-    iteration, starting from tau; returns (values, reply).
-
-    Evaluate the current reply exactly, point every min vertex at its
-    strictly smaller child (the left one on a tie), repeat. Values never
-    increase and the greedy map is deterministic, so the loop settles
-    on the unique best-reply values whatever tau it starts from; the
-    bound is the number of distinct min strategies.
-    """
-    mins = game.vertices_of_kind(VertexKind.MIN)
-    guard = 2 ** len(mins) + 2
-    for _ in range(guard):
-        values = solve_value_vector(ReducedGame(game, tau, sigma), lam)
-        picks = {}
-        for i in mins:
+def _improve(
+    game: Game, owner: VertexKind, strategy: Strategy, evaluate: Callable[[Strategy], ValueVector]
+) -> tuple[ValueVector, Strategy, int]:
+    """Policy iteration for owner from strategy; returns (values,
+    strategy, switch rounds). Evaluate the strategy exactly, switch
+    every owned vertex whose other child is strictly better for owner,
+    until none is. On a stopping game each switch strictly improves the
+    values, so at most 2**(owned vertices) evaluations are made."""
+    owned = game.vertices_of_kind(owner)
+    better = operator.gt if owner is VertexKind.MAX else operator.lt
+    for rounds in range(2 ** len(owned)):
+        values = evaluate(strategy)
+        picks = strategy.as_dict()
+        switched = {}
+        for i in owned:
             a, b = game.children_of(i)
-            picks[i] = a if values[a] <= values[b] else b
-        new_tau = Strategy.of(VertexKind.MIN, picks)
-        if new_tau == tau:
-            return values, tau
-        tau = new_tau
-    raise InternalCheckError("min policy iteration failed to settle")
+            other = b if picks[i] == a else a
+            if better(values[other], values[picks[i]]):
+                switched[i] = other
+        if not switched:
+            return values, strategy, rounds
+        strategy = Strategy.of(owner, {**picks, **switched})
+    raise InternalCheckError(f"{owner.value} policy iteration exceeded its evaluation bound")
 
 
 def _strategy_improvement(game: Game, lam: Fraction) -> tuple[ValueVector, int]:
     """The loop of hoffman_karp on a game whose every edge carries
     weight lam, which must make it stopping; returns (optimal values,
-    improvement rounds). Each round's min reply starts from the last."""
-    maxes = game.vertices_of_kind(VertexKind.MAX)
-    mins = game.vertices_of_kind(VertexKind.MIN)
-    bound = 2 ** len(maxes)
-    sigma = Strategy.of(VertexKind.MAX, {v: game.children_of(v)[0] for v in maxes})
-    tau = Strategy.of(VertexKind.MIN, {v: game.children_of(v)[0] for v in mins})
-    rounds = 0
-    while True:
-        values, tau = _min_best_reply(game, sigma, tau, lam)
-        switched = {}
-        for i in maxes:
-            a, b = game.children_of(i)
-            pick = sigma.pick(i)
-            other = b if pick == a else a
-            if values[other] > values[pick]:
-                switched[i] = other
-        if not switched:
-            return values, rounds
-        if rounds >= bound:
-            raise InternalCheckError("strategy improvement exceeded its round bound")
-        sigma = Strategy.of(VertexKind.MAX, {**sigma.as_dict(), **switched})
-        rounds += 1
+    max's switch rounds). Max runs _improve against min's exact best
+    reply, which is _improve for min against the fixed sigma, started
+    from the previous round's reply."""
+    left = {
+        kind: Strategy.of(kind, {v: game.children_of(v)[0] for v in game.vertices_of_kind(kind)})
+        for kind in (VertexKind.MAX, VertexKind.MIN)
+    }
+    tau = left[VertexKind.MIN]
+
+    def min_reply(sigma: Strategy) -> ValueVector:
+        nonlocal tau
+        values, tau, _ = _improve(
+            game, VertexKind.MIN, tau, lambda t: solve_value_vector(ReducedGame(game, t, sigma), lam)
+        )
+        return values
+
+    values, _sigma, rounds = _improve(game, VertexKind.MAX, left[VertexKind.MAX], min_reply)
+    return values, rounds
 
 
 def hoffman_karp(game: Game) -> SolveReport:
-    """Exact strategy improvement for stopping games.
+    """Exact strategy improvement for stopping games (Hoffman and Karp).
 
     Start max at all left children; each round, compute min's exact
     best reply and switch every max vertex whose other child is
-    strictly better under those values. No switchable vertex means the
-    values are a fixed point of the update operator, hence optimal.
-    Rounds are bounded by the number of distinct max strategies.
+    strictly better under those values; both steps run _improve. No
+    switchable vertex means the values are a fixed point of the update
+    operator, hence optimal. Rounds are bounded by the number of
+    distinct max strategies.
     """
     if not is_stopping(game):
         raise PreconditionError("strategy improvement needs a stopping game; transform first")
@@ -509,12 +507,11 @@ def _transform_solve(game: Game) -> tuple[ValueVector, ValueVector, int]:
     return z, s, rounds
 
 
-def _vi_solve(
-    game: Game, epsilon: Union[Fraction, None], max_iters: int
-) -> tuple[ValueVector, int]:
+def _vi_solve(game: Game) -> tuple[ValueVector, int]:
     """The vi route on a stopping game: sweep from zero and return the
     exact values with the productive sweeps run, or raise
-    NonConvergenceError with the last iterate attached.
+    NonConvergenceError with the last iterate attached after
+    DEFAULT_MAX_ITERS sweeps.
 
     Vertex values have denominators at most 4**n, so an iterate within
     half a separation of the value snaps to it, and on a stopping game
@@ -522,9 +519,12 @@ def _vi_solve(
     The sweep's gain bounds its residual from above, so once the gain
     first falls to half a separation (one >> (4n+1) grid units) the
     iterate is snapped and tested, and again every SNAP_SPACING sweeps.
-    The sweep that reaches epsilon is the last try.
+    The sweep that reaches default_epsilon is the last try; its iterate
+    lies within a quarter separation of the value, so a failed snap
+    there means a bug, not bad input.
     """
-    eps, one, thr, kind, c0, c1 = _vi_setup(game, epsilon, max_iters)
+    max_iters = DEFAULT_MAX_ITERS
+    eps, one, thr, kind, c0, c1 = _vi_setup(game, None, max_iters)
     layout = kernels.sweep_layout(kind, c0, c1, one)
     near = one >> (4 * game.n + 1)
     productive = 0
@@ -538,16 +538,11 @@ def _vi_solve(
             if z is not None:
                 return z, productive
             due = sweep + SNAP_SPACING
-    approx = ValueVector(Fraction(x, one) for x in layout.in_vertex_order(v))
     if converged:
-        raise NonConvergenceError(
-            "value iteration result does not snap to a fixed point; lower epsilon",
-            values=approx,
-            iterations=productive,
-        )
+        raise InternalCheckError("the converged vi iterate does not snap to a fixed point")
     raise NonConvergenceError(
         f"value iteration did not reach epsilon={eps} within {max_iters} sweeps",
-        values=approx,
+        values=ValueVector(Fraction(x, one) for x in layout.in_vertex_order(v)),
         iterations=productive,
     )
 
@@ -556,8 +551,6 @@ def solve(
     game: Game,
     method: str = "auto",
     with_certificate: bool = False,
-    epsilon: Union[Fraction, None] = None,
-    max_iters: int = DEFAULT_MAX_ITERS,
     oracle_budget: int = DEFAULT_ORACLE_BUDGET,
 ) -> SolveReport:
     """Compute the optimal value vector by the requested method.
@@ -573,8 +566,9 @@ def solve(
     with_certificate attaches it on every path and checks it with
     verify_ovv_certificate, raising InternalCheckError on a rejection.
     vi, on stopping games only, runs value iteration until a snapped
-    iterate passes the exact test T z = z, with epsilon as the last try
-    (default_epsilon when None), and counts the productive sweeps run.
+    iterate passes the exact test T z = z, with default_epsilon(n) as
+    the last try and at most DEFAULT_MAX_ITERS sweeps, and counts the
+    productive sweeps run.
     """
     if method not in METHODS:
         raise PreconditionError(f"unknown method {method!r}; want one of {', '.join(METHODS)}")
@@ -617,7 +611,7 @@ def solve(
     elif method == "vi":
         if not is_stopping(game):
             raise PreconditionError("vi method needs a stopping game; transform first")
-        z, iters = _vi_solve(game, epsilon, max_iters)
+        z, iters = _vi_solve(game)
         report = _report(game, z, "vi", iters)
     else:  # oracle
         report = brute_force_oracle(game, budget=oracle_budget)

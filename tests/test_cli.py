@@ -62,6 +62,23 @@ def test_reads_game_from_stdin(capsys, monkeypatch):
     assert out.startswith("ok: n=3")
 
 
+def test_validate_huge_vertex_count_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("ssg 99999999999999999999 1\n"))
+    code, out, err = run(capsys, "validate", "-")
+    assert code == 1
+    assert out == ""
+    assert "missing vertex 1" in err
+
+
+def test_validate_undecodable_file_exits_1(tmp_path, capsys):
+    path = tmp_path / "game.ssg"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 1
+    assert out == ""
+    assert f"{path} is not valid UTF-8" in err
+
+
 # --------------------------------------------------------------- solve
 
 
@@ -276,6 +293,15 @@ def test_certify_refuses_non_edge_sigma_pick(game_file, tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "1->4 is not an edge" in err
+
+
+def test_certify_undecodable_certificate_exits_1(game_file, tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    cert.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "certify", "--cert", str(cert), game_file(GAME_B))
+    assert code == 1
+    assert out == ""
+    assert f"{cert} is not valid UTF-8" in err
 
 
 def test_certify_json_reports_the_verdict(game_file, tmp_path, capsys):

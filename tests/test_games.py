@@ -3,6 +3,7 @@
 import io
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -123,6 +124,19 @@ def test_strategy_rejects_duplicates_and_bad_owner():
         Strategy.of(VertexKind.AVG, {1: 2})
 
 
+@pytest.mark.parametrize("picks", [((1, 3.0),), ((1.0, 3),)])
+def test_strategy_rejects_float_vertex_ids(picks):
+    # 3.0 == 3, so a float id used to pass validation and break lookups later
+    with pytest.raises(StrategyError, match="integer vertex ids"):
+        Strategy(VertexKind.MAX, picks)
+
+
+def test_strategy_normalises_numpy_ids():
+    s = Strategy(VertexKind.MAX, ((np.int64(1), np.int64(3)),))
+    assert s.picks == ((1, 3),)
+    assert all(type(x) is int for x in s.picks[0])
+
+
 def test_validate_strategy_coverage():
     tau = Strategy.of(VertexKind.MIN, {2: 1})
     validate_strategy(GAME_E, tau)
@@ -187,6 +201,12 @@ def test_parse_game_with_comments():
     g = parse_game(SAMPLE)
     assert g == GAME_B
     assert parse_game(io.StringIO(SAMPLE)) == GAME_B
+
+
+def test_parse_game_huge_vertex_count_fails_validation():
+    # rows are checked before anything n-long is built
+    with pytest.raises(ValidationError, match="missing vertex 1"):
+        parse_game("ssg 99999999999999999999 1\n")
 
 
 def test_parse_game_line_order_free():

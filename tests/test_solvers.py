@@ -1,6 +1,7 @@
 """End-to-end solver behavior: operator, iteration, improvement, oracle,
 dispatch, and certificate checking."""
 
+import importlib
 import random
 from fractions import Fraction
 
@@ -50,8 +51,11 @@ from ssg.fixtures import (
     GAME_F,
     GAME_G,
 )
-from ssg.solve import _is_fixed_point, _snap, _transform_solve
+from ssg.solve import _improve, _is_fixed_point, _snap, _transform_solve
 from ssg.stopping import DEFAULT_C
+
+# the module itself; the package's `solve` attribute is the function
+solve_module = importlib.import_module("ssg.solve")
 
 HALF = Fraction(1, 2)
 
@@ -264,6 +268,41 @@ def test_hk_needs_stopping():
 def test_hk_on_mixed_stopping_game():
     report = hoffman_karp(MIXED_STOPPING)
     assert report.values == brute_force_oracle(MIXED_STOPPING).values
+
+
+def _min_reply(game, sigma, tau):
+    """min's exact best reply to sigma by the shared policy-iteration
+    loop, started from tau, as hoffman_karp runs it."""
+    return _improve(
+        game, VertexKind.MIN, tau, lambda t: solve_value_vector(ReducedGame(game, t, sigma))
+    )
+
+
+@pytest.mark.parametrize("weights", [(1, 1, 1), (1, 1, 3)])
+@pytest.mark.parametrize("n", range(4, 9))
+def test_min_reply_matches_brute_force_best_reply(n, weights):
+    rng = random.Random(n)
+    for seed in range(3):
+        game = random_game(n, weights, seed=seed, require_stopping=True)
+        taus = enumerate_strategies(game, VertexKind.MIN)
+        for sigma in enumerate_strategies(game, VertexKind.MAX):
+            evals = [solve_value_vector(ReducedGame(game, t, sigma)) for t in taus]
+            best = ValueVector(min(col) for col in zip(*(v.components for v in evals)))
+            for start in (taus[0], rng.choice(taus)):
+                values, tau, _ = _min_reply(game, sigma, start)
+                assert values == best
+                assert solve_value_vector(ReducedGame(game, tau, sigma)) == best
+
+
+def test_min_reply_keeps_its_pick_on_a_tie():
+    # both children of min vertex 1 are worth 1/2; only a strict
+    # improvement moves a pick, so the right child stays
+    game = build_game(5, 1, [(1, "min", 2, 3), (2, "avg", 4, 5), (3, "avg", 5, 4)])
+    tau = Strategy.of(VertexKind.MIN, {1: 3})
+    sigma = Strategy.of(VertexKind.MAX, {})
+    values, reply, rounds = _min_reply(game, sigma, tau)
+    assert values == ValueVector([HALF, HALF, HALF, 0, 1])
+    assert (reply, rounds) == (tau, 0)
 
 
 # ------------------------------------------------------------ rounding
@@ -498,23 +537,13 @@ def test_vi_method_snaps_to_exact_values():
     assert report.values == ValueVector([Fraction(2, 3), Fraction(1, 3), 0, 1])
 
 
-def test_vi_method_caps_sweeps():
+def test_vi_method_caps_sweeps(monkeypatch):
     # GAME-B is worth (2/3, 1/3), which no finite sweep count reaches
+    monkeypatch.setattr(solve_module, "DEFAULT_MAX_ITERS", 1)
     with pytest.raises(NonConvergenceError, match="within 1 sweeps") as info:
-        solve(GAME_B, "vi", max_iters=1)
+        solve(GAME_B, "vi")
     assert info.value.iterations == 1
     assert info.value.values == ValueVector([HALF, 0, 0, 1])
-
-
-@pytest.mark.parametrize("eps", [Fraction(1, 4), Fraction(1, 1000)])
-def test_vi_method_coarse_epsilon_asks_for_a_lower_one(eps):
-    # at 1/4 the iterate (5/8, 1/4) snaps to itself, which is no fixed
-    # point; at 1/1000 the iterate's 341/512 has no representable value
-    # within half a separation
-    with pytest.raises(NonConvergenceError, match="lower epsilon") as info:
-        solve(GAME_B, "vi", epsilon=eps)
-    approx, sweeps = value_iteration(GAME_B, epsilon=eps)
-    assert (info.value.values, info.value.iterations) == (approx, sweeps)
 
 
 def _reference_vi_stop(game):

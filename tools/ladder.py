@@ -3,15 +3,17 @@
     python3 tools/ladder.py --label NAME [--games 3] [--seed 0]
 
 Run from anywhere; the package is imported from the checkout's `src/`.
-For each n in SIZES it draws games from five families, scanning
+For each n in SIZES it draws games from seven families, scanning
 seed = --seed, --seed + 1, ... and keeping the first --games of each:
 `random_game(n, (1, 1, 1), seed)` games that hold all three vertex
 kinds and are non-stopping (auto `solve` takes the transform route);
 the same drawn with require_stopping (hk route);
 `random_game(n, (1, 1, 0), seed)` games that hold both players
-(avg-free route); and `random_game(n, (1, 0, 1), seed)` and
+(avg-free route); `random_game(n, (1, 0, 1), seed)` and
 `random_game(n, (0, 1, 1), seed)` games that hold their one player and
-avg vertices (lp route). Each kept game is solved once with
+avg vertices (lp route); and the chance-heavy
+`random_game(n, (1, 1, 8), seed)` games, non-stopping (transform) and
+drawn with require_stopping (hk). Each kept game is solved once with
 `solve(game, "auto")`, and each stopping mixed one also with
 `solve(game, "vi")` (value iteration snapped back to exact values)
 and with an `mc` row: `mc_estimate` of MC_PLAYS plays, seeded with the
@@ -53,6 +55,8 @@ FAMILIES = (
     ((1, 1, 0), False),
     ((1, 0, 1), False),
     ((0, 1, 1), False),
+    ((1, 1, 8), False),
+    ((1, 1, 8), True),
 )
 
 
