@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import os.path
-import re
 import sys
 import time
 from fractions import Fraction
@@ -32,6 +31,7 @@ from .games import (
     Strategy,
     ValueVector,
     VertexKind,
+    ascii_int,
     format_rational,
     parse_game,
     parse_rational,
@@ -52,9 +52,6 @@ from .stopping import DEFAULT_C, build_stopping_game
 
 SCHEMA = 3
 
-_EDGE_RE = re.compile(r"^\s*(\d+)\s*->\s*(\d+)\s*$")
-
-
 def _rational_arg(text: str) -> Fraction:
     try:
         return parse_rational(text)
@@ -63,24 +60,30 @@ def _rational_arg(text: str) -> Fraction:
 
 
 def _positive_int_arg(text: str) -> int:
-    if not text.isdigit() or int(text) < 1:
+    try:
+        value = ascii_int(text, signed=False)
+    except ValueError:
+        value = 0
+    if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
+    return value
 
 
 def _non_negative_int_arg(text: str) -> int:
-    if not text.isdigit():
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return int(text)
+    try:
+        return ascii_int(text, signed=False)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}") from None
 
 
 def _weights_arg(text: str) -> tuple[int, int, int]:
-    parts = text.split(":")
-    if len(parts) != 3 or not all(p.isdigit() for p in parts):
+    try:
+        a, b, c = (ascii_int(part, signed=False) for part in text.split(":"))
+    except ValueError:
         raise argparse.ArgumentTypeError(
             f"weights must look like 'a:b:c' with nonnegative integers, got {text!r}"
-        )
-    return (int(parts[0]), int(parts[1]), int(parts[2]))
+        ) from None
+    return a, b, c
 
 
 def _edges_arg(text: str) -> tuple[tuple[int, int], ...]:
@@ -88,12 +91,13 @@ def _edges_arg(text: str) -> tuple[tuple[int, int], ...]:
         return ()
     edges = []
     for part in text.split(","):
-        m = _EDGE_RE.match(part)
-        if not m:
+        i, _, j = part.partition("->")
+        try:
+            edges.append((ascii_int(i.strip(), signed=False), ascii_int(j.strip(), signed=False)))
+        except ValueError:
             raise argparse.ArgumentTypeError(
                 f"strategies are comma-separated 'i->j' pairs, got {part.strip()!r}"
-            )
-        edges.append((int(m.group(1)), int(m.group(2))))
+            ) from None
     return tuple(edges)
 
 
@@ -574,7 +578,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cert", required=True, metavar="FILE")
 
     p = add("gen", _cmd_gen, "generate a seeded random game", game_arg=False)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=ascii_int, required=True)
     p.add_argument("--seed", type=_non_negative_int_arg, default=0)
     p.add_argument("--weights", type=_weights_arg, default=(1, 1, 1), metavar="A:B:C",
                    help="relative frequency of max:min:avg vertices")

@@ -268,10 +268,6 @@ class ValueVector:
                 raise ValidationError(f"value at vertex {idx + 1} outside [0, 1]: {x}")
         self._vals = vals
 
-    @classmethod
-    def from_map(cls, n: int, mapping: Mapping[int, Fraction], default: Fraction = Fraction(0)) -> "ValueVector":
-        return cls(mapping.get(v, default) for v in range(1, n + 1))
-
     @property
     def n(self) -> int:
         return len(self._vals)
@@ -320,15 +316,26 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+def ascii_int(text: str, signed: bool = True) -> int:
+    """The integer that text spells in ASCII digits, after one optional
+    sign if signed; raises ValueError on anything else. int() alone also
+    takes other scripts' digits, '_' separators and surrounding spaces.
+    """
+    # parse_game calls this on every token, so the common case, plain
+    # digits, costs two string tests
+    if text.isascii() and (
+        text.isdigit() or signed and text[:1] in ("+", "-") and text[1:].isdigit()
+    ):
+        return int(text)
+    raise ValueError(f"not an ASCII integer: {text!r}")
 
 
 def parse_rational(text: str) -> Fraction:
-    m = _RATIONAL_RE.match(text.strip())
-    if not m:
-        raise FormatError(f"expected a rational like '2/3' or '1', got {text!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
+    num, slash, den = text.strip().partition("/")
+    try:
+        num, den = ascii_int(num), ascii_int(den, signed=False) if slash else 1
+    except ValueError:
+        raise FormatError(f"expected a rational like '2/3' or '1', got {text!r}") from None
     if den == 0:
         raise FormatError(f"zero denominator in rational {text!r}")
     return Fraction(num, den)
@@ -352,7 +359,7 @@ def _tokenize(text: str) -> list[tuple[int, list[tuple[int, str]]]]:
 def _parse_int(tok: tuple[int, str], what: str, line: int) -> int:
     col, text = tok
     try:
-        return int(text)
+        return ascii_int(text)
     except ValueError:
         raise FormatError(f"expected integer {what}, got {text!r}", line, col) from None
 

@@ -8,7 +8,8 @@ from .exceptions import GenerationError, PreconditionError
 from .games import Game, VertexKind, build_game
 from .markov import is_stopping
 
-_KIND_ORDER = (VertexKind.MAX, VertexKind.MIN, VertexKind.AVG)
+# Whole-game redraws allowed under require_stopping.
+MAX_ATTEMPTS = 1000
 
 
 def random_game(
@@ -16,7 +17,6 @@ def random_game(
     weights: tuple[int, int, int] = (1, 1, 1),
     seed: int = 0,
     require_stopping: bool = False,
-    max_attempts: int = 1000,
 ) -> Game:
     """Draw a game from PCG64(seed), seed >= 0; identical arguments give
     identical games.
@@ -30,14 +30,12 @@ def random_game(
     (hand-built games still may have them). The start vertex is 1.
 
     With require_stopping, whole games are redrawn from the same stream
-    until the stopping test passes, up to max_attempts.
+    until the stopping test passes, up to MAX_ATTEMPTS.
     """
     if n < 3:
         raise PreconditionError(f"generated games need n >= 3, got {n}")
     if len(weights) != 3 or any(w < 0 for w in weights) or sum(weights) == 0:
         raise PreconditionError(f"weights must be three nonnegative integers, not all zero: {weights}")
-    if max_attempts < 1:
-        raise PreconditionError(f"max_attempts must be positive, got {max_attempts}")
     if seed < 0:
         raise PreconditionError(f"seed must be a non-negative integer, got {seed}")
 
@@ -46,7 +44,7 @@ def random_game(
     cut_min = weights[0] + weights[1]
     rng = np.random.Generator(np.random.PCG64(seed))
 
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         kinds = []
         for _v in range(1, n - 1):
             r = int(rng.integers(0, total))
@@ -69,5 +67,5 @@ def random_game(
             return game
 
     raise GenerationError(
-        f"no stopping game found in {max_attempts} attempts (n={n}, seed={seed}, weights={weights})"
+        f"no stopping game found in {MAX_ATTEMPTS} attempts (n={n}, seed={seed}, weights={weights})"
     )

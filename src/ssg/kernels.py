@@ -2,40 +2,31 @@
 
 The two approximate loops of the package live here: value-iteration
 sweeps on a 2**-K fixed-point grid, run on Python integers so any K
-works, and Monte-Carlo play rollouts, run on numpy arrays.
+works, and Monte-Carlo play rollouts, run on numpy arrays. Both walk
+one layout of a reduced game, built by sweep_layout: the vertices
+sorted by kind (max, min, avg, then the 0-sink and the 1-sink) with
+successors given as positions in that order.
 
 Values are integers in [0, 2**K] meaning v * 2**-K. Averages round
 down; max and min are exact. Sweeps start from zero with the sinks
 pinned at their constants; rounding down keeps them monotone
-nondecreasing and never above the true fixed point.
-
-A sweep runs on the vertices sorted by kind (max, min, avg, then the
-sinks), with successor indices remapped into that order, so each kind
-is one list comprehension over (a, b) index pairs and the sinks are a
-constant tail; vectors are mapped back to vertex order only where a
-caller needs them.
+nondecreasing and never above the true fixed point. In the layout each
+kind is one list comprehension over (a, b) position pairs and the sinks
+are a constant tail; vectors are mapped back to vertex order only where
+a caller needs them.
 """
 
 from __future__ import annotations
 
 from operator import sub
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-KIND_MAX = 0
-KIND_MIN = 1
-KIND_AVG = 2
-KIND_SINK0 = 3
-KIND_SINK1 = 4
+from .games import VertexKind
 
-KIND_CODES = {
-    "max": KIND_MAX,
-    "min": KIND_MIN,
-    "avg": KIND_AVG,
-    "sink0": KIND_SINK0,
-    "sink1": KIND_SINK1,
-}
+if TYPE_CHECKING:
+    from .markov import ReducedGame
 
 
 def backend() -> str:
@@ -44,11 +35,13 @@ def backend() -> str:
 
 
 class SweepLayout(NamedTuple):
-    """The vertices sorted by kind code: max, min, avg, then the sinks.
+    """A reduced game's vertices sorted by kind: max, min, avg, then the
+    0-sink and the 1-sink in the last two positions.
 
-    rank[u] is vertex u's position in that order. maxs, mins and avgs
-    hold the successor positions (a, b) of each kind's vertices in order,
-    and sinks the constants the sink positions are pinned at.
+    rank[u] is the position of vertex u + 1. maxs, mins and avgs hold
+    the successor positions (a, b) of each kind's vertices in vertex
+    order; a vertex whose strategy is fixed has a = b. sinks holds the
+    constants the two sink positions are pinned at, [0, one].
     """
 
     rank: list[int]
@@ -59,25 +52,32 @@ class SweepLayout(NamedTuple):
 
     def start(self) -> list[int]:
         """Zero everywhere except the pinned sinks, in layout order."""
-        return [0] * (len(self.rank) - len(self.sinks)) + self.sinks
+        return [0] * (len(self.rank) - 2) + self.sinks
 
     def in_vertex_order(self, v: list[int]) -> list[int]:
         """Map a vector in layout order back to vertex order."""
         return [v[p] for p in self.rank]
 
 
-def sweep_layout(kind, c0, c1, one: int) -> SweepLayout:
-    """Sort the vertices by kind once and remap c0/c1 into that order."""
-    order = sorted(range(len(kind)), key=kind.__getitem__)
-    rank = [0] * len(kind)
-    for pos, u in enumerate(order):
-        rank[u] = pos
+def sweep_layout(rg: ReducedGame, one: int) -> SweepLayout:
+    """Lay out the reduced game rg by kind, with the 1-sink pinned at one.
 
-    def pairs(code):
-        return [(rank[c0[u]], rank[c1[u]]) for u in order if kind[u] == code]
-
-    sinks = [one if kind[u] == KIND_SINK1 else 0 for u in order if kind[u] >= KIND_SINK0]
-    return SweepLayout(rank, pairs(KIND_MAX), pairs(KIND_MIN), pairs(KIND_AVG), sinks)
+    Reads the kinds of rg.game and the successors rg.successors(v); a
+    lone successor fills both slots of its pair.
+    """
+    game = rg.game
+    kinds = game.kinds
+    groups = [
+        [v for v in game.interior if kinds[v - 1] is kind]
+        for kind in (VertexKind.MAX, VertexKind.MIN, VertexKind.AVG)
+    ]
+    rank = [0] * game.n
+    for pos, v in enumerate([*groups[0], *groups[1], *groups[2], game.sink0, game.sink1]):
+        rank[v - 1] = pos
+    maxs, mins, avgs = (
+        [(rank[s[0] - 1], rank[s[-1] - 1]) for s in map(rg.successors, group)] for group in groups
+    )
+    return SweepLayout(rank, maxs, mins, avgs, [0, one])
 
 
 def sweeps(layout: SweepLayout, thr: int, max_iters: int):
@@ -113,7 +113,7 @@ def sweeps(layout: SweepLayout, thr: int, max_iters: int):
             return
 
 
-def vi_run(kind, c0, c1, one: int, thr: int, max_iters: int):
+def vi_run(layout: SweepLayout, thr: int, max_iters: int):
     """Run the sweep loop from the pinned-sink start vector.
 
     Returns (values, productive sweeps, converged flag), with values in
@@ -121,7 +121,6 @@ def vi_run(kind, c0, c1, one: int, thr: int, max_iters: int):
     component; convergence means the last residual was at most thr in
     grid units.
     """
-    layout = sweep_layout(kind, c0, c1, one)
     v = layout.start()
     productive = 0
     converged = False
@@ -134,29 +133,33 @@ def vi_run(kind, c0, c1, one: int, thr: int, max_iters: int):
 vi_run_object = vi_run
 
 
-def mc_run(kind, s0, s1, start: int, plays: int, max_steps: int, seed: int):
-    """Roll out random plays; returns (hits of the 1-sink, truncated plays).
+def mc_run(layout: SweepLayout, start: int, plays: int, max_steps: int, seed: int):
+    """Roll out random plays from layout position start; returns (hits
+    of the 1-sink, truncated plays).
 
-    All plays advance together, one step per round; plays that reach a
-    sink are dropped from the position array, which keeps play order.
-    Each round draws one fair coin per play standing on an avg vertex,
-    in play order, from a RandomState seeded with seed.
+    All plays advance together, one step per round, for at most
+    max_steps rounds. A play ends on the round it reaches a sink, the
+    last round included, and is dropped from the position array, which
+    keeps play order; a play still off the sinks after max_steps moves
+    is truncated. The layout's kind order tells the vertices apart by
+    position: avg vertices from the first avg position up to the sinks,
+    the 1-sink last. Each round draws one fair coin per play standing on
+    an avg vertex, in play order, from a RandomState seeded with seed.
     """
-    kind = np.ascontiguousarray(kind, dtype=np.int8)
-    s0 = np.ascontiguousarray(s0, dtype=np.intp)
-    s1 = np.ascontiguousarray(s1, dtype=np.intp)
+    pairs = layout.maxs + layout.mins + layout.avgs
+    s0, s1 = np.array(pairs, dtype=np.intp).reshape(-1, 2).T.copy()
+    first_avg = len(layout.maxs) + len(layout.mins)
+    sink0 = len(s0)
     rs = np.random.RandomState(seed)
     pos = np.full(plays, start, dtype=np.intp)
     hits = 0
-    for _ in range(max_steps):
-        k = kind[pos]
-        hits += int(np.count_nonzero(k == KIND_SINK1))
-        live = k < KIND_SINK0
-        pos = pos[live]
-        if pos.size == 0:
+    for step in range(max_steps + 1):
+        hits += int(np.count_nonzero(pos > sink0))
+        pos = pos[pos < sink0]
+        if pos.size == 0 or step == max_steps:
             break
         nxt = s0[pos]
-        avg = np.flatnonzero(k[live] == KIND_AVG)
+        avg = np.flatnonzero(pos >= first_avg)
         if avg.size:
             tails = avg[rs.random_sample(avg.size) >= 0.5]
             nxt[tails] = s1[pos[tails]]

@@ -344,20 +344,6 @@ def is_stopping_exhaustive(game: Game, max_player_vertices: int = 12) -> bool:
     return True
 
 
-def _reduced_arrays(rg: ReducedGame) -> tuple[list[int], list[int], list[int]]:
-    """Kind codes and 0-based successor indices of every vertex, for the
-    sweep and rollout loops. A sink points at itself and a lone
-    successor fills both slots."""
-    game = rg.game
-    kind, c0, c1 = [], [], []
-    for v in game.vertices:
-        kind.append(kernels.KIND_CODES[game.kind(v).value])
-        succ = rg.successors(v) or (v,)
-        c0.append(succ[0] - 1)
-        c1.append(succ[-1] - 1)
-    return kind, c0, c1
-
-
 @dataclass(frozen=True)
 class MCEstimate:
     """Outcome counts of random plays from one vertex."""
@@ -380,8 +366,10 @@ def mc_estimate(
 ) -> MCEstimate:
     """Monte-Carlo estimate of one vertex's value in a reduced game.
 
-    A sanity tool, not an exact method. Plays still unresolved after
-    max_steps count as misses, which biases long-cycling games low.
+    A sanity tool, not an exact method. A play ends when it reaches a
+    sink, on its last allowed move too; one still off the sinks after
+    max_steps moves is truncated and counts as a miss, which biases
+    long-cycling games low.
     The seed feeds a numpy RandomState, so it must lie in [0, 2**32).
     """
     _require_fully_reduced(rg, "mc_estimate")
@@ -398,6 +386,6 @@ def mc_estimate(
         max_steps = 4096 * game.n
     if max_steps < 1:
         raise PreconditionError(f"max_steps must be positive, got {max_steps}")
-    kind, s0, s1 = _reduced_arrays(rg)
-    hits, truncated = kernels.mc_run(kind, s0, s1, start - 1, plays, max_steps, seed)
+    layout = kernels.sweep_layout(rg, 1)
+    hits, truncated = kernels.mc_run(layout, layout.rank[start - 1], plays, max_steps, seed)
     return MCEstimate(hits=hits, plays=plays, truncated=truncated)

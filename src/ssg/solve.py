@@ -70,7 +70,7 @@ from .games import (
     validate_strategy,
 )
 from .lp import build_lp_max_free, build_lp_min_free, simplex_optimize
-from .markov import ReducedGame, _reduced_arrays, attractor, is_stopping, solve_value_vector
+from .markov import ReducedGame, attractor, is_stopping, solve_value_vector
 from .stopping import DEFAULT_C, chain_weight
 
 DEFAULT_ORACLE_BUDGET = 16
@@ -241,7 +241,7 @@ def _grid_setup(n: int, epsilon: Union[Fraction, None]):
     if eps <= 0:
         raise PreconditionError(f"epsilon must be positive, got {eps}")
     scaled = (16 * eps.denominator + eps.numerator - 1) // eps.numerator
-    bits = max(20, (max(scaled, 1) - 1).bit_length())
+    bits = (scaled - 1).bit_length()
     if bits <= MIN_GRID_BITS:
         bits = MIN_GRID_BITS
     else:
@@ -253,11 +253,12 @@ def _grid_setup(n: int, epsilon: Union[Fraction, None]):
 
 def _vi_setup(game: Game, epsilon: Union[Fraction, None], max_iters: int):
     """Check value-iteration arguments and lay out the sweep inputs;
-    returns (eps, one, thr, kind, c0, c1) with one = 2**K."""
+    returns (eps, one, thr, layout) with one = 2**K."""
     if max_iters < 1:
         raise PreconditionError(f"max_iters must be positive, got {max_iters}")
     eps, bits, thr = _grid_setup(game.n, epsilon)
-    return (eps, 1 << bits, thr, *_reduced_arrays(ReducedGame(game)))
+    one = 1 << bits
+    return eps, one, thr, kernels.sweep_layout(ReducedGame(game), one)
 
 
 def value_iteration(
@@ -274,8 +275,8 @@ def value_iteration(
     a sweep is productive if it changed anything. Raises
     NonConvergenceError (with partial values attached) at max_iters.
     """
-    eps, one, thr, kind, c0, c1 = _vi_setup(game, epsilon, max_iters)
-    ints, productive, converged = kernels.vi_run(kind, c0, c1, one, thr, max_iters)
+    eps, one, thr, layout = _vi_setup(game, epsilon, max_iters)
+    ints, productive, converged = kernels.vi_run(layout, thr, max_iters)
     values = ValueVector(Fraction(x, one) for x in ints)
     if not converged:
         raise NonConvergenceError(
@@ -295,8 +296,7 @@ def vi_iterates(
     where value_iteration would stop. Same sweep loop, so the last
     vector equals value_iteration's result exactly. Arguments are
     checked at the call, before the first vector is drawn."""
-    _eps, one, thr, kind, c0, c1 = _vi_setup(game, epsilon, max_iters)
-    layout = kernels.sweep_layout(kind, c0, c1, one)
+    _eps, one, thr, layout = _vi_setup(game, epsilon, max_iters)
     swept = (v for v, _gain, _converged in kernels.sweeps(layout, thr, max_iters))
     vectors = chain([layout.start()], swept)
     return (ValueVector(Fraction(x, one) for x in layout.in_vertex_order(v)) for v in vectors)
@@ -524,8 +524,7 @@ def _vi_solve(game: Game) -> tuple[ValueVector, int]:
     there means a bug, not bad input.
     """
     max_iters = DEFAULT_MAX_ITERS
-    eps, one, thr, kind, c0, c1 = _vi_setup(game, None, max_iters)
-    layout = kernels.sweep_layout(kind, c0, c1, one)
+    eps, one, thr, layout = _vi_setup(game, None, max_iters)
     near = one >> (4 * game.n + 1)
     productive = 0
     due = None

@@ -377,6 +377,12 @@ def test_gen_bad_weights_is_usage_error(capsys):
     assert code == 2
 
 
+def test_gen_n_takes_a_sign(capsys):
+    code, out, _ = run(capsys, "gen", "--n", "+6")
+    assert code == 0
+    assert parse_game(out).n == 6
+
+
 def test_gen_negative_seed_is_usage_error(capsys):
     # used to end in a numpy ValueError traceback
     code, out, err = run(capsys, "gen", "--n", "5", "--seed", "-1")
@@ -534,6 +540,34 @@ def test_malformed_game_is_domain_error(tmp_path, capsys):
     code, _, err = run(capsys, "validate", str(bad))
     assert code == 1
     assert "error: line" in err
+
+
+def test_non_ascii_integer_in_game_file_is_domain_error(tmp_path, capsys):
+    bad = tmp_path / "bad.ssg"
+    for text, where in (("ssg 5 1\n1 max 2 3\n2 min 4 5\n3 avg 2 0_5\n", "line 4, column 9"),
+                        ("ssg ５ 1\n1 avg 2 3\n", "line 1, column 5")):
+        bad.write_text(text, encoding="utf-8")
+        code, _, err = run(capsys, "validate", str(bad))
+        assert code == 1
+        assert where in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reduce", "--sigma", "1->３", "GAME"],
+        ["decide", "--alpha", "٣/٤", "GAME"],
+        ["oracle", "--budget", "１", "GAME"],
+        ["bench", "--suite", "GAME", "--plays", "５"],
+        ["gen", "--n", "６"],
+        ["gen", "--n", "6", "--weights", "١:1:1"],
+    ],
+)
+def test_non_ascii_integer_flag_is_usage_error(game_file, capsys, argv):
+    path = game_file(GAME_G)
+    code, out, _ = run(capsys, *(path if a == "GAME" else a for a in argv))
+    assert code == 2
+    assert out == ""
 
 
 def test_unknown_verb_is_usage_error(capsys):

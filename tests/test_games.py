@@ -175,7 +175,6 @@ def test_value_vector_gap_and_leq():
     assert a.leq(b)
     assert not b.leq(a)
     assert a.gap(b) == Fraction(1, 12)
-    assert ValueVector.from_map(3, {3: Fraction(1)}) == ValueVector([0, 0, 1])
 
 
 def test_format_and_parse_rational():
@@ -184,7 +183,8 @@ def test_format_and_parse_rational():
     assert parse_rational("2/3") == Fraction(2, 3)
     assert parse_rational(" 1 ") == 1
     assert parse_rational("-1/2") == Fraction(-1, 2)
-    for bad in ("1/0", "x", "1.5", "1/ 2"):
+    assert parse_rational("+1/2") == Fraction(1, 2)
+    for bad in ("1/0", "x", "1.5", "1/ 2", "1/+2", "1/", "٣/٤", "3/٤", "1_0/3"):
         with pytest.raises(FormatError):
             parse_rational(bad)
 
@@ -214,6 +214,10 @@ def test_parse_game_line_order_free():
     assert g == GAME_B
 
 
+def test_parse_game_takes_a_sign_on_integers():
+    assert parse_game("ssg +4 +1\n1 avg 2 +4\n+2 avg 1 3\n") == GAME_B
+
+
 @pytest.mark.parametrize(
     "text, line, col",
     [
@@ -223,6 +227,9 @@ def test_parse_game_line_order_free():
         ("ssg 3 1\n1 avg 2", 2, 1),
         ("ssg 3 1\n1 foo 2 3", 2, 3),
         ("ssg x 1\n1 avg 2 3", 1, 5),
+        # int() alone takes underscores and other scripts' digits
+        ("ssg 5 1\n1 max 2 3\n2 min 4 5\n3 avg 2 0_5", 4, 9),
+        ("ssg ５ 1\n1 avg 2 3", 1, 5),
     ],
 )
 def test_parse_game_errors_carry_position(text, line, col):

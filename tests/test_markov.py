@@ -188,6 +188,18 @@ def test_mc_estimate_truncates_endless_play():
     assert est.truncated == 50
 
 
+def test_mc_estimate_counts_plays_ending_on_the_last_step():
+    # every play reaches the 1-sink on its one allowed move
+    rg = fully_reduce(build_game(3, 1, [(1, "max", 2, 3)]), sigma_picks={1: 3})
+    est = mc_estimate(rg, plays=10, max_steps=1)
+    assert (est.hits, est.truncated) == (10, 0)
+    # two coins: every play has ended after two moves, a quarter on the 1-sink
+    rg = fully_reduce(build_game(4, 1, [(1, "avg", 2, 3), (2, "avg", 3, 4)]))
+    est = mc_estimate(rg, plays=1000, max_steps=2)
+    assert est.truncated == 0
+    assert abs(est.value - Fraction(1, 4)) < Fraction(1, 20)
+
+
 def test_mc_estimate_respects_start():
     rg = fully_reduce(GAME_A)
     assert mc_estimate(rg, start=3, plays=10, seed=0).hits == 10

@@ -594,6 +594,17 @@ def test_vi_agrees_with_hk_above_n8(n):
         assert (vi.values, vi.tau, vi.sigma) == (hk.values, hk.tau, hk.sigma)
 
 
+@pytest.mark.parametrize("n", [20, 30, 40])
+@pytest.mark.parametrize("weights", [(1, 0, 1), (0, 1, 1), (1, 1, 8)], ids=["1:0:1", "0:1:1", "1:1:8"])
+def test_exact_routes_agree_above_n8_by_weight_mix(n, weights):
+    for seed in range(3):
+        game = random_game(n, weights, seed=seed, require_stopping=True)
+        reports = [solve(game, "vi"), solve(game, "hk")]
+        if 0 in weights[:2]:  # one player: the lp route applies too
+            reports.append(solve(game, "lp"))
+        assert len({(r.values, r.tau, r.sigma) for r in reports}) == 1
+
+
 def test_vi_method_needs_stopping():
     with pytest.raises(PreconditionError):
         solve(GAME_C, method="vi")

@@ -1,0 +1,71 @@
+"""Compare the output hashes of two ladder files written by tools/ladder.py.
+
+    python3 tools/compare_bench.py OLD NEW
+
+Rows are keyed by (n, weights, seed, stopping, route). The script prints
+every key whose `hash` or `values_hash` differs between the files, every
+key found in only one of them, and a summary count. Where either row
+has no `values_hash` (files written before it existed), only `hash` is
+compared. Exits 0 when every row matches and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+
+
+def rows_by_key(path: str) -> dict[tuple, dict]:
+    with open(path, encoding="utf-8") as fh:
+        rows = json.load(fh)["games"]
+    keyed = {}
+    for row in rows:
+        # files written before the weight families have no "weights"
+        key = (row["n"], tuple(row.get("weights", ())), row["seed"], row["stopping"], row["route"])
+        if key in keyed:
+            raise SystemExit(f"{path}: duplicate row {key}")
+        keyed[key] = row
+    return keyed
+
+
+def differing_fields(old: dict, new: dict) -> list[str]:
+    fields = ["hash"]
+    if "values_hash" in old and "values_hash" in new:
+        fields.append("values_hash")
+    return [f for f in fields if old[f] != new[f]]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old")
+    parser.add_argument("new")
+    args = parser.parse_args(argv)
+    old, new = rows_by_key(args.old), rows_by_key(args.new)
+
+    def name(key):
+        n, weights, seed, stopping, route = key
+        mix = ":".join(map(str, weights))
+        return f"n={n} weights={mix} seed={seed} stopping={stopping} route={route}"
+
+    differ = only_old = only_new = 0
+    for key in sorted(old.keys() | new.keys()):
+        if key not in new:
+            only_old += 1
+            print(f"only in {args.old}: {name(key)}")
+        elif key not in old:
+            only_new += 1
+            print(f"only in {args.new}: {name(key)}")
+        else:
+            fields = differing_fields(old[key], new[key])
+            if fields:
+                differ += 1
+                print(f"differs in {', '.join(fields)}: {name(key)}")
+    equal = len(old.keys() & new.keys()) - differ
+    print(f"{equal} rows equal, {differ} differ, {only_old} only in {args.old}, "
+          f"{only_new} only in {args.new}")
+    return 1 if differ or only_old or only_new else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
