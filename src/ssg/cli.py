@@ -45,6 +45,7 @@ from .solve import (
     DEFAULT_ORACLE_BUDGET,
     SolveReport,
     brute_force_oracle,
+    game_value,
     solve,
     verify_ovv_certificate,
 )
@@ -103,7 +104,7 @@ def _edges_arg(text: str) -> tuple[tuple[int, int], ...]:
 
 def _methods_arg(text: str) -> tuple[str, ...]:
     tokens = tuple(t.strip() for t in text.split(",") if t.strip())
-    allowed = set(METHODS) | {"mc"}
+    allowed = {*METHODS, "mc", "oracle"}
     for t in tokens:
         if t not in allowed:
             raise argparse.ArgumentTypeError(
@@ -273,12 +274,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_solve(args) -> int:
     game = _read_game(args.game)
-    report = solve(
-        game,
-        method=args.method,
-        with_certificate=args.cert_out is not None,
-        oracle_budget=args.budget,
-    )
+    report = solve(game, method=args.method, with_certificate=args.cert_out is not None)
     if args.cert_out:
         _write_certificate(args.cert_out, report.certificate, game.n)
     if args.format == "json":
@@ -291,8 +287,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_value(args) -> int:
-    game = _read_game(args.game)
-    value = solve(game, "auto").values[game.start]
+    value = game_value(_read_game(args.game))
     if args.format == "json":
         doc = {"verb": "value", "value": format_rational(value)}
         if args.approx is not None:
@@ -306,8 +301,7 @@ def _cmd_value(args) -> int:
 def _cmd_decide(args) -> int:
     if not 0 <= args.alpha <= 1:
         raise SSGError(f"alpha must lie in [0, 1], got {format_rational(args.alpha)}")
-    game = _read_game(args.game)
-    value = solve(game, "auto").values[game.start]
+    value = game_value(_read_game(args.game))
     result = value > args.alpha
     if args.format == "json":
         _emit_json(
@@ -456,25 +450,26 @@ def _bench_rows(game: Game, name: str, methods, args):
             "value": None,
             "error": None,
         }
-        if method == "mc":
-            report = solve(game, "auto")
-            rg = reduce_game(game, report.tau, report.sigma)
-            est, secs = _time_best(
-                lambda: mc_estimate(rg, plays=args.plays, seed=args.seed), args.repeat
-            )
-            row["iterations"] = est.plays
-            row["ms"] = round(secs * 1000, 3)
-            row["value"] = format_rational(est.value)
-        else:
-            try:
-                report, secs = _time_best(
-                    lambda: solve(game, method, oracle_budget=args.budget), args.repeat
+        try:
+            if method == "mc":
+                report = solve(game, "auto")
+                rg = reduce_game(game, report.tau, report.sigma)
+                est, secs = _time_best(
+                    lambda: mc_estimate(rg, plays=args.plays, seed=args.seed), args.repeat
                 )
-                row["iterations"] = report.iterations
-                row["ms"] = round(secs * 1000, 3)
-                row["value"] = format_rational(report.values[game.start])
-            except SSGError as exc:
-                row["error"] = type(exc).__name__
+                iterations, value = est.plays, est.value
+            else:
+                report, secs = _time_best(
+                    lambda: brute_force_oracle(game, budget=args.budget)
+                    if method == "oracle" else solve(game, method),
+                    args.repeat,
+                )
+                iterations, value = report.iterations, report.values[game.start]
+            row["iterations"] = iterations
+            row["ms"] = round(secs * 1000, 3)
+            row["value"] = format_rational(value)
+        except SSGError as exc:
+            row["error"] = type(exc).__name__
         yield row
 
 
@@ -531,7 +526,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="output style"
     )
-    common.add_argument(
+    # only the verbs that print values take --approx
+    valued = argparse.ArgumentParser(add_help=False, parents=[common])
+    valued.add_argument(
         "--approx",
         type=_non_negative_int_arg,
         metavar="DIGITS",
@@ -549,21 +546,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     add("validate", _cmd_validate, "parse a game file and report its shape")
 
-    p = add("solve", _cmd_solve, "compute optimal values and strategies")
+    p = add("solve", _cmd_solve, "compute optimal values and strategies", parents=(valued,))
     p.add_argument("--method", choices=METHODS, default="auto")
-    p.add_argument("--budget", type=_non_negative_int_arg, default=DEFAULT_ORACLE_BUDGET,
-                   help="strategy-bit budget for --method oracle")
     p.add_argument("--cert-out", metavar="FILE",
                    help="write a verification certificate to FILE")
 
-    add("value", _cmd_value, "print the game value (optimal start-vertex value)")
+    add("value", _cmd_value, "print the game value (optimal start-vertex value)",
+        parents=(valued,))
 
     p = add("decide", _cmd_decide, "exit 0 if the game value exceeds alpha, 3 if not")
     p.add_argument("--alpha", type=_rational_arg, required=True, metavar="P/Q")
 
     add("strategies", _cmd_strategies, "print optimal strategies")
 
-    p = add("reduce", _cmd_reduce, "fix strategies and solve the resulting chain")
+    p = add("reduce", _cmd_reduce, "fix strategies and solve the resulting chain",
+            parents=(valued,))
     p.add_argument("--tau", type=_edges_arg, default=(), metavar="EDGES",
                    help="min strategy as comma-separated i->j pairs")
     p.add_argument("--sigma", type=_edges_arg, default=(), metavar="EDGES",
@@ -585,7 +582,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stopping", action="store_true",
                    help="retry seeds until the game is stopping")
 
-    p = add("oracle", _cmd_oracle, "solve by enumerating all strategy pairs")
+    p = add("oracle", _cmd_oracle, "solve by enumerating all strategy pairs",
+            parents=(valued,))
     p.add_argument("--budget", type=_non_negative_int_arg, default=DEFAULT_ORACLE_BUDGET)
 
     p = add("bench", _cmd_bench, "time solver methods over a suite of games",

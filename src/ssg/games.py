@@ -33,10 +33,6 @@ class VertexKind(Enum):
     def is_sink(self) -> bool:
         return self in (VertexKind.SINK0, VertexKind.SINK1)
 
-    @property
-    def is_player(self) -> bool:
-        return self in (VertexKind.MAX, VertexKind.MIN)
-
 
 _KIND_BY_NAME = {
     "max": VertexKind.MAX,
@@ -50,13 +46,18 @@ class Game:
     """Immutable game graph.
 
     kinds[i-1] and children[i-1] describe vertex i; sinks store None for
-    children. Construct through build_game or parse_game, which validate.
+    children. Every game is validated at construction (validate_game),
+    dataclasses.replace included; build_game and parse_game assemble
+    one from vertex rows.
     """
 
     n: int
     start: int
     kinds: tuple[VertexKind, ...]
     children: tuple[Union[tuple[int, int], None], ...]
+
+    def __post_init__(self):
+        validate_game(self)
 
     @property
     def sink0(self) -> int:
@@ -168,14 +169,12 @@ def build_game(
     for v in interior:
         if v not in kinds:
             raise ValidationError(f"missing vertex {v}")
-    game = Game(
+    return Game(
         n=n,
         start=start,
         kinds=(*(kinds[v] for v in interior), VertexKind.SINK0, VertexKind.SINK1),
         children=(*(children[v] for v in interior), None, None),
     )
-    validate_game(game)
-    return game
 
 
 @dataclass(frozen=True)

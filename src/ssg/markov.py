@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Collection, Mapping, Union
+from typing import Collection, Union
 
 from . import kernels
 from .exceptions import BudgetError, InternalCheckError, PreconditionError, StrategyError
@@ -136,67 +136,6 @@ def sink_reachable_set(rg: ReducedGame) -> frozenset[int]:
     _require_fully_reduced(rg, "sink_reachable_set")
     sinks = (rg.game.sink0, rg.game.sink1)
     return frozenset(attractor(rg, sinks, ())).difference(sinks)
-
-
-class LinearSystem:
-    """The sparse system v = Q v + b of a fully reduced game.
-
-    Rows are dicts column->weight. Rows of vertices outside t_set are
-    all zero, as are sink rows; b carries the single 1 of the 1-sink.
-    """
-
-    def __init__(self, rows: tuple[Mapping[int, Fraction], ...], b: tuple[Fraction, ...], t_set: frozenset[int]):
-        if len(rows) != len(b):
-            raise PreconditionError("rows and b must have equal length")
-        self._rows = rows
-        self._b = b
-        self._t_set = t_set
-
-    @property
-    def n(self) -> int:
-        return len(self._rows)
-
-    @property
-    def b(self) -> tuple[Fraction, ...]:
-        return self._b
-
-    @property
-    def t_set(self) -> frozenset[int]:
-        return self._t_set
-
-    def q(self, i: int, j: int) -> Fraction:
-        return self._rows[i - 1].get(j, Fraction(0))
-
-    def row(self, i: int) -> dict[int, Fraction]:
-        return dict(self._rows[i - 1])
-
-    def residual_holds(self, values: ValueVector) -> bool:
-        """Exact check of v = Q v + b."""
-        if values.n != self.n:
-            raise PreconditionError(f"value vector length {values.n} != {self.n}")
-        for i in range(1, self.n + 1):
-            rhs = self._b[i - 1] + sum(
-                (w * values[j] for j, w in self._rows[i - 1].items()), Fraction(0)
-            )
-            if values[i] != rhs:
-                return False
-        return True
-
-
-def build_linear_system(rg: ReducedGame) -> LinearSystem:
-    _require_fully_reduced(rg, "build_linear_system")
-    game = rg.game
-    t = sink_reachable_set(rg)
-    rows: list[dict[int, Fraction]] = [{} for _ in range(game.n)]
-    b = [Fraction(0)] * game.n
-    b[game.sink1 - 1] = Fraction(1)
-    for v in t:
-        succ = rg.successors(v)
-        w = Fraction(1, len(succ))
-        row = rows[v - 1]
-        for j in succ:
-            row[j] = row.get(j, Fraction(0)) + w
-    return LinearSystem(tuple(rows), tuple(b), t)
 
 
 _ZERO = Fraction(0)

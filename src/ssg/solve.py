@@ -80,7 +80,7 @@ MIN_GRID_BITS = 60
 # Sweeps between two snap tries of the vi route (see _vi_solve).
 SNAP_SPACING = 8
 
-METHODS = ("auto", "vi", "hk", "lp", "avg-free", "oracle")
+METHODS = ("auto", "vi", "hk", "lp", "avg-free")
 
 
 def value_separation(n: int) -> Fraction:
@@ -550,7 +550,6 @@ def solve(
     game: Game,
     method: str = "auto",
     with_certificate: bool = False,
-    oracle_budget: int = DEFAULT_ORACLE_BUDGET,
 ) -> SolveReport:
     """Compute the optimal value vector by the requested method.
 
@@ -568,6 +567,8 @@ def solve(
     iterate passes the exact test T z = z, with default_epsilon(n) as
     the last try and at most DEFAULT_MAX_ITERS sweeps, and counts the
     productive sweeps run.
+    Enumeration is not a method here: brute_force_oracle is its one
+    entry point.
     """
     if method not in METHODS:
         raise PreconditionError(f"unknown method {method!r}; want one of {', '.join(METHODS)}")
@@ -607,13 +608,11 @@ def solve(
             # hoffman_karp's stopping test found the game non-stopping
             z, _s, rounds = _transform_solve(game)
             report = _report(game, z, "transform", rounds)
-    elif method == "vi":
+    else:  # vi
         if not is_stopping(game):
             raise PreconditionError("vi method needs a stopping game; transform first")
         z, iters = _vi_solve(game)
         report = _report(game, z, "vi", iters)
-    else:  # oracle
-        report = brute_force_oracle(game, budget=oracle_budget)
 
     if with_certificate or report.method == "transform":
         cert = Certificate(z=report.values, sigma=report.sigma)

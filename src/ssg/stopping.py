@@ -45,18 +45,15 @@ DEFAULT_C = 9
 class StoppingTransform:
     """Bookkeeping of one chain construction.
 
-    c is the chain-length multiplier, m = c * n the per-edge chain
-    length, and stop_prob = 2**-m the chance one traversal of an
-    original edge is diverted to the 0-sink. vertex_map sends original
-    ids to transformed ids; edge_chains lists each original edge's
-    chain vertices in traversal order.
+    c is the chain-length multiplier and m = c * n the per-edge chain
+    length; one traversal of an original edge is diverted to the 0-sink
+    with chance 2**-m. vertex_map sends original ids to transformed
+    ids; edge_chains lists each original edge's chain vertices in
+    traversal order. The companion's size is the transformed game's n.
     """
 
     c: int
     m: int
-    stop_prob: Fraction
-    n_original: int
-    n_transformed: int
     vertex_map: dict[int, int]
     edge_chains: dict[tuple[int, int], tuple[int, ...]]
 
@@ -107,15 +104,7 @@ def build_stopping_game(game: Game, c: int = DEFAULT_C) -> tuple[Game, StoppingT
         rows.append((v, game.kind(v), edge_chains[(v, a)][0], edge_chains[(v, b)][0]))
 
     transformed = build_game(n_prime, vertex_map[game.start], rows)
-    record = StoppingTransform(
-        c=c,
-        m=m,
-        stop_prob=Fraction(1, 2**m),
-        n_original=n,
-        n_transformed=n_prime,
-        vertex_map=vertex_map,
-        edge_chains=edge_chains,
-    )
+    record = StoppingTransform(c=c, m=m, vertex_map=vertex_map, edge_chains=edge_chains)
     return transformed, record
 
 

@@ -19,7 +19,6 @@ from ssg import (
     VertexKind,
     avg_free_run,
     brute_force_oracle,
-    build_linear_system,
     decide_value,
     enumerate_strategies,
     hoffman_karp,
@@ -108,10 +107,10 @@ def test_criterion_2_value_set_membership(reduced_pool, announce):
                 assert in_value_set(x, t)
 
 
-def test_criterion_3_linear_system_residual(reduced_pool, announce):
+def test_criterion_3_linear_system_residual(reduced_pool, announce, residual_holds):
     with announce(3, "v = Qv + b holds exactly on every reduced solve"):
         for rg, values in reduced_pool:
-            assert build_linear_system(rg).residual_holds(values)
+            assert residual_holds(rg, values)
 
 
 def test_criterion_4_transform_bound(announce):

@@ -125,9 +125,17 @@ def test_solve_approx_rendering(game_file, capsys):
 
 
 def test_solve_method_override(game_file, capsys):
-    code, out, _ = run(capsys, "solve", "--method", "oracle", game_file(GAME_E))
+    code, out, _ = run(capsys, "solve", "--method", "vi", game_file(GAME_B))
     assert code == 0
-    assert "method: oracle" in out.splitlines()
+    assert "method: vi" in out.splitlines()
+
+
+def test_solve_method_oracle_is_usage_error(game_file, capsys):
+    # enumeration has one entry point, the oracle verb
+    code, out, err = run(capsys, "solve", "--method", "oracle", game_file(GAME_E))
+    assert code == 2
+    assert out == ""
+    assert "invalid choice: 'oracle'" in err
 
 
 # ------------------------------------------------------- value, decide
@@ -401,6 +409,43 @@ def test_oracle_verb(game_file, capsys):
     assert "value = 0" in out.splitlines()
 
 
+ORACLE_E_TEXT = """\
+method: oracle
+iterations: 1
+v(1) = 0
+v(2) = 0
+v(3) = 0
+v(4) = 1
+tau: 2->1
+sigma: 1->2
+value = 0
+"""
+
+ORACLE_E_JSON = {
+    "certificate": None,
+    "iterations": 1,
+    "method": "oracle",
+    "n": 4,
+    "schema": 3,
+    "start": 1,
+    "strategies": {"sigma": [[1, 2]], "tau": [[2, 1]]},
+    "value": "0",
+    "values": ["0", "0", "0", "1"],
+}
+
+
+def test_oracle_verb_prints_what_solve_method_oracle_printed(game_file, capsys):
+    # pinned from 'solve --method oracle', which the oracle verb replaces;
+    # only the json verb field differs
+    path = game_file(GAME_E)
+    code, out, _ = run(capsys, "oracle", path)
+    assert code == 0
+    assert out == ORACLE_E_TEXT
+    code, out, _ = run(capsys, "oracle", "--format", "json", path)
+    assert code == 0
+    assert json.loads(out) == {**ORACLE_E_JSON, "verb": "oracle"}
+
+
 def test_oracle_budget_exceeded(game_file, capsys):
     code, _, err = run(capsys, "oracle", "--budget", "1", game_file(GAME_E))
     assert code == 1
@@ -452,6 +497,32 @@ def test_bench_vi_row_degrades_on_non_stopping_game(game_file, tmp_path, capsys)
     assert all(row["error"] == "PreconditionError" for row in doc["rows"])
 
 
+def test_bench_oracle_row_reports_budget_error(game_file, tmp_path, capsys):
+    game_file(GAME_E, "e.ssg")
+    suite = tmp_path / "suite.txt"
+    suite.write_text("e.ssg\n")
+    code, out, _ = run(
+        capsys, "bench", "--suite", str(suite), "--methods", "auto,oracle", "--budget", "1"
+    )
+    assert code == 0
+    rows = [line.split() for line in out.splitlines()[1:]]
+    assert [(r[2], r[-1]) for r in rows] == [("auto", "0"), ("oracle", "BudgetError")]
+
+
+def test_bench_mc_row_degrades(game_file, tmp_path, capsys):
+    # an out-of-range rollout seed used to abort the run and lose the auto row
+    game_file(GAME_B, "b.ssg")
+    suite = tmp_path / "suite.txt"
+    suite.write_text("b.ssg\n")
+    code, out, _ = run(
+        capsys, "bench", "--suite", str(suite), "--methods", "auto,mc",
+        "--seed", str(2**32),
+    )
+    assert code == 0
+    rows = [line.split() for line in out.splitlines()[1:]]
+    assert [(r[2], r[-1]) for r in rows] == [("auto", "2/3"), ("mc", "PreconditionError")]
+
+
 def test_bench_empty_suite_is_domain_error(tmp_path, capsys):
     suite = tmp_path / "suite.txt"
     suite.write_text("# nothing here\n")
@@ -486,7 +557,6 @@ def test_bench_non_positive_count_is_usage_error(game_file, tmp_path, capsys, fl
     [
         ("transform --c 0", "positive integer"),
         ("transform --c -1", "positive integer"),
-        ("solve --method oracle --budget -1", "non-negative integer"),
         ("oracle --budget -1", "non-negative integer"),
     ],
 )
@@ -514,6 +584,27 @@ def test_bench_negative_seed_or_budget_is_usage_error(game_file, tmp_path, capsy
     code, _, err = run(capsys, "bench", "--suite", str(suite), "--methods", "auto,mc", flag, "-1")
     assert code == 2
     assert "non-negative integer" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate"],
+        ["decide", "--alpha", "1/2"],
+        ["strategies"],
+        ["transform"],
+        ["certify", "--cert", "cert.json"],
+        ["gen", "--n", "5"],
+        ["bench", "--suite", "suite.txt"],
+    ],
+)
+def test_approx_on_a_verb_that_prints_no_value_is_usage_error(game_file, capsys, argv):
+    # these verbs used to accept --approx and ignore it
+    game = [] if argv[0] in ("gen", "bench") else [game_file(GAME_G)]
+    code, out, err = run(capsys, *argv, *game, "--approx", "3")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --approx 3" in err
 
 
 @pytest.mark.parametrize("verb", [["solve"], ["reduce", "--sigma", "1->3"]])

@@ -1,5 +1,6 @@
 """Graph construction, validation, strategies, value vectors, text format."""
 
+import dataclasses
 import io
 from fractions import Fraction
 
@@ -23,10 +24,9 @@ from ssg import (
     parse_rational,
     random_game,
     serialize_game,
-    validate_game,
     validate_strategy,
 )
-from ssg.fixtures import FIXTURES, GAME_A, GAME_B, GAME_C, GAME_E
+from ssg.fixtures import FIXTURES, GAME_A, GAME_B, GAME_C, GAME_E, GAME_G
 
 
 def test_build_game_basic():
@@ -56,8 +56,7 @@ def test_children_of_sink_raises():
 
 def test_kind_helpers():
     assert VertexKind.SINK0.is_sink and VertexKind.SINK1.is_sink
-    assert VertexKind.MAX.is_player and VertexKind.MIN.is_player
-    assert not VertexKind.AVG.is_player and not VertexKind.AVG.is_sink
+    assert not VertexKind.AVG.is_sink and not VertexKind.MAX.is_sink
     assert GAME_A.has_kind(VertexKind.AVG)
     assert not GAME_A.has_kind(VertexKind.MAX)
     assert GAME_E.vertices_of_kind(VertexKind.MIN) == (2,)
@@ -85,14 +84,27 @@ def test_build_game_rejects(rows, msg):
 
 
 def test_validate_game_checks_sink_positions():
-    g = Game(
-        n=3,
-        start=1,
-        kinds=(VertexKind.AVG, VertexKind.SINK1, VertexKind.SINK0),
-        children=((2, 3), None, None),
-    )
     with pytest.raises(ValidationError, match="0-sink"):
-        validate_game(g)
+        Game(
+            n=3,
+            start=1,
+            kinds=(VertexKind.AVG, VertexKind.SINK1, VertexKind.SINK0),
+            children=((2, 3), None, None),
+        )
+
+
+def test_game_built_directly_is_validated():
+    # both used to build games that solve and game_value failed on
+    # with a bare IndexError
+    with pytest.raises(ValidationError, match="start out of range"):
+        dataclasses.replace(GAME_G, start=9)
+    with pytest.raises(ValidationError, match="not distinct"):
+        Game(
+            n=4,
+            start=1,
+            kinds=(VertexKind.MAX, VertexKind.AVG, VertexKind.SINK0, VertexKind.SINK1),
+            children=((2, 2), (1, 7), None, None),
+        )
 
 
 def test_validate_game_checks_start_range():

@@ -13,7 +13,6 @@ from ssg import (
     VertexKind,
     attractor,
     build_game,
-    build_linear_system,
     enumerate_strategies,
     in_value_set,
     is_stopping,
@@ -76,23 +75,12 @@ def test_attractor_follows_fixed_strategies():
     assert attractor(rg, (3, 4), ()) == {3: 0, 4: 0}
 
 
-def test_linear_system_shape():
-    sysm = build_linear_system(fully_reduce(GAME_B))
-    assert sysm.n == 4
-    assert sysm.q(1, 2) == Fraction(1, 2)
-    assert sysm.q(1, 4) == Fraction(1, 2)
-    assert sysm.q(3, 1) == 0
-    assert sysm.b == (0, 0, 0, 1)
-    assert sysm.t_set == frozenset({1, 2})
-    assert sysm.row(2) == {1: Fraction(1, 2), 3: Fraction(1, 2)}
-
-
-def test_linear_system_residual():
-    sysm = build_linear_system(fully_reduce(GAME_B))
+def test_linear_system_residual(residual_holds):
+    rg = fully_reduce(GAME_B)
     good = ValueVector([Fraction(2, 3), Fraction(1, 3), 0, 1])
     bad = ValueVector([Fraction(2, 3), Fraction(1, 2), 0, 1])
-    assert sysm.residual_holds(good)
-    assert not sysm.residual_holds(bad)
+    assert residual_holds(rg, good)
+    assert not residual_holds(rg, bad)
 
 
 def test_solve_value_vector_two_cycle():
@@ -161,7 +149,7 @@ def test_is_stopping_matches_exhaustive_definition(seed):
     assert is_stopping(g) == is_stopping_exhaustive(g)
 
 
-def test_values_lie_in_the_reachable_value_set():
+def test_values_lie_in_the_reachable_value_set(residual_holds):
     for seed in range(40):
         g = random_game(3 + seed % 8, seed=seed)
         taus = enumerate_strategies(g, VertexKind.MIN)
@@ -170,7 +158,7 @@ def test_values_lie_in_the_reachable_value_set():
         v = solve_value_vector(rg)
         t = len(sink_reachable_set(rg))
         assert all(in_value_set(x, t) for _, x in v.items())
-        assert build_linear_system(rg).residual_holds(v)
+        assert residual_holds(rg, v)
 
 
 def test_mc_estimate_converges_roughly():

@@ -527,9 +527,15 @@ def test_requested_certificate_on_other_routes():
 
 
 def test_methods_agree_on_stopping_game():
-    reports = {m: solve(MIXED_STOPPING, method=m) for m in ("vi", "hk", "oracle", "auto")}
-    values = {m: r.values for m, r in reports.items()}
-    assert len(set(values.values())) == 1
+    oracle = brute_force_oracle(MIXED_STOPPING).values
+    for m in ("vi", "hk", "auto"):
+        assert solve(MIXED_STOPPING, method=m).values == oracle, m
+
+
+def test_oracle_is_not_a_solve_method():
+    # brute_force_oracle is the one entry point of enumeration
+    with pytest.raises(PreconditionError, match="unknown method 'oracle'"):
+        solve(GAME_E, "oracle")
 
 
 def test_vi_method_snaps_to_exact_values():

@@ -33,9 +33,9 @@ def test_size_formula():
         for c in (1, 4, 9):
             transformed, record = build_stopping_game(g, c)
             assert transformed.n == g.n + c * g.n * g.edge_count, name
-            assert record.n_transformed == transformed.n
             assert record.m == c * g.n
-            assert record.stop_prob == Fraction(1, 2 ** (c * g.n))
+            assert len(record.edge_chains) == g.edge_count
+            assert all(len(chain) == c * g.n for chain in record.edge_chains.values())
 
 
 def test_transformed_game_is_valid_and_stopping():

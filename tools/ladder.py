@@ -13,14 +13,17 @@ the same drawn with require_stopping (hk route);
 `random_game(n, (0, 1, 1), seed)` games that hold their one player and
 avg vertices (lp route); and the chance-heavy
 `random_game(n, (1, 1, 8), seed)` games, non-stopping (transform) and
-drawn with require_stopping (hk). Each kept game is solved once with
+drawn with require_stopping (hk). Each kept game is solved with
 `solve(game, "auto")`, and each stopping mixed one also with
 `solve(game, "vi")` (value iteration snapped back to exact values)
 and with an `mc` row: `mc_estimate` of MC_PLAYS plays, seeded with the
-game's seed, on the game reduced by the auto solve's strategies;
-every solve and rollout is timed with perf_counter. The run writes
-BENCH_<label>.json at the root of the checkout: one row per solve with
-n, weights, seed, route, seconds, a hash of the output (values,
+game's seed, on the game reduced by the auto solve's strategies.
+Every solve and rollout runs REPEATS times; each run's perf_counter time
+is scaled by perfbench/calibration.py's speed factor, taken right
+before it, and the row records the median, in seconds on the reference
+machine of that calibration. The repeats must give equal output hashes.
+The run writes BENCH_<label>.json at the root of the checkout: one row
+per solve with n, weights, seed, route, seconds, a hash of the output (values,
 strategies, method, iterations and certificate z and sigma; for `mc` rows,
 hits and truncated plays) and a values_hash of the value vector alone
 (for `mc` rows, that of the auto solve whose strategies the plays
@@ -41,12 +44,14 @@ import sys
 from time import perf_counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 
 import ssg  # noqa: E402
+from perfbench import calibration  # noqa: E402
 
 SIZES = (8, 16, 24, 32, 40, 60)
 MC_PLAYS = 4000
+REPEATS = 3
 KINDS = (ssg.VertexKind.MAX, ssg.VertexKind.MIN, ssg.VertexKind.AVG)
 # (weights, stopping): stopping True draws with require_stopping
 FAMILIES = (
@@ -80,6 +85,21 @@ def output_hash(report) -> str:
 
 def mc_hash(est) -> str:
     return hashlib.sha256(repr((est.hits, est.truncated)).encode()).hexdigest()[:16]
+
+
+def timed(fn, digest):
+    """fn() and the median of its REPEATS calibrated run times; raises
+    if the runs' digests differ."""
+    results, times = [], []
+    for _ in range(REPEATS):
+        factor = calibration.speed_factor()
+        t0 = perf_counter()
+        results.append(fn())
+        times.append((perf_counter() - t0) * factor)
+    digests = {digest(r) for r in results}
+    if len(digests) != 1:
+        raise SystemExit(f"repeated runs disagree: {sorted(digests)}")
+    return results[-1], statistics.median(times)
 
 
 def draw(n: int, games: int, seed: int) -> list[tuple[int, tuple, bool, ssg.Game]]:
@@ -129,16 +149,14 @@ def main(argv=None) -> int:
     for n in SIZES:
         for seed, weights, stopping, game in draw(n, args.games, args.seed):
             for method in ("auto", "vi") if stopping else ("auto",):
-                t0 = perf_counter()
-                report = ssg.solve(game, method)
-                seconds = perf_counter() - t0
+                report, seconds = timed(lambda: ssg.solve(game, method), output_hash)
                 record(n, seed, weights, stopping, report.method, seconds, report.iterations,
                        output_hash(report), values_hash(report))
                 if stopping and method == "auto":
                     rg = ssg.reduce_game(game, report.tau, report.sigma)
-                    t0 = perf_counter()
-                    est = ssg.mc_estimate(rg, plays=MC_PLAYS, seed=seed)
-                    seconds = perf_counter() - t0
+                    est, seconds = timed(
+                        lambda: ssg.mc_estimate(rg, plays=MC_PLAYS, seed=seed), mc_hash
+                    )
                     record(n, seed, weights, stopping, "mc", seconds, None, mc_hash(est),
                            values_hash(report))
 
@@ -151,6 +169,8 @@ def main(argv=None) -> int:
         "sizes": list(SIZES),
         "games_per_size_and_route": args.games,
         "first_seed": args.seed,
+        "repeats": REPEATS,
+        "calibrated": True,
         "environment": {
             "cores": os.cpu_count(),
             "python": platform.python_version(),
