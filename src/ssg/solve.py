@@ -29,6 +29,13 @@ T z = z through one integer helper, _snap_fixed_point. Both players
 run one policy-iteration loop, _improve; min's reply switches only on
 a strict improvement.
 
+The vi route sweeps value iteration on a stopping game, where T has one
+fixed point, so any snapped iterate with T z = z is the value whatever
+denominator bound it was snapped to. It tries each coarser bound 4**k,
+k < n, once, as soon as the sweep gain says the iterate could lie
+within half of that level's spacing, before the bound 4**n that holds
+every vertex value; random games have values far coarser than 4**n.
+
 Strategies and certificates share one qualitative engine,
 markov.attractor, run over the tight edges of a value vector z: both
 children of an avg vertex, and the children attaining z at a player
@@ -416,7 +423,8 @@ def hoffman_karp(game: Game) -> SolveReport:
 def _snap(num: int, den: int, n: int) -> Union[tuple[int, int], None]:
     """The integer core of round_to_value_set: the representable value
     within half a separation of num/den (den > 0, not necessarily
-    reduced) as a reduced (numerator, denominator) pair, or None.
+    reduced) as a reduced (numerator, denominator) pair, or None. Any
+    n >= 0 works; the vi route also snaps at levels below the game size.
 
     The continued fraction of num/den runs until the next convergent's
     denominator would pass 4**n; the closer of the last convergent and
@@ -471,15 +479,19 @@ def round_to_value_set(x: Fraction, n: int) -> Fraction:
     return Fraction(*snapped)
 
 
-def _snap_fixed_point(game: Game, pairs: Iterable[tuple[int, int]]) -> Union[ValueVector, None]:
+def _snap_fixed_point(
+    game: Game, pairs: Iterable[tuple[int, int]], level: int
+) -> Union[ValueVector, None]:
     """Snap (numerator, denominator) pairs in vertex order, denominators
-    positive and not necessarily reduced, and return the snapped vector
-    if it is an operator fixed point, else None; the first component
-    without a representable value within half a separation ends the
-    try."""
+    positive and not necessarily reduced, to values with denominators at
+    most 4**level, and return the snapped vector if it is an operator
+    fixed point, else None; the first component without such a value
+    within half of 4**(-2*level) ends the try. level n is the game's
+    own value set, where the snap of a close enough approximation is
+    guaranteed; a coarser level can only be tried."""
     z = []
     for num, den in pairs:
-        pair = _snap(num, den, game.n)
+        pair = _snap(num, den, level)
         if pair is None:
             return None
         z.append(pair)
@@ -501,7 +513,7 @@ def _transform_solve(game: Game) -> tuple[ValueVector, ValueVector, int]:
     theory-guaranteed, and failing them means a bug, not bad input.
     """
     s, rounds = _strategy_improvement(game, chain_weight(DEFAULT_C * game.n))
-    z = _snap_fixed_point(game, (x.as_integer_ratio() for x in s.components))
+    z = _snap_fixed_point(game, (x.as_integer_ratio() for x in s.components), game.n)
     if z is None:
         raise InternalCheckError("companion values do not snap to an operator fixed point")
     return z, s, rounds
@@ -513,27 +525,46 @@ def _vi_solve(game: Game) -> tuple[ValueVector, int]:
     NonConvergenceError with the last iterate attached after
     DEFAULT_MAX_ITERS sweeps.
 
-    Vertex values have denominators at most 4**n, so an iterate within
-    half a separation of the value snaps to it, and on a stopping game
-    T has one fixed point, so a snapped z with T z = z is the value.
-    The sweep's gain bounds its residual from above, so once the gain
-    first falls to half a separation (one >> (4n+1) grid units) the
-    iterate is snapped and tested, and again every SNAP_SPACING sweeps.
-    The sweep that reaches default_epsilon is the last try; its iterate
-    lies within a quarter separation of the value, so a failed snap
-    there means a bug, not bad input.
+    On a stopping game T has one fixed point, so a snapped z with
+    T z = z is the value, whichever denominator bound produced it. The
+    sweep's gain bounds its residual from above. Level k, for k below
+    n, is tried once, at the first sweep whose gain is at most
+    one >> (4k+5) grid units: the iterate is snapped to denominators at
+    most 4**k and tested; a sweep that passes several gates tries only
+    the highest. Vertex values have denominators at most 4**n, so an
+    iterate within half a separation snaps to the value: once the gain
+    first falls to one >> (4n+1), which is also level n-1's gate, the
+    iterate is snapped at level n and tested, and again every
+    SNAP_SPACING sweeps. The sweep that reaches default_epsilon is the
+    last try; its iterate lies within a quarter separation of the
+    value, so a failed snap there means a bug, not bad input.
     """
     max_iters = DEFAULT_MAX_ITERS
     eps, one, thr, layout = _vi_setup(game, None, max_iters)
-    near = one >> (4 * game.n + 1)
+    n = game.n
+    # 4 guard bits between a level's half spacing 4**-2k / 2 and its
+    # gate; level n-1's gate, one >> (4n+1), starts the level-n tries,
+    # the higher level, so n-1 is never tried alone; -1 ends the coarse
+    # tries, as no gain is negative
+    gates = [one >> (4 * k + 5) for k in range(n)] + [-1]
+    level, gate = 0, gates[0]
     productive = 0
     due = None
     for sweep, (v, gain, converged) in enumerate(kernels.sweeps(layout, thr, max_iters)):
         productive += gain > 0
-        if due is None and gain <= near:
-            due = sweep
+        if gain <= gate:
+            while gain <= gates[level + 1]:
+                level += 1
+            if level == n - 1:
+                due = sweep
+            else:
+                z = _snap_fixed_point(game, ((x, one) for x in layout.in_vertex_order(v)), level)
+                if z is not None:
+                    return z, productive
+            level += 1
+            gate = gates[level]
         if converged or sweep == due:
-            z = _snap_fixed_point(game, ((x, one) for x in layout.in_vertex_order(v)))
+            z = _snap_fixed_point(game, ((x, one) for x in layout.in_vertex_order(v)), n)
             if z is not None:
                 return z, productive
             due = sweep + SNAP_SPACING
@@ -564,9 +595,10 @@ def solve(
     with_certificate attaches it on every path and checks it with
     verify_ovv_certificate, raising InternalCheckError on a rejection.
     vi, on stopping games only, runs value iteration until a snapped
-    iterate passes the exact test T z = z, with default_epsilon(n) as
-    the last try and at most DEFAULT_MAX_ITERS sweeps, and counts the
-    productive sweeps run.
+    iterate passes the exact test T z = z, trying denominator bounds
+    4**k for k < n once each before the bound 4**n, with
+    default_epsilon(n) as the last try and at most DEFAULT_MAX_ITERS
+    sweeps, and counts the productive sweeps run.
     Enumeration is not a method here: brute_force_oracle is its one
     entry point.
     """

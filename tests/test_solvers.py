@@ -552,12 +552,63 @@ def test_vi_method_caps_sweeps(monkeypatch):
     assert info.value.values == ValueVector([HALF, 0, 0, 1])
 
 
+def _snapped_fixed_point(game, x, k):
+    """One snap try of the vi route on Fractions: x snapped to values
+    with denominators at most 4**k if that is an operator fixed point,
+    else None. round_to_value_set needs k >= 1; level 0 holds 0 and 1,
+    and refuses 1/2, which is half a spacing from both."""
+    if k == 0:
+        if HALF in x.components:
+            return None
+        z = ValueVector(int(c > HALF) for c in x.components)
+    else:
+        try:
+            z = ValueVector(round_to_value_set(c, k) for c in x.components)
+        except PreconditionError:
+            return None
+    return z if apply_operator(game, z) == z else None
+
+
 def _reference_vi_stop(game):
     """The vi route's stopping rule written out on vi_iterates with
-    Fractions: the first snap try comes at the first sweep whose gain
-    (sum increase) is at most half a separation, later ones every 8
-    sweeps; returns (snapped values, productive sweeps) at the first try
-    whose snap is an operator fixed point."""
+    Fractions: level k < n is tried once, at the first sweep whose gain
+    (sum increase) is at most 2**-(4k+5); level n is tried at the first
+    sweep whose gain is at most half a separation, 2**-(4n+1), and
+    every 8 sweeps after; a sweep that first passes several gates tries
+    only the highest level. Returns (snapped values, productive
+    sweeps) at the first try whose snap is an operator fixed point."""
+    n = game.n
+    gates = [Fraction(1, 2 ** (4 * k + 5)) for k in range(n)] + [value_separation(n) / 2]
+    passed = set()
+    iterates = vi_iterates(game)
+    prev = next(iterates)
+    productive = 0
+    due = None
+    for sweep, cur in enumerate(iterates):
+        productive += cur != prev
+        gain = sum(cur.components) - sum(prev.components)
+        prev = cur
+        first = [k for k, gate in enumerate(gates) if k not in passed and gain <= gate]
+        passed.update(first)
+        if first and max(first) < n:
+            z = _snapped_fixed_point(game, cur, max(first))
+            if z is not None:
+                return z, productive
+        if n in first:
+            due = sweep
+        if sweep == due:
+            z = _snapped_fixed_point(game, cur, n)
+            if z is not None:
+                return z, productive
+            due = sweep + 8
+    raise AssertionError("no snapped fixed point before epsilon")
+
+
+def _reference_level_n_stop(game):
+    """The level-n tries alone, the vi route's rule before coarser
+    levels were tried: the first at the first sweep whose gain is at
+    most half a separation, later ones every 8 sweeps; returns
+    (snapped values, productive sweeps)."""
     half_sep = value_separation(game.n) / 2
     iterates = vi_iterates(game)
     prev = next(iterates)
@@ -569,33 +620,72 @@ def _reference_vi_stop(game):
             due = sweep
         prev = cur
         if sweep == due:
-            try:
-                z = ValueVector(round_to_value_set(x, game.n) for x in cur.components)
-            except PreconditionError:
-                z = None
-            if z is not None and apply_operator(game, z) == z:
+            z = _snapped_fixed_point(game, cur, game.n)
+            if z is not None:
                 return z, productive
             due = sweep + 8
     raise AssertionError("no snapped fixed point before epsilon")
 
 
 def test_vi_method_stops_at_the_first_snapped_fixed_point():
-    fewer = 0
+    fewer = coarser = 0
     for n in range(8, 25, 4):
         for seed in range(3):
             game = random_game(n, seed=seed, require_stopping=True)
             report = solve(game, "vi")
             assert (report.values, report.iterations) == _reference_vi_stop(game)
+            level_n, level_n_sweeps = _reference_level_n_stop(game)
+            assert report.values == level_n
+            assert report.iterations <= level_n_sweeps
+            coarser += report.iterations < level_n_sweeps
             _approx, sweeps = value_iteration(game)
             assert report.iterations <= sweeps
             fewer += report.iterations < sweeps
-    assert fewer
+    assert fewer and coarser
 
 
-@pytest.mark.parametrize("n", [16, 24, 40, 60])
-def test_vi_agrees_with_hk_above_n8(n):
+def test_vi_method_tries_the_highest_level_a_sweep_passes():
+    # a max chain passes 1/2 down one vertex per sweep, so each of the
+    # first 15 sweeps gains about 1/2; on the 16th only the 2/3, 1/3
+    # cycle moves, by about 2**-16, which passes the gates of levels 0,
+    # 1 and 2 at once, and level 2 holds every value
+    chain = 14
+    n = chain + 5
+    rows = [(i, "max", i + 1, n - 1) for i in range(1, chain + 1)]
+    rows += [
+        (chain + 1, "avg", n, n - 1),
+        (chain + 2, "avg", chain + 3, n),
+        (chain + 3, "avg", chain + 2, n - 1),
+    ]
+    game = build_game(n, 1, rows)
+    report = solve(game, "vi")
+    assert (report.values, report.iterations) == _reference_vi_stop(game)
+    cycle = [Fraction(2, 3), Fraction(1, 3)]
+    assert report.values == ValueVector([HALF] * (chain + 1) + cycle + [0, 1])
+    assert report.iterations == chain + 2
+
+
+def test_vi_method_on_a_value_no_coarse_level_holds():
+    # an avg chain halving towards the 0-sink: the start is worth 2**-38,
+    # whose denominator 4**19 no level below 19 holds, and no sweep before
+    # the 38th leaves the start at 0, so every sweep is run
+    n = 40
+    game = build_game(n, 1, [(i, "avg", i + 1 if i < n - 2 else n, n - 1) for i in range(1, n - 1)])
+    report = solve(game, "vi")
+    assert report.values[1] == Fraction(1, 2**38)
+    halvings = [Fraction(1, 2 ** (n - 1 - i)) for i in range(1, n - 1)]
+    assert report.values == ValueVector(halvings + [0, 1])
+    assert report.iterations == n - 2
+
+
+@pytest.mark.parametrize(
+    "n, weights",
+    [pytest.param(n, (1, 1, 1), id=str(n)) for n in (16, 24, 40, 60, 100)]
+    + [pytest.param(n, (1, 1, 8), id=f"1:1:8-{n}") for n in (60, 80, 100)],
+)
+def test_vi_agrees_with_hk_above_n8(n, weights):
     for seed in range(3):
-        game = random_game(n, seed=seed, require_stopping=True)
+        game = random_game(n, weights, seed=seed, require_stopping=True)
         vi, hk = solve(game, "vi"), solve(game, "hk")
         assert (vi.values, vi.tau, vi.sigma) == (hk.values, hk.tau, hk.sigma)
 
