@@ -2,8 +2,9 @@
 
 The two approximate loops of the package live here: value-iteration
 sweeps on a 2**-K fixed-point grid, run on Python integers so any K
-works, and Monte-Carlo play rollouts, run on numpy arrays. Both walk
-one layout of a reduced game, built by sweep_layout: the vertices
+works, and Monte-Carlo play rollouts, run on Python integers as counts
+of plays per vertex, split at avg vertices by bit-counted coins. Both
+walk one layout of a reduced game, built by sweep_layout: the vertices
 sorted by kind (max, min, avg, then the 0-sink and the 1-sink) with
 successors given as positions in that order.
 
@@ -18,10 +19,9 @@ a caller needs them.
 
 from __future__ import annotations
 
+import random
 from operator import sub
 from typing import TYPE_CHECKING, NamedTuple
-
-import numpy as np
 
 from .games import VertexKind
 
@@ -30,8 +30,8 @@ if TYPE_CHECKING:
 
 
 def backend() -> str:
-    """Name of the array library the rollouts run on."""
-    return "numpy"
+    """Name of what the rollouts run on: plain Python, no array library."""
+    return "python"
 
 
 class SweepLayout(NamedTuple):
@@ -137,31 +137,46 @@ def mc_run(layout: SweepLayout, start: int, plays: int, max_steps: int, seed: in
     """Roll out random plays from layout position start; returns (hits
     of the 1-sink, truncated plays).
 
-    All plays advance together, one step per round, for at most
-    max_steps rounds. A play ends on the round it reaches a sink, the
-    last round included, and is dropped from the position array, which
-    keeps play order; a play still off the sinks after max_steps moves
-    is truncated. The layout's kind order tells the vertices apart by
-    position: avg vertices from the first avg position up to the sinks,
-    the 1-sink last. Each round draws one fair coin per play standing on
-    an avg vertex, in play order, from a RandomState seeded with seed.
+    Plays are exchangeable, so only the number standing on each layout
+    position is kept, in a dict. All plays advance together, one move
+    per round, for at most max_steps rounds. A play ends on the round it
+    reaches a sink, the last round included; one still off the sinks
+    after max_steps moves is truncated. The layout's kind order tells
+    the vertices apart by position: avg vertices from the first avg
+    position up to the sinks, which are the last two positions.
+
+    A position with successor pair (a, b) and c plays on it sends them
+    on as follows. At a max or min position all c move to a, which in a
+    fully reduced game is its one successor. At an avg position they
+    split by one Binomial(c, 1/2) draw: getrandbits(c) is c independent
+    fair bits, so its bit_count is the number of heads among c fair
+    coins, and that many plays move to b, the rest to a. Each round
+    visits the occupied positions in the order the previous round first
+    reached them and draws once per avg position, from a random.Random
+    seeded with seed. Since different plays' coins are independent,
+    (hits, truncated) has the same joint distribution as a rollout that
+    tosses one coin per play; only the counts a given seed yields differ.
     """
     pairs = layout.maxs + layout.mins + layout.avgs
-    s0, s1 = np.array(pairs, dtype=np.intp).reshape(-1, 2).T.copy()
     first_avg = len(layout.maxs) + len(layout.mins)
-    sink0 = len(s0)
-    rs = np.random.RandomState(seed)
-    pos = np.full(plays, start, dtype=np.intp)
+    sink0, sink1 = len(pairs), len(pairs) + 1
+    bits = random.Random(seed).getrandbits
+    occ = {start: plays}
     hits = 0
     for step in range(max_steps + 1):
-        hits += int(np.count_nonzero(pos > sink0))
-        pos = pos[pos < sink0]
-        if pos.size == 0 or step == max_steps:
+        hits += occ.pop(sink1, 0)
+        occ.pop(sink0, None)
+        if not occ or step == max_steps:
             break
-        nxt = s0[pos]
-        avg = np.flatnonzero(pos >= first_avg)
-        if avg.size:
-            tails = avg[rs.random_sample(avg.size) >= 0.5]
-            nxt[tails] = s1[pos[tails]]
-        pos = nxt
-    return hits, pos.size
+        nxt = {}
+        for p, c in occ.items():
+            a, b = pairs[p]
+            if p >= first_avg:
+                t = bits(c).bit_count()
+                if t:
+                    nxt[b] = nxt.get(b, 0) + t
+                    c -= t
+            if c:
+                nxt[a] = nxt.get(a, 0) + c
+        occ = nxt
+    return hits, sum(occ.values())

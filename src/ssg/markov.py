@@ -309,7 +309,8 @@ def mc_estimate(
     sink, on its last allowed move too; one still off the sinks after
     max_steps moves is truncated and counts as a miss, which biases
     long-cycling games low.
-    The seed feeds a numpy RandomState, so it must lie in [0, 2**32).
+    The seed feeds a random.Random, so it fixes the counts; it must lie
+    in [0, 2**32).
     """
     _require_fully_reduced(rg, "mc_estimate")
     if plays < 1:

@@ -1,13 +1,17 @@
-"""The integer sweep loop and the numpy rollout, both on a game's layout.
+"""The integer sweep loop and the counting rollout, both on a game's layout.
 
 Sweeps must follow the fixed-point operator exactly, on any grid width
 and any order of vertex kinds, and stop by the same rule as the
 per-vertex loop written out in this file. Rollouts must be reproducible
-per seed, count plays that start on a sink, and match the rollout
-written out here play for play.
+per seed, count plays that start on a sink, and land within five
+standard deviations of the exact odds of reaching the 1-sink and of
+being truncated, computed here in rationals; so must the per-play
+numpy rollout written out here.
 """
 
+import math
 import random
+from fractions import Fraction
 
 import numpy as np
 
@@ -58,8 +62,8 @@ def _reference_run(game, one, thr, max_iters):
     return v, productive, False
 
 
-def test_backend_is_numpy():
-    assert kernels.backend() == "numpy"
+def test_backend_is_python():
+    assert kernels.backend() == "python"
 
 
 def test_sweep_ints_operator_semantics():
@@ -145,7 +149,58 @@ def _random_strategies(game, seed):
     )
 
 
-def test_mc_run_matches_reference_rollout():
+# Moves the exact odds are computed for; past it only the plays still
+# off the sinks can change either count, and the check widens by them.
+EXACT_MOVES = 2048
+
+
+def _exact_odds(rg, k):
+    """(u, r) in vertex order for k moves: u[v - 1] is the probability
+    that a play from v reaches the 1-sink within k moves, r[v - 1] that
+    it is still off the sinks after them.
+
+    Numerators over 2**k: a sink is its own successor twice and the one
+    successor of a max or min vertex fills both slots, so each further
+    move sets a vertex's numerator to the sum of its two successors'.
+    """
+    game = rg.game
+    succ = [rg.successors(v) or (v,) for v in game.vertices]
+    pairs = [(s[0] - 1, s[-1] - 1) for s in succ]
+    u = [int(v == game.sink1) for v in game.vertices]
+    r = [int(not kind.is_sink) for kind in game.kinds]
+    for _ in range(k):
+        u = [u[a] + u[b] for a, b in pairs]
+        r = [r[a] + r[b] for a, b in pairs]
+    return [Fraction(x, 1 << k) for x in u], [Fraction(x, 1 << k) for x in r]
+
+
+def _assert_near(count, plays, p, slack):
+    """count of plays lands on the mean plays * p: exactly when p is 0
+    or 1 and nothing is left uncounted, else within five standard
+    deviations plus one play plus slack."""
+    if not slack and p in (0, 1):
+        assert count == plays * p
+    else:
+        sd = math.sqrt(plays * p * (1 - p))
+        assert abs(count - plays * p) <= 5 * sd + 1 + slack
+
+
+def _assert_exact_odds(rg, start, plays, max_steps, got):
+    hits, truncated = got
+    assert 0 <= hits and 0 <= truncated and hits + truncated <= plays
+    u, r = _exact_odds(rg, min(max_steps, EXACT_MOVES))
+    u, r = u[start - 1], r[start - 1]
+    slack = 0
+    if max_steps > EXACT_MOVES:
+        # later moves only take plays off the r share: u can grow by at
+        # most r, and the truncated share shrinks into [0, r]
+        slack = plays * r
+        assert slack < 2**-10
+    _assert_near(hits, plays, u, slack)
+    _assert_near(truncated, plays, r, slack)
+
+
+def test_mc_run_matches_exact_odds():
     for n in (8, 16, 24, 32, 40):
         stopping = ssg.random_game(n, seed=n, require_stopping=True)
         report = ssg.solve(stopping, "hk")
@@ -158,11 +213,45 @@ def test_mc_run_matches_reference_rollout():
             layout = kernels.sweep_layout(rg, 1)
             for start in (rg.game.start, rg.game.sink0, rg.game.sink1):
                 for max_steps in steps:
-                    got = kernels.mc_run(layout, layout.rank[start - 1], 1500, max_steps, n)
-                    assert got == _reference_rollout(rg, start, 1500, max_steps, n)
+                    for plays, seed in ((1500, n), (200_000, 1000 + n)):
+                        got = kernels.mc_run(layout, layout.rank[start - 1], plays, max_steps, seed)
+                        _assert_exact_odds(rg, start, plays, max_steps, got)
+                    got = _reference_rollout(rg, start, 1500, max_steps, n)
+                    _assert_exact_odds(rg, start, 1500, max_steps, got)
 
 
-def test_mc_run_numpy_deterministic_per_seed():
+def test_mc_run_counts_moves_along_an_avg_chain():
+    # 1 -> 2 -> 3 -> 0-sink, each avg vertex with a coin to the 1-sink
+    rg = ReducedGame(ssg.build_game(5, 1, [(1, "avg", 2, 5), (2, "avg", 3, 5), (3, "avg", 4, 5)]))
+    layout = kernels.sweep_layout(rg, 1)
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    for max_steps, odds in ((1, (half, half)), (2, (3 * quarter, quarter)), (3, (Fraction(7, 8), 0))):
+        assert tuple(p[0] for p in _exact_odds(rg, max_steps)) == odds
+        got = kernels.mc_run(layout, layout.rank[0], 200_000, max_steps, max_steps)
+        _assert_exact_odds(rg, 1, 200_000, max_steps, got)
+    # one move splits 64 plays by independent coins: hits have variance
+    # 16, and 200 seeds put the sample variance within 5 SE of it
+    hits = [kernels.mc_run(layout, layout.rank[0], 64, 1, seed)[0] for seed in range(200)]
+    mean = sum(hits) / len(hits)
+    var = sum((h - mean) ** 2 for h in hits) / (len(hits) - 1)
+    assert 8 < var < 24
+
+
+def test_mc_run_is_exact_off_avg_vertices():
+    # the play from 1 runs max 1 -> min 2 -> max 3 -> 1-sink; the play
+    # from 4 cycles max 4 <-> min 5; the coin at avg 6 is never reached
+    edges = [(1, "max", 2, 6), (2, "min", 3, 6), (3, "max", 8, 6)]
+    edges += [(4, "max", 5, 6), (5, "min", 4, 6), (6, "avg", 7, 8)]
+    sigma = ssg.Strategy.of(MAX, {1: 2, 3: 8, 4: 5})
+    tau = ssg.Strategy.of(MIN, {2: 3, 5: 4})
+    layout = kernels.sweep_layout(reduce_game(ssg.build_game(8, 1, edges), tau, sigma), 1)
+    for max_steps in range(1, 8):
+        ended = (300, 0) if max_steps >= 3 else (0, 300)
+        assert kernels.mc_run(layout, layout.rank[0], 300, max_steps, 0) == ended
+        assert kernels.mc_run(layout, layout.rank[3], 300, max_steps, 0) == (0, 300)
+
+
+def test_mc_run_deterministic_per_seed():
     layout = kernels.sweep_layout(ReducedGame(GAME_B), 1)
     a = kernels.mc_run(layout, 0, 5000, 4096, 42)
     b = kernels.mc_run(layout, 0, 5000, 4096, 42)

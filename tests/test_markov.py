@@ -203,7 +203,7 @@ def test_mc_estimate_validates_arguments():
     for max_steps in (0, -1):
         with pytest.raises(PreconditionError):
             mc_estimate(rg, start=3, plays=10, max_steps=max_steps)
-    # the rollout's RandomState takes seeds in [0, 2**32) only
+    # seeds outside [0, 2**32) are refused
     for seed in (-1, 2**32):
         with pytest.raises(PreconditionError):
             mc_estimate(rg, plays=10, seed=seed)
