@@ -1,24 +1,27 @@
 """Reduced games, attractors, exact value vectors, and the stopping test.
 
 Fixing one player's strategy removes that player's choices; fixing both
-leaves a Markov chain. The chain's absorption probabilities into the
-1-sink satisfy v = Q v + b where Q holds the transition weights of the
-vertices that can reach a sink at all and b is the unit vector of the
-1-sink. Vertices that cannot reach a sink sit on closed cycles and are
-worth exactly 0, so their rows are zeroed and the rest of the system
-becomes uniquely solvable.
+leaves a Markov chain. Its absorption probabilities into the 1-sink
+satisfy v = Q v + b, where b is the unit vector of the 1-sink. In the
+chain a max or min vertex has one successor and copies its value, so
+only the avg vertices are unknowns: a player vertex follows its pick
+chain to the first avg vertex or sink and takes that end's value, or 0
+when the chain closes a cycle of player vertices. An avg vertex with no
+path to the 1-sink is worth exactly 0, so it gets no row, and the rows
+of the other avg vertices are uniquely solvable.
 
 solve_value_vector is the package's one exact evaluator of a strategy
 pair. It also takes an edge weight lam, solving v = lam (Q v + b): at
 lam = 1 for Hoffman-Karp and the brute-force oracle, and at the chain
 factor lam = 1 - 2**-(c*n) for the stopping transform, whose companion
 game contracts to the original vertices with that weight on every edge.
+A pick chain of k edges then carries the weight lam**k.
 
 attractor is the package's one qualitative engine: the linear-time
 attractor of a reachability game (Condon 1992). The stopping test, the
-sink-reaching rows of the evaluator, the LP's zero set, the solver for
-games without chance, optimal strategy extraction and the certificate
-check are all calls of it.
+evaluator's rows, the LP's zero set, the solver for games without
+chance, optimal strategy extraction and the certificate check are all
+calls of it.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Collection, Union
+from typing import Collection, NamedTuple, Union
 
 from . import kernels
 from .exceptions import BudgetError, InternalCheckError, PreconditionError, StrategyError
@@ -142,52 +145,95 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+class _ChainView(NamedTuple):
+    """A fully reduced game with its pick chains contracted, as a
+    successor view for attractor: an avg vertex's successors are its
+    children's chain ends, and a player vertex has none."""
+
+    game: Game
+    arms: dict[int, tuple[int, int]]
+
+    def successors(self, v: int) -> tuple[int, ...]:
+        return self.arms.get(v, ())
+
+
 def solve_value_vector(rg: ReducedGame, lam: Fraction = Fraction(1)) -> ValueVector:
     """Exact values of a fully reduced game whose every edge carries
     weight lam, 0 < lam <= 1: v(i) = lam * (mean of i's successors).
 
-    lam = 1 gives the absorption probabilities into the 1-sink. There a
-    vertex that cannot reach a sink sits on a closed cycle, its row
-    would make the system singular, so sink_reachable_set picks the
-    rows and every other vertex is worth 0. For lam < 1 every row is
-    strictly diagonally dominant, so the whole system is nonsingular
-    and closed cycles solve to 0 on their own; no reachability pass.
+    Only the avg vertices are unknowns. A player vertex follows its
+    pick chain to its end t, the first avg vertex or sink on it, k
+    edges on, and is worth lam**k * v(t). A chain that closes a cycle
+    of player vertices never reaches a sink, so one memoised pass over
+    the vertices records its end as the 0-sink.
 
-    With lam = p/q, row i scaled by 2q is integral: 2q*v(i) minus
-    p*(2 // |succ|)*v(j) for each successor j, equal to that weight if
-    one successor is the 1-sink. Rows are sparse dicts holding the
-    constant in column 0. Columns are eliminated in
-    descending vertex id; the pivot is the lowest-numbered remaining
-    row with a nonzero coefficient, which makes the procedure
-    deterministic. A row update cross-multiplies by the two rows'
-    pivot-column entries over their gcd, and each updated row is then
-    divided by the gcd of its entries, which keeps them from growing
-    into full-size minors. On chain-structured games this order keeps
-    the fill-in near zero. Back-substitution carries (numerator,
-    denominator) pairs and makes one Fraction per vertex.
+    lam = 1 gives the absorption probabilities into the 1-sink. There
+    an avg vertex with no path to the 1-sink is worth 0, and its row
+    could make the system singular, so the rows are the avg vertices
+    in the attractor of the 1-sink over the contracted view, where an
+    avg vertex's successors are its children's chain ends. For lam < 1
+    every row is strictly diagonally dominant, so every avg vertex
+    gets one and closed cycles solve to 0 on their own.
+
+    With lam = p/q, avg vertex a with chain ends (tx, kx) and (ty, ky)
+    and K = max(kx, ky) has the integer row
+    2q**(K+1)*v(a) - p**(kx+1)*q**(K-kx)*v(tx) - p**(ky+1)*q**(K-ky)*v(ty) = 0
+    as a sparse dict; ends worth 0 drop out, and the 1-sink's column
+    stays in, as a known value 1. Columns are eliminated in descending
+    vertex id; the pivot is the lowest-numbered remaining row with a
+    nonzero coefficient, which makes the procedure deterministic. A row
+    update cross-multiplies by the two rows' pivot-column entries over
+    their gcd, and each updated row is then divided by the gcd of its
+    entries, which keeps them from growing into full-size minors. On
+    chain-structured games this order keeps the fill-in near zero.
+    Back-substitution carries (numerator, denominator) pairs and makes
+    one Fraction per avg vertex, which the player vertices whose chains
+    end there share at lam = 1.
     """
     _require_fully_reduced(rg, "solve_value_vector")
     p, q = lam.numerator, lam.denominator
     if not 0 < p <= q:
         raise PreconditionError(f"edge weight lam must lie in (0, 1], got {lam}")
     game = rg.game
-    live = sink_reachable_set(rg) if p == q else game.interior
+    kinds = game.kinds
+    sink0, sink1 = game.sink0, game.sink1
+    avg = [v for v in game.interior if kinds[v - 1] is VertexKind.AVG]
+    ends = {v: (v, 0) for v in avg}
+    ends[sink0], ends[sink1] = (sink0, 0), (sink1, 0)
+    succ = rg.successors
+    for v in game.interior:
+        path = []
+        while v not in ends:
+            ends[v] = None  # on the walk: a walk that meets it is in a cycle
+            path.append(v)
+            v = succ(v)[0]
+        t, k = ends[v] or (sink0, 0)  # None: the walk met a cycle
+        for u in reversed(path):
+            k += 1
+            ends[u] = (t, k)
+    if p == q:
+        arms = {a: (ends[x][0], ends[y][0]) for a in avg for x, y in (game.children[a - 1],)}
+        live = attractor(_ChainView(game, arms), (sink1,), ())
+        unknowns = [a for a in avg if a in live]
+    else:
+        live = {sink1, *avg}
+        unknowns = avg
 
     rows: dict[int, dict[int, int]] = {}
-    for v in live:
-        succ = rg.successors(v)
-        w = p * (2 // len(succ))
-        row = {v: 2 * q}
-        for j in succ:
-            if j in live:
-                # no entry cancels: a self loop leaves 2q - w > 0, except
-                # a lone one at lam = 1, whose vertex reaches no sink
-                row[j] = row.get(j, 0) - w
-            elif j == game.sink1:
-                row[0] = w
-        rows[v] = row
+    for a in unknowns:
+        x, y = game.children[a - 1]
+        ex, ey = ends[x], ends[y]
+        top = max(ex[1], ey[1])
+        row = {a: 2 * q ** (top + 1)}
+        for t, k in (ex, ey):
+            if t in live:
+                # no diagonal cancels: both ends at a leave 2q**(K+1)
+                # minus both weights > 0, except at lam = 1, where a
+                # cannot reach the 1-sink
+                row[t] = row.get(t, 0) - p ** (k + 1) * q ** (top - k)
+        rows[a] = row
 
-    remaining = sorted(live)
+    remaining = unknowns
     pivots: list[tuple[int, int]] = []
     for col in remaining[::-1]:
         holders = [r for r in remaining if col in rows[r]]
@@ -215,12 +261,12 @@ def solve_value_vector(rg: ReducedGame, lam: Fraction = Fraction(1)) -> ValueVec
             g = gcd(*rrow.values())
             rows[r] = {c2: x2 // g for c2, x2 in rrow.items()} if g > 1 else rrow
 
-    values: dict[int, tuple[int, int]] = {}
+    values: dict[int, tuple[int, int]] = {sink1: (1, 1)}
     for col, prow in reversed(pivots):
         pcoeffs = rows[prow]
-        num, den = pcoeffs.get(0, 0), 1
+        num, den = 0, 1
         for c2, x2 in pcoeffs.items():
-            if c2 == col or c2 == 0:
+            if c2 == col:
                 continue
             vn, vd = values[c2]
             if vd == den:
@@ -235,7 +281,17 @@ def solve_value_vector(rg: ReducedGame, lam: Fraction = Fraction(1)) -> ValueVec
             g = -g
         values[col] = (num // g, den // g)
 
-    interior = [Fraction(*values[v]) if v in values else _ZERO for v in game.interior]
+    fractions = {t: Fraction(*pair) for t, pair in values.items()}
+    interior = []
+    for v in game.interior:
+        t, k = ends[v]
+        if t not in fractions:
+            interior.append(_ZERO)
+        elif k == 0 or p == q:
+            interior.append(fractions[t])
+        else:
+            num, den = values[t]
+            interior.append(Fraction(p**k * num, q**k * den))
     return ValueVector(interior + [_ZERO, _ONE])  # the sinks are ids n-1 and n
 
 

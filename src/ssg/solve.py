@@ -22,12 +22,13 @@ by the chain factor lam = 1 - 2**-(c*n), which gives the companion's
 values s at those n vertices; every chain entry is fixed by its
 target. hoffman_karp and the transform share that loop and its one
 exact evaluator, markov.solve_value_vector, at lam = 1 and at the chain
-factor. c is fixed at stopping.DEFAULT_C = 9, whose transform error
-2**(-6n) stays below half the value separation at every n, so
-snap-back is exact; the transform and the vi route snap and test
-T z = z through one integer helper, _snap_fixed_point. Both players
-run one policy-iteration loop, _improve; min's reply switches only on
-a strict improvement.
+factor; it solves for the avg vertices only, and each player vertex
+takes the value at the end of its pick chain. c is fixed at
+stopping.DEFAULT_C = 9, whose transform error 2**(-6n) stays below
+half the value separation at every n, so snap-back is exact; the
+transform and the vi route snap and test T z = z through one integer
+helper, _snap_fixed_point. Both players run one policy-iteration
+loop, _improve; min's reply switches only on a strict improvement.
 
 The vi route sweeps value iteration on a stopping game, where T has one
 fixed point, so any snapped iterate with T z = z is the value whatever
@@ -57,7 +58,7 @@ import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
-from typing import Callable, Iterable, Iterator, Union
+from typing import Callable, Iterator, Union
 
 from . import kernels
 from .exceptions import (
@@ -480,24 +481,30 @@ def round_to_value_set(x: Fraction, n: int) -> Fraction:
 
 
 def _snap_fixed_point(
-    game: Game, pairs: Iterable[tuple[int, int]], level: int
-) -> Union[ValueVector, None]:
-    """Snap (numerator, denominator) pairs in vertex order, denominators
+    game: Game, nums: list[int], dens: list[int], level: int, first: int = 0
+) -> tuple[Union[ValueVector, None], int]:
+    """Snap the fractions nums[i] / dens[i] in vertex order, denominators
     positive and not necessarily reduced, to values with denominators at
-    most 4**level, and return the snapped vector if it is an operator
-    fixed point, else None; the first component without such a value
-    within half of 4**(-2*level) ends the try. level n is the game's
-    own value set, where the snap of a close enough approximation is
-    guaranteed; a coarser level can only be tried."""
+    most 4**level, and test the snapped vector for an operator fixed
+    point. Returns (z, refused): z is the snapped vector if it is one,
+    else None; refused is the component without such a value within
+    half of 4**(-2*level), which ends the try, or first if every
+    component snapped. Snapping starts at component first and wraps
+    around, so a caller that passes back the component that refused
+    its last try often ends a failing try after one snap. level n is
+    the game's own value set, where the snap of a close enough
+    approximation is guaranteed; a coarser level can only be tried."""
+    m = len(nums)
     z = []
-    for num, den in pairs:
-        pair = _snap(num, den, level)
+    for i in chain(range(first, m), range(first)):
+        pair = _snap(nums[i], dens[i], level)
         if pair is None:
-            return None
+            return None, i
         z.append(pair)
+    z = z[m - first :] + z[: m - first]  # back to vertex order
     if not _is_fixed_point(game, z):
-        return None
-    return ValueVector(Fraction(p, q) for p, q in z)
+        return None, first
+    return ValueVector(Fraction(p, q) for p, q in z), first
 
 
 def _transform_solve(game: Game) -> tuple[ValueVector, ValueVector, int]:
@@ -513,7 +520,9 @@ def _transform_solve(game: Game) -> tuple[ValueVector, ValueVector, int]:
     theory-guaranteed, and failing them means a bug, not bad input.
     """
     s, rounds = _strategy_improvement(game, chain_weight(DEFAULT_C * game.n))
-    z = _snap_fixed_point(game, (x.as_integer_ratio() for x in s.components), game.n)
+    nums = [x.numerator for x in s.components]
+    dens = [x.denominator for x in s.components]
+    z, _ = _snap_fixed_point(game, nums, dens, game.n)
     if z is None:
         raise InternalCheckError("companion values do not snap to an operator fixed point")
     return z, s, rounds
@@ -537,7 +546,9 @@ def _vi_solve(game: Game) -> tuple[ValueVector, int]:
     iterate is snapped at level n and tested, and again every
     SNAP_SPACING sweeps. The sweep that reaches default_epsilon is the
     last try; its iterate lies within a quarter separation of the
-    value, so a failed snap there means a bug, not bad input.
+    value, so a failed snap there means a bug, not bad input. Each try
+    starts snapping at the component that refused the last one, which
+    on slowly converging chains often refuses again at once.
     """
     max_iters = DEFAULT_MAX_ITERS
     eps, one, thr, layout = _vi_setup(game, None, max_iters)
@@ -550,6 +561,8 @@ def _vi_solve(game: Game) -> tuple[ValueVector, int]:
     level, gate = 0, gates[0]
     productive = 0
     due = None
+    dens = [one] * n
+    refused = 0  # the component that refused the last snap
     for sweep, (v, gain, converged) in enumerate(kernels.sweeps(layout, thr, max_iters)):
         productive += gain > 0
         if gain <= gate:
@@ -558,13 +571,15 @@ def _vi_solve(game: Game) -> tuple[ValueVector, int]:
             if level == n - 1:
                 due = sweep
             else:
-                z = _snap_fixed_point(game, ((x, one) for x in layout.in_vertex_order(v)), level)
+                nums = layout.in_vertex_order(v)
+                z, refused = _snap_fixed_point(game, nums, dens, level, refused)
                 if z is not None:
                     return z, productive
             level += 1
             gate = gates[level]
         if converged or sweep == due:
-            z = _snap_fixed_point(game, ((x, one) for x in layout.in_vertex_order(v)), n)
+            nums = layout.in_vertex_order(v)
+            z, refused = _snap_fixed_point(game, nums, dens, n, refused)
             if z is not None:
                 return z, productive
             due = sweep + SNAP_SPACING

@@ -19,8 +19,11 @@ and the companion restricted to the original vertices is the n-vertex
 game whose edges all carry weight lam. solve._transform_solve evaluates
 strategy pairs on that small game with markov.solve_value_vector, the
 same evaluator Hoffman-Karp uses at lam = 1, and snaps the values
-back onto the original game's. The companion stays inside that solve:
-certificates hold the original game's values and max strategy only.
+back onto the original game's. The evaluator's unknowns are the avg
+vertices: a player vertex whose pick chain reaches avg vertex or sink t
+after k edges is worth lam**k times t's value. The companion stays
+inside that solve: certificates hold the original game's values and
+max strategy only.
 build_stopping_game stays for callers that need the companion itself:
 the transform verb, verify_transform_bound, and the tests, which use it
 as the reference.

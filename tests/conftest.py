@@ -7,17 +7,19 @@ import pytest
 from ssg import sink_reachable_set
 
 
-def _residual_holds(rg, values):
-    """Exact check of v = Q v + b on a fully reduced game, read off the
-    chain rather than any solver: a vertex that reaches a sink is worth
-    the mean of its successors, the 1-sink 1 and every other vertex 0."""
+def _residual_holds(rg, values, lam=1):
+    """Exact check of v = lam (Q v + b) on a fully reduced game, read
+    off the chain rather than any solver. A non-sink vertex is worth lam
+    times the mean of its successors; at lam = 1 only one that reaches
+    a sink is, and every other one is worth 0. The 1-sink is worth 1
+    and the 0-sink 0."""
     game = rg.game
     assert values.n == game.n
-    live = sink_reachable_set(rg)
+    live = sink_reachable_set(rg) if lam == 1 else game.interior
     for v in game.vertices:
         if v in live:
             succ = rg.successors(v)
-            rhs = sum(values[j] for j in succ) / len(succ)
+            rhs = lam * sum(values[j] for j in succ) / len(succ)
         else:
             rhs = Fraction(v == game.sink1)
         if values[v] != rhs:

@@ -1,6 +1,8 @@
 """Reductions, the linear system, exact chain solving, stopping tests."""
 
 from fractions import Fraction
+from itertools import combinations, product
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +27,7 @@ from ssg import (
     solve_value_vector,
 )
 from ssg.fixtures import FIXTURES, GAME_A, GAME_B, GAME_C, GAME_E, GAME_G
+from ssg.stopping import DEFAULT_C, chain_weight
 
 
 def fully_reduce(game, tau_picks=None, sigma_picks=None):
@@ -268,3 +271,100 @@ def test_solve_value_vector_matches_sympy():
                 trapped += has_trap and lam == 1
                 assert solve_value_vector(rg, lam) == expected, (g.n, lam)
     assert trapped
+
+
+def every_game(n):
+    """Every game on n vertices with start vertex 1. Each interior vertex
+    takes a kind and an unordered pair of distinct children among all n
+    vertices, self loops and sinks included; vertex 1 varies slowest."""
+    rows = [(kind, a, b) for kind in ("max", "min", "avg") for a, b in combinations(range(1, n + 1), 2)]
+    for combo in product(rows, repeat=n - 2):
+        yield build_game(n, 1, [(v, *row) for v, row in enumerate(combo, 1)])
+
+
+def check_every_pair(game, residual_holds):
+    """Evaluate every strategy pair of game at lam = 1 and at the
+    transform's chain factor, and check each value vector against the
+    chain itself: the residual v = lam (Q v + b) holds, and exactly the
+    vertices with no path to the 1-sink read 0 (at lam = 1 that covers
+    every vertex with no path to a sink). Returns the evaluation count."""
+    lams = (Fraction(1), chain_weight(DEFAULT_C * game.n))
+    count = 0
+    for tau in enumerate_strategies(game, VertexKind.MIN):
+        for sigma in enumerate_strategies(game, VertexKind.MAX):
+            rg = reduce_game(game, tau, sigma)
+            zero = set(game.vertices).difference(attractor(rg, (game.sink1,), ()))
+            for lam in lams:
+                v = solve_value_vector(rg, lam)
+                assert residual_holds(rg, v, lam), (game, tau, sigma, lam)
+                assert {i for i, x in v.items() if x == 0} == zero, (game, tau, sigma, lam)
+                count += 1
+    return count
+
+
+def test_evaluator_on_every_game_on_4_vertices(residual_holds):
+    games = list(every_game(4))
+    assert len(games) == 324
+    assert sum(check_every_pair(g, residual_holds) for g in games) == 1800
+
+
+# The 5-vertex sample: N5_PER_KINDS games for each of the 27 kind
+# triples, drawn from that triple's 1,000 child choices with
+# Random(N5_SEED); tools/exhaustive_eval.py checks all 27,000 games.
+N5_PER_KINDS = 20
+N5_SEED = 21
+
+
+def test_evaluator_on_a_stratified_sample_of_5_vertex_games(residual_holds):
+    rng = Random(N5_SEED)
+    children = list(product(combinations(range(1, 6), 2), repeat=3))
+    games = [
+        build_game(5, 1, [(v, kind, *pair) for v, (kind, pair) in enumerate(zip(kinds, choice), 1)])
+        for kinds in product(("max", "min", "avg"), repeat=3)
+        for choice in rng.sample(children, N5_PER_KINDS)
+    ]
+    assert len(games) == 27 * N5_PER_KINDS
+    assert sum(check_every_pair(g, residual_holds) for g in games) == 5000
+
+
+def test_cycle_of_player_vertices_is_worth_zero():
+    # max 1 and min 2 pick each other; 3 is an avg vertex into the cycle
+    g = build_game(5, 3, [(1, "max", 2, 5), (2, "min", 1, 4), (3, "avg", 1, 5)])
+    rg = fully_reduce(g, tau_picks={2: 1}, sigma_picks={1: 2})
+    for lam in (Fraction(1), Fraction(1, 3), chain_weight(DEFAULT_C * g.n)):
+        assert solve_value_vector(rg, lam) == ValueVector([0, 0, lam / 2, 0, 1])
+
+
+def test_avg_vertex_whose_children_chain_back_to_it():
+    # both of avg 1's children are player vertices that pick 1
+    g = build_game(5, 1, [(1, "avg", 2, 3), (2, "max", 1, 5), (3, "min", 1, 4)])
+    rg = fully_reduce(g, tau_picks={3: 1}, sigma_picks={2: 1})
+    assert sink_reachable_set(rg) == frozenset()
+    for lam in (Fraction(1), Fraction(1, 3), chain_weight(DEFAULT_C * g.n)):
+        assert solve_value_vector(rg, lam) == ValueVector([0, 0, 0, 0, 1])
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_chain_of_player_vertices_into_the_1_sink(k):
+    # vertices 1..k alternate max and min, each picking the next; the
+    # last picks the 1-sink, so vertex i is k + 1 - i edges from it
+    n = k + 2
+    rows = [(i, "max" if i % 2 else "min", i + 1 if i < k else n, n - 1) for i in range(1, k + 1)]
+    g = build_game(n, 1, rows)
+    rg = fully_reduce(
+        g,
+        tau_picks={i: c for i, _, c, _ in rows if i % 2 == 0},
+        sigma_picks={i: c for i, _, c, _ in rows if i % 2},
+    )
+    for lam in (Fraction(1), Fraction(2, 3), chain_weight(DEFAULT_C * n)):
+        v = solve_value_vector(rg, lam)
+        assert [v[i] for i in range(1, k + 1)] == [lam ** (k + 1 - i) for i in range(1, k + 1)]
+
+
+def test_avg_child_chain_ending_at_the_0_sink():
+    # avg 1 has the 1-sink and max 2 as children; 2 picks min 3, which
+    # picks the 0-sink
+    g = build_game(5, 1, [(1, "avg", 2, 5), (2, "max", 3, 5), (3, "min", 4, 5)])
+    rg = fully_reduce(g, tau_picks={3: 4}, sigma_picks={2: 3})
+    for lam in (Fraction(1), Fraction(2, 3), chain_weight(DEFAULT_C * g.n)):
+        assert solve_value_vector(rg, lam) == ValueVector([lam / 2, 0, 0, 0, 1])

@@ -1,0 +1,41 @@
+"""Check the exact evaluator on every game on 5 vertices.
+
+    python3 tools/exhaustive_eval.py
+
+Run from anywhere; the package is imported from the checkout's `src/`.
+For each of the 27,000 games of `every_game(5)` in tests/test_markov.py
+it runs `check_every_pair` from the same file: every strategy pair is
+evaluated with `solve_value_vector` at lam = 1 and at the transform's
+chain factor, and each value vector must satisfy v = lam (Q v + b) on
+the chain and read 0 at exactly the vertices with no path to the
+1-sink. Tier-1 runs the same check on every game on 4 vertices and on
+a seeded sample of the 5-vertex games. Prints the game and evaluation
+counts and the wall time; a failing check raises an AssertionError
+naming the game, the strategies and lam.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+from time import perf_counter
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
+
+from conftest import _residual_holds  # noqa: E402
+from test_markov import check_every_pair, every_game  # noqa: E402
+
+
+def main() -> None:
+    start = perf_counter()
+    games = evaluations = 0
+    for game in every_game(5):
+        games += 1
+        evaluations += check_every_pair(game, _residual_holds)
+    print(f"{games} games on 5 vertices, {evaluations} evaluations checked, "
+          f"{perf_counter() - start:.1f} s")
+
+
+if __name__ == "__main__":
+    main()
