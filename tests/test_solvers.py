@@ -4,6 +4,8 @@ dispatch, and certificate checking."""
 import importlib
 import random
 from fractions import Fraction
+from functools import partial
+from itertools import combinations, islice, product
 
 import pytest
 
@@ -51,8 +53,17 @@ from ssg.fixtures import (
     GAME_F,
     GAME_G,
 )
-from ssg.solve import _improve, _is_fixed_point, _snap, _transform_solve
+from ssg.solve import (
+    _improve,
+    _is_fixed_point,
+    _snap,
+    _start_strategies,
+    _strategy_improvement,
+    _transform_solve,
+    _vi_guess,
+)
 from ssg.stopping import DEFAULT_C
+from test_markov import every_game
 
 # the module itself; the package's `solve` attribute is the function
 solve_module = importlib.import_module("ssg.solve")
@@ -303,6 +314,102 @@ def test_min_reply_keeps_its_pick_on_a_tie():
     values, reply, rounds = _min_reply(game, sigma, tau)
     assert values == ValueVector([HALF, HALF, HALF, 0, 1])
     assert (reply, rounds) == (tau, 0)
+
+
+@pytest.mark.parametrize("game", [GAME_F, GAME_G], ids=["GAME_F", "GAME_G"])
+def test_hk_confirms_the_guess_with_one_evaluation(game, monkeypatch):
+    # from the all-left start each game takes 2 evaluations and one max
+    # switch; the vi guess names the optimal sigma, so one evaluation
+    # confirms it and no round is run
+    calls = []
+    inner = solve_module.solve_value_vector
+    monkeypatch.setattr(solve_module, "solve_value_vector", lambda *a: calls.append(a) or inner(*a))
+    cold = _strategy_improvement(game, Fraction(1), _start_strategies(game))
+    assert (len(calls), cold[1]) == (2, 1)
+    calls.clear()
+    report = hoffman_karp(game)
+    assert (len(calls), report.iterations) == (1, 0)
+    assert report.values == cold[0]
+
+
+@pytest.fixture
+def guess_gains(monkeypatch):
+    """The gains of the sweeps drawn from kernels.sweeps, in order."""
+    gains = []
+    inner = solve_module.kernels.sweeps
+
+    def counted(*args):
+        for item in inner(*args):
+            gains.append(item[1])
+            yield item
+
+    monkeypatch.setattr(solve_module.kernels, "sweeps", counted)
+    return gains
+
+
+def test_vi_guess_stops_at_gain_zero(guess_gains):
+    # no cycle, so the grid iterate is a fixed point after 2 productive
+    # sweeps: the third has gain 0 and ends the guess before any check;
+    # max 1 ties (2 and 3 are both worth 1/2) and keeps its left child,
+    # min 3 takes 2, worth less than the 1-sink
+    game = build_game(5, 1, [(1, "max", 2, 3), (2, "avg", 4, 5), (3, "min", 5, 2)])
+    tau, sigma = _vi_guess(game)
+    assert len(guess_gains) == 3 < solve_module.GUESS_SPACING
+    assert guess_gains[-1] == 0
+    assert (tau.as_dict(), sigma.as_dict()) == ({3: 2}, {1: 2})
+
+
+def test_vi_guess_stops_when_two_checks_agree(guess_gains):
+    # the avg cycle 2 <-> 3 (worth 2/3 and 1/3) keeps the gain positive
+    # for many sweeps; max 1 prefers its right child 2 from the first
+    # sweep on, so the checks after 4 and 8 sweeps agree and end it
+    game = build_game(5, 1, [(1, "max", 3, 2), (2, "avg", 3, 5), (3, "avg", 2, 4)])
+    tau, sigma = _vi_guess(game)
+    assert len(guess_gains) == 2 * solve_module.GUESS_SPACING
+    assert all(guess_gains)
+    assert sigma.as_dict() == {1: 2}
+    assert tau.as_dict() == {}
+
+
+def check_every_start(game):
+    """Run the loop of hoffman_karp from every start pair (tau, sigma)
+    of the stopping game and check that each run ends at the oracle's
+    values. Returns the number of start pairs."""
+    expected = brute_force_oracle(game).values
+    count = 0
+    for tau in enumerate_strategies(game, VertexKind.MIN):
+        for sigma in enumerate_strategies(game, VertexKind.MAX):
+            values, _rounds = _strategy_improvement(game, Fraction(1), (tau, sigma))
+            assert values == expected, (game, tau, sigma)
+            count += 1
+    return count
+
+
+def test_hk_loop_is_exact_from_every_start_on_4_vertices():
+    games = [g for g in every_game(4) if is_stopping(g)]
+    assert len(games) == 119
+    assert sum(check_every_start(g) for g in games) == 243
+
+
+# The 5-vertex sample: for each of the 27 kind triples, the first
+# START5_PER_KINDS stopping games among that triple's 1,000 child
+# choices, shuffled by one random.Random(START5_SEED);
+# tools/exhaustive_eval.py checks all 7,128 stopping games on 5 vertices.
+START5_PER_KINDS = 20
+START5_SEED = 22
+
+
+def test_hk_loop_is_exact_from_every_start_on_sampled_5_vertex_games():
+    rng = random.Random(START5_SEED)
+    children = list(product(combinations(range(1, 6), 2), repeat=3))
+    games = []
+    for kinds in product(("max", "min", "avg"), repeat=3):
+        shuffled = rng.sample(children, len(children))
+        rows = ([(v, k, *pair) for v, (k, pair) in enumerate(zip(kinds, c), 1)] for c in shuffled)
+        stopping = (g for g in map(partial(build_game, 5, 1), rows) if is_stopping(g))
+        games += islice(stopping, START5_PER_KINDS)
+    assert len(games) == 27 * START5_PER_KINDS
+    assert sum(check_every_start(g) for g in games) == 2500
 
 
 # ------------------------------------------------------------ rounding
@@ -903,13 +1010,14 @@ def _mixed_non_stopping(n, count, seed):
 
 
 def _companion_reference(game, c):
-    """Strategy improvement on the built companion: its values at the
+    """Strategy improvement on the built companion, from the all-left
+    start that the contracted loop also takes: its values at the
     original vertices, their snap-back, and the round count."""
     transformed, record = build_stopping_game(game, c)
-    ref = hoffman_karp(transformed)
-    s = ValueVector(ref.values[record.mapped(i)] for i in game.vertices)
+    values, rounds = _strategy_improvement(transformed, Fraction(1), _start_strategies(transformed))
+    s = ValueVector(values[record.mapped(i)] for i in game.vertices)
     z = ValueVector(round_to_value_set(x, game.n) for x in s.components)
-    return z, s, ref.iterations
+    return z, s, rounds
 
 
 def test_transform_route_matches_built_companion():

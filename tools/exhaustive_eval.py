@@ -1,4 +1,5 @@
-"""Check the exact evaluator on every game on 5 vertices.
+"""Check the exact evaluator and the strategy-improvement loop on every
+game on 5 vertices.
 
     python3 tools/exhaustive_eval.py
 
@@ -8,10 +9,13 @@ it runs `check_every_pair` from the same file: every strategy pair is
 evaluated with `solve_value_vector` at lam = 1 and at the transform's
 chain factor, and each value vector must satisfy v = lam (Q v + b) on
 the chain and read 0 at exactly the vertices with no path to the
-1-sink. Tier-1 runs the same check on every game on 4 vertices and on
-a seeded sample of the 5-vertex games. Prints the game and evaluation
-counts and the wall time; a failing check raises an AssertionError
-naming the game, the strategies and lam.
+1-sink. For each of those games that is stopping it then runs
+`check_every_start` from tests/test_solvers.py: the loop of
+`hoffman_karp` must reach the oracle's values from every start pair.
+Tier-1 runs the same checks on every game on 4 vertices and on seeded
+samples of the 5-vertex games. Prints one line per check with the game
+and check counts and the wall time; a failing check raises an
+AssertionError naming the game and the strategies.
 """
 
 from __future__ import annotations
@@ -24,17 +28,26 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
 from conftest import _residual_holds  # noqa: E402
+from ssg import is_stopping  # noqa: E402
 from test_markov import check_every_pair, every_game  # noqa: E402
+from test_solvers import check_every_start  # noqa: E402
 
 
 def main() -> None:
     start = perf_counter()
     games = evaluations = 0
+    stopping = []
     for game in every_game(5):
         games += 1
         evaluations += check_every_pair(game, _residual_holds)
+        if is_stopping(game):
+            stopping.append(game)
     print(f"{games} games on 5 vertices, {evaluations} evaluations checked, "
           f"{perf_counter() - start:.1f} s")
+    start = perf_counter()
+    starts = sum(check_every_start(game) for game in stopping)
+    print(f"{len(stopping)} stopping games on 5 vertices, {starts} start pairs "
+          f"checked against the oracle, {perf_counter() - start:.1f} s")
 
 
 if __name__ == "__main__":
