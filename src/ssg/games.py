@@ -142,7 +142,9 @@ def build_game(
 ) -> Game:
     """Assemble and validate a game from (id, kind, child1, child2) rows.
 
-    Rows may arrive in any order; ids must cover 1..n-2 exactly once.
+    Rows may arrive in any order; ids must cover 1..n-2 exactly once. A
+    kind is a VertexKind or its name 'max', 'min' or 'avg'. The graph,
+    a sink kind on an interior vertex included, is validate_game's job.
     """
     if n < 2:
         raise ValidationError(f"vertex count must be at least 2, got {n}")
@@ -161,8 +163,6 @@ def build_game(
                 kind = _KIND_BY_NAME[kind]
             except KeyError:
                 raise ValidationError(f"unknown vertex kind {kind!r}") from None
-        elif kind.is_sink:
-            raise ValidationError(f"vertex {vid} may not be declared a sink")
         kinds[vid] = kind
         children[vid] = (c1, c2)
     interior = range(1, n - 1)
@@ -340,27 +340,19 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
-def _tokenize(text: str) -> list[tuple[int, list[tuple[int, str]]]]:
-    """Split into significant lines of (column, token) pairs.
-
-    Text after '#' on a line is a comment; blank lines are dropped.
-    Columns are 1-based character positions in the original line.
-    """
-    out = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0]
-        toks = [(m.start() + 1, m.group()) for m in re.finditer(r"\S+", body)]
-        if toks:
-            out.append((ln, toks))
-    return out
+def _token_error(message: str, ln: int, line: str, index: int) -> FormatError:
+    """A FormatError at token index (0-based) of line ln. Only an error
+    needs a column, so one regex over the text before '#' finds it here."""
+    cols = [m.start() + 1 for m in re.finditer(r"\S+", line.split("#", 1)[0])]
+    return FormatError(message, ln, cols[index])
 
 
-def _parse_int(tok: tuple[int, str], what: str, line: int) -> int:
-    col, text = tok
+def _parse_int(toks: list[str], index: int, what: str, ln: int, line: str) -> int:
     try:
-        return ascii_int(text)
+        return ascii_int(toks[index])
     except ValueError:
-        raise FormatError(f"expected integer {what}, got {text!r}", line, col) from None
+        message = f"expected integer {what}, got {toks[index]!r}"
+        raise _token_error(message, ln, line, index) from None
 
 
 def parse_game(source: Union[str, TextIO]) -> Game:
@@ -369,35 +361,41 @@ def parse_game(source: Union[str, TextIO]) -> Game:
     Layout: a header line 'ssg <n> <start>', then one line per non-sink
     vertex, '<id> <max|min|avg> <child1> <child2>', in any order. Blank
     lines and '#' comments are ignored. Sinks are implicit: vertex n-1
-    is the 0-sink and vertex n the 1-sink.
+    is the 0-sink and vertex n the 1-sink. Lines end at '\\n', '\\r\\n'
+    or '\\r' (universal newlines); any other whitespace separates
+    tokens. A FormatError names the line and column of the bad token;
+    build_game checks the rows and validate_game the graph.
     """
     text = source if isinstance(source, str) else source.read()
-    lines = _tokenize(text)
+    numbered = enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1)
+    lines = [(ln, line, toks) for ln, line in numbered if (toks := line.split("#", 1)[0].split())]
     if not lines:
         raise FormatError("empty input: expected header 'ssg <n> <start>'", 1, 1)
 
-    ln, toks = lines[0]
-    if toks[0][1] != "ssg":
-        raise FormatError(f"expected header keyword 'ssg', got {toks[0][1]!r}", ln, toks[0][0])
+    ln, line, toks = lines[0]
+    if toks[0] != "ssg":
+        raise _token_error(f"expected header keyword 'ssg', got {toks[0]!r}", ln, line, 0)
     if len(toks) != 3:
-        col = toks[-1][0] if len(toks) > 3 else toks[0][0]
-        raise FormatError("header must be 'ssg <n> <start>'", ln, col)
-    n = _parse_int(toks[1], "vertex count", ln)
-    start = _parse_int(toks[2], "start vertex", ln)
+        last = len(toks) - 1 if len(toks) > 3 else 0
+        raise _token_error("header must be 'ssg <n> <start>'", ln, line, last)
+    n = _parse_int(toks, 1, "vertex count", ln, line)
+    start = _parse_int(toks, 2, "start vertex", ln, line)
 
     rows = []
-    for ln, toks in lines[1:]:
+    for ln, line, toks in lines[1:]:
         if len(toks) != 4:
-            raise FormatError(
-                "vertex line must be '<id> <max|min|avg> <child1> <child2>'", ln, toks[0][0]
+            raise _token_error(
+                "vertex line must be '<id> <max|min|avg> <child1> <child2>'", ln, line, 0
             )
-        vid = _parse_int(toks[0], "vertex id", ln)
-        kcol, kname = toks[1]
-        if kname not in _KIND_BY_NAME:
-            raise FormatError(f"unknown vertex kind {kname!r} (want max, min, or avg)", ln, kcol)
-        c1 = _parse_int(toks[2], "child", ln)
-        c2 = _parse_int(toks[3], "child", ln)
-        rows.append((vid, kname, c1, c2))
+        vid = _parse_int(toks, 0, "vertex id", ln, line)
+        kind = _KIND_BY_NAME.get(toks[1])
+        if kind is None:
+            raise _token_error(
+                f"unknown vertex kind {toks[1]!r} (want max, min, or avg)", ln, line, 1
+            )
+        c1 = _parse_int(toks, 2, "child", ln, line)
+        c2 = _parse_int(toks, 3, "child", ln, line)
+        rows.append((vid, kind, c1, c2))
 
     return build_game(n, start, rows)
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,7 @@ from ssg import (
     serialize_game,
     validate_strategy,
 )
+from ssg import games
 from ssg.fixtures import FIXTURES, GAME_A, GAME_B, GAME_C, GAME_E, GAME_G
 
 
@@ -242,6 +244,13 @@ def test_parse_game_takes_a_sign_on_integers():
         # int() alone takes underscores and other scripts' digits
         ("ssg 5 1\n1 max 2 3\n2 min 4 5\n3 avg 2 0_5", 4, 9),
         ("ssg ５ 1\n1 avg 2 3", 1, 5),
+        ("ssg 3 1\n1\tfoo 2 3", 2, 3),
+        ("ssg 3 1\n1 avg 2 x # a comment", 2, 9),
+        ("ssg 4 1\r\n1 avg 2 4\r\n2 avg 1 x\r\n", 3, 9),
+        # the column is that of the last token before the comment
+        ("ssg 3 1 9 9 # 7 8 9\n1 avg 2 3", 1, 11),
+        # a vertical tab is whitespace inside a line, not a line break
+        ("ssg 4 1\n1 avg 2 4\x0b\n2 avg 1 x\n", 3, 9),
     ],
 )
 def test_parse_game_errors_carry_position(text, line, col):
@@ -250,6 +259,53 @@ def test_parse_game_errors_carry_position(text, line, col):
     assert exc.value.line == line
     assert exc.value.col == col
     assert f"line {line}" in str(exc.value)
+
+
+def test_parse_game_breaks_lines_only_at_newlines():
+    # str.splitlines breaks lines at each of these; the format only
+    # separates tokens with them
+    for space in "\f\v\x1c\x1d\x1e\x85\u2028\u2029":
+        assert parse_game(f"ssg 3 1\n1 avg{space}2 3\n") == build_game(3, 1, [(1, "avg", 2, 3)])
+    assert parse_game("ssg 4 1\r1 avg 2 4\r\n2 avg 1 3\n") == GAME_B
+
+
+def test_parse_game_computes_no_column_on_success(monkeypatch):
+    def no_column(*args):
+        raise AssertionError("a successful parse computed a column")
+
+    monkeypatch.setattr(games, "_token_error", no_column)
+    texts = [serialize_game(g) for g in FIXTURES.values()]
+    texts += [serialize_game(random_game(n, seed=s)) for n in (3, 8, 24) for s in range(20)]
+    texts += [_rerender(t, random.Random(i)) for i, t in enumerate(texts)]
+    for text in texts:
+        parse_game(text)
+    with pytest.raises(AssertionError, match="computed a column"):
+        parse_game("ssg x 1\n")
+
+
+def _rerender(text, rnd):
+    """text with every freedom the format allows drawn from rnd: runs of
+    spaces, tabs and form feeds between tokens, '+' signs, trailing and
+    whole-line comments, blank lines, shuffled vertex lines, and each
+    line ended by '\\n', '\\r\\n' or '\\r'."""
+
+    def gap():
+        return "".join(rnd.choice(" \t\f") for _ in range(rnd.randint(1, 3)))
+
+    def token(t):
+        return "+" + t if t.isdigit() and rnd.random() < 0.2 else t
+
+    header, *vertex_lines = text.splitlines()
+    rnd.shuffle(vertex_lines)
+    out = []
+    for line in [header, *vertex_lines]:
+        while rnd.random() < 0.3:
+            out.append(rnd.choice(["", gap(), "# 1 avg 2 3", gap() + "#"]))
+        body = (gap() if rnd.random() < 0.3 else "") + gap().join(map(token, line.split()))
+        if rnd.random() < 0.3:
+            body += rnd.choice(["", gap()]) + "# ssg 1 2 " + gap()
+        out.append(body)
+    return "".join(line + rnd.choice(["\n", "\r\n", "\r"]) for line in out)
 
 
 def test_serialize_is_canonical():
@@ -263,10 +319,11 @@ def test_round_trip_fixtures(name):
     assert parse_game(serialize_game(g)) == g
 
 
-@given(seed=st.integers(0, 10_000), n=st.integers(3, 12))
-def test_round_trip_random_games(seed, n):
+@given(seed=st.integers(0, 10_000), n=st.integers(3, 12), render=st.integers(0, 2**32))
+def test_round_trip_random_games(seed, n, render):
     g = random_game(n, seed=seed)
     assert parse_game(serialize_game(g)) == g
+    assert parse_game(_rerender(serialize_game(g), random.Random(render))) == g
 
 
 def test_random_game_rejects_negative_seed():

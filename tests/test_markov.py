@@ -308,21 +308,27 @@ def test_evaluator_on_every_game_on_4_vertices(residual_holds):
     assert sum(check_every_pair(g, residual_holds) for g in games) == 1800
 
 
-# The 5-vertex sample: N5_PER_KINDS games for each of the 27 kind
-# triples, drawn from that triple's 1,000 child choices with
-# Random(N5_SEED); tools/exhaustive_eval.py checks all 27,000 games.
+def sample_games_on_5_vertices(per_kinds, seed):
+    """A stratified sample of every_game(5): per_kinds games for each of
+    the 27 kind triples, drawn from that triple's 1,000 child choices
+    with one Random(seed)."""
+    rng = Random(seed)
+    children = list(product(combinations(range(1, 6), 2), repeat=3))
+    return [
+        build_game(5, 1, [(v, kind, *pair) for v, (kind, pair) in enumerate(zip(kinds, choice), 1)])
+        for kinds in product(("max", "min", "avg"), repeat=3)
+        for choice in rng.sample(children, per_kinds)
+    ]
+
+
+# The 5-vertex sample: N5_PER_KINDS games per kind triple drawn with
+# seed N5_SEED; tools/exhaustive_eval.py checks all 27,000 games.
 N5_PER_KINDS = 20
 N5_SEED = 21
 
 
 def test_evaluator_on_a_stratified_sample_of_5_vertex_games(residual_holds):
-    rng = Random(N5_SEED)
-    children = list(product(combinations(range(1, 6), 2), repeat=3))
-    games = [
-        build_game(5, 1, [(v, kind, *pair) for v, (kind, pair) in enumerate(zip(kinds, choice), 1)])
-        for kinds in product(("max", "min", "avg"), repeat=3)
-        for choice in rng.sample(children, N5_PER_KINDS)
-    ]
+    games = sample_games_on_5_vertices(N5_PER_KINDS, N5_SEED)
     assert len(games) == 27 * N5_PER_KINDS
     assert sum(check_every_pair(g, residual_holds) for g in games) == 5000
 

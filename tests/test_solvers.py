@@ -34,6 +34,7 @@ from ssg import (
     hoffman_karp,
     is_stopping,
     random_game,
+    reduce_game,
     round_to_value_set,
     solve,
     solve_value_vector,
@@ -54,6 +55,7 @@ from ssg.fixtures import (
     GAME_G,
 )
 from ssg.solve import (
+    METHODS,
     _improve,
     _is_fixed_point,
     _snap,
@@ -63,7 +65,7 @@ from ssg.solve import (
     _vi_guess,
 )
 from ssg.stopping import DEFAULT_C
-from test_markov import every_game
+from test_markov import every_game, sample_games_on_5_vertices
 
 # the module itself; the package's `solve` attribute is the function
 solve_module = importlib.import_module("ssg.solve")
@@ -1076,3 +1078,78 @@ def test_solutions_match_oracle_on_random_pool():
     for seed in range(30):
         g = random_game(3 + seed % 5, seed=seed)
         assert solve(g).values == brute_force_oracle(g).values
+
+
+# ------------------------------------------------------ every small game
+
+
+def check_routes_and_certificates(game):
+    """Check every solve method and every verifier verdict on game
+    against brute_force_oracle. Each method that accepts the game (auto;
+    hk and vi when it is stopping; lp when a player is absent; avg-free
+    when there is no avg vertex) returns the oracle's values, and its tau
+    and sigma reduce the game to a chain worth exactly those values; every
+    other method raises PreconditionError. Then for every max strategy
+    sigma and every candidate z (each val(G_tau,sigma), and the value),
+    verify_ovv_certificate accepts (z, sigma) exactly when z is the value
+    and sigma is optimal from every vertex, that is when val(G_sigma), the
+    componentwise minimum over tau, is the value. Returns the number of
+    route solves and of verdicts."""
+    value = brute_force_oracle(game).values
+    has_avg, has_max, has_min = map(game.has_kind, (VertexKind.AVG, VertexKind.MAX, VertexKind.MIN))
+    stopping = is_stopping(game)
+    accepts = {
+        "auto": True,
+        "hk": stopping,
+        "vi": stopping,
+        "lp": not (has_max and has_min),
+        "avg-free": not has_avg,
+    }
+    solves = 0
+    for method in METHODS:
+        if not accepts[method]:
+            with pytest.raises(PreconditionError):
+                solve(game, method)
+            continue
+        report = solve(game, method)
+        assert report.values == value, (game, method)
+        reduced = reduce_game(game, report.tau, report.sigma)
+        assert solve_value_vector(reduced) == value, (game, method)
+        solves += 1
+    taus = enumerate_strategies(game, VertexKind.MIN)
+    table = {
+        sigma: [solve_value_vector(ReducedGame(game, tau, sigma)) for tau in taus]
+        for sigma in enumerate_strategies(game, VertexKind.MAX)
+    }
+    candidates = {value}.union(*table.values())
+    verdicts = 0
+    for sigma, column in table.items():
+        optimal = ValueVector(map(min, zip(*(v.components for v in column)))) == value
+        for z in candidates:
+            accepted = verify_ovv_certificate(game, Certificate(z, sigma))
+            assert accepted == (z == value and optimal), (game, sigma, z)
+            verdicts += 1
+    return solves, verdicts
+
+
+def _total(counts):
+    return tuple(map(sum, zip(*counts)))
+
+
+def test_routes_and_certificates_on_every_game_on_4_vertices():
+    games = list(every_game(4))
+    assert len(games) == 324
+    assert _total(map(check_routes_and_certificates, games)) == (958, 1167)
+
+
+# The 5-vertex sample for the gate: ROUTES5_PER_KINDS games per kind
+# triple drawn with seed ROUTES5_SEED (sample_games_on_5_vertices);
+# tools/exhaustive_eval.py runs the gate on all 27,000 games.
+ROUTES5_PER_KINDS = 20
+ROUTES5_SEED = 23
+
+
+def test_routes_and_certificates_on_sampled_5_vertex_games():
+    games = sample_games_on_5_vertices(ROUTES5_PER_KINDS, ROUTES5_SEED)
+    assert len(games) == 27 * ROUTES5_PER_KINDS
+    assert _total(map(check_routes_and_certificates, games)) == (1280, 3388)

@@ -22,6 +22,9 @@ Every solve and rollout runs REPEATS times; each run's perf_counter time
 is scaled by perfbench/calibration.py's speed factor, taken right
 before it, and the row records the median, in seconds on the reference
 machine of that calibration. The repeats must give equal output hashes.
+Each `auto` row also records parse_seconds: the same calibrated median
+for `parse_game` on the game's `serialize_game` text, the parse layer
+of a solve that starts from a game file.
 The run writes BENCH_<label>.json at the root of the checkout: one row
 per solve with n, weights, seed, route, seconds, a hash of the output (values,
 strategies, method, iterations and certificate z and sigma; for `mc` rows,
@@ -148,10 +151,14 @@ def main(argv=None) -> int:
 
     for n in SIZES:
         for seed, weights, stopping, game in draw(n, args.games, args.seed):
+            text = ssg.serialize_game(game)
+            _, parse_seconds = timed(lambda: ssg.parse_game(text), ssg.serialize_game)
             for method in ("auto", "vi") if stopping else ("auto",):
                 report, seconds = timed(lambda: ssg.solve(game, method), output_hash)
                 record(n, seed, weights, stopping, report.method, seconds, report.iterations,
                        output_hash(report), values_hash(report))
+                if method == "auto":
+                    rows[-1]["parse_seconds"] = round(parse_seconds, 7)
                 if stopping and method == "auto":
                     rg = ssg.reduce_game(game, report.tau, report.sigma)
                     est, seconds = timed(
