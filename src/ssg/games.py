@@ -142,9 +142,11 @@ def build_game(
 ) -> Game:
     """Assemble and validate a game from (id, kind, child1, child2) rows.
 
-    Rows may arrive in any order; ids must cover 1..n-2 exactly once. A
-    kind is a VertexKind or its name 'max', 'min' or 'avg'. The graph,
-    a sink kind on an interior vertex included, is validate_game's job.
+    Rows may arrive in any order; ids must cover 1..n-2 exactly once.
+    Ids and children are integers, and a kind is a VertexKind or its
+    name 'max', 'min' or 'avg'; a row of any other type is refused by
+    name. The graph, a sink kind on an interior vertex included, is
+    validate_game's job.
     """
     if n < 2:
         raise ValidationError(f"vertex count must be at least 2, got {n}")
@@ -153,7 +155,13 @@ def build_game(
     # stops within len(rows) + 1 steps
     kinds: dict[int, VertexKind] = {}
     children: dict[int, tuple[int, int]] = {}
-    for vid, kind, c1, c2 in rows:
+    for row in rows:
+        vid, kind, c1, c2 = row
+        try:
+            # operator.index also takes numpy integers, but not 2.0 or '2'
+            vid, c1, c2 = operator.index(vid), operator.index(c1), operator.index(c2)
+        except TypeError:
+            raise ValidationError(f"vertex row {row!r} needs integer ids and children") from None
         if not 1 <= vid <= n - 2:
             raise ValidationError(f"vertex id {vid} out of range 1..{n - 2}")
         if vid in kinds:
@@ -163,6 +171,8 @@ def build_game(
                 kind = _KIND_BY_NAME[kind]
             except KeyError:
                 raise ValidationError(f"unknown vertex kind {kind!r}") from None
+        elif not isinstance(kind, VertexKind):
+            raise ValidationError(f"vertex row {row!r} has kind {kind!r}, not a VertexKind or its name")
         kinds[vid] = kind
         children[vid] = (c1, c2)
     interior = range(1, n - 1)

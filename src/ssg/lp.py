@@ -13,17 +13,22 @@ Neither writes bound rows: v >= 0 is the simplex's own nonnegativity,
 and v <= 1 follows from the rows of the max-free program.
 
 The simplex is an exact two-phase primal method with Bland's
-anti-cycling rule. Its tableau is integers over one common denominator,
-updated by integer-preserving (Edmonds–Bareiss) pivots, and Fractions
-appear only in the optimum it returns. Variables are implicitly
-nonnegative.
+anti-cycling rule over implicitly nonnegative variables. Its tableau
+rows are sparse dicts of integers, each held as a positive integer
+multiple of its true row, with a multiple of its own. A pivot touches
+only the rows that hold the pivot column. Scaling a row by a positive
+number moves no sign and no ratio within it, so Bland's entering column
+and the ratio test choose exactly the pivots they would choose on the
+true tableau. The two cost rows are positive multiples as well, summed
+from the rows over the lcm of their scales. Fractions appear only in
+the optimum it returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm
 from typing import NamedTuple, Union
 
 from .exceptions import (
@@ -99,19 +104,25 @@ def _var_names(n: int) -> tuple[str, ...]:
     return tuple(f"v{i}" for i in range(1, n + 1))
 
 
-def _unit(n: int, i: int, value: Fraction = Fraction(1)) -> list[Fraction]:
-    row = [Fraction(0)] * n
-    row[i - 1] = value
-    return row
+_ZERO, _ONE = Fraction(0), Fraction(1)
+# minus the weight of each of one or two successors
+_MINUS_SHARE = {1: Fraction(-1), 2: Fraction(-1, 2)}
+
+
+def _unit(n: int, i: int) -> tuple[Fraction, ...]:
+    row = [_ZERO] * n
+    row[i - 1] = _ONE
+    return tuple(row)
 
 
 def _edge_row(n: int, v: int, succ: tuple[int, ...]) -> tuple[Fraction, ...]:
     """Coefficients of v(v) - average-or-copy of successors."""
-    row = [Fraction(0)] * n
-    row[v - 1] = Fraction(1)
-    w = Fraction(1, len(succ))
+    row = [_ZERO] * n
+    row[v - 1] = _ONE
+    w = _MINUS_SHARE[len(succ)]
     for j in succ:
-        row[j - 1] -= w
+        # successors are distinct, so only a self loop meets a nonzero cell
+        row[j - 1] = row[j - 1] + w if j == v else w
     return tuple(row)
 
 
@@ -130,21 +141,21 @@ def build_lp_min_free(game: Union[Game, ReducedGame]) -> LinearProgram:
         raise PreconditionError("game has unfixed min vertices; fix tau or use the max-free builder")
     n = g.n
     cons: list[Constraint] = [
-        Constraint(tuple(_unit(n, g.sink0)), "=", Fraction(0)),
-        Constraint(tuple(_unit(n, g.sink1)), "=", Fraction(1)),
+        Constraint(_unit(n, g.sink0), "=", _ZERO),
+        Constraint(_unit(n, g.sink1), "=", _ONE),
     ]
     for v in g.interior:
         succ = rg.successors(v)
         if len(succ) == 1:
-            cons.append(Constraint(_edge_row(n, v, succ), "=", Fraction(0)))
+            cons.append(Constraint(_edge_row(n, v, succ), "=", _ZERO))
         elif g.kind(v) is VertexKind.MAX:
             for j in succ:
-                cons.append(Constraint(_edge_row(n, v, (j,)), ">=", Fraction(0)))
+                cons.append(Constraint(_edge_row(n, v, (j,)), ">=", _ZERO))
         else:
-            cons.append(Constraint(_edge_row(n, v, succ), ">=", Fraction(0)))
+            cons.append(Constraint(_edge_row(n, v, succ), ">=", _ZERO))
     return LinearProgram(
         variables=_var_names(n),
-        objective=tuple(Fraction(1) for _ in range(n)),
+        objective=(_ONE,) * n,
         direction="min",
         constraints=tuple(cons),
     )
@@ -183,25 +194,25 @@ def build_lp_max_free(game: Union[Game, ReducedGame]) -> LinearProgram:
     n = g.n
     zero = zero_value_set(rg)
     cons: list[Constraint] = [
-        Constraint(tuple(_unit(n, g.sink0)), "=", Fraction(0)),
-        Constraint(tuple(_unit(n, g.sink1)), "=", Fraction(1)),
+        Constraint(_unit(n, g.sink0), "=", _ZERO),
+        Constraint(_unit(n, g.sink1), "=", _ONE),
     ]
     for i in sorted(zero - {g.sink0}):
-        cons.append(Constraint(tuple(_unit(n, i)), "=", Fraction(0)))
+        cons.append(Constraint(_unit(n, i), "=", _ZERO))
     for v in g.interior:
         if v in zero:
             continue
         succ = rg.successors(v)
         if len(succ) == 1:
-            cons.append(Constraint(_edge_row(n, v, succ), "=", Fraction(0)))
+            cons.append(Constraint(_edge_row(n, v, succ), "=", _ZERO))
         elif g.kind(v) is VertexKind.MIN:
             for j in succ:
-                cons.append(Constraint(_edge_row(n, v, (j,)), "<=", Fraction(0)))
+                cons.append(Constraint(_edge_row(n, v, (j,)), "<=", _ZERO))
         else:
-            cons.append(Constraint(_edge_row(n, v, succ), "<=", Fraction(0)))
+            cons.append(Constraint(_edge_row(n, v, succ), "<=", _ZERO))
     return LinearProgram(
         variables=_var_names(n),
-        objective=tuple(Fraction(1) for _ in range(n)),
+        objective=(_ONE,) * n,
         direction="max",
         constraints=tuple(cons),
     )
@@ -223,107 +234,107 @@ def simplex_optimize(lp: LinearProgram) -> SimplexResult:
     Raises InfeasibleError or UnboundedError as appropriate; otherwise
     returns an optimal vertex of the feasible region.
 
-    The tableau is held as integers T over one positive common
-    denominator d, so the true tableau is T / d. A pivot on (r, j) with
-    p = T[r][j] keeps row r, replaces every other row (the reduced-cost
-    row included) by (T[i]·p − T[i][j]·T[r]) / d and sets d = p. By
-    Sylvester's identity that division is exact as long as T is d times
-    B⁻¹A for an integer matrix A whose basis columns B have determinant
-    d (Edmonds 1967, Bareiss 1968). So each row is scaled to integers by
-    the lcm of its own denominators, which puts that lcm on the row's
-    starting basic column, and d starts as the product of those lcms;
-    one global lcm would not be that determinant and would make the
-    divisions inexact. Rows of the true tableau are never rescaled: the
-    phase-1 cost row is the sum of the artificial rows, so a rescaled
-    row would change which column Bland's rule picks. A negative pivot,
-    only met when a leftover artificial is pivoted out after phase 1,
-    negates row r first, which keeps d positive.
+    Each tableau row is a sparse dict {column: int}, with the right-hand
+    side under the key ncols, and holds some positive integer multiple
+    of its true row; the multiple may differ from row to row, and it is
+    always the row's entry in its basic column. A pivot on (r, j) with
+    p = row_r[j] keeps row r and touches only the rows that hold column
+    j: with f = row_i[j] and g = gcd(p, f), row_i becomes
+    row_i·(p/g) − (f/g)·row_r, which is c_i·p/g times the new true row
+    for row_i = c_i·(true row), and is then divided by the gcd of its
+    entries. A negative pivot, only met when a leftover artificial is
+    pivoted out after phase 1, negates row r first.
+
+    Positive multiples keep every sign and every ratio b/a within a
+    row. So Bland's entering column (the first negative reduced cost),
+    the ratio test and its tie-break on the basis index pick the same
+    pivots as on the true tableau. The cost rows are positive multiples
+    too: phase 1 sums the artificial rows, each weighted by the lcm of
+    their starting scales over its own scale, and phase 2 weights each
+    basic row by the lcm of the basic entries over its own entry.
     """
     nv = len(lp.variables)
-    maximize = lp.direction == "max"
-    obj = [_rational(x) if maximize else -_rational(x) for x in lp.objective]
 
-    # Normalize to Ax (rel) b with b >= 0, then add slack/artificial columns.
+    # Normalize to Ax (rel) b with b >= 0, keeping only the nonzero
+    # coefficients, then add slack/artificial columns.
     rows = []
     for con in lp.constraints:
-        coeffs = [_rational(x) for x in con.coeffs]
+        coeffs = [(k, _rational(x)) for k, x in enumerate(con.coeffs) if x]
         rel = con.relation
         rhs = _rational(con.rhs)
         if rhs < 0:
-            coeffs = [-x for x in coeffs]
+            coeffs = [(k, -x) for k, x in coeffs]
             rhs = -rhs
             rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
         rows.append((coeffs, rel, rhs))
 
     n_slack = sum(1 for _, rel, _ in rows if rel != "=")
-    n_art = sum(1 for _, rel, _ in rows if rel != "<=")
-    ncols = nv + n_slack + n_art
     art_start = nv + n_slack
+    ncols = art_start + sum(1 for _, rel, _ in rows if rel != "<=")
 
-    tableau: list[list[int]] = []
-    scales: list[int] = []
+    tableau: list[dict[int, int]] = []
     basis: list[int] = []
     slack_at = nv
     art_at = art_start
-    artificial_rows = []
     for coeffs, rel, rhs in rows:
-        scale = lcm(rhs.denominator, *(x.denominator for x in coeffs))
-        row = [x.numerator * (scale // x.denominator) for x in coeffs]
-        row += [0] * (ncols - nv) + [rhs.numerator * (scale // rhs.denominator)]
+        # the row's scale lands on its starting basic column
+        scale = lcm(rhs.denominator, *(x.denominator for _, x in coeffs))
+        row = {k: x.numerator * (scale // x.denominator) for k, x in coeffs}
+        if rhs:
+            row[ncols] = rhs.numerator * (scale // rhs.denominator)
+        if rel != "=":
+            row[slack_at] = scale if rel == "<=" else -scale
+            slack_at += 1
         if rel == "<=":
-            row[slack_at] = scale
-            basis.append(slack_at)
-            slack_at += 1
-        elif rel == ">=":
-            row[slack_at] = -scale
-            slack_at += 1
-            row[art_at] = scale
-            basis.append(art_at)
-            artificial_rows.append(len(tableau))
-            art_at += 1
+            basis.append(slack_at - 1)
         else:
             row[art_at] = scale
             basis.append(art_at)
-            artificial_rows.append(len(tableau))
             art_at += 1
         tableau.append(row)
-        scales.append(scale)
-
-    d = prod(scales)
-    tableau = [[x * (d // scale) for x in row] for row, scale in zip(tableau, scales)]
     m = len(tableau)
     pivots = 0
 
     def pivot(r: int, j: int) -> None:
         # Updates every row in the tableau, including a reduced-cost row
         # that run_phase appends below the m constraint rows.
-        nonlocal d, pivots
+        nonlocal pivots
         pivots += 1
         prow = tableau[r]
         p = prow[j]
         if p < 0:
-            prow = tableau[r] = [-x for x in prow]
+            prow = tableau[r] = {k: -x for k, x in prow.items()}
             p = -p
         for i, row in enumerate(tableau):
-            if i == r:
+            f = row.get(j)
+            if f is None or i == r:
                 continue
-            f = row[j]
-            if f:
-                tableau[i] = [(x * p - f * y) // d for x, y in zip(row, prow)]
-            elif p != d:
-                tableau[i] = [x * p // d for x in row]
+            # rows are never shared, so each is updated in place
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            if a != 1:
+                for k in row:
+                    row[k] *= a
+            for k, y in prow.items():
+                x = row.get(k, 0) - b * y
+                if x:
+                    row[k] = x
+                else:
+                    del row[k]
+            g = gcd(*row.values())
+            if g > 1:
+                for k in row:
+                    row[k] //= g
         basis[r] = j
-        d = p
 
-    def run_phase(zrow: list[int], allowed: range) -> None:
+    def run_phase(zrow: dict[int, int], limit: int) -> None:
         # zrow holds the reduced costs z_j - c_j times a positive factor;
-        # optimal when all >= 0.
+        # optimal when all of columns 0..limit-1 are >= 0.
         tableau.append(zrow)
         while True:
             if pivots > _MAX_PIVOTS:
                 raise InternalCheckError("simplex exceeded its pivot budget")
-            zrow = tableau[-1]
-            enter = next((j for j in allowed if zrow[j] < 0), -1)
+            enter = min((j for j, z in tableau[-1].items() if z < 0 and j < limit), default=-1)
             if enter < 0:
                 break
             # Least ratio b/a over rows with a > 0; b/a < bnum/bden
@@ -331,30 +342,34 @@ def simplex_optimize(lp: LinearProgram) -> SimplexResult:
             leave, bnum, bden = -1, 0, 1
             for i in range(m):
                 row = tableau[i]
-                a = row[enter]
+                a = row.get(enter, 0)
                 if a > 0:
-                    cross = row[-1] * bden - bnum * a
+                    b = row.get(ncols, 0)
+                    cross = b * bden - bnum * a
                     if leave < 0 or cross < 0 or (cross == 0 and basis[i] < basis[leave]):
-                        leave, bnum, bden = i, row[-1], a
+                        leave, bnum, bden = i, b, a
             if leave < 0:
                 raise UnboundedError("objective is unbounded over the feasible region")
             pivot(leave, enter)
         tableau.pop()
 
-    if n_art:
-        # Phase 1: drive the artificial variables to zero.
-        zrow = [0] * art_start + [d] * n_art + [0]
-        # Canonicalize against the starting basis (artificials are basic).
-        for r in artificial_rows:
-            zrow = [z - x for z, x in zip(zrow, tableau[r])]
-        run_phase(zrow, range(0, ncols))
-        if any(tableau[i][-1] for i in range(m) if basis[i] >= art_start):
+    if art_start < ncols:
+        # Phase 1: drive the artificial variables to zero. Its costs,
+        # canonicalized against the starting basis (artificials basic),
+        # are 1 on each artificial column minus the sum of the
+        # artificial rows, so the artificial columns cancel to 0.
+        arts = [i for i in range(m) if basis[i] >= art_start]
+        scale = lcm(*(tableau[i][basis[i]] for i in arts))
+        zrow = dict.fromkeys(range(art_start, ncols), scale)
+        terms = ((tableau[i], -(scale // tableau[i][basis[i]])) for i in arts)
+        run_phase(_weighted_sum(terms, zrow), ncols)
+        if any(ncols in tableau[i] for i in range(m) if basis[i] >= art_start):
             raise InfeasibleError("constraints admit no solution")
         # Pivot leftover artificials out of the basis, or drop dead rows.
         for i in range(m - 1, -1, -1):
             if basis[i] < art_start:
                 continue
-            j = next((k for k in range(art_start) if tableau[i][k] != 0), -1)
+            j = min((k for k in tableau[i] if k < art_start), default=-1)
             if j >= 0:
                 pivot(i, j)
             else:
@@ -362,23 +377,33 @@ def simplex_optimize(lp: LinearProgram) -> SimplexResult:
                 del basis[i]
                 m -= 1
 
-    # Phase 2 costs, scaled to integers by the lcm of their denominators.
+    # Phase 2 reduced costs: the costs, scaled to integers by the lcm of
+    # their denominators and weighted by the lcm of the priced rows'
+    # basic entries, canonicalized against the basis.
+    obj = [_rational(x) for x in lp.objective]
     den = lcm(*(x.denominator for x in obj))
-    cost = [x.numerator * (den // x.denominator) for x in obj]
-    zrow = [-c * d for c in cost] + [0] * (ncols + 1 - nv)
-    for i in range(m):
-        bj = basis[i]
-        cb = cost[bj] if bj < nv else 0
-        if cb != 0:
-            zrow = [z + cb * x for z, x in zip(zrow, tableau[i])]
-    run_phase(zrow, range(0, art_start))
+    sign = 1 if lp.direction == "max" else -1
+    cost = {k: sign * x.numerator * (den // x.denominator) for k, x in enumerate(obj) if x}
+    priced = [i for i in range(m) if basis[i] in cost]
+    scale = lcm(*(tableau[i][basis[i]] for i in priced))
+    zrow = {k: -c * scale for k, c in cost.items()}
+    terms = ((tableau[i], cost[basis[i]] * (scale // tableau[i][basis[i]])) for i in priced)
+    run_phase(_weighted_sum(terms, zrow), art_start)
 
     values = [Fraction(0)] * nv
-    for i in range(m):
-        if basis[i] < nv:
-            values[basis[i]] = Fraction(tableau[i][-1], d)
-    objective = sum((c * x for c, x in zip(lp.objective, values)), Fraction(0))
+    for row, bj in zip(tableau, basis):
+        if bj < nv:
+            values[bj] = Fraction(row.get(ncols, 0), row[bj])
+    objective = sum((c * x for c, x in zip(lp.objective, values) if x), Fraction(0))
     return SimplexResult(values=tuple(values), objective=objective, pivots=pivots)
+
+
+def _weighted_sum(terms, total: dict[int, int]) -> dict[int, int]:
+    """total plus the sum of weight·row over (row, weight) terms, zeros dropped."""
+    for row, weight in terms:
+        for k, x in row.items():
+            total[k] = total.get(k, 0) + weight * x
+    return {k: x for k, x in total.items() if x}
 
 
 def simplex_solve(lp: LinearProgram) -> ValueVector:

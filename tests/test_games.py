@@ -78,6 +78,9 @@ def test_edges_enumeration():
         ([(1, "max", 2, 3), (1, "min", 2, 3)], "duplicate"),
         ([(3, "max", 1, 2)], "out of range"),
         ([], "missing vertex 1"),
+        ([(1, 5, 2, 3)], r"vertex row \(1, 5, 2, 3\) has kind 5"),
+        ([(1, "avg", "2", 3)], r"vertex row \(1, 'avg', '2', 3\) needs integer ids"),
+        ([(1, "avg", 2.0, 3)], r"vertex row \(1, 'avg', 2.0, 3\) needs integer ids"),
     ],
 )
 def test_build_game_rejects(rows, msg):

@@ -245,6 +245,55 @@ _PINNED_RANDOM = [
     (10, (0, 1, 1), 6, "0 1/2 1/2 1/4 1/8 0 1/4 1/2 0 1", 11),
     (14, (0, 1, 1), 11, "0 0 0 0 1/7 1/2 4/7 0 0 1/7 0 2/7 0 1", 14),
     (20, (0, 1, 1), 3, "0 0 0 0 3/16 1/8 1/2 0 0 0 0 0 1/4 0 0 0 1/4 3/16 0 1", 20),
+    (30, (1, 0, 1), 1, "1 1 1 1 1 1 1 3/4 1 1 1 1 1 7/8 1 1 1 1 1 1 3/4 1/2 1 3/4 1 1 1 1 0 1", 76),
+    (
+        40,
+        (1, 0, 1),
+        0,
+        "41/42 169/180 20/21 1 41/42 1 1 1 20/21 268/315 607/630 83/84 1 1/2 1 1 1 583/630 1 20/21 "
+        "20/21 13/21 1 1 583/630 1 31/42 1 17/21 19/21 1 1 1 1 1 1/2 169/180 1 0 1",
+        214,
+    ),
+    (
+        60,
+        (1, 0, 1),
+        2,
+        "31/32 31/32 31/32 215/256 31/32 61/64 31/32 31/32 31/32 31/32 31/32 31/32 23/32 1 31/32 "
+        "31/32 23/32 31/32 31/32 31/32 123/128 31/32 31/32 31/32 31/64 15/16 31/32 31/32 27/32 31/32 "
+        "61/64 31/32 31/32 247/256 27/32 123/128 31/32 15/16 31/32 31/32 31/32 31/32 31/32 93/128 "
+        "29/32 15/16 23/32 15/32 63/64 31/32 31/32 31/32 31/32 15/16 215/256 29/32 31/32 31/32 0 1",
+        286,
+    ),
+    (
+        30,
+        (0, 1, 1),
+        2,
+        "1/5 1/5 0 1/5 0 3/5 0 0 1/5 2/5 2/5 3/10 2/5 1/5 0 0 1/10 0 1/20 1/5 2/5 1/5 1/5 1/5 0 1/5 "
+        "1/20 3/10 0 1",
+        35,
+    ),
+    (
+        40,
+        (0, 1, 1),
+        0,
+        "27069/42799 63137/171196 27750/42799 63137/171196 20338/42799 20338/42799 27069/42799 "
+        "20338/42799 17294/42799 20338/42799 22028/42799 113087/171196 125303/171196 15940/42799 "
+        "76715/85598 31880/42799 33916/42799 63137/85598 33916/42799 20961/42799 0 17294/42799 "
+        "28366/42799 20338/42799 22830/42799 58949/85598 18648/42799 20338/42799 22830/42799 "
+        "21584/42799 33177/42799 0 58949/85598 23555/42799 20961/42799 16958/42799 63137/171196 "
+        "18648/42799 0 1",
+        80,
+    ),
+    (
+        60,
+        (0, 1, 1),
+        2,
+        "2/55 0 0 1/110 0 0 1/55 0 0 4/55 1/220 0 1/110 7/440 1/220 9/440 1/110 1/110 1/55 7/110 "
+        "1/110 7/88 0 0 7/440 1/110 7/220 1/55 9/440 0 0 7/110 2/55 1/44 9/1760 7/110 1/110 1/110 "
+        "1/110 0 0 0 14/55 7/880 17/3520 153/7040 9/880 0 28/55 1/55 1/55 7/55 0 0 17/1760 "
+        "41/3520 1/55 1/220 0 1",
+        92,
+    ),
 ]
 
 
@@ -265,6 +314,23 @@ def test_simplex_pivot_sequence_is_pinned():
         game = random_game(n, weights, seed=seed)
         build = build_lp_min_free if weights[1] == 0 else build_lp_max_free
         assert _values_and_pivots(build(game)) == (values, pivots)
+
+
+def test_simplex_pivots_pinned_on_rows_of_different_scales():
+    # The = and >= rows carry denominators 2, 3 and 5, so each starts at
+    # its own integer scale, and the phase-1 cost row must weight them
+    # back to the true sum: the plain sum of the scaled rows pivots 3
+    # times here instead of 4.
+    lp = lp_of(
+        [[-1, 0, 1], [1, Fraction(-1, 3), 1], [Fraction(1, 5), Fraction(1, 5), -1]],
+        ["=", ">=", ">="],
+        [Fraction(3, 2), Fraction(1, 3), Fraction(1, 5)],
+        [3, 2, 1],
+        "min",
+    )
+    assert _values_and_pivots(lp) == ("5/2 37/2 4", 4)
+    assert simplex_optimize(lp).objective == Fraction(97, 2)
+    assert _check_against_enumeration(lp) == "optimal"
 
 
 def test_lp_shape_validation():
