@@ -19,9 +19,9 @@ A pick chain of k edges then carries the weight lam**k.
 
 attractor is the package's one qualitative engine: the linear-time
 attractor of a reachability game (Condon 1992). The stopping test, the
-evaluator's rows, the LP's zero set, the solver for games without
-chance, optimal strategy extraction and the certificate check are all
-calls of it.
+evaluator's rows, the LP's zero set, the qualitative pre-pass
+zero_one_sets, the solver for games without chance, optimal strategy
+extraction and the certificate check are all calls of it.
 """
 
 from __future__ import annotations
@@ -32,13 +32,12 @@ from math import gcd
 from typing import Collection, NamedTuple, Union
 
 from . import kernels
-from .exceptions import BudgetError, InternalCheckError, PreconditionError, StrategyError
+from .exceptions import InternalCheckError, PreconditionError, StrategyError
 from .games import (
     Game,
     Strategy,
     ValueVector,
     VertexKind,
-    enumerate_strategies,
     validate_strategy,
 )
 
@@ -132,6 +131,56 @@ def attractor(
                     joined.append(p)
         frontier = joined
     return layers
+
+
+class _Within(NamedTuple):
+    """The game restricted to the vertex set inside, as a successor view
+    for attractor: a vertex in it keeps its children in it, and any
+    other vertex has none, so it never joins an attractor."""
+
+    game: Game
+    inside: set[int]
+
+    def successors(self, v: int) -> list[int]:
+        inside = self.inside
+        if v not in inside:
+            return []
+        return [c for c in self.game.children[v - 1] if c in inside]
+
+
+def zero_one_sets(game: Game) -> tuple[frozenset[int], frozenset[int]]:
+    """The vertices worth exactly 0 and those worth exactly 1, found by
+    attractors alone, with no arithmetic (the Prob0/Prob1 step of
+    probabilistic model checking; de Alfaro, Henzinger and Kupferman,
+    FOCS 1998).
+
+    A vertex is worth more than 0 exactly when max can make the 1-sink
+    reachable with positive probability: the attractor of the 1-sink
+    with min blocking, where an avg vertex joins once one child has.
+    The value-1 set is a greatest fixed point. W starts at every
+    vertex; A is the attractor of the 1-sink within W with min
+    blocking, and W loses everything from which min or a coin can force
+    the play into U = W - A: the attractor of U within W with max
+    blocking. When U is empty, max can reach the 1-sink with positive
+    probability from every vertex of W without leaving it, so max
+    reaches it almost surely. The first A is the positive set.
+    """
+    sink1 = (game.sink1,)
+    reach = attractor(ReducedGame(game), sink1, (VertexKind.MIN,))
+    zeros = frozenset(game.vertices).difference(reach)
+    ones = set(game.vertices)
+    outside = zeros  # U
+    while outside:
+        within = _Within(game, ones)  # sees ones shrink in place
+        removed = attractor(within, outside, (VertexKind.MAX,))
+        ones.difference_update(removed)
+        if len(removed) == len(outside):
+            # it removed U alone, so W is now A; A's vertices joined
+            # through A, so the next A is all of W and the next U is empty
+            break
+        reach = attractor(within, sink1, (VertexKind.MIN,))
+        outside = ones.difference(reach)
+    return zeros, frozenset(ones)
 
 
 def sink_reachable_set(rg: ReducedGame) -> frozenset[int]:
@@ -317,26 +366,6 @@ def is_stopping(game: Game) -> bool:
     """
     blocking = (VertexKind.MAX, VertexKind.MIN)
     return len(attractor(ReducedGame(game), (game.sink0, game.sink1), blocking)) == game.n
-
-
-def is_stopping_exhaustive(game: Game, max_player_vertices: int = 12) -> bool:
-    """The stopping test by its definition: every strategy pair, every
-    vertex reaches a sink. Exponential; a cross-check oracle for small
-    games, not for production use."""
-    players = len(game.vertices_of_kind(VertexKind.MAX)) + len(
-        game.vertices_of_kind(VertexKind.MIN)
-    )
-    if players > max_player_vertices:
-        raise BudgetError(
-            f"{players} player vertices exceeds the exhaustive budget of {max_player_vertices}"
-        )
-    for tau in enumerate_strategies(game, VertexKind.MIN):
-        for sigma in enumerate_strategies(game, VertexKind.MAX):
-            rg = ReducedGame(game, tau, sigma)
-            reach = sink_reachable_set(rg)
-            if len(reach) != game.n - 2:
-                return False
-    return True
 
 
 @dataclass(frozen=True)

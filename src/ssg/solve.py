@@ -35,6 +35,16 @@ already optimal, so one exact evaluation confirms them; the transform
 starts at all-left picks, where the guess at lam < 1 saves
 evaluations but not time.
 
+Random games are bimodal: many have every vertex worth exactly 0 or 1.
+The lp route and the transform therefore start with the qualitative
+pre-pass markov.zero_one_sets, which finds those vertices by
+attractors alone. When its two sets cover every vertex, the route
+returns them as the values (_settled) with no simplex, companion solve
+or evaluation, and counts 0 iterations. hk and vi skip it: vi is the
+independent exact reference, and on stopping games one evaluation from
+the vi-guided start usually confirms the optimum, so the same exit
+measured no gain there.
+
 The vi route sweeps value iteration on a stopping game, where T has one
 fixed point, so any snapped iterate with T z = z is the value whatever
 denominator bound it was snapped to. It tries each coarser bound 4**k,
@@ -83,7 +93,7 @@ from .games import (
     validate_strategy,
 )
 from .lp import build_lp_max_free, build_lp_min_free, simplex_optimize
-from .markov import ReducedGame, attractor, is_stopping, solve_value_vector
+from .markov import ReducedGame, attractor, is_stopping, solve_value_vector, zero_one_sets
 from .stopping import DEFAULT_C, chain_weight
 
 DEFAULT_ORACLE_BUDGET = 16
@@ -362,6 +372,15 @@ class SolveReport:
 def _report(game: Game, values: ValueVector, method: str, iterations: int) -> SolveReport:
     tau, sigma = greedy_strategies(game, values)
     return SolveReport(values=values, tau=tau, sigma=sigma, method=method, iterations=iterations)
+
+
+def _settled(game: Game) -> Union[ValueVector, None]:
+    """The value vector when markov.zero_one_sets settles every vertex
+    at 0 or 1, else None."""
+    zeros, ones = zero_one_sets(game)
+    if len(zeros) + len(ones) < game.n:
+        return None
+    return ValueVector(int(v in ones) for v in game.vertices)
 
 
 def _improve(
@@ -659,6 +678,10 @@ def solve(
     coin flips per edge, snap values back, verify T z = z).
     hoffman_karp's own stopping test makes that last choice, so the
     test runs once.
+    The lp route and the transform first run the qualitative pre-pass
+    markov.zero_one_sets; when every vertex is worth exactly 0 or 1
+    they return those values with 0 iterations and no exact solve. hk
+    and vi never run it, and no method accepts more games for it.
     The transform path always attaches the certificate (values, sigma);
     with_certificate attaches it on every path and checks it with
     verify_ovv_certificate, raising InternalCheckError on a rejection.
@@ -694,11 +717,11 @@ def solve(
     elif method == "lp":
         if has_min and has_max:
             raise PreconditionError("lp method needs a game with at most one player present")
-        if not has_min:
-            result = simplex_optimize(build_lp_min_free(game))
-        else:
-            result = simplex_optimize(build_lp_max_free(game))
-        report = _report(game, ValueVector(result.values), "lp", result.pivots)
+        values, pivots = _settled(game), 0
+        if values is None:
+            result = simplex_optimize((build_lp_max_free if has_min else build_lp_min_free)(game))
+            values, pivots = ValueVector(result.values), result.pivots
+        report = _report(game, values, "lp", pivots)
     elif method == "hk":
         try:
             report = hoffman_karp(game)
@@ -706,7 +729,9 @@ def solve(
             if not routed:
                 raise
             # hoffman_karp's stopping test found the game non-stopping
-            z, _s, rounds = _transform_solve(game)
+            z, rounds = _settled(game), 0
+            if z is None:
+                z, _s, rounds = _transform_solve(game)
             report = _report(game, z, "transform", rounds)
     else:  # vi
         if not is_stopping(game):

@@ -42,6 +42,10 @@ from .markov import reduce_game, solve_value_vector
 # The chain-length multiplier: chains of DEFAULT_C * n coin flips keep
 # transform_error_bound below half the value separation at every n >= 1.
 DEFAULT_C = 9
+# The largest companion build_stopping_game builds, in vertices. At
+# DEFAULT_C that holds every game up to n = 118; each vertex costs a few
+# hundred bytes, so the cap keeps a build near 100 MB.
+MAX_COMPANION_N = 250_000
 
 
 @dataclass(frozen=True)
@@ -73,12 +77,21 @@ def chain_weight(m: int) -> Fraction:
 
 
 def build_stopping_game(game: Game, c: int = DEFAULT_C) -> tuple[Game, StoppingTransform]:
-    """Return the stopping companion game and its transform record."""
+    """Return the stopping companion game and its transform record.
+
+    A companion of more than MAX_COMPANION_N vertices is refused before
+    anything is built.
+    """
     if c < 1:
         raise PreconditionError(f"chain multiplier c must be positive, got {c}")
     n = game.n
     m = c * n
     n_prime = n + m * game.edge_count
+    if n_prime > MAX_COMPANION_N:
+        raise PreconditionError(
+            f"the companion at c={c} would have {n_prime} vertices, "
+            f"more than the {MAX_COMPANION_N} allowed"
+        )
     sink0p = n_prime - 1
     # interior ids stay, the sinks move to n'-1 and n'
     vertex_map = {v: v if v < game.sink0 else v + n_prime - n for v in game.vertices}

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import ssg.stopping
 from ssg import (
     build_game,
     is_stopping,
@@ -256,6 +257,19 @@ def test_transform_json_map(game_file, capsys):
     assert code == 0
     assert doc["map"] == {"1": 1, "2": 56, "3": 57}
     assert parse_game(doc["game"]).n == doc["n"] == 57
+
+
+def test_transform_refuses_a_huge_companion_before_building_it(game_file, capsys, monkeypatch):
+    # --c 100000 on GAME-A asks for 600,003 vertices; this used to build
+    # them all, taking seconds and hundreds of MB, before printing
+    def no_build(*args):
+        raise AssertionError("the companion was built")
+
+    monkeypatch.setattr(ssg.stopping, "build_game", no_build)
+    code, out, err = run(capsys, "transform", "--c", "100000", game_file(GAME_A))
+    assert code == 1
+    assert out == ""
+    assert "600003 vertices" in err
 
 
 # ------------------------------------------------------------- certify

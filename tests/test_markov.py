@@ -8,25 +8,28 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ssg import (
+    BudgetError,
     PreconditionError,
     Strategy,
     StrategyError,
     ValueVector,
     VertexKind,
     attractor,
+    brute_force_oracle,
     build_game,
     enumerate_strategies,
     in_value_set,
     is_stopping,
-    is_stopping_exhaustive,
     mc_estimate,
     random_game,
     reduce_game,
     ReducedGame,
     sink_reachable_set,
     solve_value_vector,
+    zero_one_sets,
 )
 from ssg.fixtures import FIXTURES, GAME_A, GAME_B, GAME_C, GAME_E, GAME_G
+from ssg.markov import _Within
 from ssg.stopping import DEFAULT_C, chain_weight
 
 
@@ -143,6 +146,25 @@ def test_in_value_set_bounds():
 )
 def test_is_stopping_fixtures(name, expect):
     assert is_stopping(FIXTURES[name]) is expect
+
+
+def is_stopping_exhaustive(game, max_player_vertices=12):
+    """The stopping test by its definition: every strategy pair, every
+    vertex reaches a sink. Exponential; a cross-check oracle for small
+    games."""
+    players = len(game.vertices_of_kind(VertexKind.MAX)) + len(
+        game.vertices_of_kind(VertexKind.MIN)
+    )
+    if players > max_player_vertices:
+        raise BudgetError(
+            f"{players} player vertices exceeds the exhaustive budget of {max_player_vertices}"
+        )
+    for tau in enumerate_strategies(game, VertexKind.MIN):
+        for sigma in enumerate_strategies(game, VertexKind.MAX):
+            reach = sink_reachable_set(ReducedGame(game, tau, sigma))
+            if len(reach) != game.n - 2:
+                return False
+    return True
 
 
 @given(seed=st.integers(0, 2_000))
@@ -374,3 +396,42 @@ def test_avg_child_chain_ending_at_the_0_sink():
     rg = fully_reduce(g, tau_picks={3: 4}, sigma_picks={2: 3})
     for lam in (Fraction(1), Fraction(2, 3), chain_weight(DEFAULT_C * g.n)):
         assert solve_value_vector(rg, lam) == ValueVector([lam / 2, 0, 0, 0, 1])
+
+
+def check_zero_one_sets(game):
+    """Check zero_one_sets against brute_force_oracle: the two sets are
+    exactly the vertices worth 0 and worth 1. Returns whether they
+    cover every vertex."""
+    value = brute_force_oracle(game).values
+    zeros, ones = zero_one_sets(game)
+    assert zeros == {v for v, x in value.items() if x == 0}, game
+    assert ones == {v for v, x in value.items() if x == 1}, game
+    return len(zeros) + len(ones) == game.n
+
+
+def test_zero_one_sets_on_every_game_on_4_vertices():
+    games = list(every_game(4))
+    assert len(games) == 324
+    assert sum(map(check_zero_one_sets, games)) == 265
+
+
+def test_zero_one_sets_on_a_stratified_sample_of_5_vertex_games():
+    games = sample_games_on_5_vertices(N5_PER_KINDS, N5_SEED)
+    assert len(games) == 27 * N5_PER_KINDS
+    assert sum(map(check_zero_one_sets, games)) == 424
+
+
+def test_value_1_loop_starts_at_every_vertex():
+    # Started at the positive set instead, the value-1 loop would stop
+    # at once, since the 1-sink's attractor within that set is all of
+    # it, and call every positive vertex worth 1. The first 4-vertex
+    # game where that is wrong: max 1 may loop on itself or go to the
+    # coin 2, so both are worth 1/2.
+    def worth_1(g):
+        return {v for v, x in brute_force_oracle(g).values.items() if x == 1}
+
+    first = next(g for g in every_game(4) if set(g.vertices) - zero_one_sets(g)[0] != worth_1(g))
+    assert first == build_game(4, 1, [(1, "max", 1, 2), (2, "avg", 3, 4)])
+    positive = {1, 2, 4}
+    assert attractor(_Within(first, positive), (4,), (VertexKind.MIN,)).keys() == positive
+    assert zero_one_sets(first) == ({3}, {4})

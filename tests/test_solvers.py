@@ -43,6 +43,7 @@ from ssg import (
     verify_ovv_certificate,
     verify_value_certificate,
     vi_iterates,
+    zero_one_sets,
 )
 from ssg.fixtures import (
     FIXTURES,
@@ -645,6 +646,67 @@ def test_oracle_is_not_a_solve_method():
     # brute_force_oracle is the one entry point of enumeration
     with pytest.raises(PreconditionError, match="unknown method 'oracle'"):
         solve(GAME_E, "oracle")
+
+
+# max 1 goes to the 1-sink; the coin 2 loops or falls into the 0-sink
+SETTLED_ONE_PLAYER = build_game(4, 1, [(1, "max", 2, 4), (2, "avg", 2, 3)])
+# max 1 and min 2 may cycle, but max takes the 1-sink and min the 0-sink
+SETTLED_LOOPY = build_game(5, 1, [(1, "max", 2, 5), (2, "min", 1, 4), (3, "avg", 1, 5)])
+# the coin 1 is worth 1/2, max 2 is worth 1 and the looping coin 3 is worth 0
+PARTIAL_ONE_PLAYER = build_game(5, 1, [(1, "avg", 3, 5), (2, "max", 3, 5), (3, "avg", 3, 4)])
+# the coin 3 is worth 1/2, while min traps max 1 on the cycle 1 <-> 2
+PARTIAL_LOOPY = build_game(6, 1, [(1, "max", 2, 4), (2, "min", 1, 3), (3, "avg", 5, 6), (4, "avg", 4, 5)])
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """Counts of the simplex and evaluator calls solve makes."""
+    calls = {"simplex_optimize": 0, "solve_value_vector": 0}
+    for name in calls:
+        inner = getattr(solve_module, name)
+
+        def counted(*args, _name=name, _inner=inner):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(solve_module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "game, route", [(SETTLED_ONE_PLAYER, "lp"), (SETTLED_LOOPY, "transform")], ids=["lp", "transform"]
+)
+def test_settled_game_skips_the_exact_work(game, route, exact_calls):
+    report = solve(game)
+    assert (report.method, report.iterations) == (route, 0)
+    assert exact_calls == {"simplex_optimize": 0, "solve_value_vector": 0}
+    assert report.values == brute_force_oracle(game).values
+    assert (report.tau, report.sigma) == greedy_strategies(game, report.values)
+    assert (report.certificate is not None) == (route == "transform")
+    assert verify_ovv_certificate(game, solve(game, with_certificate=True).certificate)
+
+
+@pytest.mark.parametrize(
+    "game, route, called",
+    [(PARTIAL_ONE_PLAYER, "lp", "simplex_optimize"), (PARTIAL_LOOPY, "transform", "solve_value_vector")],
+    ids=["lp", "transform"],
+)
+def test_partially_settled_game_runs_its_route(game, route, called, exact_calls):
+    zeros, ones = zero_one_sets(game)
+    assert ones - {game.sink1} or zeros - {game.sink0}
+    assert len(zeros) + len(ones) < game.n
+    report = solve(game)
+    assert report.method == route
+    assert exact_calls[called] > 0
+    assert report.values == brute_force_oracle(game).values
+
+
+def test_settled_game_keeps_the_method_preconditions():
+    assert not is_stopping(SETTLED_LOOPY)
+    with pytest.raises(PreconditionError):
+        solve(SETTLED_LOOPY, "hk")
+    with pytest.raises(PreconditionError):
+        solve(SETTLED_LOOPY, "lp")
 
 
 def test_vi_method_snaps_to_exact_values():

@@ -12,11 +12,15 @@ the chain and read 0 at exactly the vertices with no path to the
 1-sink. For each of those games that is stopping it then runs
 `check_every_start` from tests/test_solvers.py: the loop of
 `hoffman_karp` must reach the oracle's values from every start pair.
-Last it runs `check_routes_and_certificates` from tests/test_solvers.py
+Then it runs `check_routes_and_certificates` from tests/test_solvers.py
 on every game: each solve method that accepts the game must return the
 oracle's values with strategies worth exactly them, and
 `verify_ovv_certificate` must accept each candidate (z, sigma) exactly
 when z is the value and sigma is optimal.
+Last it runs `check_zero_one_sets` from tests/test_markov.py on every
+game: the qualitative pre-pass `zero_one_sets` must return exactly the
+oracle's vertices worth 0 and worth 1; the line counts the games whose
+every vertex it settles.
 Tier-1 runs the same checks on every game on 4 vertices and on seeded
 samples of the 5-vertex games. Prints one line per check with the game
 and check counts and the wall time; a failing check raises an
@@ -34,7 +38,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
 from conftest import _residual_holds  # noqa: E402
 from ssg import is_stopping  # noqa: E402
-from test_markov import check_every_pair, every_game  # noqa: E402
+from test_markov import check_every_pair, check_zero_one_sets, every_game  # noqa: E402
 from test_solvers import check_every_start, check_routes_and_certificates  # noqa: E402
 
 
@@ -57,6 +61,10 @@ def main() -> None:
     solves, verdicts = map(sum, zip(*map(check_routes_and_certificates, every_game(5))))
     print(f"{games} games on 5 vertices, {solves} route solves and {verdicts} certificate "
           f"verdicts checked against the oracle, {perf_counter() - start:.1f} s")
+    start = perf_counter()
+    settled = sum(map(check_zero_one_sets, every_game(5)))
+    print(f"{games} games on 5 vertices, value-0 and value-1 sets checked against the oracle, "
+          f"{settled} games fully settled, {perf_counter() - start:.1f} s")
 
 
 if __name__ == "__main__":

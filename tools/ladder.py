@@ -28,10 +28,13 @@ of a solve that starts from a game file.
 The run writes BENCH_<label>.json at the root of the checkout: one row
 per solve with n, weights, seed, route, seconds, a hash of the output (values,
 strategies, method, iterations and certificate z and sigma; for `mc` rows,
-hits and truncated plays) and a values_hash of the value vector alone
+hits and truncated plays), a values_hash of the value vector alone
 (for `mc` rows, that of the auto solve whose strategies the plays
-follow), plus the core count. Two checkouts that produce the same hashes
-give bit-identical answers on the ladder; the same values_hashes show
+follow) and nontrivial, the number of vertices whose value lies
+strictly between 0 and 1 (0 when every vertex is worth 0 or 1, which
+the qualitative pre-pass settles without exact arithmetic), plus the
+core count. Two checkouts that produce the same hashes give
+bit-identical answers on the ladder; the same values_hashes show
 bit-identical value vectors even where strategies or routes differ.
 """
 
@@ -135,7 +138,7 @@ def main(argv=None) -> int:
 
     rows = []
 
-    def record(n, seed, weights, stopping, route, seconds, iterations, digest, values_digest):
+    def record(n, seed, weights, stopping, route, seconds, iterations, digest, report):
         rows.append({
             "n": n,
             "weights": list(weights),
@@ -145,7 +148,8 @@ def main(argv=None) -> int:
             "seconds": round(seconds, 6),
             "iterations": iterations,
             "hash": digest,
-            "values_hash": values_digest,
+            "values_hash": values_hash(report),
+            "nontrivial": sum(0 < x < 1 for x in report.values.components),
         })
         print(f"n={n:3d} seed={seed:4d} {route:9s} {seconds:9.4f} s", flush=True)
 
@@ -156,7 +160,7 @@ def main(argv=None) -> int:
             for method in ("auto", "vi") if stopping else ("auto",):
                 report, seconds = timed(lambda: ssg.solve(game, method), output_hash)
                 record(n, seed, weights, stopping, report.method, seconds, report.iterations,
-                       output_hash(report), values_hash(report))
+                       output_hash(report), report)
                 if method == "auto":
                     rows[-1]["parse_seconds"] = round(parse_seconds, 7)
                 if stopping and method == "auto":
@@ -164,8 +168,7 @@ def main(argv=None) -> int:
                     est, seconds = timed(
                         lambda: ssg.mc_estimate(rg, plays=MC_PLAYS, seed=seed), mc_hash
                     )
-                    record(n, seed, weights, stopping, "mc", seconds, None, mc_hash(est),
-                           values_hash(report))
+                    record(n, seed, weights, stopping, "mc", seconds, None, mc_hash(est), report)
 
     summary = {}
     for row in rows:
