@@ -57,10 +57,11 @@ def random_game(
         rows = []
         for v in range(1, n - 1):
             code = int(rng.integers(0, (n - 1) * (n - 2)))
-            pool = [u for u in range(1, n + 1) if u != v]
+            # positions a != b among the n - 1 vertices other than v;
+            # position i is vertex i + 1, or i + 2 from v on
             a, b = divmod(code, n - 2)
-            c1 = pool[a]
-            c2 = pool[b if b < a else b + 1]
+            b += b >= a
+            c1, c2 = (i + 1 if i + 1 < v else i + 2 for i in (a, b))
             rows.append((v, kinds[v - 1], c1, c2))
         game = build_game(n, 1, rows)
         if not require_stopping or is_stopping(game):

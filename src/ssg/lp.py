@@ -1,14 +1,16 @@
 """One-player games as exact linear programs, and a rational simplex.
 
 When only one player has choices left, optimal values are the optimum
-of a small linear program. With no min vertices: minimize the sum of
-all values subject to each max vertex dominating both children and each
-avg vertex dominating its children's mean. With no max vertices the
-directions flip, plus one extra ingredient: vertices from which min can
-keep the play away from the 1-sink forever are pinned to 0 first, since
-otherwise cycling solutions would satisfy every <= row while being too
-large. Both builders also accept a reduced game whose missing player is
-fixed by strategy; fixed vertices turn into pass-through equalities.
+of a small linear program (Condon 1992). With no min vertices: minimize
+the sum of all values subject to each max vertex dominating both
+children and each avg vertex dominating its children's mean. With no
+max vertices the directions flip, plus one extra ingredient: vertices
+from which min can keep the play away from the 1-sink forever are
+pinned to 0 first, since otherwise cycling solutions would satisfy
+every <= row while being too large. One row writer serves both
+builders; it takes the choosing player, the relation and the pinned
+vertices. Both builders also accept a reduced game whose missing player
+is fixed by strategy; fixed vertices turn into pass-through equalities.
 Neither writes bound rows: v >= 0 is the simplex's own nonnegativity,
 and v <= 1 follows from the rows of the max-free program.
 
@@ -37,7 +39,7 @@ from .exceptions import (
     PreconditionError,
     UnboundedError,
 )
-from .games import Game, ValueVector, VertexKind, format_rational
+from .games import Game, VertexKind
 from .markov import ReducedGame, attractor
 
 RELATIONS = ("<=", ">=", "=")
@@ -74,34 +76,8 @@ class LinearProgram:
                 raise PreconditionError(f"constraint {k} has unknown relation {con.relation!r}")
 
 
-def _term_list(coeffs, names) -> str:
-    parts = []
-    for c, name in zip(coeffs, names):
-        if c == 0:
-            continue
-        mag = abs(c)
-        body = name if mag == 1 else f"{format_rational(mag)} {name}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(("+ " if c > 0 else "- ") + body)
-    return " ".join(parts) if parts else "0"
-
-
-def dump_lp(lp: LinearProgram) -> str:
-    """Human-readable listing, one constraint per line."""
-    out = [f"{lp.direction} {_term_list(lp.objective, lp.variables)}", "s.t."]
-    for con in lp.constraints:
-        out.append(f"  {_term_list(con.coeffs, lp.variables)} {con.relation} {format_rational(con.rhs)}")
-    return "\n".join(out) + "\n"
-
-
 def _as_reduced(game: Union[Game, ReducedGame]) -> ReducedGame:
     return game if isinstance(game, ReducedGame) else ReducedGame(game)
-
-
-def _var_names(n: int) -> tuple[str, ...]:
-    return tuple(f"v{i}" for i in range(1, n + 1))
 
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -126,6 +102,35 @@ def _edge_row(n: int, v: int, succ: tuple[int, ...]) -> tuple[Fraction, ...]:
     return tuple(row)
 
 
+def _one_player_program(
+    rg: ReducedGame, direction: str, chooser: VertexKind, relation: str, pinned: frozenset[int]
+) -> LinearProgram:
+    """The program that optimizes the value sum in direction over the rows below.
+
+    Rows, in order: v = 0 at the 0-sink, v = 1 at the 1-sink and
+    v = 0 at each pinned vertex in id order; then, for each other
+    interior vertex, a pass-through equality when it has one successor,
+    one relation row per child when chooser owns it, and one relation
+    row for the mean of its children otherwise.
+    """
+    g = rg.game
+    n = g.n
+    cons = [Constraint(_unit(n, g.sink0), "=", _ZERO), Constraint(_unit(n, g.sink1), "=", _ONE)]
+    cons += [Constraint(_unit(n, i), "=", _ZERO) for i in sorted(pinned)]
+    for v in g.interior:
+        if v in pinned:
+            continue
+        succ = rg.successors(v)
+        if len(succ) == 1:
+            cons.append(Constraint(_edge_row(n, v, succ), "=", _ZERO))
+        elif g.kind(v) is chooser:
+            cons += [Constraint(_edge_row(n, v, (j,)), relation, _ZERO) for j in succ]
+        else:
+            cons.append(Constraint(_edge_row(n, v, succ), relation, _ZERO))
+    names = tuple(f"v{i}" for i in range(1, n + 1))
+    return LinearProgram(names, (_ONE,) * n, direction, tuple(cons))
+
+
 def build_lp_min_free(game: Union[Game, ReducedGame]) -> LinearProgram:
     """LP whose unique optimum is the value vector when min has no choices.
 
@@ -136,86 +141,32 @@ def build_lp_min_free(game: Union[Game, ReducedGame]) -> LinearProgram:
     nonnegative, so the program has no v >= 0 rows.
     """
     rg = _as_reduced(game)
-    g = rg.game
-    if g.has_kind(VertexKind.MIN) and rg.tau is None:
+    if rg.game.has_kind(VertexKind.MIN) and rg.tau is None:
         raise PreconditionError("game has unfixed min vertices; fix tau or use the max-free builder")
-    n = g.n
-    cons: list[Constraint] = [
-        Constraint(_unit(n, g.sink0), "=", _ZERO),
-        Constraint(_unit(n, g.sink1), "=", _ONE),
-    ]
-    for v in g.interior:
-        succ = rg.successors(v)
-        if len(succ) == 1:
-            cons.append(Constraint(_edge_row(n, v, succ), "=", _ZERO))
-        elif g.kind(v) is VertexKind.MAX:
-            for j in succ:
-                cons.append(Constraint(_edge_row(n, v, (j,)), ">=", _ZERO))
-        else:
-            cons.append(Constraint(_edge_row(n, v, succ), ">=", _ZERO))
-    return LinearProgram(
-        variables=_var_names(n),
-        objective=(_ONE,) * n,
-        direction="min",
-        constraints=tuple(cons),
-    )
-
-
-def zero_value_set(game: Union[Game, ReducedGame]) -> frozenset[int]:
-    """Vertices whose value is exactly 0 when max has no choices.
-
-    The complement of the attractor of the 1-sink with min blocking:
-    the vertices that reach the 1-sink with positive probability are an
-    avg or fixed vertex with one such successor, or a free min vertex
-    with both. From everything outside, the min player can keep the play
-    away from the 1-sink forever. Always contains the 0-sink.
-    """
-    rg = _as_reduced(game)
-    g = rg.game
-    if g.has_kind(VertexKind.MAX) and rg.sigma is None:
-        raise PreconditionError("zero_value_set needs the max side absent or fixed")
-    return frozenset(g.vertices).difference(attractor(rg, (g.sink1,), (VertexKind.MIN,)))
+    return _one_player_program(rg, "min", VertexKind.MAX, ">=", frozenset())
 
 
 def build_lp_max_free(game: Union[Game, ReducedGame]) -> LinearProgram:
     """LP whose unique optimum is the value vector when max has no choices.
 
     Mirror image of the min-free program: maximize the value sum under
-    the min/avg dominance rows, with the zero_value_set pinned to 0 so
-    that cycling cannot inflate the optimum. No v <= 1 rows are needed:
-    the vertices at a largest value above 1 would have all their
-    successors among themselves, so none of them could reach the 1-sink,
-    yet every vertex outside the zero set does.
+    the min/avg dominance rows. Cycling could inflate that optimum, so
+    the vertices worth 0 are pinned first. They are the interior
+    vertices outside the attractor of the 1-sink with min blocking: a
+    vertex reaches the 1-sink with positive probability when it is an
+    avg or fixed vertex with one such successor, or a free min vertex
+    with both, and from every other vertex min keeps the play away from
+    the 1-sink forever. No v <= 1 rows are needed: the vertices at a
+    largest value above 1 would have all their successors among
+    themselves, so none of them could reach the 1-sink, yet every
+    unpinned vertex does.
     """
     rg = _as_reduced(game)
     g = rg.game
     if g.has_kind(VertexKind.MAX) and rg.sigma is None:
         raise PreconditionError("game has unfixed max vertices; fix sigma or use the min-free builder")
-    n = g.n
-    zero = zero_value_set(rg)
-    cons: list[Constraint] = [
-        Constraint(_unit(n, g.sink0), "=", _ZERO),
-        Constraint(_unit(n, g.sink1), "=", _ONE),
-    ]
-    for i in sorted(zero - {g.sink0}):
-        cons.append(Constraint(_unit(n, i), "=", _ZERO))
-    for v in g.interior:
-        if v in zero:
-            continue
-        succ = rg.successors(v)
-        if len(succ) == 1:
-            cons.append(Constraint(_edge_row(n, v, succ), "=", _ZERO))
-        elif g.kind(v) is VertexKind.MIN:
-            for j in succ:
-                cons.append(Constraint(_edge_row(n, v, (j,)), "<=", _ZERO))
-        else:
-            cons.append(Constraint(_edge_row(n, v, succ), "<=", _ZERO))
-    return LinearProgram(
-        variables=_var_names(n),
-        objective=(_ONE,) * n,
-        direction="max",
-        constraints=tuple(cons),
-    )
+    pinned = frozenset(g.interior).difference(attractor(rg, (g.sink1,), (VertexKind.MIN,)))
+    return _one_player_program(rg, "max", VertexKind.MIN, "<=", pinned)
 
 
 class SimplexResult(NamedTuple):
@@ -404,12 +355,3 @@ def _weighted_sum(terms, total: dict[int, int]) -> dict[int, int]:
         for k, x in row.items():
             total[k] = total.get(k, 0) + weight * x
     return {k: x for k, x in total.items() if x}
-
-
-def simplex_solve(lp: LinearProgram) -> ValueVector:
-    """Solve and wrap the optimum as a value vector.
-
-    Meant for the game programs built above, whose optima always lie in
-    [0, 1]; use simplex_optimize for arbitrary programs.
-    """
-    return ValueVector(simplex_optimize(lp).values)

@@ -1,6 +1,8 @@
 """Graph construction, validation, strategies, value vectors, text format."""
 
 import dataclasses
+import hashlib
+import inspect
 import io
 import random
 from fractions import Fraction
@@ -8,6 +10,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+
+import ssg
 
 from ssg import (
     FormatError,
@@ -335,7 +339,31 @@ def test_random_game_rejects_negative_seed():
     assert random_game(5, seed=2**70).n == 5
 
 
+def test_random_game_draws_are_pinned():
+    # The draw protocol is fixed for reproducibility, so a change to how
+    # draws are decoded must leave every serialized game unchanged.
+    digest = hashlib.sha256()
+    for n in (*range(3, 41), 60, 100, 300):
+        for weights in ((1, 1, 1), (1, 0, 1), (0, 1, 1), (1, 1, 0), (1, 1, 8)):
+            for seed in range(4):
+                digest.update(serialize_game(random_game(n, weights, seed=seed)).encode())
+    for n in (3, 5, 8, 12, 20):
+        for seed in range(3):
+            game = random_game(n, (1, 1, 8), seed=seed, require_stopping=True)
+            digest.update(serialize_game(game).encode())
+    assert digest.hexdigest() == "59ff0d75e3f5240e6a3d66e65f95a02bfc02c04acfacf78c9f827399da9d9b01"
+
+
 @given(num=st.integers(0, 10**9), den=st.integers(1, 10**9))
 def test_rational_round_trip(num, den):
     x = Fraction(num, den)
     assert parse_rational(format_rational(x)) == x
+
+
+def test_exports_match_all():
+    # every exported name resolves, and every public non-module name
+    # the package binds is exported
+    assert all(hasattr(ssg, name) for name in ssg.__all__)
+    bound = {name for name, obj in vars(ssg).items() if not name.startswith("_")}
+    modules = {name for name in bound if inspect.ismodule(getattr(ssg, name))}
+    assert bound - modules == set(ssg.__all__)

@@ -1,5 +1,6 @@
 """LP builders for one-player games and the exact simplex underneath."""
 
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -16,18 +17,15 @@ from ssg import (
     UnboundedError,
     ValueVector,
     VertexKind,
-    build_game,
     build_lp_max_free,
     build_lp_min_free,
-    dump_lp,
+    enumerate_strategies,
     format_rational,
     random_game,
     reduce_game,
     simplex_optimize,
-    simplex_solve,
     solve,
     verify_ovv_certificate,
-    zero_value_set,
 )
 from ssg.fixtures import FIXTURES, GAME_A, GAME_B, GAME_C, GAME_E, GAME_F, GAME_G
 
@@ -346,15 +344,17 @@ def test_lp_shape_validation():
 
 
 def test_min_free_builder_solves_avg_chain():
-    assert simplex_solve(build_lp_min_free(GAME_A)) == ValueVector([Fraction(1, 2), 0, 1])
+    v = ValueVector(simplex_optimize(build_lp_min_free(GAME_A)).values)
+    assert v == ValueVector([Fraction(1, 2), 0, 1])
 
 
 def test_min_free_builder_on_max_game():
-    assert simplex_solve(build_lp_min_free(GAME_F)) == ValueVector([1, 0, 1])
+    v = ValueVector(simplex_optimize(build_lp_min_free(GAME_F)).values)
+    assert v == ValueVector([1, 0, 1])
 
 
 def test_min_free_builder_mixed_max_avg():
-    v = simplex_solve(build_lp_min_free(GAME_G))
+    v = ValueVector(simplex_optimize(build_lp_min_free(GAME_G)).values)
     assert v == ValueVector([Fraction(3, 4), Fraction(1, 2), Fraction(3, 4), 0, 1])
 
 
@@ -364,7 +364,7 @@ def test_min_free_rejects_unfixed_min():
 
 
 def test_max_free_builder_pins_zero_set():
-    v = simplex_solve(build_lp_max_free(GAME_C))
+    v = ValueVector(simplex_optimize(build_lp_max_free(GAME_C)).values)
     assert v == ValueVector([0, 0, 1])
 
 
@@ -373,28 +373,21 @@ def test_max_free_rejects_unfixed_max():
         build_lp_max_free(GAME_F)
 
 
-def test_zero_value_set_examples():
-    assert zero_value_set(GAME_C) == frozenset({1, 2})
-    # min can cycle 1 <-> 2 forever
-    g = build_game(4, 1, [(1, "min", 2, 4), (2, "min", 1, 4)])
-    assert zero_value_set(g) == frozenset({1, 2, 3})
-    # the min vertex bails straight to the 0-sink, but the avg vertex
-    # still tosses a coin toward the 1-sink
-    g = build_game(4, 1, [(1, "avg", 2, 4), (2, "min", 1, 3)])
-    assert zero_value_set(g) == frozenset({2, 3})
-
-
-def test_zero_value_set_with_fixed_sigma():
-    # either pick for the max vertex lands it in the zero class: pick 2
-    # lets min cycle forever, pick 3 is the 0-sink itself
+def test_max_free_builder_pins_value_0_vertices_with_fixed_sigma():
+    # either pick for the max vertex leaves vertices 1 and 2 worth 0:
+    # pick 2 lets min cycle forever, pick 3 is the 0-sink itself. The
+    # program holds v = 0 rows for them after the 0-sink's, and no
+    # other row for either.
     for pick in (2, 3):
         rg = reduce_game(GAME_E, sigma=Strategy.of(VertexKind.MAX, {1: pick}))
-        assert zero_value_set(rg) == frozenset({1, 2, 3})
+        rows = [(c.coeffs, c.relation, c.rhs) for c in build_lp_max_free(rg).constraints]
+        unit = [tuple(Fraction(k == i) for k in range(1, 5)) for i in range(1, 5)]
+        assert rows == [(unit[2], "=", 0), (unit[3], "=", 1), (unit[0], "=", 0), (unit[1], "=", 0)]
 
 
 def test_builders_accept_reduced_games():
     rg = reduce_game(GAME_G, sigma=Strategy.of(VertexKind.MAX, {1: 2}))
-    v = simplex_solve(build_lp_max_free(rg))
+    v = ValueVector(simplex_optimize(build_lp_max_free(rg)).values)
     assert v == ValueVector([Fraction(1, 2), Fraction(1, 2), Fraction(3, 4), 0, 1])
 
 
@@ -406,14 +399,8 @@ def test_pass_through_equality_for_fixed_vertices():
     assert any(
         c.coeffs[0] == 1 and c.coeffs[1] == -1 and c.rhs == 0 for c in eq_rows
     )
-    v = simplex_solve(lp)
+    v = ValueVector(simplex_optimize(lp).values)
     assert v[1] == v[2] == Fraction(1, 2)
-
-
-def test_dump_lp_readable():
-    lp = lp_of([[1, -2]], ["<="], [3], [1, 0], "max")
-    text = dump_lp(lp)
-    assert text.splitlines() == ["max x1", "s.t.", "  x1 - 2 x2 <= 3"]
 
 
 def test_lp_matches_chain_solve_on_one_player_pool():
@@ -421,14 +408,47 @@ def test_lp_matches_chain_solve_on_one_player_pool():
 
     for seed in range(25):
         g = ssg.random_game(3 + seed % 6, weights=(1, 0, 2), seed=seed)
-        lp_values = simplex_solve(build_lp_min_free(g))
+        lp_values = ValueVector(simplex_optimize(build_lp_min_free(g)).values)
         assert lp_values == ssg.brute_force_oracle(g).values
 
 
 def test_builders_write_no_bound_rows():
     for lp in (build_lp_min_free(GAME_A), build_lp_max_free(GAME_C), build_lp_max_free(GAME_B)):
         singles = [c for c in lp.constraints if sum(x != 0 for x in c.coeffs) == 1]
-        assert all(c.relation == "=" for c in singles), dump_lp(lp)
+        assert all(c.relation == "=" for c in singles)
+
+
+def _pinned_grid_programs():
+    """Every program the builders write for a seeded grid of inputs."""
+    for game in FIXTURES.values():
+        for tau in enumerate_strategies(game, VertexKind.MIN):
+            yield build_lp_min_free(reduce_game(game, tau=tau))
+        for sigma in enumerate_strategies(game, VertexKind.MAX):
+            yield build_lp_max_free(reduce_game(game, sigma=sigma))
+    for weights in ((1, 0, 1), (0, 1, 1), (1, 0, 0), (0, 1, 0)):
+        build = build_lp_min_free if weights[1] == 0 else build_lp_max_free
+        for n in range(3, 61):
+            yield build(random_game(n, weights, seed=n))
+    rng = random.Random(27)
+    for n in range(3, 31):
+        for weights in ((1, 1, 1), (1, 1, 3)):
+            game = random_game(n, weights, seed=n)
+
+            def fix(owner):
+                owned = game.vertices_of_kind(owner)
+                return Strategy.of(owner, {v: rng.choice(game.children_of(v)) for v in owned})
+
+            yield build_lp_min_free(reduce_game(game, tau=fix(VertexKind.MIN)))
+            yield build_lp_max_free(reduce_game(game, sigma=fix(VertexKind.MAX)))
+
+
+def test_one_player_programs_are_pinned():
+    # Same rows in the same order keep the simplex on the same pivots,
+    # so a change to the builders must leave every program unchanged.
+    digest = hashlib.sha256()
+    for lp in _pinned_grid_programs():
+        digest.update(repr(lp).encode())
+    assert digest.hexdigest() == "cdad2f80dc87ce3faaee8cf40b1f37f3b5514f910ccd372484ada8518312acc8"
 
 
 @pytest.mark.parametrize("weights", [(1, 0, 1), (0, 1, 1)])

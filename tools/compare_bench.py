@@ -6,7 +6,11 @@ Rows are keyed by (n, weights, seed, stopping, route). The script prints
 every key whose `hash` or `values_hash` differs between the files, every
 key found in only one of them, and a summary count. Where either row
 has no `values_hash` (files written before it existed), only `hash` is
-compared. Exits 0 when every row matches and 1 otherwise.
+compared. After the summary it prints, for each file, the total
+`seconds` per route over the rows both files share, split into settled
+rows (`nontrivial` == 0) and nontrivial rows; rows without the field
+(files written before it existed) are totalled apart. Exits 0 when
+every row matches and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -34,6 +38,22 @@ def differing_fields(old: dict, new: dict) -> list[str]:
     if "values_hash" in old and "values_hash" in new:
         fields.append("values_hash")
     return [f for f in fields if old[f] != new[f]]
+
+
+PARTS = ("settled", "nontrivial", "no nontrivial field")
+
+
+def route_totals(rows: dict[tuple, dict], keys) -> dict[str, dict[str, list]]:
+    """{route: {part: [seconds, rows]}} over keys, for each part in PARTS."""
+    totals: dict[str, dict[str, list]] = {}
+    for key in keys:
+        row = rows[key]
+        count = row.get("nontrivial")
+        part = "no nontrivial field" if count is None else "nontrivial" if count else "settled"
+        cell = totals.setdefault(row["route"], {}).setdefault(part, [0.0, 0])
+        cell[0] += row["seconds"]
+        cell[1] += 1
+    return totals
 
 
 def main(argv=None) -> int:
@@ -64,6 +84,14 @@ def main(argv=None) -> int:
     equal = len(old.keys() & new.keys()) - differ
     print(f"{equal} rows equal, {differ} differ, {only_old} only in {args.old}, "
           f"{only_new} only in {args.new}")
+    shared = sorted(old.keys() & new.keys())
+    for path, rows in ((args.old, old), (args.new, new)):
+        print(f"seconds per route in {path} over the {len(shared)} shared rows:")
+        for route, parts in sorted(route_totals(rows, shared).items()):
+            total = sum(seconds for seconds, _ in parts.values())
+            split = ", ".join(f"{part} {parts[part][0]:.6f} ({parts[part][1]} rows)"
+                              for part in PARTS if part in parts)
+            print(f"  {route}: {total:.6f} = {split}")
     return 1 if differ or only_old or only_new else 0
 
 
