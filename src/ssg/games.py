@@ -104,15 +104,31 @@ class Game:
                 yield (v, c[1])
 
 
+def _integer(x, what: str) -> int:
+    """x as an int, by operator.index, which takes numpy integers but
+    not 2.0 or '2'; raises ValidationError naming what it is."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValidationError(f"{what} must be an integer, got {x!r}") from None
+
+
+_INTERIOR_KINDS = (VertexKind.MAX, VertexKind.MIN, VertexKind.AVG)
+
+
 def validate_game(game: Game) -> None:
-    """Raise ValidationError naming the first violated invariant."""
-    n = game.n
+    """Raise ValidationError naming the first violated invariant. n,
+    start and every child must be integers (operator.index) and every
+    kind a VertexKind, so that a valid game also serializes to a file
+    that parse_game reads back."""
+    n = _integer(game.n, "vertex count")
+    start = _integer(game.start, "start vertex")
     if n < 2:
         raise ValidationError(f"vertex count must be at least 2, got {n}")
     if len(game.kinds) != n or len(game.children) != n:
         raise ValidationError("kinds/children length does not match vertex count")
-    if not 1 <= game.start <= n:
-        raise ValidationError(f"start out of range: {game.start} not in 1..{n}")
+    if not 1 <= start <= n:
+        raise ValidationError(f"start out of range: {start} not in 1..{n}")
     if game.kinds[n - 2] is not VertexKind.SINK0:
         raise ValidationError(f"vertex {n - 1} must be the 0-sink")
     if game.kinds[n - 1] is not VertexKind.SINK1:
@@ -120,15 +136,22 @@ def validate_game(game: Game) -> None:
     for s in (n - 1, n):
         if game.children[s - 1] is not None:
             raise ValidationError(f"sink {s} must not have children")
-    for v in game.interior:
-        kind = game.kinds[v - 1]
-        if kind.is_sink:
-            raise ValidationError(f"only the last two vertices may be sinks, vertex {v} is one")
-        pair = game.children[v - 1]
-        if pair is None or len(pair) != 2:
-            raise ValidationError(f"vertex {v} must have exactly two children")
-        a, b = pair
-        for c in pair:
+    index = operator.index
+    for v, kind, pair in zip(range(1, n - 1), game.kinds, game.children):
+        if kind not in _INTERIOR_KINDS:
+            if isinstance(kind, VertexKind):
+                raise ValidationError(f"only the last two vertices may be sinks, vertex {v} is one")
+            raise ValidationError(f"vertex {v} has kind {kind!r}, not a VertexKind")
+        try:
+            a, b = pair
+        except (TypeError, ValueError):
+            message = f"vertex {v} must have exactly two children, got {pair!r}"
+            raise ValidationError(message) from None
+        try:
+            a, b = index(a), index(b)
+        except TypeError:
+            raise ValidationError(f"children {pair!r} of vertex {v} must be integers") from None
+        for c in (a, b):
             if not 1 <= c <= n:
                 raise ValidationError(f"child {c} of vertex {v} out of range 1..{n}")
         if a == b:
@@ -148,15 +171,18 @@ def build_game(
     name. The graph, a sink kind on an interior vertex included, is
     validate_game's job.
     """
+    n = _integer(n, "vertex count")
     if n < 2:
         raise ValidationError(f"vertex count must be at least 2, got {n}")
     # keyed by id, so a huge n in a header costs nothing before the check
-    # for missing vertices; ids are in range and distinct, so that check
-    # stops within len(rows) + 1 steps
+    # for missing vertices
     kinds: dict[int, VertexKind] = {}
     children: dict[int, tuple[int, int]] = {}
     for row in rows:
-        vid, kind, c1, c2 = row
+        try:
+            vid, kind, c1, c2 = row
+        except (TypeError, ValueError):
+            raise ValidationError(f"vertex row {row!r} is not (id, kind, child1, child2)") from None
         try:
             # operator.index also takes numpy integers, but not 2.0 or '2'
             vid, c1, c2 = operator.index(vid), operator.index(c1), operator.index(c2)
@@ -176,9 +202,11 @@ def build_game(
         kinds[vid] = kind
         children[vid] = (c1, c2)
     interior = range(1, n - 1)
-    for v in interior:
-        if v not in kinds:
-            raise ValidationError(f"missing vertex {v}")
+    # ids are in range and distinct, so only a short count misses one,
+    # and the search stops within len(rows) + 1 steps
+    if len(kinds) < n - 2:
+        missing = next(v for v in interior if v not in kinds)
+        raise ValidationError(f"missing vertex {missing}")
     return Game(
         n=n,
         start=start,
@@ -200,9 +228,15 @@ class Strategy:
 
     def __post_init__(self):
         if self.owner not in (VertexKind.MAX, VertexKind.MIN):
-            raise StrategyError(f"strategy owner must be max or min, got {self.owner.value}")
+            owner = self.owner.value if isinstance(self.owner, VertexKind) else repr(self.owner)
+            raise StrategyError(f"strategy owner must be max or min, got {owner}")
         picks = []
-        for v, c in self.picks:
+        for pick in self.picks:
+            try:
+                v, c = pick
+            except (TypeError, ValueError):
+                message = f"strategy pick {pick!r} is not a (vertex, child) pair"
+                raise StrategyError(message) from None
             try:
                 # operator.index also takes numpy integers, but not 3.0
                 picks.append((operator.index(v), operator.index(c)))
@@ -397,15 +431,19 @@ def parse_game(source: Union[str, TextIO]) -> Game:
             raise _token_error(
                 "vertex line must be '<id> <max|min|avg> <child1> <child2>'", ln, line, 0
             )
+        vid, name, c1, c2 = toks
+        kind = _KIND_BY_NAME.get(name)
+        # tokens are never empty, so one test covers all three integers
+        digits = vid + c1 + c2
+        if kind is not None and digits.isascii() and digits.isdigit():
+            rows.append((int(vid), kind, int(c1), int(c2)))
+            continue
+        # a sign or an error: check token by token, in line order
         vid = _parse_int(toks, 0, "vertex id", ln, line)
-        kind = _KIND_BY_NAME.get(toks[1])
         if kind is None:
-            raise _token_error(
-                f"unknown vertex kind {toks[1]!r} (want max, min, or avg)", ln, line, 1
-            )
+            raise _token_error(f"unknown vertex kind {name!r} (want max, min, or avg)", ln, line, 1)
         c1 = _parse_int(toks, 2, "child", ln, line)
-        c2 = _parse_int(toks, 3, "child", ln, line)
-        rows.append((vid, kind, c1, c2))
+        rows.append((vid, kind, c1, _parse_int(toks, 3, "child", ln, line)))
 
     return build_game(n, start, rows)
 

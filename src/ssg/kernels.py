@@ -1,12 +1,14 @@
 """Integer fixed-point sweeps and random-walk rollouts.
 
-The two approximate loops of the package live here: value-iteration
+The approximate loops of the package live here: value-iteration
 sweeps on a 2**-K fixed-point grid, run on Python integers so any K
 works, and Monte-Carlo play rollouts, run on Python integers as counts
 of plays per vertex, split at avg vertices by bit-counted coins. Both
 walk one layout of a reduced game, built by sweep_layout: the vertices
 sorted by kind (max, min, avg, then the 0-sink and the 1-sink) with
-successors given as positions in that order.
+successors given as positions in that order. ordered_sweeps, the
+start guess of hoffman_karp, sweeps the game itself in place instead,
+in an order its caller gives.
 
 Values are integers in [0, 2**K] meaning v * 2**-K. Averages round
 down; max and min are exact. Sweeps start from zero with the sinks
@@ -23,7 +25,7 @@ import random
 from operator import sub
 from typing import TYPE_CHECKING, NamedTuple
 
-from .games import VertexKind
+from .games import Game, VertexKind
 
 if TYPE_CHECKING:
     from .markov import ReducedGame
@@ -127,6 +129,39 @@ def vi_run(layout: SweepLayout, thr: int, max_iters: int):
     for v, gain, converged in sweeps(layout, thr, max_iters):
         productive += gain > 0
     return layout.in_vertex_order(v), productive, converged
+
+
+def ordered_sweeps(game: Game, order: list[int], one: int, max_iters: int):
+    """Yield (values, gain) after each in-place (Gauss-Seidel) sweep of
+    game on the grid with the 1-sink at one; values is one list indexed
+    by vertex id (entry 0 unused), updated in place.
+
+    A sweep visits the interior vertices in order and sets each to the
+    max, min or rounded-down mean of its children's current values, so
+    a vertex reads children updated earlier in the same sweep. From the
+    start vector the iterates are monotone nondecreasing, as in sweeps,
+    so the gain is the sum of the increases, and a sweep with gain 0
+    changed nothing: the values are a fixed point of the grid. The
+    sequence ends after that sweep, or after max_iters sweeps.
+    """
+    avg_kind, max_kind = VertexKind.AVG, VertexKind.MAX
+    steps = [(v, *game.children[v - 1], game.kinds[v - 1]) for v in order]
+    z = [0] * (game.n + 1)
+    z[game.sink1] = total = one
+    for _ in range(max_iters):
+        for v, a, b, kind in steps:
+            x, y = z[a], z[b]
+            if kind is avg_kind:
+                z[v] = (x + y) >> 1
+            elif kind is max_kind:
+                z[v] = x if x > y else y
+            else:
+                z[v] = x if x < y else y
+        new_total = sum(z)
+        gain, total = new_total - total, new_total
+        yield z, gain
+        if not gain:
+            return
 
 
 # The benchmark tracer looks up both names.

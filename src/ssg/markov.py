@@ -354,18 +354,22 @@ def in_value_set(x: Fraction, t: int) -> bool:
     return 0 <= x <= 1 and x.denominator <= 4**t
 
 
+def stopping_layers(game: Game) -> dict[int, int]:
+    """The attractor of the sinks with both players blocking, as
+    {vertex: layer}: an avg vertex joins once one child has (the coin
+    eventually takes that exit), a player vertex only once both have
+    (the owner may pick either). It covers every vertex exactly when
+    the game is stopping (is_stopping)."""
+    blocking = (VertexKind.MAX, VertexKind.MIN)
+    return attractor(ReducedGame(game), (game.sink0, game.sink1), blocking)
+
+
 def is_stopping(game: Game) -> bool:
     """Whether every play reaches a sink with probability 1 under all
-    strategy pairs.
-
-    The attractor of the sinks with both players blocking: an avg vertex
-    joins once one child has (the coin eventually takes that exit), a
-    player vertex only once both have (the owner may pick either). The
-    game is stopping iff it covers every vertex. Equivalent to the
-    per-strategy-pair definition, but linear time.
+    strategy pairs: whether stopping_layers covers every vertex.
+    Equivalent to the per-strategy-pair definition, but linear time.
     """
-    blocking = (VertexKind.MAX, VertexKind.MIN)
-    return len(attractor(ReducedGame(game), (game.sink0, game.sink1), blocking)) == game.n
+    return len(stopping_layers(game)) == game.n
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,9 @@ hoffman_karp starts that loop from the greedy picks of a few integer
 value-iteration sweeps (_vi_guess), which on most stopping games are
 already optimal, so one exact evaluation confirms them; the transform
 starts at all-left picks, where the guess at lam < 1 saves
-evaluations but not time.
+evaluations but not time. The sweeps run in place, in the layer order
+of the stopping test's attractor, which hoffman_karp computes once
+for both jobs.
 
 Random games are bimodal: many have every vertex worth exactly 0 or 1.
 The lp route and the transform therefore start with the qualitative
@@ -57,14 +59,15 @@ markov.attractor, run over the tight edges of a value vector z: both
 children of an avg vertex, and the children attaining z at a player
 vertex. Its target is the 1-sink and every vertex worth 0, and min
 blocks. greedy_strategies lets each player vertex pick its tight child
-in the lowest layer. A certificate is the pair (z, sigma), and the
-value is the least fixed point of the operator T, so z is the value
-exactly when T z = z, sigma is z-greedy, and the attractor with max
-fixed to sigma covers every vertex (the end-component argument of
-Kelmendi, Kraemer, Kretinsky and Weininger, CAV 2018): a set where
-z - val(G_sigma) is largest and positive would be closed under avg
-children, sigma and one tight child per min vertex, and no vertex of
-it could join.
+in the lowest layer. Both compare values as integer (numerator,
+denominator) pairs by cross-multiplying; no Fraction is compared. A
+certificate is the pair (z, sigma), and the value is the least fixed
+point of the operator T, so z is the value exactly when T z = z, sigma
+is z-greedy, and the attractor with max fixed to sigma covers every
+vertex (the end-component argument of Kelmendi, Kraemer, Kretinsky and
+Weininger, CAV 2018): a set where z - val(G_sigma) is largest and
+positive would be closed under avg children, sigma and one tight child
+per min vertex, and no vertex of it could join.
 """
 
 from __future__ import annotations
@@ -72,8 +75,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain, compress
-from typing import Callable, Container, Iterator, Union
+from itertools import chain
+from typing import Callable, Iterator, Union
 
 from . import kernels
 from .exceptions import (
@@ -93,7 +96,14 @@ from .games import (
     validate_strategy,
 )
 from .lp import build_lp_max_free, build_lp_min_free, simplex_optimize
-from .markov import ReducedGame, attractor, is_stopping, solve_value_vector, zero_one_sets
+from .markov import (
+    ReducedGame,
+    attractor,
+    is_stopping,
+    solve_value_vector,
+    stopping_layers,
+    zero_one_sets,
+)
 from .stopping import DEFAULT_C, chain_weight
 
 DEFAULT_ORACLE_BUDGET = 16
@@ -103,7 +113,7 @@ MIN_GRID_BITS = 60
 # Sweeps between two snap tries of the vi route (see _vi_solve).
 SNAP_SPACING = 8
 # Sweeps between two greedy-pick checks of the hk start guess (see _vi_guess).
-GUESS_SPACING = 4
+GUESS_SPACING = 2
 
 METHODS = ("auto", "vi", "hk", "lp", "avg-free")
 
@@ -188,27 +198,31 @@ class _TightEdges:
     """A successor view of game for markov.attractor: the edges that a
     z-greedy play may take.
 
-    An avg vertex keeps both children, a player vertex the children
-    that attain the max or min of z over its pair; with sigma given, a
-    max vertex keeps sigma's pick instead.
+    z is given as reduced (numerator, denominator) pairs in vertex
+    order, compared by cross-multiplying. An avg vertex keeps both
+    children, a player vertex the children that attain the max or min
+    of z over its pair; with sigma given, a max vertex keeps sigma's
+    pick instead.
     """
 
-    def __init__(self, game: Game, z: ValueVector, sigma: Union[Strategy, None] = None):
+    def __init__(self, game: Game, z: list[tuple[int, int]], sigma: Union[Strategy, None] = None):
         self.game = game
-        self._values = values = z.components
-        self._succ = []
+        self._z = z
+        self._succ = succ = []
         for v, kind, pair in zip(game.vertices, game.kinds, game.children):
             if pair is None or kind is VertexKind.AVG:
-                self._succ.append(pair or ())
+                succ.append(pair or ())
             elif sigma is not None and kind is VertexKind.MAX:
-                self._succ.append((sigma.pick(v),))
+                succ.append((sigma.pick(v),))
             else:
                 a, b = pair
-                za, zb = values[a - 1], values[b - 1]
-                if za == zb:
-                    self._succ.append(pair)
+                pa, qa = z[a - 1]
+                pb, qb = z[b - 1]
+                left, right = pa * qb, pb * qa
+                if left == right:
+                    succ.append(pair)
                 else:
-                    self._succ.append((a,) if (za > zb) == (kind is VertexKind.MAX) else (b,))
+                    succ.append((a,) if (left > right) == (kind is VertexKind.MAX) else (b,))
 
     def successors(self, v: int) -> tuple[int, ...]:
         return self._succ[v - 1]
@@ -216,7 +230,7 @@ class _TightEdges:
     def layers(self) -> dict[int, int]:
         """The attractor over these edges of the 1-sink and every vertex
         worth 0 under z, with min blocking, as {vertex: layer}."""
-        zeros = (v for v, x in zip(self.game.vertices, self._values) if x == 0)
+        zeros = (v for v, (p, _q) in zip(self.game.vertices, self._z) if p == 0)
         return attractor(self, (self.game.sink1, *zeros), (VertexKind.MIN,))
 
 
@@ -234,16 +248,20 @@ def greedy_strategies(game: Game, v: ValueVector) -> tuple[Strategy, Strategy]:
     """
     if v.n != game.n:
         raise PreconditionError(f"value vector length {v.n} does not match game size {game.n}")
-    tight = _TightEdges(game, v)
+    tight = _TightEdges(game, [x.as_integer_ratio() for x in v.components])
     layers = tight.layers()
+    n = game.n
     tau_picks: dict[int, int] = {}
     sigma_picks: dict[int, int] = {}
-    for i, kind in zip(game.interior, game.kinds):
+    for i, kind, options in zip(game.interior, game.kinds, tight._succ):
         if kind is VertexKind.AVG:
             continue
-        options = tight.successors(i)
-        # layers stay below n; a vertex outside the attractor sorts last
-        pick = min(options, key=lambda c: (layers.get(c, game.n), c))
+        pick = options[0]
+        if len(options) == 2:
+            # layers stay below n; a vertex outside the attractor sorts last
+            other = options[1]
+            if (layers.get(other, n), other) < (layers.get(pick, n), pick):
+                pick = other
         if kind is VertexKind.MIN:
             tau_picks[i] = pick
         else:
@@ -408,47 +426,58 @@ def _improve(
     raise InternalCheckError(f"{owner.value} policy iteration exceeded its evaluation bound")
 
 
-def _start_strategies(game: Game, right: Container[int] = ()) -> tuple[Strategy, Strategy]:
-    """Starting strategies (tau, sigma) for _strategy_improvement: every
-    player vertex picks its left child, or its right child if it is in
-    right."""
+def _start_strategies(game: Game) -> tuple[Strategy, Strategy]:
+    """The all-left start (tau, sigma) for _strategy_improvement: every
+    player vertex picks its left child."""
     tau, sigma = (
-        Strategy.of(kind, {v: game.children_of(v)[v in right] for v in game.vertices_of_kind(kind)})
+        Strategy.of(kind, {v: game.children_of(v)[0] for v in game.vertices_of_kind(kind)})
         for kind in (VertexKind.MIN, VertexKind.MAX)
     )
     return tau, sigma
 
 
-def _vi_guess(game: Game) -> tuple[Strategy, Strategy]:
+def _vi_guess(game: Game, layers: dict[int, int]) -> tuple[Strategy, Strategy]:
     """Starting strategies (tau, sigma) for hoffman_karp, guessed by
-    value-iteration sweeps on a 2**-64 grid.
+    in-place (Gauss-Seidel) value-iteration sweeps on a 2**-64 grid,
+    kernels.ordered_sweeps.
 
+    layers is the game's stopping attractor, markov.stopping_layers,
+    and the sweeps visit the interior vertices in increasing layer
+    order with ties by id. A vertex joins that attractor one layer
+    after the children that complete its need, so every player vertex
+    reads both its children and every avg vertex at least one of them
+    after they were updated in the same sweep, and values travel from
+    the sinks through the whole game in one sweep.
     Every GUESS_SPACING sweeps each player vertex takes its greedy pick
     under the iterate: a max vertex its right child only if that child
     is worth strictly more, a min vertex only if strictly less, so a
     tie keeps the left child and a guess taken at the start vector is
     the all-left start. The guess ends when two checks in a row agree,
-    at the first sweep with gain 0 (a fixed point of the grid), or
-    after 20n sweeps. The exact loop converges to the optimum from any
-    start on a stopping game, so the guess changes only how many
-    evaluations it takes.
+    at the first sweep with gain 0, or after 20n sweeps. The exact loop
+    converges to the optimum from any start on a stopping game, so the
+    guess changes only how many evaluations it takes.
     """
-    layout = kernels.sweep_layout(ReducedGame(game), 1 << 64)
+    order = sorted(game.interior, key=layers.__getitem__)
+    maxs = [(v, *game.children[v - 1]) for v in game.vertices_of_kind(VertexKind.MAX)]
+    mins = [(v, *game.children[v - 1]) for v in game.vertices_of_kind(VertexKind.MIN)]
 
-    def right_picks(v: list[int]) -> list[bool]:
-        return [v[b] > v[a] for a, b in layout.maxs] + [v[b] < v[a] for a, b in layout.mins]
+    def greedy(z: list[int]) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+        return (
+            [(v, b if z[b] < z[a] else a) for v, a, b in mins],
+            [(v, b if z[b] > z[a] else a) for v, a, b in maxs],
+        )
 
     last = None
-    for sweep, (v, _gain, _fixed) in enumerate(kernels.sweeps(layout, 0, 20 * game.n), 1):
+    swept = kernels.ordered_sweeps(game, order, 1 << 64, 20 * game.n)
+    for sweep, (z, _gain) in enumerate(swept, 1):
         if sweep % GUESS_SPACING == 0:
-            picks = right_picks(v)
+            picks = greedy(z)
             if picks == last:
                 break
             last = picks
     else:
-        picks = right_picks(v)
-    players = game.vertices_of_kind(VertexKind.MAX) + game.vertices_of_kind(VertexKind.MIN)
-    return _start_strategies(game, set(compress(players, picks)))
+        picks = greedy(z)
+    return Strategy(VertexKind.MIN, picks[0]), Strategy(VertexKind.MAX, picks[1])
 
 
 def _strategy_improvement(
@@ -476,18 +505,21 @@ def _strategy_improvement(
 def hoffman_karp(game: Game) -> SolveReport:
     """Exact strategy improvement for stopping games (Hoffman and Karp).
 
-    Start both players at the greedy picks of a short value-iteration
-    guess (_vi_guess); each round, compute min's exact best reply and
-    switch every max vertex whose other child is strictly better under
-    those values; both steps run _improve. No switchable vertex means
-    the values are a fixed point of the update operator, hence optimal.
-    Rounds are bounded by the number of distinct max strategies; when
-    the guess names the optimal strategies, one evaluation and no round
-    confirm them.
+    The stopping test is markov.stopping_layers, computed once: a game
+    it does not cover whole raises PreconditionError, and its layers
+    order the sweeps of the start guess. Start both players at the
+    greedy picks of that short value-iteration guess (_vi_guess); each
+    round, compute min's exact best reply and switch every max vertex
+    whose other child is strictly better under those values; both steps
+    run _improve. No switchable vertex means the values are a fixed
+    point of the update operator, hence optimal. Rounds are bounded by
+    the number of distinct max strategies; when the guess names the
+    optimal strategies, one evaluation and no round confirm them.
     """
-    if not is_stopping(game):
+    layers = stopping_layers(game)
+    if len(layers) < game.n:
         raise PreconditionError("strategy improvement needs a stopping game; transform first")
-    values, rounds = _strategy_improvement(game, Fraction(1), _vi_guess(game))
+    values, rounds = _strategy_improvement(game, Fraction(1), _vi_guess(game, layers))
     return _report(game, values, "hk", rounds)
 
 
@@ -826,11 +858,13 @@ def verify_ovv_certificate(game: Game, cert: Certificate) -> bool:
         validate_strategy(game, sigma)
     except StrategyError as exc:
         raise CertificateError(f"certificate sigma: {exc}") from None
-    if not _is_fixed_point(game, [x.as_integer_ratio() for x in z.components]):
+    pairs = [x.as_integer_ratio() for x in z.components]
+    if not _is_fixed_point(game, pairs):
         return False
-    if any(z[j] != z[v] for v, j in sigma.picks):
+    # reduced pairs are equal exactly when their values are
+    if any(pairs[j - 1] != pairs[v - 1] for v, j in sigma.picks):
         return False
-    return len(_TightEdges(game, z, sigma).layers()) == game.n
+    return len(_TightEdges(game, pairs, sigma).layers()) == game.n
 
 
 def verify_value_certificate(

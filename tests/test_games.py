@@ -85,11 +85,47 @@ def test_edges_enumeration():
         ([(1, 5, 2, 3)], r"vertex row \(1, 5, 2, 3\) has kind 5"),
         ([(1, "avg", "2", 3)], r"vertex row \(1, 'avg', '2', 3\) needs integer ids"),
         ([(1, "avg", 2.0, 3)], r"vertex row \(1, 'avg', 2.0, 3\) needs integer ids"),
+        ([(1, "avg", 2)], r"vertex row \(1, 'avg', 2\) is not \(id, kind, child1, child2\)"),
+        ([5], r"vertex row 5 is not \(id, kind, child1, child2\)"),
     ],
 )
 def test_build_game_rejects(rows, msg):
     with pytest.raises(ValidationError, match=msg):
         build_game(3, 1, rows)
+
+
+@pytest.mark.parametrize("n", [3.0, "3", None])
+def test_build_game_rejects_a_non_integer_vertex_count(n):
+    with pytest.raises(ValidationError, match="vertex count must be an integer"):
+        build_game(n, 1, [(1, "avg", 2, 3)])
+
+
+AVG3 = (VertexKind.AVG, VertexKind.SINK0, VertexKind.SINK1)
+
+
+@pytest.mark.parametrize(
+    "fields, msg",
+    [
+        # each used to make a game that solve failed on with a TypeError
+        # and serialize_game wrote as a file parse_game refuses
+        (dict(n=3.0), "vertex count must be an integer, got 3.0"),
+        (dict(start=1.5), "start vertex must be an integer, got 1.5"),
+        (dict(children=((2, 3.0), None, None)), r"children \(2, 3.0\) of vertex 1 must be"),
+        (dict(children=(("2", 3), None, None)), "of vertex 1 must be integers"),
+        (dict(kinds=("avg", *AVG3[1:])), "vertex 1 has kind 'avg', not a VertexKind"),
+        (dict(children=(5, None, None)), "vertex 1 must have exactly two children, got 5"),
+        (dict(children=((2,), None, None)), "vertex 1 must have exactly two children"),
+    ],
+)
+def test_validate_game_refuses_non_integers_and_foreign_kinds(fields, msg):
+    with pytest.raises(ValidationError, match=msg):
+        Game(**{"n": 3, "start": 1, "kinds": AVG3, "children": ((2, 3), None, None), **fields})
+
+
+def test_validate_game_takes_numpy_integers():
+    children = ((np.int64(2), 3), None, None)
+    game = Game(n=np.int64(3), start=np.int64(1), kinds=AVG3, children=children)
+    assert serialize_game(game) == "ssg 3 1\n1 avg 2 3\n"
 
 
 def test_validate_game_checks_sink_positions():
@@ -150,6 +186,17 @@ def test_strategy_rejects_float_vertex_ids(picks):
     # 3.0 == 3, so a float id used to pass validation and break lookups later
     with pytest.raises(StrategyError, match="integer vertex ids"):
         Strategy(VertexKind.MAX, picks)
+
+
+@pytest.mark.parametrize("pick, shown", [((1,), r"\(1,\)"), (5, "5"), ((1, 2, 3), r"\(1, 2, 3\)")])
+def test_strategy_rejects_malformed_picks(pick, shown):
+    with pytest.raises(StrategyError, match=f"pick {shown} is not a \\(vertex, child\\) pair"):
+        Strategy(VertexKind.MAX, (pick,))
+
+
+def test_strategy_rejects_an_owner_that_is_no_vertex_kind():
+    with pytest.raises(StrategyError, match="owner must be max or min, got 'max'"):
+        Strategy("max", ())
 
 
 def test_strategy_normalises_numpy_ids():
@@ -258,6 +305,16 @@ def test_parse_game_takes_a_sign_on_integers():
         ("ssg 3 1 9 9 # 7 8 9\n1 avg 2 3", 1, 11),
         # a vertical tab is whitespace inside a line, not a line break
         ("ssg 4 1\n1 avg 2 4\x0b\n2 avg 1 x\n", 3, 9),
+        # a bad token at each integer position, with and without a sign
+        # on the other tokens; the first bad token in the line is named
+        ("ssg 4 1\n1 avg 2 4\nx avg 1 3\n", 3, 1),
+        ("ssg 4 1\n1 avg 2 4\n2 avg y 3\n", 3, 7),
+        ("ssg 4 1\n1 avg 2 4\n2 avg 1 z\n", 3, 9),
+        ("ssg 4 1\n1 avg 2 4\n-x avg +1 3\n", 3, 1),
+        ("ssg 4 1\n1 avg 2 4\n+2 avg 1- 3\n", 3, 8),
+        ("ssg 4 1\n1 avg 2 4\n2 avg +1 3x\n", 3, 10),
+        ("ssg 4 1\n1 avg 2 4\nx foo 1 3\n", 3, 1),
+        ("ssg 4 1\n1 avg 2 4\n2 foo 1 x\n", 3, 3),
     ],
 )
 def test_parse_game_errors_carry_position(text, line, col):

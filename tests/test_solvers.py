@@ -1,6 +1,7 @@
 """End-to-end solver behavior: operator, iteration, improvement, oracle,
 dispatch, and certificate checking."""
 
+import hashlib
 import importlib
 import random
 from fractions import Fraction
@@ -55,6 +56,7 @@ from ssg.fixtures import (
     GAME_F,
     GAME_G,
 )
+from ssg.markov import stopping_layers
 from ssg.solve import (
     METHODS,
     _improve,
@@ -337,41 +339,60 @@ def test_hk_confirms_the_guess_with_one_evaluation(game, monkeypatch):
 
 @pytest.fixture
 def guess_gains(monkeypatch):
-    """The gains of the sweeps drawn from kernels.sweeps, in order."""
+    """The gains of the sweeps drawn from kernels.ordered_sweeps, in order."""
     gains = []
-    inner = solve_module.kernels.sweeps
+    inner = solve_module.kernels.ordered_sweeps
 
     def counted(*args):
         for item in inner(*args):
             gains.append(item[1])
             yield item
 
-    monkeypatch.setattr(solve_module.kernels, "sweeps", counted)
+    monkeypatch.setattr(solve_module.kernels, "ordered_sweeps", counted)
     return gains
 
 
+def guess(game):
+    return _vi_guess(game, stopping_layers(game))
+
+
 def test_vi_guess_stops_at_gain_zero(guess_gains):
-    # no cycle, so the grid iterate is a fixed point after 2 productive
-    # sweeps: the third has gain 0 and ends the guess before any check;
-    # max 1 ties (2 and 3 are both worth 1/2) and keeps its left child,
-    # min 3 takes 2, worth less than the 1-sink
+    # no cycle, and the sweep visits 2, 3, 1 (layers 1, 2, 3), so the
+    # first sweep already reaches the grid fixed point: the second has
+    # gain 0 and ends the guess before two checks could agree; max 1
+    # ties (2 and 3 are both worth 1/2) and keeps its left child, min 3
+    # takes 2, worth less than the 1-sink
     game = build_game(5, 1, [(1, "max", 2, 3), (2, "avg", 4, 5), (3, "min", 5, 2)])
-    tau, sigma = _vi_guess(game)
-    assert len(guess_gains) == 3 < solve_module.GUESS_SPACING
-    assert guess_gains[-1] == 0
+    tau, sigma = guess(game)
+    assert guess_gains == [3 << 63, 0]
+    assert len(guess_gains) < 2 * solve_module.GUESS_SPACING
     assert (tau.as_dict(), sigma.as_dict()) == ({3: 2}, {1: 2})
 
 
 def test_vi_guess_stops_when_two_checks_agree(guess_gains):
     # the avg cycle 2 <-> 3 (worth 2/3 and 1/3) keeps the gain positive
     # for many sweeps; max 1 prefers its right child 2 from the first
-    # sweep on, so the checks after 4 and 8 sweeps agree and end it
+    # sweep on, so the first two checks agree and end it
     game = build_game(5, 1, [(1, "max", 3, 2), (2, "avg", 3, 5), (3, "avg", 2, 4)])
-    tau, sigma = _vi_guess(game)
+    tau, sigma = guess(game)
     assert len(guess_gains) == 2 * solve_module.GUESS_SPACING
     assert all(guess_gains)
     assert sigma.as_dict() == {1: 2}
     assert tau.as_dict() == {}
+
+
+def test_vi_guess_sweeps_in_layer_order():
+    # 1 <- 2 <- 3 <- 4 is a chain whose ids run against its layers, so
+    # one sweep in id order would move the 1-sink's value one step; in
+    # layer order (4, 3, 2, 1) it reaches vertex 1 in the first sweep
+    rows = [(1, "max", 2, 5), (2, "max", 3, 5), (3, "max", 4, 5), (4, "avg", 5, 6)]
+    game = build_game(6, 1, rows)
+    layers = stopping_layers(game)
+    order = sorted(game.interior, key=layers.__getitem__)
+    assert order == [4, 3, 2, 1]
+    z, gain = next(solve_module.kernels.ordered_sweeps(game, order, 1 << 64, 1))
+    assert z[1:] == [1 << 63] * 4 + [0, 1 << 64]
+    assert gain == 4 << 63
 
 
 def check_every_start(game):
@@ -1215,3 +1236,43 @@ def test_routes_and_certificates_on_sampled_5_vertex_games():
     games = sample_games_on_5_vertices(ROUTES5_PER_KINDS, ROUTES5_SEED)
     assert len(games) == 27 * ROUTES5_PER_KINDS
     assert _total(map(check_routes_and_certificates, games)) == (1280, 3388)
+
+
+def pinned_grid():
+    """Seeded games at n = 3-30 under five weight mixes, plus stopping
+    mixed draws, so that every route of solve is reached."""
+    for n in range(3, 31):
+        for weights in ((1, 1, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 8)):
+            for seed in range(3):
+                yield random_game(n, weights, seed=seed)
+            if all(weights) and n % 3 == 0:
+                yield random_game(n, weights, seed=n, require_stopping=True)
+
+
+def test_solve_answers_are_pinned():
+    # Exact values are unique, and strategies and certificates are read
+    # off them, so a change to how a route finds the values must leave
+    # all of these unchanged; hk's iteration count may move with its start
+    answers, iterations = hashlib.sha256(), hashlib.sha256()
+    routes = set()
+    for game in pinned_grid():
+        for method in METHODS:
+            try:
+                report = solve(game, method, with_certificate=True)
+            except PreconditionError:
+                continue
+            routes.add(report.method)
+            cert = report.certificate
+            answers.update(repr((
+                [str(x) for x in report.values.components],
+                report.tau.picks,
+                report.sigma.picks,
+                report.method,
+                [str(x) for x in cert.z.components],
+                cert.sigma.picks,
+            )).encode())
+            if report.method != "hk":
+                iterations.update(repr((report.method, report.iterations)).encode())
+    assert routes == {"avg-free", "lp", "hk", "transform", "vi"}
+    assert answers.hexdigest() == "1c1c7ac20ccdef7837b2770c10a5dc9201b97471b0c48f88a16773f8d768fa1c"
+    assert iterations.hexdigest() == "2a9689fd01ac1e2c9a0389b61f28035af31beecae24a53ee8dacca2761f5f0d1"

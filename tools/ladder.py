@@ -24,7 +24,9 @@ before it, and the row records the median, in seconds on the reference
 machine of that calibration. The repeats must give equal output hashes.
 Each `auto` row also records parse_seconds: the same calibrated median
 for `parse_game` on the game's `serialize_game` text, the parse layer
-of a solve that starts from a game file.
+of a solve that starts from a game file. Each `auto` and `vi` row
+records evaluations: how many exact strategy-pair evaluations
+(`markov.solve_value_vector` calls) one more, untimed solve makes.
 The run writes BENCH_<label>.json at the root of the checkout: one row
 per solve with n, weights, seed, route, seconds, a hash of the output (values,
 strategies, method, iterations and certificate z and sigma; for `mc` rows,
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import json
 import os
 import platform
@@ -54,6 +57,9 @@ sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 
 import ssg  # noqa: E402
 from perfbench import calibration  # noqa: E402
+
+# the module; the package's `solve` attribute is the function
+SOLVE = importlib.import_module("ssg.solve")
 
 SIZES = (8, 16, 24, 32, 40, 60)
 MC_PLAYS = 4000
@@ -91,6 +97,24 @@ def output_hash(report) -> str:
 
 def mc_hash(est) -> str:
     return hashlib.sha256(repr((est.hits, est.truncated)).encode()).hexdigest()[:16]
+
+
+def evaluations(game, method: str) -> int:
+    """The markov.solve_value_vector calls of one solve(game, method)."""
+    inner = SOLVE.solve_value_vector
+    count = 0
+
+    def counted(*args):
+        nonlocal count
+        count += 1
+        return inner(*args)
+
+    SOLVE.solve_value_vector = counted
+    try:
+        SOLVE.solve(game, method)
+    finally:
+        SOLVE.solve_value_vector = inner
+    return count
 
 
 def timed(fn, digest):
@@ -161,6 +185,7 @@ def main(argv=None) -> int:
                 report, seconds = timed(lambda: ssg.solve(game, method), output_hash)
                 record(n, seed, weights, stopping, report.method, seconds, report.iterations,
                        output_hash(report), report)
+                rows[-1]["evaluations"] = evaluations(game, method)
                 if method == "auto":
                     rows[-1]["parse_seconds"] = round(parse_seconds, 7)
                 if stopping and method == "auto":
