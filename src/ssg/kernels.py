@@ -6,9 +6,11 @@ works, and Monte-Carlo play rollouts, run on Python integers as counts
 of plays per vertex, split at avg vertices by bit-counted coins. Both
 walk one layout of a reduced game, built by sweep_layout: the vertices
 sorted by kind (max, min, avg, then the 0-sink and the 1-sink) with
-successors given as positions in that order. ordered_sweeps, the
-start guess of hoffman_karp, sweeps the game itself in place instead,
-in an order its caller gives.
+successors given as positions in that order; value_iteration,
+vi_iterates and mc_estimate walk it. ordered_sweeps sweeps the game
+itself in place instead, in an order its caller gives; it serves the
+start guess of hoffman_karp and the vi route of solve, both in the
+layer order of the stopping test's attractor.
 
 Values are integers in [0, 2**K] meaning v * 2**-K. Averages round
 down; max and min are exact. Sweeps start from zero with the sinks
@@ -142,7 +144,9 @@ def ordered_sweeps(game: Game, order: list[int], one: int, max_iters: int):
     start vector the iterates are monotone nondecreasing, as in sweeps,
     so the gain is the sum of the increases, and a sweep with gain 0
     changed nothing: the values are a fixed point of the grid. The
-    sequence ends after that sweep, or after max_iters sweeps.
+    sequence ends after that sweep, or after max_iters sweeps. Both
+    callers, solve._vi_guess and solve._vi_solve, pass the interior in
+    increasing layer of markov.stopping_layers.
     """
     avg_kind, max_kind = VertexKind.AVG, VertexKind.MAX
     steps = [(v, *game.children[v - 1], game.kinds[v - 1]) for v in order]

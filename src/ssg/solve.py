@@ -49,10 +49,14 @@ measured no gain there.
 
 The vi route sweeps value iteration on a stopping game, where T has one
 fixed point, so any snapped iterate with T z = z is the value whatever
-denominator bound it was snapped to. It tries each coarser bound 4**k,
-k < n, once, as soon as the sweep gain says the iterate could lie
-within half of that level's spacing, before the bound 4**n that holds
-every vertex value; random games have values far coarser than 4**n.
+denominator bound it was snapped to. Like the hk start guess, it
+sweeps in place in the stopping attractor's layer order, which its
+stopping test computes once; value_iteration and vi_iterates keep the
+synchronous (Jacobi) sweeps of the kind-sorted layout. It tries each
+coarser bound 4**k, k < n, once, as soon as the sweep gain says the
+iterate could lie within half of that level's spacing, before the
+bound 4**n that holds every vertex value; random games have values far
+coarser than 4**n, and each try snaps every distinct value once.
 
 Strategies and certificates share one qualitative engine,
 markov.attractor, run over the tight edges of a value vector z: both
@@ -99,7 +103,6 @@ from .lp import build_lp_max_free, build_lp_min_free, simplex_optimize
 from .markov import (
     ReducedGame,
     attractor,
-    is_stopping,
     solve_value_vector,
     stopping_layers,
     zero_one_sets,
@@ -436,6 +439,13 @@ def _start_strategies(game: Game) -> tuple[Strategy, Strategy]:
     return tau, sigma
 
 
+def _layer_order(game: Game, layers: dict[int, int]) -> list[int]:
+    """The interior vertices in increasing layer of the stopping
+    attractor layers (markov.stopping_layers), ties by id: the sweep
+    order of _vi_guess and _vi_solve."""
+    return sorted(game.interior, key=layers.__getitem__)
+
+
 def _vi_guess(game: Game, layers: dict[int, int]) -> tuple[Strategy, Strategy]:
     """Starting strategies (tau, sigma) for hoffman_karp, guessed by
     in-place (Gauss-Seidel) value-iteration sweeps on a 2**-64 grid,
@@ -457,7 +467,7 @@ def _vi_guess(game: Game, layers: dict[int, int]) -> tuple[Strategy, Strategy]:
     converges to the optimum from any start on a stopping game, so the
     guess changes only how many evaluations it takes.
     """
-    order = sorted(game.interior, key=layers.__getitem__)
+    order = _layer_order(game, layers)
     maxs = [(v, *game.children[v - 1]) for v in game.vertices_of_kind(VertexKind.MAX)]
     mins = [(v, *game.children[v - 1]) for v in game.vertices_of_kind(VertexKind.MIN)]
 
@@ -593,15 +603,25 @@ def _snap_fixed_point(
     half of 4**(-2*level), which ends the try, or first if every
     component snapped. Snapping starts at component first and wraps
     around, so a caller that passes back the component that refused
-    its last try often ends a failing try after one snap. level n is
-    the game's own value set, where the snap of a close enough
-    approximation is guaranteed; a coarser level can only be tried."""
+    its last try often ends a failing try after one snap. Each distinct
+    fraction (nums[i], dens[i]) is snapped once per try and its pair
+    reused: vertex values repeat (every sink and many vertices are
+    worth 0 or 1), and a repeated fraction that fails refuses at its
+    first occurrence, so the memo never changes which component
+    refuses. level n is the game's own value set, where the snap of a
+    close enough approximation is guaranteed; a coarser level can only
+    be tried."""
     m = len(nums)
     z = []
+    snapped: dict[tuple[int, int], tuple[int, int]] = {}
     for i in chain(range(first, m), range(first)):
-        pair = _snap(nums[i], dens[i], level)
+        key = nums[i], dens[i]
+        pair = snapped.get(key)
         if pair is None:
-            return None, i
+            pair = _snap(*key, level)
+            if pair is None:
+                return None, i
+            snapped[key] = pair
         z.append(pair)
     z = z[m - first :] + z[: m - first]  # back to vertex order
     if not _is_fixed_point(game, z):
@@ -632,31 +652,44 @@ def _transform_solve(game: Game) -> tuple[ValueVector, ValueVector, int]:
     return z, s, rounds
 
 
-def _vi_solve(game: Game) -> tuple[ValueVector, int]:
+def _vi_solve(game: Game, layers: dict[int, int]) -> tuple[ValueVector, int]:
     """The vi route on a stopping game: sweep from zero and return the
     exact values with the productive sweeps run, or raise
     NonConvergenceError with the last iterate attached after
     DEFAULT_MAX_ITERS sweeps.
 
+    The sweeps run in place (Gauss-Seidel, kernels.ordered_sweeps) on
+    the grid of _grid_setup at default_epsilon, in the layer order of
+    the stopping attractor layers (_layer_order), so values travel from
+    the sinks through the whole game in one sweep. From the pinned
+    start the iterates are monotone and never above the value. Take
+    the iterate x before a sweep, x' after it, and T the update on the
+    grid (means rounded down): every update reads children worth at
+    least x, so x <= T x <= x'. The sweep's gain, the sum of x' - x,
+    therefore bounds from above the residual a Jacobi sweep from x
+    would measure, and x' is at least as close to the value as T x;
+    every gate below keeps the meaning it has for Jacobi sweeps.
+
     On a stopping game T has one fixed point, so a snapped z with
-    T z = z is the value, whichever denominator bound produced it. The
-    sweep's gain bounds its residual from above. Level k, for k below
-    n, is tried once, at the first sweep whose gain is at most
-    one >> (4k+5) grid units: the iterate is snapped to denominators at
-    most 4**k and tested; a sweep that passes several gates tries only
-    the highest. Vertex values have denominators at most 4**n, so an
-    iterate within half a separation snaps to the value: once the gain
-    first falls to one >> (4n+1), which is also level n-1's gate, the
-    iterate is snapped at level n and tested, and again every
-    SNAP_SPACING sweeps. The sweep that reaches default_epsilon is the
-    last try; its iterate lies within a quarter separation of the
-    value, so a failed snap there means a bug, not bad input. Each try
-    starts snapping at the component that refused the last one, which
-    on slowly converging chains often refuses again at once.
+    T z = z is the value, whichever denominator bound produced it.
+    Level k, for k below n, is tried once, at the first sweep whose
+    gain is at most one >> (4k+5) grid units: the iterate is snapped to
+    denominators at most 4**k and tested; a sweep that passes several
+    gates tries only the highest. Vertex values have denominators at
+    most 4**n, so an iterate within half a separation snaps to the
+    value: once the gain first falls to one >> (4n+1), which is also
+    level n-1's gate, the iterate is snapped at level n and tested, and
+    again every SNAP_SPACING sweeps. The sweep whose gain reaches
+    default_epsilon is the last try; its iterate lies within a quarter
+    separation of the value, so a failed snap there means a bug, not
+    bad input. Each try starts snapping at the component that refused
+    the last one, which on slowly converging chains often refuses again
+    at once.
     """
     max_iters = DEFAULT_MAX_ITERS
-    eps, one, thr, layout = _vi_setup(game, None, max_iters)
     n = game.n
+    eps, bits, thr = _grid_setup(n, None)
+    one = 1 << bits
     # 4 guard bits between a level's half spacing 4**-2k / 2 and its
     # gate; level n-1's gate, one >> (4n+1), starts the level-n tries,
     # the higher level, so n-1 is never tried alone; -1 ends the coarse
@@ -667,23 +700,23 @@ def _vi_solve(game: Game) -> tuple[ValueVector, int]:
     due = None
     dens = [one] * n
     refused = 0  # the component that refused the last snap
-    for sweep, (v, gain, converged) in enumerate(kernels.sweeps(layout, thr, max_iters)):
+    swept = kernels.ordered_sweeps(game, _layer_order(game, layers), one, max_iters)
+    for sweep, (v, gain) in enumerate(swept):
         productive += gain > 0
+        converged = gain <= thr
         if gain <= gate:
             while gain <= gates[level + 1]:
                 level += 1
             if level == n - 1:
                 due = sweep
             else:
-                nums = layout.in_vertex_order(v)
-                z, refused = _snap_fixed_point(game, nums, dens, level, refused)
+                z, refused = _snap_fixed_point(game, v[1:], dens, level, refused)
                 if z is not None:
                     return z, productive
             level += 1
             gate = gates[level]
         if converged or sweep == due:
-            nums = layout.in_vertex_order(v)
-            z, refused = _snap_fixed_point(game, nums, dens, n, refused)
+            z, refused = _snap_fixed_point(game, v[1:], dens, n, refused)
             if z is not None:
                 return z, productive
             due = sweep + SNAP_SPACING
@@ -691,7 +724,7 @@ def _vi_solve(game: Game) -> tuple[ValueVector, int]:
         raise InternalCheckError("the converged vi iterate does not snap to a fixed point")
     raise NonConvergenceError(
         f"value iteration did not reach epsilon={eps} within {max_iters} sweeps",
-        values=ValueVector(Fraction(x, one) for x in layout.in_vertex_order(v)),
+        values=ValueVector(Fraction(x, one) for x in v[1:]),
         iterations=productive,
     )
 
@@ -717,9 +750,10 @@ def solve(
     The transform path always attaches the certificate (values, sigma);
     with_certificate attaches it on every path and checks it with
     verify_ovv_certificate, raising InternalCheckError on a rejection.
-    vi, on stopping games only, runs value iteration until a snapped
-    iterate passes the exact test T z = z, trying denominator bounds
-    4**k for k < n once each before the bound 4**n, with
+    vi, on stopping games only (markov.stopping_layers, whose layers
+    also order its in-place sweeps), runs value iteration until a
+    snapped iterate passes the exact test T z = z, trying denominator
+    bounds 4**k for k < n once each before the bound 4**n, with
     default_epsilon(n) as the last try and at most DEFAULT_MAX_ITERS
     sweeps, and counts the productive sweeps run.
     Enumeration is not a method here: brute_force_oracle is its one
@@ -766,9 +800,10 @@ def solve(
                 z, _s, rounds = _transform_solve(game)
             report = _report(game, z, "transform", rounds)
     else:  # vi
-        if not is_stopping(game):
+        layers = stopping_layers(game)
+        if len(layers) < game.n:
             raise PreconditionError("vi method needs a stopping game; transform first")
-        z, iters = _vi_solve(game)
+        z, iters = _vi_solve(game, layers)
         report = _report(game, z, "vi", iters)
 
     if with_certificate or report.method == "transform":

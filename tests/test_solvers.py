@@ -736,12 +736,15 @@ def test_vi_method_snaps_to_exact_values():
 
 
 def test_vi_method_caps_sweeps(monkeypatch):
-    # GAME-B is worth (2/3, 1/3), which no finite sweep count reaches
+    # GAME-B is worth (2/3, 1/3), which no finite sweep count reaches;
+    # both vertices sit in layer 1, so the one in-place sweep sets 1 to
+    # the mean of 0 and the 1-sink, then 2 to the mean of that and the
+    # 0-sink
     monkeypatch.setattr(solve_module, "DEFAULT_MAX_ITERS", 1)
     with pytest.raises(NonConvergenceError, match="within 1 sweeps") as info:
         solve(GAME_B, "vi")
     assert info.value.iterations == 1
-    assert info.value.values == ValueVector([HALF, 0, 0, 1])
+    assert info.value.values == ValueVector([HALF, Fraction(1, 4), 0, 1])
 
 
 def _snapped_fixed_point(game, x, k):
@@ -761,10 +764,36 @@ def _snapped_fixed_point(game, x, k):
     return z if apply_operator(game, z) == z else None
 
 
+def _in_place_iterates(game):
+    """The vi route's sweeps written out on Fractions, without the
+    kernel: the interior in increasing layer of stopping_layers, ties
+    by id, each vertex set in place from its children's current values,
+    with means rounded down to the route's 2**-K grid. Yields
+    (iterate, gain) after each sweep, up to the first sweep with gain 0."""
+    one = 2 ** solve_module._grid_setup(game.n, None)[1]
+    layers = stopping_layers(game)
+    order = sorted(game.interior, key=lambda v: (layers[v], v))
+    z = {v: Fraction(int(v == game.sink1)) for v in game.vertices}
+    gain = 1
+    while gain:
+        before = sum(z.values())
+        for v in order:
+            a, b = game.children_of(v)
+            kind = game.kind(v)
+            if kind is VertexKind.MAX:
+                z[v] = max(z[a], z[b])
+            elif kind is VertexKind.MIN:
+                z[v] = min(z[a], z[b])
+            else:
+                z[v] = Fraction((z[a] + z[b]) * one // 2, one)
+        gain = sum(z.values()) - before
+        yield ValueVector(z[v] for v in game.vertices), gain
+
+
 def _reference_vi_stop(game):
-    """The vi route's stopping rule written out on vi_iterates with
-    Fractions: level k < n is tried once, at the first sweep whose gain
-    (sum increase) is at most 2**-(4k+5); level n is tried at the first
+    """The vi route's stopping rule written out on _in_place_iterates:
+    level k < n is tried once, at the first sweep whose gain (sum
+    increase) is at most 2**-(4k+5); level n is tried at the first
     sweep whose gain is at most half a separation, 2**-(4n+1), and
     every 8 sweeps after; a sweep that first passes several gates tries
     only the highest level. Returns (snapped values, productive
@@ -772,14 +801,10 @@ def _reference_vi_stop(game):
     n = game.n
     gates = [Fraction(1, 2 ** (4 * k + 5)) for k in range(n)] + [value_separation(n) / 2]
     passed = set()
-    iterates = vi_iterates(game)
-    prev = next(iterates)
     productive = 0
     due = None
-    for sweep, cur in enumerate(iterates):
-        productive += cur != prev
-        gain = sum(cur.components) - sum(prev.components)
-        prev = cur
+    for sweep, (cur, gain) in enumerate(_in_place_iterates(game)):
+        productive += gain > 0
         first = [k for k, gate in enumerate(gates) if k not in passed and gain <= gate]
         passed.update(first)
         if first and max(first) < n:
@@ -793,7 +818,7 @@ def _reference_vi_stop(game):
             if z is not None:
                 return z, productive
             due = sweep + 8
-    raise AssertionError("no snapped fixed point before epsilon")
+    raise AssertionError("no snapped fixed point before the grid fixed point")
 
 
 def _reference_level_n_stop(game):
@@ -802,21 +827,18 @@ def _reference_level_n_stop(game):
     most half a separation, later ones every 8 sweeps; returns
     (snapped values, productive sweeps)."""
     half_sep = value_separation(game.n) / 2
-    iterates = vi_iterates(game)
-    prev = next(iterates)
     productive = 0
     due = None
-    for sweep, cur in enumerate(iterates):
-        productive += cur != prev
-        if due is None and sum(cur.components) - sum(prev.components) <= half_sep:
+    for sweep, (cur, gain) in enumerate(_in_place_iterates(game)):
+        productive += gain > 0
+        if due is None and gain <= half_sep:
             due = sweep
-        prev = cur
         if sweep == due:
             z = _snapped_fixed_point(game, cur, game.n)
             if z is not None:
                 return z, productive
             due = sweep + 8
-    raise AssertionError("no snapped fixed point before epsilon")
+    raise AssertionError("no snapped fixed point before the grid fixed point")
 
 
 def test_vi_method_stops_at_the_first_snapped_fixed_point():
@@ -836,25 +858,68 @@ def test_vi_method_stops_at_the_first_snapped_fixed_point():
     assert fewer and coarser
 
 
-def test_vi_method_tries_the_highest_level_a_sweep_passes():
-    # a max chain passes 1/2 down one vertex per sweep, so each of the
-    # first 15 sweeps gains about 1/2; on the 16th only the 2/3, 1/3
-    # cycle moves, by about 2**-16, which passes the gates of levels 0,
-    # 1 and 2 at once, and level 2 holds every value
-    chain = 14
-    n = chain + 5
-    rows = [(i, "max", i + 1, n - 1) for i in range(1, chain + 1)]
-    rows += [
-        (chain + 1, "avg", n, n - 1),
-        (chain + 2, "avg", chain + 3, n),
-        (chain + 3, "avg", chain + 2, n - 1),
-    ]
+def test_vi_method_tries_the_highest_level_a_sweep_passes(monkeypatch):
+    # three avg chains, each of 6 vertices towards a max vertex worth 1,
+    # and the 2/3, 1/3 cycle; every avg vertex sits in layer 1 and reads
+    # its successor in the chain before that is updated, so a chain's
+    # vertices reach 1 one per sweep, keeping the gain above level 0's
+    # gate 2**-5 through the 7th sweep, while the cycle's gain falls by 4
+    # each sweep; the 8th sweep moves only the cycle, by about 2**-14,
+    # which passes the gates of levels 0, 1 and 2 at once, and level 2
+    # holds every value
+    chains, length = 3, 7
+    n = chains * length + 4
+    sink0, sink1 = n - 1, n
+    rows = []
+    for c in range(chains):
+        top = c * length + length
+        rows += [(v, "avg", v + 1, sink1) for v in range(top - length + 1, top)]
+        rows.append((top, "max", sink1, sink0))
+    cycle = chains * length + 1
+    rows += [(cycle, "avg", cycle + 1, sink1), (cycle + 1, "avg", cycle, sink0)]
     game = build_game(n, 1, rows)
+    tried = []
+    inner = solve_module._snap_fixed_point
+
+    def recorded(game, nums, dens, level, first=0):
+        tried.append(level)
+        return inner(game, nums, dens, level, first)
+
+    monkeypatch.setattr(solve_module, "_snap_fixed_point", recorded)
     report = solve(game, "vi")
     assert (report.values, report.iterations) == _reference_vi_stop(game)
-    cycle = [Fraction(2, 3), Fraction(1, 3)]
-    assert report.values == ValueVector([HALF] * (chain + 1) + cycle + [0, 1])
-    assert report.iterations == chain + 2
+    cycle_values = [Fraction(2, 3), Fraction(1, 3)]
+    assert report.values == ValueVector([1] * (chains * length) + cycle_values + [0, 1])
+    assert report.iterations == length + 1
+    assert tried == [2]
+
+
+@pytest.mark.parametrize("weights", [(1, 1, 1), (1, 1, 8)], ids=["1:1:1", "1:1:8"])
+def test_in_place_sweeps_lie_between_jacobi_iterates_and_the_value(weights):
+    # the inequality behind the vi route's last try: after k in-place
+    # sweeps in layer order the grid iterate is at least the k-th
+    # iterate of vi_iterates (the Jacobi loop on the same grid) and at
+    # most the exact value, so it is at least as close to the value;
+    # both sides are compared as grid integers, the value rounded down
+    for n in (8, 16, 24, 40):
+        for seed in range(2):
+            game = random_game(n, weights, seed=seed, require_stopping=True)
+            one = 1 << solve_module._grid_setup(n, None)[1]
+
+            def grid(x):
+                return x.numerator * one // x.denominator
+
+            value = [grid(x) for x in solve(game, "hk").values.components]
+            layers = stopping_layers(game)
+            order = sorted(game.interior, key=layers.__getitem__)
+            in_place = solve_module.kernels.ordered_sweeps(
+                game, order, one, solve_module.DEFAULT_MAX_ITERS
+            )
+            jacobi = islice(vi_iterates(game), 1, None)
+            for sweeps, (jac, (z, _gain)) in enumerate(zip(jacobi, in_place), 1):
+                for u, (c, x) in enumerate(zip(jac.components, z[1:])):
+                    assert grid(c) <= x <= value[u], (n, seed, sweeps, u + 1)
+            assert solve(game, "vi").iterations <= value_iteration(game)[1]
 
 
 def test_vi_method_on_a_value_no_coarse_level_holds():
@@ -873,7 +938,7 @@ def test_vi_method_on_a_value_no_coarse_level_holds():
 @pytest.mark.parametrize(
     "n, weights",
     [pytest.param(n, (1, 1, 1), id=str(n)) for n in (16, 24, 40, 60, 100)]
-    + [pytest.param(n, (1, 1, 8), id=f"1:1:8-{n}") for n in (60, 80, 100)],
+    + [pytest.param(n, (1, 1, 8), id=f"1:1:8-{n}") for n in (60, 80, 100, 150)],
 )
 def test_vi_agrees_with_hk_above_n8(n, weights):
     for seed in range(3):
@@ -1252,7 +1317,8 @@ def pinned_grid():
 def test_solve_answers_are_pinned():
     # Exact values are unique, and strategies and certificates are read
     # off them, so a change to how a route finds the values must leave
-    # all of these unchanged; hk's iteration count may move with its start
+    # all of these unchanged; the iteration counts of hk and vi may move
+    # with their sweeps
     answers, iterations = hashlib.sha256(), hashlib.sha256()
     routes = set()
     for game in pinned_grid():
@@ -1271,8 +1337,8 @@ def test_solve_answers_are_pinned():
                 [str(x) for x in cert.z.components],
                 cert.sigma.picks,
             )).encode())
-            if report.method != "hk":
+            if report.method not in ("hk", "vi"):
                 iterations.update(repr((report.method, report.iterations)).encode())
     assert routes == {"avg-free", "lp", "hk", "transform", "vi"}
     assert answers.hexdigest() == "1c1c7ac20ccdef7837b2770c10a5dc9201b97471b0c48f88a16773f8d768fa1c"
-    assert iterations.hexdigest() == "2a9689fd01ac1e2c9a0389b61f28035af31beecae24a53ee8dacca2761f5f0d1"
+    assert iterations.hexdigest() == "3b5ae0609f3d05febde374f41d8d7e1f4d55b7582b32928147011a21e90a1c0b"
