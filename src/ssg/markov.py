@@ -415,6 +415,7 @@ def mc_estimate(
         max_steps = 4096 * game.n
     if max_steps < 1:
         raise PreconditionError(f"max_steps must be positive, got {max_steps}")
-    layout = kernels.sweep_layout(rg, 1)
-    hits, truncated = kernels.mc_run(layout, layout.rank[start - 1], plays, max_steps, seed)
+    pairs = [None] + [(s[0], s[-1]) for s in map(rg.successors, game.interior)]
+    avg = [False] + [kind is VertexKind.AVG for kind in game.kinds[:-2]]
+    hits, truncated = kernels.mc_run(pairs, avg, start, plays, max_steps, seed)
     return MCEstimate(hits=hits, plays=plays, truncated=truncated)

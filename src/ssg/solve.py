@@ -5,7 +5,7 @@ the fixed point of the one-step update operator (max/min of children at
 player vertices, mean at avg vertices) that agrees with the reachable
 absorption probabilities. Methods:
 
-  value_iteration  approximate, iterates the operator from zero
+  value_iteration  approximate, sweeps the operator in place from zero
   avg_free_run     exact max attractor of the 1-sink, for games without chance
   hoffman_karp     exact strategy improvement for stopping games
   (LP)             exact simplex when one player has no choices
@@ -33,9 +33,9 @@ hoffman_karp starts that loop from the greedy picks of a few integer
 value-iteration sweeps (_vi_guess), which on most stopping games are
 already optimal, so one exact evaluation confirms them; the transform
 starts at all-left picks, where the guess at lam < 1 saves
-evaluations but not time. The sweeps run in place, in the layer order
-of the stopping test's attractor, which hoffman_karp computes once
-for both jobs.
+evaluations but not time. Every value-iteration loop is
+kernels.ordered_sweeps, in place, in the layer order of the stopping
+test's attractor, which hoffman_karp computes once for both jobs.
 
 Random games are bimodal: many have every vertex worth exactly 0 or 1.
 The lp route and the transform therefore start with the qualitative
@@ -49,14 +49,13 @@ measured no gain there.
 
 The vi route sweeps value iteration on a stopping game, where T has one
 fixed point, so any snapped iterate with T z = z is the value whatever
-denominator bound it was snapped to. Like the hk start guess, it
-sweeps in place in the stopping attractor's layer order, which its
-stopping test computes once; value_iteration and vi_iterates keep the
-synchronous (Jacobi) sweeps of the kind-sorted layout. It tries each
-coarser bound 4**k, k < n, once, as soon as the sweep gain says the
-iterate could lie within half of that level's spacing, before the
-bound 4**n that holds every vertex value; random games have values far
-coarser than 4**n, and each try snaps every distinct value once.
+denominator bound it was snapped to. Like the hk start guess and
+value_iteration, it sweeps in place in the stopping attractor's layer
+order, which its stopping test computes once. It tries each coarser
+bound 4**k, k < n, once, as soon as the sweep gain says the iterate
+could lie within half of that level's spacing, before the bound 4**n
+that holds every vertex value; random games have values far coarser
+than 4**n, and each try snaps every distinct value once.
 
 Strategies and certificates share one qualitative engine,
 markov.attractor, run over the tight edges of a value vector z: both
@@ -298,13 +297,12 @@ def _grid_setup(n: int, epsilon: Union[Fraction, None]):
 
 
 def _vi_setup(game: Game, epsilon: Union[Fraction, None], max_iters: int):
-    """Check value-iteration arguments and lay out the sweep inputs;
-    returns (eps, one, thr, layout) with one = 2**K."""
+    """Check value-iteration arguments; returns (eps, one, thr, order)
+    with one = 2**K and order the sweep order, _layer_order."""
     if max_iters < 1:
         raise PreconditionError(f"max_iters must be positive, got {max_iters}")
     eps, bits, thr = _grid_setup(game.n, epsilon)
-    one = 1 << bits
-    return eps, one, thr, kernels.sweep_layout(ReducedGame(game), one)
+    return eps, 1 << bits, thr, _layer_order(game, stopping_layers(game))
 
 
 def value_iteration(
@@ -317,12 +315,16 @@ def value_iteration(
 
     Runs on a fixed-point integer grid with averages rounded down, so
     iterates are exactly monotone nondecreasing and never exceed the
-    true fixed point. Returns (approximation, productive sweeps), where
-    a sweep is productive if it changed anything. Raises
-    NonConvergenceError (with partial values attached) at max_iters.
+    true fixed point. Sweeps run in place in _layer_order
+    (kernels.vi_run) and stop at the first whose gain, the sum of the
+    increases, is at most epsilon; the gain bounds the synchronous
+    residual from above (see _vi_solve). Returns (approximation,
+    productive sweeps), where a sweep is productive if it changed
+    anything. Raises NonConvergenceError (with partial values
+    attached) at max_iters.
     """
-    eps, one, thr, layout = _vi_setup(game, epsilon, max_iters)
-    ints, productive, converged = kernels.vi_run(layout, thr, max_iters)
+    eps, one, thr, order = _vi_setup(game, epsilon, max_iters)
+    ints, productive, converged = kernels.vi_run(game, order, one, thr, max_iters)
     values = ValueVector(Fraction(x, one) for x in ints)
     if not converged:
         raise NonConvergenceError(
@@ -339,13 +341,19 @@ def vi_iterates(
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> Iterator[ValueVector]:
     """Iterate over the start vector and every sweep result, stopping
-    where value_iteration would stop. Same sweep loop, so the last
-    vector equals value_iteration's result exactly. Arguments are
-    checked at the call, before the first vector is drawn."""
-    _eps, one, thr, layout = _vi_setup(game, epsilon, max_iters)
-    swept = (v for v, _gain, _converged in kernels.sweeps(layout, thr, max_iters))
-    vectors = chain([layout.start()], swept)
-    return (ValueVector(Fraction(x, one) for x in layout.in_vertex_order(v)) for v in vectors)
+    where value_iteration would stop. Same sweeps, so the last vector
+    equals value_iteration's result exactly. Arguments are checked at
+    the call, before the first vector is drawn."""
+    _eps, one, thr, order = _vi_setup(game, epsilon, max_iters)
+
+    def vectors():
+        yield [one if v == game.sink1 else 0 for v in game.vertices]
+        for z, gain in kernels.ordered_sweeps(game, order, one, max_iters):
+            yield z[1:]
+            if gain <= thr:
+                return
+
+    return (ValueVector(Fraction(x, one) for x in v) for v in vectors())
 
 
 def avg_free_run(game: Game) -> tuple[ValueVector, int]:
@@ -441,9 +449,10 @@ def _start_strategies(game: Game) -> tuple[Strategy, Strategy]:
 
 def _layer_order(game: Game, layers: dict[int, int]) -> list[int]:
     """The interior vertices in increasing layer of the stopping
-    attractor layers (markov.stopping_layers), ties by id: the sweep
-    order of _vi_guess and _vi_solve."""
-    return sorted(game.interior, key=layers.__getitem__)
+    attractor layers (markov.stopping_layers), ties by id, and the
+    vertices it misses, on games that are not stopping, last by id:
+    the sweep order of every value-iteration loop."""
+    return sorted(game.interior, key=lambda v: layers.get(v, game.n))
 
 
 def _vi_guess(game: Game, layers: dict[int, int]) -> tuple[Strategy, Strategy]:

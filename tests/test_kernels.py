@@ -1,12 +1,12 @@
-"""The integer sweep loop and the counting rollout, both on a game's layout.
+"""The integer sweep loop and the counting rollout, both on vertex ids.
 
 Sweeps must follow the fixed-point operator exactly, on any grid width
-and any order of vertex kinds, and stop by the same rule as the
-per-vertex loop written out in this file. Rollouts must be reproducible
-per seed, count plays that start on a sink, and land within five
-standard deviations of the exact odds of reaching the 1-sink and of
-being truncated, computed here in rationals; so must the per-play
-numpy rollout written out here.
+and in any order, and stop by the same rule as the per-vertex in-place
+loop written out in this file. Rollouts must be reproducible per seed,
+count plays that start on a sink, and land within five standard
+deviations of the exact odds of reaching the 1-sink and of being
+truncated, computed here in rationals; so must the per-play numpy
+rollout written out here.
 """
 
 import math
@@ -17,49 +17,57 @@ import numpy as np
 
 from ssg import kernels
 from ssg.fixtures import GAME_B
-from ssg.markov import ReducedGame, reduce_game
+from ssg.markov import ReducedGame, reduce_game, stopping_layers
+from ssg.solve import _layer_order
 import ssg
 
 MAX, MIN, AVG = ssg.VertexKind.MAX, ssg.VertexKind.MIN, ssg.VertexKind.AVG
 
 
+def _order(game):
+    return _layer_order(game, stopping_layers(game))
+
+
 def _vi(game, one, thr, max_iters):
-    return kernels.vi_run(kernels.sweep_layout(ReducedGame(game), one), thr, max_iters)
+    return kernels.vi_run(game, _order(game), one, thr, max_iters)
 
 
-def sweep_ints(game, v, one):
-    """One synchronous sweep, vertex by vertex, in vertex order."""
-    out = []
-    for u in game.vertices:
+def sweep_in_place(game, z, order):
+    """One in-place sweep, vertex by vertex, in order; z is in vertex
+    order from vertex 1, and each vertex reads its children's current
+    entries."""
+    for u in order:
+        a, b = (z[c - 1] for c in game.children_of(u))
         kind = game.kind(u)
-        if kind is ssg.VertexKind.SINK0:
-            out.append(0)
-            continue
-        if kind is ssg.VertexKind.SINK1:
-            out.append(one)
-            continue
-        a, b = (v[c - 1] for c in game.children_of(u))
         if kind is MAX:
-            out.append(a if a > b else b)
+            z[u - 1] = a if a > b else b
         elif kind is MIN:
-            out.append(a if a < b else b)
+            z[u - 1] = a if a < b else b
         else:
-            out.append((a + b) >> 1)
-    return out
+            z[u - 1] = (a + b) >> 1
 
 
-def _reference_run(game, one, thr, max_iters):
-    """The sweep loop written out: (values, productive sweeps, converged)."""
-    v = [0] * (game.n - 1) + [one]
+def _reference_run(game, order, one, thr, max_iters):
+    """The sweep loop written out: (values, productive sweeps, converged),
+    stopping at the first sweep whose gain (sum increase) is at most thr."""
+    z = [0] * (game.n - 1) + [one]
     productive = 0
     for _ in range(max_iters):
-        new = sweep_ints(game, v, one)
-        res = max(b - a for a, b in zip(v, new))
-        productive += res > 0
-        v = new
-        if res <= thr:
-            return v, productive, True
-    return v, productive, False
+        before = sum(z)
+        sweep_in_place(game, z, order)
+        gain = sum(z) - before
+        productive += gain > 0
+        if gain <= thr:
+            return z, productive, True
+    return z, productive, False
+
+
+def _walk(rg):
+    """The successor pairs and avg flags mc_run walks, by vertex id."""
+    game = rg.game
+    pairs = [None] + [(s[0], s[-1]) for s in map(rg.successors, game.interior)]
+    avg = [False] + [game.kind(v) is AVG for v in game.interior]
+    return pairs, avg
 
 
 def test_backend_is_python():
@@ -81,35 +89,33 @@ def test_avg_rounds_down():
     # avg1 = avg(sink0, sink1), avg2 = avg(avg1, sink1); exact 5/2 and 15/4
     one = 5
     game = ssg.build_game(4, 1, [(1, "avg", 3, 4), (2, "avg", 1, 4)])
-    assert _vi(game, one, 0, 1) == ([2, 2, 0, 5], 1, False)
-    assert _vi(game, one, 0, 9) == ([2, 3, 0, 5], 2, True)
-
-
-def test_start_vector_pins_sinks():
-    game = ssg.build_game(6, 1, [(1, "avg", 2, 5), (2, "max", 3, 6), (3, "min", 4, 1), (4, "max", 1, 5)])
-    layout = kernels.sweep_layout(ReducedGame(game), 64)
-    # positions: max 2 and 4, min 3, avg 1, then the sinks 5 and 6
-    assert layout.rank == [3, 0, 2, 1, 4, 5]
-    assert (layout.maxs, layout.mins, layout.avgs) == ([(2, 5), (3, 4)], [(1, 3)], [(0, 4)])
-    assert layout.start() == [0, 0, 0, 0, 0, 64]
-    assert layout.in_vertex_order([10, 20, 30, 40, 0, 64]) == [40, 10, 30, 20, 0, 64]
-    # a fixed strategy leaves one successor, which fills both slots
-    sigma = ssg.Strategy.of(MAX, {2: 6, 4: 1})
-    tau = ssg.Strategy.of(MIN, {3: 4})
-    layout = kernels.sweep_layout(reduce_game(game, tau, sigma), 1)
-    assert (layout.maxs, layout.mins, layout.avgs) == ([(5, 5), (3, 3)], [(1, 1)], [(0, 4)])
+    # in layer order 1, 2 avg2 reads the new avg1 in the same sweep
+    assert _order(game) == [1, 2]
+    assert _vi(game, one, 0, 1) == ([2, 3, 0, 5], 1, False)
+    assert _vi(game, one, 0, 9) == ([2, 3, 0, 5], 1, True)
+    # in the order 2, 1 it reads the old one and takes a second sweep
+    assert kernels.vi_run(game, [2, 1], one, 0, 1) == ([2, 2, 0, 5], 1, False)
+    assert kernels.vi_run(game, [2, 1], one, 0, 9) == ([2, 3, 0, 5], 2, True)
 
 
 def test_vi_run_matches_object_loop():
     games = [GAME_B, ssg.random_game(12, seed=3, require_stopping=True)]
     games += [ssg.random_game(n, seed=s, require_stopping=True) for n in (20, 40) for s in (0, 1)]
     games += [ssg.random_game(16, w, seed=5) for w in ((1, 0, 1), (0, 1, 1), (1, 1, 8))]
+    # not stopping: the stopping attractor misses the max/min cycle 1, 2,
+    # so the order sweeps them last, after the avg cycle 4 -> 3 -> 1
+    rows = [(1, "max", 2, 3), (2, "min", 1, 5), (3, "avg", 1, 4), (4, "avg", 3, 6)]
+    loopy = ssg.build_game(6, 1, rows)
+    assert _order(loopy) == [4, 3, 1, 2]
+    games.append(loopy)
     for game in games:
+        order = _order(game)
         for bits in (20, 60, 61, 140):
             one = 1 << bits
             for thr in (0, one >> 24, one >> 4):
                 for max_iters in (1, 7, 500):
-                    assert _vi(game, one, thr, max_iters) == _reference_run(game, one, thr, max_iters)
+                    want = _reference_run(game, order, one, thr, max_iters)
+                    assert kernels.vi_run(game, order, one, thr, max_iters) == want
 
 
 def _reference_rollout(rg, start, plays, max_steps, seed):
@@ -210,11 +216,11 @@ def test_mc_run_matches_exact_odds():
             (reduce_game(loopy, *_random_strategies(loopy, n)), (1, 2, 3, 64, 512)),
         ]
         for rg, steps in cases:
-            layout = kernels.sweep_layout(rg, 1)
+            walk = _walk(rg)
             for start in (rg.game.start, rg.game.sink0, rg.game.sink1):
                 for max_steps in steps:
                     for plays, seed in ((1500, n), (200_000, 1000 + n)):
-                        got = kernels.mc_run(layout, layout.rank[start - 1], plays, max_steps, seed)
+                        got = kernels.mc_run(*walk, start, plays, max_steps, seed)
                         _assert_exact_odds(rg, start, plays, max_steps, got)
                     got = _reference_rollout(rg, start, 1500, max_steps, n)
                     _assert_exact_odds(rg, start, 1500, max_steps, got)
@@ -223,15 +229,15 @@ def test_mc_run_matches_exact_odds():
 def test_mc_run_counts_moves_along_an_avg_chain():
     # 1 -> 2 -> 3 -> 0-sink, each avg vertex with a coin to the 1-sink
     rg = ReducedGame(ssg.build_game(5, 1, [(1, "avg", 2, 5), (2, "avg", 3, 5), (3, "avg", 4, 5)]))
-    layout = kernels.sweep_layout(rg, 1)
+    walk = _walk(rg)
     half, quarter = Fraction(1, 2), Fraction(1, 4)
     for max_steps, odds in ((1, (half, half)), (2, (3 * quarter, quarter)), (3, (Fraction(7, 8), 0))):
         assert tuple(p[0] for p in _exact_odds(rg, max_steps)) == odds
-        got = kernels.mc_run(layout, layout.rank[0], 200_000, max_steps, max_steps)
+        got = kernels.mc_run(*walk, 1, 200_000, max_steps, max_steps)
         _assert_exact_odds(rg, 1, 200_000, max_steps, got)
     # one move splits 64 plays by independent coins: hits have variance
     # 16, and 200 seeds put the sample variance within 5 SE of it
-    hits = [kernels.mc_run(layout, layout.rank[0], 64, 1, seed)[0] for seed in range(200)]
+    hits = [kernels.mc_run(*walk, 1, 64, 1, seed)[0] for seed in range(200)]
     mean = sum(hits) / len(hits)
     var = sum((h - mean) ** 2 for h in hits) / (len(hits) - 1)
     assert 8 < var < 24
@@ -244,21 +250,21 @@ def test_mc_run_is_exact_off_avg_vertices():
     edges += [(4, "max", 5, 6), (5, "min", 4, 6), (6, "avg", 7, 8)]
     sigma = ssg.Strategy.of(MAX, {1: 2, 3: 8, 4: 5})
     tau = ssg.Strategy.of(MIN, {2: 3, 5: 4})
-    layout = kernels.sweep_layout(reduce_game(ssg.build_game(8, 1, edges), tau, sigma), 1)
+    walk = _walk(reduce_game(ssg.build_game(8, 1, edges), tau, sigma))
     for max_steps in range(1, 8):
         ended = (300, 0) if max_steps >= 3 else (0, 300)
-        assert kernels.mc_run(layout, layout.rank[0], 300, max_steps, 0) == ended
-        assert kernels.mc_run(layout, layout.rank[3], 300, max_steps, 0) == (0, 300)
+        assert kernels.mc_run(*walk, 1, 300, max_steps, 0) == ended
+        assert kernels.mc_run(*walk, 4, 300, max_steps, 0) == (0, 300)
 
 
 def test_mc_run_deterministic_per_seed():
-    layout = kernels.sweep_layout(ReducedGame(GAME_B), 1)
-    a = kernels.mc_run(layout, 0, 5000, 4096, 42)
-    b = kernels.mc_run(layout, 0, 5000, 4096, 42)
+    walk = _walk(ReducedGame(GAME_B))
+    a = kernels.mc_run(*walk, 1, 5000, 4096, 42)
+    b = kernels.mc_run(*walk, 1, 5000, 4096, 42)
     assert a == b
 
 
 def test_mc_run_counts_immediate_sinks():
-    layout = kernels.sweep_layout(ReducedGame(ssg.build_game(2, 2, [])), 1)
-    assert kernels.mc_run(layout, 1, 100, 16, 0) == (100, 0)
-    assert kernels.mc_run(layout, 0, 100, 16, 0) == (0, 0)
+    walk = _walk(ReducedGame(ssg.build_game(2, 2, [])))
+    assert kernels.mc_run(*walk, 2, 100, 16, 0) == (100, 0)
+    assert kernels.mc_run(*walk, 1, 100, 16, 0) == (0, 0)

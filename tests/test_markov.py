@@ -1,5 +1,6 @@
 """Reductions, the linear system, exact chain solving, stopping tests."""
 
+import hashlib
 from fractions import Fraction
 from itertools import combinations, product
 from random import Random
@@ -25,6 +26,7 @@ from ssg import (
     reduce_game,
     ReducedGame,
     sink_reachable_set,
+    solve,
     solve_value_vector,
     zero_one_sets,
 )
@@ -233,6 +235,35 @@ def test_mc_estimate_validates_arguments():
         with pytest.raises(PreconditionError):
             mc_estimate(rg, plays=10, seed=seed)
     assert mc_estimate(rg, start=3, plays=10, seed=2**32 - 1).hits == 10
+
+
+def test_mc_estimate_counts_are_pinned():
+    # A seed fixes the counts, so a change to how mc_estimate walks a
+    # reduced game must leave every one unchanged: stopping games under
+    # optimal strategies, as the approx benchmark plays them, and games
+    # under random strategies whose plays some short max_steps cut off
+    digest = hashlib.sha256()
+    cases = []
+    for n, weights in ((20, (1, 1, 1)), (20, (1, 1, 8)), (12, (1, 1, 8))):
+        for seed in range(70):
+            game = random_game(n, weights, seed=seed, require_stopping=True)
+            report = solve(game, "hk")
+            cases.append((reduce_game(game, report.tau, report.sigma), 4000, None))
+    for seed in range(90):
+        game = random_game(16, seed=seed)
+        rng = Random(seed)
+        tau, sigma = (
+            Strategy.of(k, {v: rng.choice(game.children_of(v)) for v in game.vertices_of_kind(k)})
+            for k in (VertexKind.MIN, VertexKind.MAX)
+        )
+        cases.append((reduce_game(game, tau, sigma), 500, 1 + seed % 16))
+    truncated = 0
+    for seed, (rg, plays, max_steps) in enumerate(cases):
+        est = mc_estimate(rg, plays=plays, seed=seed, max_steps=max_steps)
+        truncated += est.truncated > 0
+        digest.update(repr((est.hits, est.truncated)).encode())
+    assert truncated >= 20
+    assert digest.hexdigest() == "a21a49b4c8ce51ea5240f957274411bfccc570c45bbff19ff4d220e9d27b525a"
 
 
 def test_deterministic_game_chain():

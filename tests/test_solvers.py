@@ -894,32 +894,79 @@ def test_vi_method_tries_the_highest_level_a_sweep_passes(monkeypatch):
     assert tried == [2]
 
 
+def _jacobi_iterates(game, one, thr):
+    """Synchronous (Jacobi) sweeps written out on the grid of one: every
+    vertex reads its children's values from before the sweep, means
+    rounded down. Yields each iterate as grid integers in vertex order,
+    up to the first sweep whose largest increase is at most thr."""
+    z = [0] * (game.n - 1) + [one]
+    while True:
+        new = list(z)
+        for v in game.interior:
+            a, b = (z[c - 1] for c in game.children_of(v))
+            kind = game.kind(v)
+            if kind is VertexKind.MAX:
+                new[v - 1] = max(a, b)
+            elif kind is VertexKind.MIN:
+                new[v - 1] = min(a, b)
+            else:
+                new[v - 1] = (a + b) >> 1
+        residual = max(x - y for x, y in zip(new, z))
+        z = new
+        yield z
+        if residual <= thr:
+            return
+
+
 @pytest.mark.parametrize("weights", [(1, 1, 1), (1, 1, 8)], ids=["1:1:1", "1:1:8"])
 def test_in_place_sweeps_lie_between_jacobi_iterates_and_the_value(weights):
     # the inequality behind the vi route's last try: after k in-place
     # sweeps in layer order the grid iterate is at least the k-th
-    # iterate of vi_iterates (the Jacobi loop on the same grid) and at
-    # most the exact value, so it is at least as close to the value;
-    # both sides are compared as grid integers, the value rounded down
+    # Jacobi iterate on the same grid and at most the exact value, so
+    # it is at least as close to the value; both sides are compared as
+    # grid integers, the value rounded down
     for n in (8, 16, 24, 40):
         for seed in range(2):
             game = random_game(n, weights, seed=seed, require_stopping=True)
-            one = 1 << solve_module._grid_setup(n, None)[1]
-
-            def grid(x):
-                return x.numerator * one // x.denominator
-
-            value = [grid(x) for x in solve(game, "hk").values.components]
+            _eps, bits, thr = solve_module._grid_setup(n, None)
+            one = 1 << bits
+            value = [x.numerator * one // x.denominator for x in solve(game, "hk").values.components]
             layers = stopping_layers(game)
             order = sorted(game.interior, key=layers.__getitem__)
             in_place = solve_module.kernels.ordered_sweeps(
                 game, order, one, solve_module.DEFAULT_MAX_ITERS
             )
-            jacobi = islice(vi_iterates(game), 1, None)
+            jacobi = _jacobi_iterates(game, one, thr)
             for sweeps, (jac, (z, _gain)) in enumerate(zip(jacobi, in_place), 1):
-                for u, (c, x) in enumerate(zip(jac.components, z[1:])):
-                    assert grid(c) <= x <= value[u], (n, seed, sweeps, u + 1)
+                for u, (c, x) in enumerate(zip(jac, z[1:])):
+                    assert c <= x <= value[u], (n, seed, sweeps, u + 1)
             assert solve(game, "vi").iterations <= value_iteration(game)[1]
+
+
+# The sets value_iteration was measured on when it moved onto the
+# in-place sweeps: (games, n, weights, stopping required). The two
+# sets drawn without the stopping requirement hold 1 and 16 stopping
+# games.
+VI_SETS = [
+    pytest.param(100, 20, (1, 1, 1), True, id="stopping-1:1:1-n20"),
+    pytest.param(20, 40, (1, 1, 8), True, id="stopping-1:1:8-n40"),
+    pytest.param(20, 30, (1, 1, 1), False, id="drawn-1:1:1-n30"),
+    pytest.param(20, 30, (1, 1, 8), False, id="drawn-1:1:8-n30"),
+]
+
+
+@pytest.mark.parametrize("count, n, weights, stopping", VI_SETS)
+def test_value_iteration_lies_within_epsilon_below_the_value(count, n, weights, stopping):
+    # value_iteration stops at the first in-place sweep whose gain is
+    # at most epsilon; its iterate never exceeds the value, and on
+    # these games it stopped within default_epsilon(n) of it
+    eps = default_epsilon(n)
+    for seed in range(count):
+        game = random_game(n, weights, seed=seed, require_stopping=stopping)
+        value = solve(game).values
+        approx, _sweeps = value_iteration(game)
+        assert approx.leq(value), seed
+        assert approx.gap(value) <= eps, seed
 
 
 def test_vi_method_on_a_value_no_coarse_level_holds():
