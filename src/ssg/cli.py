@@ -77,6 +77,15 @@ def _non_negative_int_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}") from None
 
 
+def _approx_arg(text: str) -> int:
+    # _decimal's str(int) stops at Python's digit limit (0 or absent: none)
+    digits, limit = _non_negative_int_arg(text), getattr(sys, "get_int_max_str_digits", int)()
+    if limit and digits > limit:
+        raise argparse.ArgumentTypeError(
+            f"expected at most {limit} digits, Python's int-to-str limit, got {text!r}")
+    return digits
+
+
 def _weights_arg(text: str) -> tuple[int, int, int]:
     try:
         a, b, c = (ascii_int(part, signed=False) for part in text.split(":"))
@@ -530,7 +539,7 @@ def _build_parser() -> argparse.ArgumentParser:
     valued = argparse.ArgumentParser(add_help=False, parents=[common])
     valued.add_argument(
         "--approx",
-        type=_non_negative_int_arg,
+        type=_approx_arg,
         metavar="DIGITS",
         help="append a decimal rendering with this many digits",
     )

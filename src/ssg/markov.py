@@ -15,7 +15,8 @@ pair. It also takes an edge weight lam, solving v = lam (Q v + b): at
 lam = 1 for Hoffman-Karp and the brute-force oracle, and at the chain
 factor lam = 1 - 2**-(c*n) for the stopping transform, whose companion
 game contracts to the original vertices with that weight on every edge.
-A pick chain of k edges then carries the weight lam**k.
+A pick chain of k edges then carries the weight lam**k, and every lam
+keeps the same rows.
 
 attractor is the package's one qualitative engine: the linear-time
 attractor of a reachability game (Condon 1992). The stopping test, the
@@ -216,13 +217,12 @@ def solve_value_vector(rg: ReducedGame, lam: Fraction = Fraction(1)) -> ValueVec
     of player vertices never reaches a sink, so one memoised pass over
     the vertices records its end as the 0-sink.
 
-    lam = 1 gives the absorption probabilities into the 1-sink. There
-    an avg vertex with no path to the 1-sink is worth 0, and its row
-    could make the system singular, so the rows are the avg vertices
-    in the attractor of the 1-sink over the contracted view, where an
-    avg vertex's successors are its children's chain ends. For lam < 1
-    every row is strictly diagonally dominant, so every avg vertex
-    gets one and closed cycles solve to 0 on their own.
+    lam = 1 gives the absorption probabilities into the 1-sink. At any
+    lam an avg vertex with no path to the 1-sink is worth 0, and at
+    lam = 1 its row could make the system singular, so the rows are the
+    avg vertices in the attractor of the 1-sink over the contracted
+    view, where an avg vertex's successors are its children's chain
+    ends; for lam < 1 they are also strictly diagonally dominant.
 
     With lam = p/q, avg vertex a with chain ends (tx, kx) and (ty, ky)
     and K = max(kx, ky) has the integer row
@@ -260,13 +260,9 @@ def solve_value_vector(rg: ReducedGame, lam: Fraction = Fraction(1)) -> ValueVec
         for u in reversed(path):
             k += 1
             ends[u] = (t, k)
-    if p == q:
-        arms = {a: (ends[x][0], ends[y][0]) for a in avg for x, y in (game.children[a - 1],)}
-        live = attractor(_ChainView(game, arms), (sink1,), ())
-        unknowns = [a for a in avg if a in live]
-    else:
-        live = {sink1, *avg}
-        unknowns = avg
+    arms = {a: (ends[x][0], ends[y][0]) for a in avg for x, y in (game.children[a - 1],)}
+    live = attractor(_ChainView(game, arms), (sink1,), ())
+    unknowns = [a for a in avg if a in live]
 
     rows: dict[int, dict[int, int]] = {}
     for a in unknowns:
@@ -276,9 +272,7 @@ def solve_value_vector(rg: ReducedGame, lam: Fraction = Fraction(1)) -> ValueVec
         row = {a: 2 * q ** (top + 1)}
         for t, k in (ex, ey):
             if t in live:
-                # no diagonal cancels: both ends at a leave 2q**(K+1)
-                # minus both weights > 0, except at lam = 1, where a
-                # cannot reach the 1-sink
+                # no diagonal cancels: a live a has an end besides itself
                 row[t] = row.get(t, 0) - p ** (k + 1) * q ** (top - k)
         rows[a] = row
 

@@ -29,13 +29,13 @@ half the value separation at every n, so snap-back is exact; the
 transform and the vi route snap and test T z = z through one integer
 helper, _snap_fixed_point. Both players run one policy-iteration
 loop, _improve; min's reply switches only on a strict improvement.
-hoffman_karp starts that loop from the greedy picks of a few integer
-value-iteration sweeps (_vi_guess), which on most stopping games are
-already optimal, so one exact evaluation confirms them; the transform
-starts at all-left picks, where the guess at lam < 1 saves
-evaluations but not time. Every value-iteration loop is
-kernels.ordered_sweeps, in place, in the layer order of the stopping
-test's attractor, which hoffman_karp computes once for both jobs.
+hoffman_karp and the transform start that loop from the greedy picks
+of a few integer value-iteration sweeps at lam = 1 (_vi_guess), which
+on most stopping games are already optimal, so one exact evaluation
+confirms them, and the two differ in lam only. Every value-iteration
+loop is kernels.ordered_sweeps, in place, in the layer order of the
+stopping test's attractor, which hoffman_karp computes once for both
+jobs; the vertices it misses, on a game the transform solves, go last.
 
 Random games are bimodal: many have every vertex worth exactly 0 or 1.
 The lp route and the transform therefore start with the qualitative
@@ -437,16 +437,6 @@ def _improve(
     raise InternalCheckError(f"{owner.value} policy iteration exceeded its evaluation bound")
 
 
-def _start_strategies(game: Game) -> tuple[Strategy, Strategy]:
-    """The all-left start (tau, sigma) for _strategy_improvement: every
-    player vertex picks its left child."""
-    tau, sigma = (
-        Strategy.of(kind, {v: game.children_of(v)[0] for v in game.vertices_of_kind(kind)})
-        for kind in (VertexKind.MIN, VertexKind.MAX)
-    )
-    return tau, sigma
-
-
 def _layer_order(game: Game, layers: dict[int, int]) -> list[int]:
     """The interior vertices in increasing layer of the stopping
     attractor layers (markov.stopping_layers), ties by id, and the
@@ -456,25 +446,25 @@ def _layer_order(game: Game, layers: dict[int, int]) -> list[int]:
 
 
 def _vi_guess(game: Game, layers: dict[int, int]) -> tuple[Strategy, Strategy]:
-    """Starting strategies (tau, sigma) for hoffman_karp, guessed by
-    in-place (Gauss-Seidel) value-iteration sweeps on a 2**-64 grid,
-    kernels.ordered_sweeps.
+    """Starting strategies (tau, sigma) for _strategy_improvement in
+    hoffman_karp and the transform, guessed by in-place (Gauss-Seidel)
+    value-iteration sweeps on a 2**-64 grid, kernels.ordered_sweeps.
 
     layers is the game's stopping attractor, markov.stopping_layers,
     and the sweeps visit the interior vertices in increasing layer
-    order with ties by id. A vertex joins that attractor one layer
-    after the children that complete its need, so every player vertex
-    reads both its children and every avg vertex at least one of them
-    after they were updated in the same sweep, and values travel from
-    the sinks through the whole game in one sweep.
+    order with ties by id, the vertices it misses last. A vertex joins
+    it one layer after the children that complete its need, so every
+    player vertex reads both its children and every avg vertex at least
+    one of them after they were updated in the same sweep, and values
+    travel from the sinks through the whole game in one sweep.
     Every GUESS_SPACING sweeps each player vertex takes its greedy pick
     under the iterate: a max vertex its right child only if that child
     is worth strictly more, a min vertex only if strictly less, so a
-    tie keeps the left child and a guess taken at the start vector is
-    the all-left start. The guess ends when two checks in a row agree,
+    tie keeps the left child and a guess taken at the start vector
+    picks every left child. The guess ends when two checks in a row agree,
     at the first sweep with gain 0, or after 20n sweeps. The exact loop
-    converges to the optimum from any start on a stopping game, so the
-    guess changes only how many evaluations it takes.
+    converges to the optimum from any start on a stopping game, such as
+    the transform's weighted one, so the guess changes only the work.
     """
     order = _layer_order(game, layers)
     maxs = [(v, *game.children[v - 1]) for v in game.vertices_of_kind(VertexKind.MAX)]
@@ -504,10 +494,10 @@ def _strategy_improvement(
 ) -> tuple[ValueVector, int]:
     """The loop of hoffman_karp on a game whose every edge carries
     weight lam, which must make it stopping, from the starting
-    strategies start = (tau, sigma); returns (optimal values, max's
-    switch rounds). Max runs _improve against min's exact best reply,
-    which is _improve for min against the fixed sigma, started from
-    the previous round's reply."""
+    strategies start = (tau, sigma), _vi_guess's; returns (optimal
+    values, max's switch rounds). Max runs _improve against min's exact
+    best reply, which is _improve for min against the fixed sigma,
+    started from the previous round's reply."""
     tau = start[0]
 
     def min_reply(sigma: Strategy) -> ValueVector:
@@ -642,16 +632,17 @@ def _transform_solve(game: Game) -> tuple[ValueVector, ValueVector, int]:
     """Solve exactly through the stopping companion, in contracted form.
 
     Returns (z, s, improvement rounds). Strategy improvement runs from
-    the all-left start on the original n vertices with every edge
+    hoffman_karp's start on the original n vertices with every edge
     weighted by lam = 1 - 2**-(DEFAULT_C*n), which gives s, the
     companion's exact optimal values there, and z is their snap-back
-    onto the original game's representable values. lam < 1 makes that game stopping, so
-    no stopping test is needed. At DEFAULT_C the transform error stays
+    onto the original game's representable values. lam < 1 makes that
+    game stopping; the stopping attractor, computed again here, only
+    orders the guess's sweeps. At DEFAULT_C the transform error stays
     below half a separation, so the snap and the test T z = z are
     theory-guaranteed, and failing them means a bug, not bad input.
     """
     s, rounds = _strategy_improvement(
-        game, chain_weight(DEFAULT_C * game.n), _start_strategies(game)
+        game, chain_weight(DEFAULT_C * game.n), _vi_guess(game, stopping_layers(game))
     )
     nums = [x.numerator for x in s.components]
     dens = [x.denominator for x in s.components]

@@ -2,6 +2,8 @@
 
 import io
 import json
+import re
+import sys
 
 import pytest
 
@@ -628,6 +630,23 @@ def test_negative_approx_is_usage_error(game_file, capsys, verb, digits):
     code, _, err = run(capsys, *verb, "--approx", digits, game_file(GAME_G))
     assert code == 2
     assert "non-negative integer" in err
+
+
+@pytest.mark.parametrize(
+    "verb", [["solve"], ["value"], ["reduce", "--sigma", "1->3"], ["oracle"]]
+)
+def test_approx_past_the_int_str_limit_is_usage_error(game_file, capsys, verb):
+    # --approx 5000 used to end in a ValueError traceback from str(int)
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("this interpreter prints ints of any length")
+    path = game_file(GAME_G)
+    code, out, err = run(capsys, *verb, "--approx", str(limit + 1), path)
+    assert (code, out) == (2, "")
+    assert f"at most {limit} digits" in err
+    code, out, _ = run(capsys, *verb, "--approx", str(limit), path)
+    assert code == 0
+    assert re.search(rf"~ [01]\.\d{{{limit}}}$", out, re.M)
 
 
 # ------------------------------------------------------------- failures

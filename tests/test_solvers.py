@@ -34,6 +34,7 @@ from ssg import (
     greedy_strategies,
     hoffman_karp,
     is_stopping,
+    lift_strategy,
     random_game,
     reduce_game,
     round_to_value_set,
@@ -62,12 +63,11 @@ from ssg.solve import (
     _improve,
     _is_fixed_point,
     _snap,
-    _start_strategies,
     _strategy_improvement,
     _transform_solve,
     _vi_guess,
 )
-from ssg.stopping import DEFAULT_C
+from ssg.stopping import DEFAULT_C, chain_weight
 from test_markov import every_game, sample_games_on_5_vertices
 
 # the module itself; the package's `solve` attribute is the function
@@ -321,20 +321,54 @@ def test_min_reply_keeps_its_pick_on_a_tie():
     assert (reply, rounds) == (tau, 0)
 
 
-@pytest.mark.parametrize("game", [GAME_F, GAME_G], ids=["GAME_F", "GAME_G"])
-def test_hk_confirms_the_guess_with_one_evaluation(game, monkeypatch):
-    # from the all-left start each game takes 2 evaluations and one max
-    # switch; the vi guess names the optimal sigma, so one evaluation
-    # confirms it and no round is run
+def _start_strategies(game):
+    """The all-left start (tau, sigma) for _strategy_improvement: every
+    player vertex picks its left child."""
+    tau, sigma = (
+        Strategy.of(kind, {v: game.children_of(v)[0] for v in game.vertices_of_kind(kind)})
+        for kind in (VertexKind.MIN, VertexKind.MAX)
+    )
+    return tau, sigma
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """The calls of solve_value_vector made through the solve module,
+    in order."""
     calls = []
     inner = solve_module.solve_value_vector
     monkeypatch.setattr(solve_module, "solve_value_vector", lambda *a: calls.append(a) or inner(*a))
+    return calls
+
+
+@pytest.mark.parametrize("game", [GAME_F, GAME_G], ids=["GAME_F", "GAME_G"])
+def test_hk_confirms_the_guess_with_one_evaluation(game, evaluations):
+    # from the all-left start each game takes 2 evaluations and one max
+    # switch; the vi guess names the optimal sigma, so one evaluation
+    # confirms it and no round is run
     cold = _strategy_improvement(game, Fraction(1), _start_strategies(game))
-    assert (len(calls), cold[1]) == (2, 1)
-    calls.clear()
+    assert (len(evaluations), cold[1]) == (2, 1)
+    evaluations.clear()
     report = hoffman_karp(game)
-    assert (len(calls), report.iterations) == (1, 0)
+    assert (len(evaluations), report.iterations) == (1, 0)
     assert report.values == cold[0]
+
+
+def test_transform_starts_from_the_guess(evaluations):
+    # the transform's loop at the chain factor takes 9 evaluations and
+    # 3 max rounds from the all-left start; from hk's vi guess one
+    # evaluation confirms the optimum
+    game = random_game(32, (1, 1, 1), 0)
+    lam = chain_weight(DEFAULT_C * game.n)
+    cold = _strategy_improvement(game, lam, _start_strategies(game))
+    assert (len(evaluations), cold[1]) == (9, 3)
+    evaluations.clear()
+    report = solve(game)
+    assert report.method == "transform"
+    assert (len(evaluations), report.iterations) == (1, 0)
+    z, s, _rounds = _transform_solve(game)
+    assert s == cold[0]
+    assert z == report.values
 
 
 @pytest.fixture
@@ -1207,11 +1241,13 @@ def _mixed_non_stopping(n, count, seed):
 
 
 def _companion_reference(game, c):
-    """Strategy improvement on the built companion, from the all-left
-    start that the contracted loop also takes: its values at the
-    original vertices, their snap-back, and the round count."""
+    """Strategy improvement on the built companion, from the vi guess
+    on the original game that the contracted loop also takes, lifted
+    onto the companion: its values at the original vertices, their
+    snap-back, and the round count."""
     transformed, record = build_stopping_game(game, c)
-    values, rounds = _strategy_improvement(transformed, Fraction(1), _start_strategies(transformed))
+    start = tuple(lift_strategy(record, x) for x in _vi_guess(game, stopping_layers(game)))
+    values, rounds = _strategy_improvement(transformed, Fraction(1), start)
     s = ValueVector(values[record.mapped(i)] for i in game.vertices)
     z = ValueVector(round_to_value_set(x, game.n) for x in s.components)
     return z, s, rounds
@@ -1365,7 +1401,7 @@ def test_solve_answers_are_pinned():
     # Exact values are unique, and strategies and certificates are read
     # off them, so a change to how a route finds the values must leave
     # all of these unchanged; the iteration counts of hk and vi may move
-    # with their sweeps
+    # with their sweeps, and the transform's with its start
     answers, iterations = hashlib.sha256(), hashlib.sha256()
     routes = set()
     for game in pinned_grid():
@@ -1388,4 +1424,4 @@ def test_solve_answers_are_pinned():
                 iterations.update(repr((report.method, report.iterations)).encode())
     assert routes == {"avg-free", "lp", "hk", "transform", "vi"}
     assert answers.hexdigest() == "1c1c7ac20ccdef7837b2770c10a5dc9201b97471b0c48f88a16773f8d768fa1c"
-    assert iterations.hexdigest() == "3b5ae0609f3d05febde374f41d8d7e1f4d55b7582b32928147011a21e90a1c0b"
+    assert iterations.hexdigest() == "45f6f4456ce49f0ec6467ac4705087e3f23920b1355742b8251e787f3bec253c"
