@@ -10,13 +10,21 @@ when the chain closes a cycle of player vertices. An avg vertex with no
 path to the 1-sink is worth exactly 0, so it gets no row, and the rows
 of the other avg vertices are uniquely solvable.
 
-solve_value_vector is the package's one exact evaluator of a strategy
-pair. It also takes an edge weight lam, solving v = lam (Q v + b): at
-lam = 1 for Hoffman-Karp and the brute-force oracle, and at the chain
-factor lam = 1 - 2**-(c*n) for the stopping transform, whose companion
-game contracts to the original vertices with that weight on every edge.
-A pick chain of k edges then carries the weight lam**k, and every lam
-keeps the same rows.
+The package has one exact evaluator of a strategy pair. Its core,
+_value_pairs, takes the game, a pick array indexed by vertex id (each
+player vertex's chosen child) and an edge weight lam = p/q as two
+integers, solves v = lam (Q v + b), and returns reduced (numerator,
+denominator) pairs in vertex order: at lam = 1 for Hoffman-Karp, and
+at the chain factor lam = 1 - 2**-(c*n) for the stopping transform,
+whose companion game contracts to the original vertices with that
+weight on every edge. A pick chain of k edges then carries the weight
+lam**k, and every lam keeps the same rows. The avg-only system is
+eliminated in Markowitz order through a column-to-rows index (the
+column with the fewest holder rows, then the shortest holder row),
+which keeps the fill-in low on chance-heavy games. solve's
+strategy-improvement loop calls the core on one pick array;
+solve_value_vector is its public wrapper on a ReducedGame, returning a
+ValueVector, for the oracle, the tools and the tests.
 
 attractor is the package's one qualitative engine: the linear-time
 attractor of a reachability game (Condon 1992). The stopping test, the
@@ -30,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Collection, NamedTuple, Union
+from typing import Collection, NamedTuple, Sequence, Union
 
 from . import kernels
 from .exceptions import InternalCheckError, PreconditionError, StrategyError
@@ -184,17 +192,6 @@ def zero_one_sets(game: Game) -> tuple[frozenset[int], frozenset[int]]:
     return zeros, frozenset(ones)
 
 
-def sink_reachable_set(rg: ReducedGame) -> frozenset[int]:
-    """Non-sink vertices with a directed path to either sink."""
-    _require_fully_reduced(rg, "sink_reachable_set")
-    sinks = (rg.game.sink0, rg.game.sink1)
-    return frozenset(attractor(rg, sinks, ())).difference(sinks)
-
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
 class _ChainView(NamedTuple):
     """A fully reduced game with its pick chains contracted, as a
     successor view for attractor: an avg vertex's successors are its
@@ -207,66 +204,55 @@ class _ChainView(NamedTuple):
         return self.arms.get(v, ())
 
 
-def solve_value_vector(rg: ReducedGame, lam: Fraction = Fraction(1)) -> ValueVector:
-    """Exact values of a fully reduced game whose every edge carries
-    weight lam, 0 < lam <= 1: v(i) = lam * (mean of i's successors).
+def _value_pairs(game: Game, picks: Sequence[int], p: int, q: int) -> list[tuple[int, int]]:
+    """The core of solve_value_vector: exact values of game with every
+    player vertex v moving to picks[v] (picks is indexed by vertex id;
+    its other entries are not read) and every edge weighted by
+    lam = p/q, 0 < p <= q, as reduced (numerator, denominator) pairs in
+    vertex order. No argument is checked here; solve_value_vector and
+    the strategy-improvement loop of solve pass valid ones.
 
-    Only the avg vertices are unknowns. A player vertex follows its
-    pick chain to its end t, the first avg vertex or sink on it, k
-    edges on, and is worth lam**k * v(t). A chain that closes a cycle
-    of player vertices never reaches a sink, so one memoised pass over
-    the vertices records its end as the 0-sink.
-
-    lam = 1 gives the absorption probabilities into the 1-sink. At any
-    lam an avg vertex with no path to the 1-sink is worth 0, and at
-    lam = 1 its row could make the system singular, so the rows are the
-    avg vertices in the attractor of the 1-sink over the contracted
-    view, where an avg vertex's successors are its children's chain
-    ends; for lam < 1 they are also strictly diagonally dominant.
-
-    With lam = p/q, avg vertex a with chain ends (tx, kx) and (ty, ky)
-    and K = max(kx, ky) has the integer row
-    2q**(K+1)*v(a) - p**(kx+1)*q**(K-kx)*v(tx) - p**(ky+1)*q**(K-ky)*v(ty) = 0
-    as a sparse dict; ends worth 0 drop out, and the 1-sink's column
-    stays in, as a known value 1. Columns are eliminated in descending
-    vertex id; the pivot is the lowest-numbered remaining row with a
-    nonzero coefficient, which makes the procedure deterministic. A row
-    update cross-multiplies by the two rows' pivot-column entries over
-    their gcd, and each updated row is then divided by the gcd of its
-    entries, which keeps them from growing into full-size minors. On
-    chain-structured games this order keeps the fill-in near zero.
-    Back-substitution carries (numerator, denominator) pairs and makes
-    one Fraction per avg vertex, which the player vertices whose chains
-    end there share at lam = 1.
+    Rows and the (numerator, denominator) back-substitution are those
+    described in solve_value_vector. The pivots follow Markowitz's rule
+    (The elimination form of the inverse, Management Science 3, 1957)
+    through a column-to-rows index: the open column with the fewest
+    holder rows, scanned in id order and taken at once when it has one,
+    then the holder row with the fewest entries, ties to the lower id.
+    The 1-sink's column is a known value and never a pivot.
     """
-    _require_fully_reduced(rg, "solve_value_vector")
-    p, q = lam.numerator, lam.denominator
-    if not 0 < p <= q:
-        raise PreconditionError(f"edge weight lam must lie in (0, 1], got {lam}")
-    game = rg.game
-    kinds = game.kinds
-    sink0, sink1 = game.sink0, game.sink1
-    avg = [v for v in game.interior if kinds[v - 1] is VertexKind.AVG]
-    ends = {v: (v, 0) for v in avg}
+    n = game.n
+    kinds, children = game.kinds, game.children
+    sink0, sink1 = n - 1, n
+    avg_kind = VertexKind.AVG
+    avg = [v for v, kind in zip(game.interior, kinds) if kind is avg_kind]
+    # ends[v] = (t, k): v's pick chain ends at t, an avg vertex or sink,
+    # after k edges; a vertex on the current walk reads (sink0, 0), so a
+    # walk that meets it has closed a cycle of player vertices
+    ends: list = [None] * (n + 1)
+    for v in avg:
+        ends[v] = (v, 0)
     ends[sink0], ends[sink1] = (sink0, 0), (sink1, 0)
-    succ = rg.successors
     for v in game.interior:
+        if ends[v] is not None:
+            continue
         path = []
-        while v not in ends:
-            ends[v] = None  # on the walk: a walk that meets it is in a cycle
+        while ends[v] is None:
+            ends[v] = (sink0, 0)
             path.append(v)
-            v = succ(v)[0]
-        t, k = ends[v] or (sink0, 0)  # None: the walk met a cycle
+            v = picks[v]
+        t, k = ends[v]
         for u in reversed(path):
             k += 1
             ends[u] = (t, k)
-    arms = {a: (ends[x][0], ends[y][0]) for a in avg for x, y in (game.children[a - 1],)}
+    arms = {a: (ends[x][0], ends[y][0]) for a in avg for x, y in (children[a - 1],)}
     live = attractor(_ChainView(game, arms), (sink1,), ())
-    unknowns = [a for a in avg if a in live]
 
+    unknowns = [a for a in avg if a in live]
+    # the open columns in id order, each with the rows that hold it
+    holders = {a: {a} for a in unknowns}
     rows: dict[int, dict[int, int]] = {}
     for a in unknowns:
-        x, y = game.children[a - 1]
+        x, y = children[a - 1]
         ex, ey = ends[x], ends[y]
         top = max(ex[1], ey[1])
         row = {a: 2 * q ** (top + 1)}
@@ -274,20 +260,30 @@ def solve_value_vector(rg: ReducedGame, lam: Fraction = Fraction(1)) -> ValueVec
             if t in live:
                 # no diagonal cancels: a live a has an end besides itself
                 row[t] = row.get(t, 0) - p ** (k + 1) * q ** (top - k)
+                if t != sink1:
+                    holders[t].add(a)
         rows[a] = row
 
-    remaining = unknowns
     pivots: list[tuple[int, int]] = []
-    for col in remaining[::-1]:
-        holders = [r for r in remaining if col in rows[r]]
-        if not holders:
+    while holders:
+        fewest = n
+        for c, rs in holders.items():
+            if len(rs) < fewest:
+                col, fewest = c, len(rs)
+                if fewest <= 1:
+                    break
+        if not fewest:
             raise InternalCheckError(f"singular system at column {col}")
-        prow = holders[0]
-        remaining.remove(prow)
+        others = holders.pop(col)
+        prow = min(others, key=lambda r: (len(rows[r]), r)) if fewest > 1 else others.pop()
+        others.discard(prow)
         pivots.append((col, prow))
         pcoeffs = rows[prow]
         pval = pcoeffs[col]
-        for r in holders[1:]:
+        for c2 in pcoeffs:
+            if c2 != col and c2 != sink1:
+                holders[c2].discard(prow)
+        for r in others:
             rrow = rows[r]
             rval = rrow.pop(col)
             g = gcd(pval, rval)
@@ -295,12 +291,20 @@ def solve_value_vector(rg: ReducedGame, lam: Fraction = Fraction(1)) -> ValueVec
             if fp != 1:
                 rrow = {c2: fp * x2 for c2, x2 in rrow.items()}
             for c2, x2 in pcoeffs.items():
-                if c2 != col:
-                    nv = rrow.get(c2, 0) - fr * x2
-                    if nv:
-                        rrow[c2] = nv
-                    else:
-                        rrow.pop(c2, None)
+                if c2 == col:
+                    continue
+                x2 *= fr
+                old = rrow.get(c2)
+                if old is None:
+                    rrow[c2] = -x2  # fill-in
+                    if c2 != sink1:
+                        holders[c2].add(r)
+                elif old != x2:
+                    rrow[c2] = old - x2
+                else:
+                    del rrow[c2]
+                    if c2 != sink1:
+                        holders[c2].discard(r)
             g = gcd(*rrow.values())
             rows[r] = {c2: x2 // g for c2, x2 in rrow.items()} if g > 1 else rrow
 
@@ -324,28 +328,69 @@ def solve_value_vector(rg: ReducedGame, lam: Fraction = Fraction(1)) -> ValueVec
             g = -g
         values[col] = (num // g, den // g)
 
-    fractions = {t: Fraction(*pair) for t, pair in values.items()}
-    interior = []
-    for v in game.interior:
-        t, k = ends[v]
-        if t not in fractions:
-            interior.append(_ZERO)
-        elif k == 0 or p == q:
-            interior.append(fractions[t])
-        else:
-            num, den = values[t]
-            interior.append(Fraction(p**k * num, q**k * den))
-    return ValueVector(interior + [_ZERO, _ONE])  # the sinks are ids n-1 and n
+    out = []
+    for t, k in ends[1:]:
+        pair = values.get(t, (0, 1))
+        if k and p != q and pair[0]:
+            num, den = pair[0] * p**k, pair[1] * q**k
+            g = gcd(num, den)
+            pair = (num // g, den // g)
+        out.append(pair)
+    return out
 
 
-def in_value_set(x: Fraction, t: int) -> bool:
-    """Whether x can occur as a vertex value of a reduced game whose
-    sink-reaching set has t vertices: a rational p/q in lowest terms
-    with 0 <= p <= q <= 4**t."""
-    if t < 0:
-        raise PreconditionError(f"t must be nonnegative, got {t}")
-    x = Fraction(x)
-    return 0 <= x <= 1 and x.denominator <= 4**t
+def _vector(pairs: list[tuple[int, int]]) -> ValueVector:
+    """The ValueVector of reduced (numerator, denominator) pairs in
+    vertex order, with one Fraction per distinct pair."""
+    fractions = {pair: Fraction(*pair) for pair in set(pairs)}
+    return ValueVector([fractions[pair] for pair in pairs])
+
+
+def solve_value_vector(rg: ReducedGame, lam: Fraction = Fraction(1)) -> ValueVector:
+    """Exact values of a fully reduced game whose every edge carries
+    weight lam, 0 < lam <= 1: v(i) = lam * (mean of i's successors).
+
+    Only the avg vertices are unknowns. A player vertex follows its
+    pick chain to its end t, the first avg vertex or sink on it, k
+    edges on, and is worth lam**k * v(t). A chain that closes a cycle
+    of player vertices never reaches a sink, so one memoised pass over
+    the vertices records its end as the 0-sink.
+
+    lam = 1 gives the absorption probabilities into the 1-sink. At any
+    lam an avg vertex with no path to the 1-sink is worth 0, and at
+    lam = 1 its row could make the system singular, so the rows are the
+    avg vertices in the attractor of the 1-sink over the contracted
+    view, where an avg vertex's successors are its children's chain
+    ends; for lam < 1 they are also strictly diagonally dominant.
+
+    With lam = p/q, avg vertex a with chain ends (tx, kx) and (ty, ky)
+    and K = max(kx, ky) has the integer row
+    2q**(K+1)*v(a) - p**(kx+1)*q**(K-kx)*v(tx) - p**(ky+1)*q**(K-ky)*v(ty) = 0
+    as a sparse dict; ends worth 0 drop out, and the 1-sink's column
+    stays in, as a known value 1. The pivot order is Markowitz's: the
+    open column with the fewest holder rows, then its holder row with
+    the fewest entries, ties to the lower id (see _value_pairs), which
+    keeps the fill-in low on chance-heavy games. A row update
+    cross-multiplies by the two rows' pivot-column entries over their
+    gcd, and each updated row is then divided by the gcd of its
+    entries, which keeps them from growing into full-size minors.
+    Back-substitution carries (numerator, denominator) pairs.
+
+    This wrapper checks the reduced game and lam, reads the picks off
+    rg and runs the core, _value_pairs, which works on a pick array
+    and integer pairs; the strategy-improvement loop of solve calls
+    that core directly. It builds one Fraction per distinct value.
+    """
+    _require_fully_reduced(rg, "solve_value_vector")
+    p, q = lam.numerator, lam.denominator
+    if not 0 < p <= q:
+        raise PreconditionError(f"edge weight lam must lie in (0, 1], got {lam}")
+    game = rg.game
+    picks = [0] * (game.n + 1)
+    for v, kind in zip(game.interior, game.kinds):
+        if kind is not VertexKind.AVG:
+            picks[v] = rg.successors(v)[0]
+    return _vector(_value_pairs(game, picks, p, q))
 
 
 def stopping_layers(game: Game) -> dict[int, int]:

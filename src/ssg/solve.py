@@ -21,18 +21,25 @@ improvement runs on the original n vertices with every edge weighted
 by the chain factor lam = 1 - 2**-(c*n), which gives the companion's
 values s at those n vertices; every chain entry is fixed by its
 target. hoffman_karp and the transform share that loop and its one
-exact evaluator, markov.solve_value_vector, at lam = 1 and at the chain
-factor; it solves for the avg vertices only, and each player vertex
-takes the value at the end of its pick chain. c is fixed at
-stopping.DEFAULT_C = 9, whose transform error 2**(-6n) stays below
-half the value separation at every n, so snap-back is exact; the
-transform and the vi route snap and test T z = z through one integer
-helper, _snap_fixed_point. Both players run one policy-iteration
-loop, _improve; min's reply switches only on a strict improvement.
-hoffman_karp and the transform start that loop from the greedy picks
-of a few integer value-iteration sweeps at lam = 1 (_vi_guess), which
-on most stopping games are already optimal, so one exact evaluation
-confirms them, and the two differ in lam only. Every value-iteration
+exact evaluator, the core of markov.solve_value_vector (_value_pairs),
+at lam = 1 and at the chain factor; it solves for the avg vertices
+only, and each player vertex takes the value at the end of its pick
+chain. c is fixed at stopping.DEFAULT_C = 9, whose transform error
+2**(-6n) stays below half the value separation at every n, so
+snap-back is exact; the transform and the vi route snap and test
+T z = z through one integer helper, _snap_fixed_point. Both players
+run one policy-iteration loop, _improve; min's reply switches only on
+a strict improvement. hoffman_karp and the transform start that loop
+from the greedy picks of a few integer value-iteration sweeps at
+lam = 1 (_vi_guess), which on most stopping games are already optimal,
+so one exact evaluation confirms them, and the two differ in lam only.
+The loop runs on integers: both players read and write one pick
+array indexed by vertex id, a switch writes one entry, every
+evaluation returns reduced (numerator, denominator) pairs, and
+children are compared by cross-multiplying. No Strategy, ReducedGame
+or Fraction is built per evaluation; hoffman_karp builds one Fraction
+per distinct value, and the ValueVector, once, for its report, and
+the transform hands its pairs straight to the snap. Every value-iteration
 loop is kernels.ordered_sweeps, in place, in the layer order of the
 stopping test's attractor, which hoffman_karp computes once for both
 jobs; the vertices it misses, on a game the transform solves, go last.
@@ -75,11 +82,10 @@ per min vertex, and no vertex of it could join.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterator, Sequence, Union
 
 from . import kernels
 from .exceptions import (
@@ -101,6 +107,8 @@ from .games import (
 from .lp import build_lp_max_free, build_lp_min_free, simplex_optimize
 from .markov import (
     ReducedGame,
+    _value_pairs,
+    _vector,
     attractor,
     solve_value_vector,
     stopping_layers,
@@ -250,7 +258,13 @@ def greedy_strategies(game: Game, v: ValueVector) -> tuple[Strategy, Strategy]:
     """
     if v.n != game.n:
         raise PreconditionError(f"value vector length {v.n} does not match game size {game.n}")
-    tight = _TightEdges(game, [x.as_integer_ratio() for x in v.components])
+    return _greedy(game, [x.as_integer_ratio() for x in v.components])
+
+
+def _greedy(game: Game, z: list[tuple[int, int]]) -> tuple[Strategy, Strategy]:
+    """greedy_strategies for z given as reduced (numerator, denominator)
+    pairs in vertex order."""
+    tight = _TightEdges(game, z)
     layers = tight.layers()
     n = game.n
     tau_picks: dict[int, int] = {}
@@ -398,8 +412,20 @@ class SolveReport:
     certificate: Union[Certificate, None] = None
 
 
-def _report(game: Game, values: ValueVector, method: str, iterations: int) -> SolveReport:
-    tau, sigma = greedy_strategies(game, values)
+def _report(
+    game: Game,
+    values: ValueVector,
+    method: str,
+    iterations: int,
+    pairs: Union[list[tuple[int, int]], None] = None,
+) -> SolveReport:
+    """The report of a route, with the strategies read off values, or
+    off pairs, the same values as reduced pairs, when the route has
+    them."""
+    if pairs is None:
+        tau, sigma = greedy_strategies(game, values)
+    else:
+        tau, sigma = _greedy(game, pairs)
     return SolveReport(values=values, tau=tau, sigma=sigma, method=method, iterations=iterations)
 
 
@@ -413,27 +439,35 @@ def _settled(game: Game) -> Union[ValueVector, None]:
 
 
 def _improve(
-    game: Game, owner: VertexKind, strategy: Strategy, evaluate: Callable[[Strategy], ValueVector]
-) -> tuple[ValueVector, Strategy, int]:
-    """Policy iteration for owner from strategy; returns (values,
-    strategy, switch rounds). Evaluate the strategy exactly, switch
-    every owned vertex whose other child is strictly better for owner,
-    until none is. On a stopping game each switch strictly improves the
-    values, so at most 2**(owned vertices) evaluations are made."""
-    owned = game.vertices_of_kind(owner)
-    better = operator.gt if owner is VertexKind.MAX else operator.lt
+    game: Game,
+    owner: VertexKind,
+    picks: list[int],
+    evaluate: Callable[[], list[tuple[int, int]]],
+) -> tuple[list[tuple[int, int]], int]:
+    """Policy iteration for owner on the pick array picks (indexed by
+    vertex id), which it updates in place; returns (values, switch
+    rounds), values the reduced (numerator, denominator) pairs in
+    vertex order of the last evaluate(), which evaluates the current
+    picks exactly. Each round switches every owned vertex whose other
+    child is strictly better for owner, comparing pairs by
+    cross-multiplying, until none is. On a stopping game each switch
+    strictly improves the values, so at most 2**(owned vertices)
+    evaluations are made."""
+    sign = 1 if owner is VertexKind.MAX else -1
+    owned = [(v, *game.children[v - 1]) for v in game.vertices_of_kind(owner)]
     for rounds in range(2 ** len(owned)):
-        values = evaluate(strategy)
-        picks = strategy.as_dict()
-        switched = {}
-        for i in owned:
-            a, b = game.children_of(i)
-            other = b if picks[i] == a else a
-            if better(values[other], values[picks[i]]):
-                switched[i] = other
+        values = evaluate()
+        switched = False
+        for v, a, b in owned:
+            pick = picks[v]
+            other = b if pick == a else a
+            pn, pd = values[pick - 1]
+            on, od = values[other - 1]
+            if (on * pd - pn * od) * sign > 0:
+                picks[v] = other
+                switched = True
         if not switched:
-            return values, strategy, rounds
-        strategy = Strategy.of(owner, {**picks, **switched})
+            return values, rounds
     raise InternalCheckError(f"{owner.value} policy iteration exceeded its evaluation bound")
 
 
@@ -445,9 +479,10 @@ def _layer_order(game: Game, layers: dict[int, int]) -> list[int]:
     return sorted(game.interior, key=lambda v: layers.get(v, game.n))
 
 
-def _vi_guess(game: Game, layers: dict[int, int]) -> tuple[Strategy, Strategy]:
-    """Starting strategies (tau, sigma) for _strategy_improvement in
-    hoffman_karp and the transform, guessed by in-place (Gauss-Seidel)
+def _vi_guess(game: Game, layers: dict[int, int]) -> list[int]:
+    """The starting pick array of _strategy_improvement in hoffman_karp
+    and the transform, indexed by vertex id with both players' picks
+    (its other entries are 0), guessed by in-place (Gauss-Seidel)
     value-iteration sweeps on a 2**-64 grid, kernels.ordered_sweeps.
 
     layers is the game's stopping attractor, markov.stopping_layers,
@@ -470,45 +505,48 @@ def _vi_guess(game: Game, layers: dict[int, int]) -> tuple[Strategy, Strategy]:
     maxs = [(v, *game.children[v - 1]) for v in game.vertices_of_kind(VertexKind.MAX)]
     mins = [(v, *game.children[v - 1]) for v in game.vertices_of_kind(VertexKind.MIN)]
 
-    def greedy(z: list[int]) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-        return (
-            [(v, b if z[b] < z[a] else a) for v, a, b in mins],
-            [(v, b if z[b] > z[a] else a) for v, a, b in maxs],
-        )
+    def greedy(z: list[int]) -> list[int]:
+        return [b if z[b] < z[a] else a for _v, a, b in mins] + [
+            b if z[b] > z[a] else a for _v, a, b in maxs
+        ]
 
     last = None
     swept = kernels.ordered_sweeps(game, order, 1 << 64, 20 * game.n)
     for sweep, (z, _gain) in enumerate(swept, 1):
         if sweep % GUESS_SPACING == 0:
-            picks = greedy(z)
-            if picks == last:
+            chosen = greedy(z)
+            if chosen == last:
                 break
-            last = picks
+            last = chosen
     else:
-        picks = greedy(z)
-    return Strategy(VertexKind.MIN, picks[0]), Strategy(VertexKind.MAX, picks[1])
+        chosen = greedy(z)
+    picks = [0] * (game.n + 1)
+    for (v, _a, _b), child in zip(mins + maxs, chosen):
+        picks[v] = child
+    return picks
 
 
 def _strategy_improvement(
-    game: Game, lam: Fraction, start: tuple[Strategy, Strategy]
-) -> tuple[ValueVector, int]:
+    game: Game, lam: Fraction, picks: list[int]
+) -> tuple[list[tuple[int, int]], int]:
     """The loop of hoffman_karp on a game whose every edge carries
-    weight lam, which must make it stopping, from the starting
-    strategies start = (tau, sigma), _vi_guess's; returns (optimal
-    values, max's switch rounds). Max runs _improve against min's exact
-    best reply, which is _improve for min against the fixed sigma,
-    started from the previous round's reply."""
-    tau = start[0]
+    weight lam, which must make it stopping, from the pick array picks
+    (_vi_guess's), which it updates in place; returns (optimal values
+    as reduced (numerator, denominator) pairs in vertex order, max's
+    switch rounds). Max runs _improve against min's exact best reply,
+    which is _improve for min against max's current picks, started
+    from min's picks of the previous round. Both players read and
+    write the one array, and every evaluation is markov's core
+    _value_pairs on it: no strategy object or reduced game is built."""
+    p, q = lam.numerator, lam.denominator
 
-    def min_reply(sigma: Strategy) -> ValueVector:
-        nonlocal tau
-        values, tau, _ = _improve(
-            game, VertexKind.MIN, tau, lambda t: solve_value_vector(ReducedGame(game, t, sigma), lam)
-        )
-        return values
+    def evaluate() -> list[tuple[int, int]]:
+        return _value_pairs(game, picks, p, q)
 
-    values, _sigma, rounds = _improve(game, VertexKind.MAX, start[1], min_reply)
-    return values, rounds
+    def min_reply() -> list[tuple[int, int]]:
+        return _improve(game, VertexKind.MIN, picks, evaluate)[0]
+
+    return _improve(game, VertexKind.MAX, picks, min_reply)
 
 
 def hoffman_karp(game: Game) -> SolveReport:
@@ -528,8 +566,8 @@ def hoffman_karp(game: Game) -> SolveReport:
     layers = stopping_layers(game)
     if len(layers) < game.n:
         raise PreconditionError("strategy improvement needs a stopping game; transform first")
-    values, rounds = _strategy_improvement(game, Fraction(1), _vi_guess(game, layers))
-    return _report(game, values, "hk", rounds)
+    pairs, rounds = _strategy_improvement(game, Fraction(1), _vi_guess(game, layers))
+    return _report(game, _vector(pairs), "hk", rounds, pairs)
 
 
 def _snap(num: int, den: int, n: int) -> Union[tuple[int, int], None]:
@@ -592,13 +630,14 @@ def round_to_value_set(x: Fraction, n: int) -> Fraction:
 
 
 def _snap_fixed_point(
-    game: Game, nums: list[int], dens: list[int], level: int, first: int = 0
-) -> tuple[Union[ValueVector, None], int]:
+    game: Game, nums: Sequence[int], dens: Sequence[int], level: int, first: int = 0
+) -> tuple[Union[list[tuple[int, int]], None], int]:
     """Snap the fractions nums[i] / dens[i] in vertex order, denominators
     positive and not necessarily reduced, to values with denominators at
     most 4**level, and test the snapped vector for an operator fixed
-    point. Returns (z, refused): z is the snapped vector if it is one,
-    else None; refused is the component without such a value within
+    point. Returns (z, refused): z is the snapped vector, as reduced
+    (numerator, denominator) pairs in vertex order, if it is one, else
+    None; refused is the component without such a value within
     half of 4**(-2*level), which ends the try, or first if every
     component snapped. Snapping starts at component first and wraps
     around, so a caller that passes back the component that refused
@@ -625,17 +664,21 @@ def _snap_fixed_point(
     z = z[m - first :] + z[: m - first]  # back to vertex order
     if not _is_fixed_point(game, z):
         return None, first
-    return ValueVector(Fraction(p, q) for p, q in z), first
+    return z, first
 
 
-def _transform_solve(game: Game) -> tuple[ValueVector, ValueVector, int]:
+def _transform_solve(
+    game: Game,
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]], int]:
     """Solve exactly through the stopping companion, in contracted form.
 
-    Returns (z, s, improvement rounds). Strategy improvement runs from
+    Returns (z, s, improvement rounds), z and s as reduced (numerator,
+    denominator) pairs in vertex order. Strategy improvement runs from
     hoffman_karp's start on the original n vertices with every edge
     weighted by lam = 1 - 2**-(DEFAULT_C*n), which gives s, the
     companion's exact optimal values there, and z is their snap-back
-    onto the original game's representable values. lam < 1 makes that
+    onto the original game's representable values; s goes to the snap
+    as pairs, and no Fraction is built for it. lam < 1 makes that
     game stopping; the stopping attractor, computed again here, only
     orders the guess's sweeps. At DEFAULT_C the transform error stays
     below half a separation, so the snap and the test T z = z are
@@ -644,17 +687,17 @@ def _transform_solve(game: Game) -> tuple[ValueVector, ValueVector, int]:
     s, rounds = _strategy_improvement(
         game, chain_weight(DEFAULT_C * game.n), _vi_guess(game, stopping_layers(game))
     )
-    nums = [x.numerator for x in s.components]
-    dens = [x.denominator for x in s.components]
+    nums, dens = zip(*s)
     z, _ = _snap_fixed_point(game, nums, dens, game.n)
     if z is None:
         raise InternalCheckError("companion values do not snap to an operator fixed point")
     return z, s, rounds
 
 
-def _vi_solve(game: Game, layers: dict[int, int]) -> tuple[ValueVector, int]:
+def _vi_solve(game: Game, layers: dict[int, int]) -> tuple[list[tuple[int, int]], int]:
     """The vi route on a stopping game: sweep from zero and return the
-    exact values with the productive sweeps run, or raise
+    exact values, as reduced (numerator, denominator) pairs in vertex
+    order, with the productive sweeps run, or raise
     NonConvergenceError with the last iterate attached after
     DEFAULT_MAX_ITERS sweeps.
 
@@ -795,16 +838,17 @@ def solve(
             if not routed:
                 raise
             # hoffman_karp's stopping test found the game non-stopping
-            z, rounds = _settled(game), 0
-            if z is None:
-                z, _s, rounds = _transform_solve(game)
-            report = _report(game, z, "transform", rounds)
+            values, pairs, rounds = _settled(game), None, 0
+            if values is None:
+                pairs, _s, rounds = _transform_solve(game)
+                values = _vector(pairs)
+            report = _report(game, values, "transform", rounds, pairs)
     else:  # vi
         layers = stopping_layers(game)
         if len(layers) < game.n:
             raise PreconditionError("vi method needs a stopping game; transform first")
-        z, iters = _vi_solve(game, layers)
-        report = _report(game, z, "vi", iters)
+        pairs, iters = _vi_solve(game, layers)
+        report = _report(game, _vector(pairs), "vi", iters, pairs)
 
     if with_certificate or report.method == "transform":
         cert = Certificate(z=report.values, sigma=report.sigma)

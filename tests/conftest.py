@@ -4,7 +4,26 @@ from fractions import Fraction
 
 import pytest
 
-from ssg import sink_reachable_set
+from ssg import PreconditionError, attractor
+
+
+def sink_reachable_set(rg):
+    """Non-sink vertices of a fully reduced game with a directed path to
+    either sink: the attractor of the sinks with no vertex blocking."""
+    if not rg.fully_reduced:
+        raise PreconditionError("sink_reachable_set needs both players' strategies fixed")
+    sinks = (rg.game.sink0, rg.game.sink1)
+    return frozenset(attractor(rg, sinks, ())).difference(sinks)
+
+
+def in_value_set(x, t):
+    """Whether x can occur as a vertex value of a reduced game whose
+    sink-reaching set has t vertices: a rational p/q in lowest terms
+    with 0 <= p <= q <= 4**t."""
+    if t < 0:
+        raise PreconditionError(f"t must be nonnegative, got {t}")
+    x = Fraction(x)
+    return 0 <= x <= 1 and x.denominator <= 4**t
 
 
 def _residual_holds(rg, values, lam=1):

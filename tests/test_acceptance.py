@@ -22,11 +22,9 @@ from ssg import (
     decide_value,
     enumerate_strategies,
     hoffman_karp,
-    in_value_set,
     is_stopping,
     random_game,
     reduce_game,
-    sink_reachable_set,
     solve,
     solve_value_vector,
     value_separation,
@@ -35,6 +33,7 @@ from ssg import (
     verify_value_certificate,
     vi_iterates,
 )
+from conftest import in_value_set, sink_reachable_set
 from ssg.fixtures import FIXTURES
 
 POOL_SIZE = 500

@@ -19,17 +19,16 @@ from ssg import (
     brute_force_oracle,
     build_game,
     enumerate_strategies,
-    in_value_set,
     is_stopping,
     mc_estimate,
     random_game,
     reduce_game,
     ReducedGame,
-    sink_reachable_set,
     solve,
     solve_value_vector,
     zero_one_sets,
 )
+from conftest import in_value_set, sink_reachable_set
 from ssg.fixtures import FIXTURES, GAME_A, GAME_B, GAME_C, GAME_E, GAME_G
 from ssg.markov import _Within
 from ssg.stopping import DEFAULT_C, chain_weight

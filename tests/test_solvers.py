@@ -57,7 +57,7 @@ from ssg.fixtures import (
     GAME_F,
     GAME_G,
 )
-from ssg.markov import stopping_layers
+from ssg.markov import _value_pairs, _vector, stopping_layers
 from ssg.solve import (
     METHODS,
     _improve,
@@ -286,12 +286,30 @@ def test_hk_on_mixed_stopping_game():
     assert report.values == brute_force_oracle(MIXED_STOPPING).values
 
 
+def _picks(game, *strategies):
+    """The pick array, indexed by vertex id, of the given strategies."""
+    picks = [0] * (game.n + 1)
+    for strategy in strategies:
+        for v, child in strategy.picks:
+            picks[v] = child
+    return picks
+
+
+def _strategies(game, picks):
+    """The strategies (tau, sigma) of a pick array."""
+    return tuple(
+        Strategy.of(kind, {v: picks[v] for v in game.vertices_of_kind(kind)})
+        for kind in (VertexKind.MIN, VertexKind.MAX)
+    )
+
+
 def _min_reply(game, sigma, tau):
     """min's exact best reply to sigma by the shared policy-iteration
-    loop, started from tau, as hoffman_karp runs it."""
-    return _improve(
-        game, VertexKind.MIN, tau, lambda t: solve_value_vector(ReducedGame(game, t, sigma))
-    )
+    loop, started from tau, as hoffman_karp runs it: (values, tau,
+    rounds)."""
+    picks = _picks(game, tau, sigma)
+    values, rounds = _improve(game, VertexKind.MIN, picks, lambda: _value_pairs(game, picks, 1, 1))
+    return _vector(values), _strategies(game, picks)[0], rounds
 
 
 @pytest.mark.parametrize("weights", [(1, 1, 1), (1, 1, 3)])
@@ -321,23 +339,22 @@ def test_min_reply_keeps_its_pick_on_a_tie():
     assert (reply, rounds) == (tau, 0)
 
 
-def _start_strategies(game):
-    """The all-left start (tau, sigma) for _strategy_improvement: every
-    player vertex picks its left child."""
-    tau, sigma = (
-        Strategy.of(kind, {v: game.children_of(v)[0] for v in game.vertices_of_kind(kind)})
-        for kind in (VertexKind.MIN, VertexKind.MAX)
-    )
-    return tau, sigma
+def _start_picks(game):
+    """The all-left start for _strategy_improvement: every player
+    vertex picks its left child."""
+    return [0] + [
+        pair[0] if pair and kind is not VertexKind.AVG else 0
+        for kind, pair in zip(game.kinds, game.children)
+    ]
 
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """The calls of solve_value_vector made through the solve module,
-    in order."""
+    """The calls of the evaluator core, markov._value_pairs, made
+    through the solve module, in order."""
     calls = []
-    inner = solve_module.solve_value_vector
-    monkeypatch.setattr(solve_module, "solve_value_vector", lambda *a: calls.append(a) or inner(*a))
+    inner = solve_module._value_pairs
+    monkeypatch.setattr(solve_module, "_value_pairs", lambda *a: calls.append(a) or inner(*a))
     return calls
 
 
@@ -346,12 +363,12 @@ def test_hk_confirms_the_guess_with_one_evaluation(game, evaluations):
     # from the all-left start each game takes 2 evaluations and one max
     # switch; the vi guess names the optimal sigma, so one evaluation
     # confirms it and no round is run
-    cold = _strategy_improvement(game, Fraction(1), _start_strategies(game))
+    cold = _strategy_improvement(game, Fraction(1), _start_picks(game))
     assert (len(evaluations), cold[1]) == (2, 1)
     evaluations.clear()
     report = hoffman_karp(game)
     assert (len(evaluations), report.iterations) == (1, 0)
-    assert report.values == cold[0]
+    assert report.values == _vector(cold[0])
 
 
 def test_transform_starts_from_the_guess(evaluations):
@@ -360,7 +377,7 @@ def test_transform_starts_from_the_guess(evaluations):
     # evaluation confirms the optimum
     game = random_game(32, (1, 1, 1), 0)
     lam = chain_weight(DEFAULT_C * game.n)
-    cold = _strategy_improvement(game, lam, _start_strategies(game))
+    cold = _strategy_improvement(game, lam, _start_picks(game))
     assert (len(evaluations), cold[1]) == (9, 3)
     evaluations.clear()
     report = solve(game)
@@ -368,7 +385,7 @@ def test_transform_starts_from_the_guess(evaluations):
     assert (len(evaluations), report.iterations) == (1, 0)
     z, s, _rounds = _transform_solve(game)
     assert s == cold[0]
-    assert z == report.values
+    assert _vector(z) == report.values
 
 
 @pytest.fixture
@@ -387,7 +404,7 @@ def guess_gains(monkeypatch):
 
 
 def guess(game):
-    return _vi_guess(game, stopping_layers(game))
+    return _strategies(game, _vi_guess(game, stopping_layers(game)))
 
 
 def test_vi_guess_stops_at_gain_zero(guess_gains):
@@ -437,8 +454,8 @@ def check_every_start(game):
     count = 0
     for tau in enumerate_strategies(game, VertexKind.MIN):
         for sigma in enumerate_strategies(game, VertexKind.MAX):
-            values, _rounds = _strategy_improvement(game, Fraction(1), (tau, sigma))
-            assert values == expected, (game, tau, sigma)
+            values, _rounds = _strategy_improvement(game, Fraction(1), _picks(game, tau, sigma))
+            assert _vector(values) == expected, (game, tau, sigma)
             count += 1
     return count
 
@@ -715,8 +732,8 @@ PARTIAL_LOOPY = build_game(6, 1, [(1, "max", 2, 4), (2, "min", 1, 3), (3, "avg",
 
 @pytest.fixture
 def exact_calls(monkeypatch):
-    """Counts of the simplex and evaluator calls solve makes."""
-    calls = {"simplex_optimize": 0, "solve_value_vector": 0}
+    """Counts of the simplex and evaluator-core calls solve makes."""
+    calls = {"simplex_optimize": 0, "_value_pairs": 0}
     for name in calls:
         inner = getattr(solve_module, name)
 
@@ -734,7 +751,7 @@ def exact_calls(monkeypatch):
 def test_settled_game_skips_the_exact_work(game, route, exact_calls):
     report = solve(game)
     assert (report.method, report.iterations) == (route, 0)
-    assert exact_calls == {"simplex_optimize": 0, "solve_value_vector": 0}
+    assert exact_calls == {"simplex_optimize": 0, "_value_pairs": 0}
     assert report.values == brute_force_oracle(game).values
     assert (report.tau, report.sigma) == greedy_strategies(game, report.values)
     assert (report.certificate is not None) == (route == "transform")
@@ -743,7 +760,7 @@ def test_settled_game_skips_the_exact_work(game, route, exact_calls):
 
 @pytest.mark.parametrize(
     "game, route, called",
-    [(PARTIAL_ONE_PLAYER, "lp", "simplex_optimize"), (PARTIAL_LOOPY, "transform", "solve_value_vector")],
+    [(PARTIAL_ONE_PLAYER, "lp", "simplex_optimize"), (PARTIAL_LOOPY, "transform", "_value_pairs")],
     ids=["lp", "transform"],
 )
 def test_partially_settled_game_runs_its_route(game, route, called, exact_calls):
@@ -1243,13 +1260,14 @@ def _mixed_non_stopping(n, count, seed):
 def _companion_reference(game, c):
     """Strategy improvement on the built companion, from the vi guess
     on the original game that the contracted loop also takes, lifted
-    onto the companion: its values at the original vertices, their
-    snap-back, and the round count."""
+    onto the companion: its values at the original vertices as reduced
+    pairs, their snap-back, and the round count."""
     transformed, record = build_stopping_game(game, c)
-    start = tuple(lift_strategy(record, x) for x in _vi_guess(game, stopping_layers(game)))
-    values, rounds = _strategy_improvement(transformed, Fraction(1), start)
-    s = ValueVector(values[record.mapped(i)] for i in game.vertices)
-    z = ValueVector(round_to_value_set(x, game.n) for x in s.components)
+    start = _strategies(game, _vi_guess(game, stopping_layers(game)))
+    picks = _picks(transformed, *(lift_strategy(record, x) for x in start))
+    values, rounds = _strategy_improvement(transformed, Fraction(1), picks)
+    s = [values[record.mapped(i) - 1] for i in game.vertices]
+    z = ValueVector(round_to_value_set(Fraction(*x), game.n) for x in s)
     return z, s, rounds
 
 
@@ -1264,7 +1282,7 @@ def test_transform_route_matches_built_companion():
         z, s, rounds = _transform_solve(game)
         ref_z, ref_s, ref_rounds = _companion_reference(game, DEFAULT_C)
         assert s == ref_s
-        assert report.certificate.z == report.values == z == ref_z
+        assert report.certificate.z == report.values == _vector(z) == ref_z
         assert report.iterations == rounds == ref_rounds
 
 
@@ -1293,7 +1311,7 @@ def test_requested_certificate_matches_built_companion(weights, route):
         z, s, _rounds = _transform_solve(game)
         ref_z, ref_s, _ref_rounds = _companion_reference(game, DEFAULT_C)
         assert s == ref_s
-        assert report.certificate.z == report.values == z == ref_z
+        assert report.certificate.z == report.values == _vector(z) == ref_z
         checked += 1
 
 
@@ -1309,6 +1327,58 @@ def test_solutions_match_oracle_on_random_pool():
     for seed in range(30):
         g = random_game(3 + seed % 5, seed=seed)
         assert solve(g).values == brute_force_oracle(g).values
+
+
+# ------------------------------------------------- games above n = 8
+
+
+def _random_picks(game, seed):
+    """A seeded random pick array: each player vertex picks one child."""
+    rng = random.Random(seed)
+    picks = [0] * (game.n + 1)
+    for v, kind, pair in zip(game.interior, game.kinds, game.children):
+        if kind is not VertexKind.AVG:
+            picks[v] = rng.choice(pair)
+    return picks
+
+
+@pytest.mark.parametrize(
+    "n, chain",
+    [(150, False), (300, False), (1000, False), (60, True)],
+    ids=["150", "300", "1000", "60-chain"],
+)
+def test_evaluator_core_holds_the_chain_equations_at_scale(n, chain, residual_holds):
+    # the core's values under seeded random picks satisfy
+    # v = lam (Q v + b), read off the reduced game; the chain factor's
+    # rows carry integers of about 9n bits per edge, and one evaluation
+    # at n = 150 takes seconds, so it runs at n = 60
+    inside = 0
+    for seed in range(3):
+        game = random_game(n, (1, 1, 8), seed)
+        lam = chain_weight(DEFAULT_C * n) if chain else Fraction(1)
+        picks = _random_picks(game, seed)
+        values = _vector(_value_pairs(game, picks, lam.numerator, lam.denominator))
+        assert residual_holds(ReducedGame(game, *_strategies(game, picks)), values, lam)
+        inside += sum(0 < x < 1 for x in values.components)
+    assert 2 * inside > n  # the systems are not all settled
+
+
+@pytest.mark.parametrize("n", [300, 600])
+def test_hk_certifies_large_stopping_games(n):
+    for seed in range(3):
+        game = random_game(n, (1, 1, 8), seed, require_stopping=True)
+        report = solve(game, "hk", with_certificate=True)
+        assert verify_ovv_certificate(game, report.certificate)
+        assert solve(game).values == report.values
+
+
+@pytest.mark.parametrize("n", [60, 100, 150])
+def test_hk_matches_vi_on_large_stopping_games(n):
+    # vi snaps value iteration, with no strategy improvement, so it is
+    # an independent exact reference
+    for seed in range(3):
+        game = random_game(n, (1, 1, 8), seed, require_stopping=True)
+        assert solve(game, "hk").values == solve(game, "vi").values
 
 
 # ------------------------------------------------------ every small game

@@ -25,8 +25,16 @@ machine of that calibration. The repeats must give equal output hashes.
 Each `auto` row also records parse_seconds: the same calibrated median
 for `parse_game` on the game's `serialize_game` text, the parse layer
 of a solve that starts from a game file. Each `auto` and `vi` row
-records evaluations: how many exact strategy-pair evaluations
-(`markov.solve_value_vector` calls) one more, untimed solve makes.
+records evaluations: how many exact strategy-pair evaluations (calls
+of the evaluator core `_value_pairs` through its binding in the solve
+module) one more, untimed solve makes.
+A scale tier follows: for each n in SCALE_SIZES, auto (hk) rows for
+the first SCALE_GAMES stopping `random_game(n, (1, 1, 8), seed,
+require_stopping=True)` draws, scanning seed upward from --seed, that
+are nontrivial: at least half the interior lies strictly inside (0, 1)
+by `zero_one_sets`, which finds exactly the vertices worth 0 or 1.
+These rows have no vi or mc companion rows; the seeds skipped at each
+size are recorded under "scale" as "skipped".
 The run writes BENCH_<label>.json at the root of the checkout: one row
 per solve with n, weights, seed, route, seconds, a hash of the output (values,
 strategies, method, iterations and certificate z and sigma; for `mc` rows,
@@ -62,6 +70,9 @@ from perfbench import calibration  # noqa: E402
 SOLVE = importlib.import_module("ssg.solve")
 
 SIZES = (8, 16, 24, 32, 40, 60)
+SCALE_SIZES = (300, 600, 1000)
+SCALE_GAMES = 2
+SCALE_WEIGHTS = (1, 1, 8)
 MC_PLAYS = 4000
 REPEATS = 3
 KINDS = (ssg.VertexKind.MAX, ssg.VertexKind.MIN, ssg.VertexKind.AVG)
@@ -100,8 +111,9 @@ def mc_hash(est) -> str:
 
 
 def evaluations(game, method: str) -> int:
-    """The markov.solve_value_vector calls of one solve(game, method)."""
-    inner = SOLVE.solve_value_vector
+    """The evaluator-core calls of one solve(game, method), counted at
+    the core's binding in the solve module, SOLVE._value_pairs."""
+    inner = SOLVE._value_pairs
     count = 0
 
     def counted(*args):
@@ -109,11 +121,11 @@ def evaluations(game, method: str) -> int:
         count += 1
         return inner(*args)
 
-    SOLVE.solve_value_vector = counted
+    SOLVE._value_pairs = counted
     try:
         SOLVE.solve(game, method)
     finally:
-        SOLVE.solve_value_vector = inner
+        SOLVE._value_pairs = inner
     return count
 
 
@@ -151,6 +163,24 @@ def draw(n: int, games: int, seed: int) -> list[tuple[int, tuple, bool, ssg.Game
                 found += 1
             s += 1
     return kept
+
+
+def draw_scale(n: int, games: int, seed: int) -> tuple[list[tuple[int, ssg.Game]], list[int]]:
+    """The first `games` nontrivial stopping SCALE_WEIGHTS draws at size
+    n, scanning seeds upward from `seed`, as [(seed, game)], and the
+    seeds skipped on the way: a kept game has at least half of its
+    interior strictly inside (0, 1)."""
+    kept, skipped = [], []
+    s = seed
+    while len(kept) < games:
+        g = ssg.random_game(n, SCALE_WEIGHTS, seed=s, require_stopping=True)
+        zeros, ones = ssg.zero_one_sets(g)
+        if 2 * (n - len(zeros) - len(ones)) >= n - 2:
+            kept.append((s, g))
+        else:
+            skipped.append(s)
+        s += 1
+    return kept, skipped
 
 
 def main(argv=None) -> int:
@@ -195,6 +225,15 @@ def main(argv=None) -> int:
                     )
                     record(n, seed, weights, stopping, "mc", seconds, None, mc_hash(est), report)
 
+    scale_skipped = {}
+    for n in SCALE_SIZES:
+        kept, scale_skipped[n] = draw_scale(n, SCALE_GAMES, args.seed)
+        for seed, game in kept:
+            report, seconds = timed(lambda: ssg.solve(game), output_hash)
+            record(n, seed, SCALE_WEIGHTS, True, report.method, seconds, report.iterations,
+                   output_hash(report), report)
+            rows[-1]["evaluations"] = evaluations(game, "auto")
+
     summary = {}
     for row in rows:
         summary.setdefault(f"{row['route']}/n={row['n']}", []).append(row["seconds"])
@@ -202,6 +241,8 @@ def main(argv=None) -> int:
         "label": args.label,
         "families": [{"weights": list(w), "stopping": st} for w, st in FAMILIES],
         "sizes": list(SIZES),
+        "scale": {"sizes": list(SCALE_SIZES), "games": SCALE_GAMES,
+                  "weights": list(SCALE_WEIGHTS), "skipped": scale_skipped},
         "games_per_size_and_route": args.games,
         "first_seed": args.seed,
         "repeats": REPEATS,
