@@ -165,7 +165,8 @@ def build_lp_max_free(game: Union[Game, ReducedGame]) -> LinearProgram:
     g = rg.game
     if g.has_kind(VertexKind.MAX) and rg.sigma is None:
         raise PreconditionError("game has unfixed max vertices; fix sigma or use the min-free builder")
-    pinned = frozenset(g.interior).difference(attractor(rg, (g.sink1,), (VertexKind.MIN,)))
+    succ = [rg.successors(v) for v in g.interior]
+    pinned = frozenset(g.interior).difference(attractor(g, succ, (g.sink1,), (VertexKind.MIN,)))
     return _one_player_program(rg, "max", VertexKind.MIN, "<=", pinned)
 
 

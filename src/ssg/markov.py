@@ -30,7 +30,10 @@ attractor is the package's one qualitative engine: the linear-time
 attractor of a reachability game (Condon 1992). The stopping test, the
 evaluator's rows, the LP's zero set, the qualitative pre-pass
 zero_one_sets, the solver for games without chance, optimal strategy
-extraction and the certificate check are all calls of it.
+extraction and the certificate check are all calls of it. Each call
+passes a list of successor lists in the layout of game.children: the
+game's own children, or the list of a fixed strategy, of a restriction
+to a vertex set, of the contracted pick chains or of the tight edges.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Collection, NamedTuple, Sequence, Union
+from typing import Collection, Sequence, Union
 
 from . import kernels
 from .exceptions import InternalCheckError, PreconditionError, StrategyError
@@ -100,12 +103,19 @@ def _require_fully_reduced(rg: ReducedGame, what: str) -> None:
 
 
 def attractor(
-    rg: ReducedGame, target: Collection[int], blocking: Collection[VertexKind]
+    game: Game,
+    succ: Sequence[Sequence[int]],
+    target: Collection[int],
+    blocking: Collection[VertexKind],
 ) -> dict[int, int]:
     """The least vertex set holding target and every interior vertex
-    with enough successors under rg already in it, as {vertex: layer}.
-    rg may be any successor view: an object with the game as .game and
-    a successors(v) method, such as solve's tight-edge view.
+    with enough successors already in it, as {vertex: layer}.
+    succ[v - 1] lists the successors of interior vertex v, in the layout
+    of game.children, so the game itself passes game.children; a fixed
+    strategy, a restriction to a vertex set or solve's tight edges pass
+    their own lists. Entries past the interior are not read, and a
+    vertex with an empty list never joins. A target outside 1..n raises
+    PreconditionError.
 
     "Enough" is all successors when the vertex's kind is in blocking and
     one otherwise, so for blocking = {MIN} it is the set from which max
@@ -115,16 +125,16 @@ def attractor(
     the longest forced path into target. Linear time: predecessor lists
     and need counters, one frontier per layer.
     """
-    game = rg.game
-    kinds = game.kinds
-    preds: list[list[int]] = [[] for _ in range(game.n + 1)]
-    need = [0] * (game.n + 1)
-    for v in game.interior:
-        succ = rg.successors(v)
-        need[v] = len(succ) if kinds[v - 1] in blocking else 1
-        for j in succ:
-            preds[j].append(v)
+    n = game.n
     layers = dict.fromkeys(target, 0)
+    if layers and not (1 <= min(layers) and max(layers) <= n):
+        raise PreconditionError(f"attractor target must lie in 1..{n}, got {sorted(layers)}")
+    preds: list[list[int]] = [[] for _ in range(n + 1)]
+    need = [0] * (n + 1)
+    for v, kind, s in zip(game.interior, game.kinds, succ):
+        need[v] = len(s) if kind in blocking else 1
+        for j in s:
+            preds[j].append(v)
     for v in layers:
         need[v] = 0  # counts below zero never reach zero again
     frontier = list(layers)
@@ -140,21 +150,6 @@ def attractor(
                     joined.append(p)
         frontier = joined
     return layers
-
-
-class _Within(NamedTuple):
-    """The game restricted to the vertex set inside, as a successor view
-    for attractor: a vertex in it keeps its children in it, and any
-    other vertex has none, so it never joins an attractor."""
-
-    game: Game
-    inside: set[int]
-
-    def successors(self, v: int) -> list[int]:
-        inside = self.inside
-        if v not in inside:
-            return []
-        return [c for c in self.game.children[v - 1] if c in inside]
 
 
 def zero_one_sets(game: Game) -> tuple[frozenset[int], frozenset[int]]:
@@ -174,34 +169,28 @@ def zero_one_sets(game: Game) -> tuple[frozenset[int], frozenset[int]]:
     probability from every vertex of W without leaving it, so max
     reaches it almost surely. The first A is the positive set.
     """
+    interior, children = game.interior, game.children
     sink1 = (game.sink1,)
-    reach = attractor(ReducedGame(game), sink1, (VertexKind.MIN,))
+    reach = attractor(game, children, sink1, (VertexKind.MIN,))
     zeros = frozenset(game.vertices).difference(reach)
     ones = set(game.vertices)
     outside = zeros  # U
+
+    def within() -> list:
+        # the game restricted to W: a vertex in it keeps its children in
+        # it, and any other vertex has none, so it never joins
+        return [[c for c in pair if c in ones] if v in ones else () for v, pair in zip(interior, children)]
+
     while outside:
-        within = _Within(game, ones)  # sees ones shrink in place
-        removed = attractor(within, outside, (VertexKind.MAX,))
+        removed = attractor(game, within(), outside, (VertexKind.MAX,))
         ones.difference_update(removed)
         if len(removed) == len(outside):
             # it removed U alone, so W is now A; A's vertices joined
             # through A, so the next A is all of W and the next U is empty
             break
-        reach = attractor(within, sink1, (VertexKind.MIN,))
+        reach = attractor(game, within(), sink1, (VertexKind.MIN,))
         outside = ones.difference(reach)
     return zeros, frozenset(ones)
-
-
-class _ChainView(NamedTuple):
-    """A fully reduced game with its pick chains contracted, as a
-    successor view for attractor: an avg vertex's successors are its
-    children's chain ends, and a player vertex has none."""
-
-    game: Game
-    arms: dict[int, tuple[int, int]]
-
-    def successors(self, v: int) -> tuple[int, ...]:
-        return self.arms.get(v, ())
 
 
 def _value_pairs(game: Game, picks: Sequence[int], p: int, q: int) -> list[tuple[int, int]]:
@@ -244,8 +233,10 @@ def _value_pairs(game: Game, picks: Sequence[int], p: int, q: int) -> list[tuple
         for u in reversed(path):
             k += 1
             ends[u] = (t, k)
-    arms = {a: (ends[x][0], ends[y][0]) for a in avg for x, y in (children[a - 1],)}
-    live = attractor(_ChainView(game, arms), (sink1,), ())
+    # the contracted chain: an avg vertex's successors are its children's
+    # chain ends, and a player vertex has none
+    arms = [(ends[x][0], ends[y][0]) if kind is avg_kind else () for kind, (x, y) in zip(kinds, children[:-2])]
+    live = attractor(game, arms, (sink1,), ())
 
     unknowns = [a for a in avg if a in live]
     # the open columns in id order, each with the rows that hold it
@@ -400,7 +391,7 @@ def stopping_layers(game: Game) -> dict[int, int]:
     (the owner may pick either). It covers every vertex exactly when
     the game is stopping (is_stopping)."""
     blocking = (VertexKind.MAX, VertexKind.MIN)
-    return attractor(ReducedGame(game), (game.sink0, game.sink1), blocking)
+    return attractor(game, game.children, (game.sink0, game.sink1), blocking)
 
 
 def is_stopping(game: Game) -> bool:

@@ -67,17 +67,18 @@ than 4**n, and each try snaps every distinct value once.
 Strategies and certificates share one qualitative engine,
 markov.attractor, run over the tight edges of a value vector z: both
 children of an avg vertex, and the children attaining z at a player
-vertex. Its target is the 1-sink and every vertex worth 0, and min
-blocks. greedy_strategies lets each player vertex pick its tight child
-in the lowest layer. Both compare values as integer (numerator,
-denominator) pairs by cross-multiplying; no Fraction is compared. A
-certificate is the pair (z, sigma), and the value is the least fixed
-point of the operator T, so z is the value exactly when T z = z, sigma
-is z-greedy, and the attractor with max fixed to sigma covers every
-vertex (the end-component argument of Kelmendi, Kraemer, Kretinsky and
-Weininger, CAV 2018): a set where z - val(G_sigma) is largest and
-positive would be closed under avg children, sigma and one tight child
-per min vertex, and no vertex of it could join.
+vertex. _tight_edges lists them in the layout of game.children, which
+attractor reads as it is. Its target is the 1-sink and every vertex
+worth 0, and min blocks. greedy_strategies lets each player vertex pick
+its tight child in the lowest layer. Both compare values as integer
+(numerator, denominator) pairs by cross-multiplying; no Fraction is
+compared. A certificate is the pair (z, sigma), and the value is the
+least fixed point of the operator T, so z is the value exactly when
+T z = z, sigma is z-greedy, and the attractor with max fixed to sigma
+covers every vertex (the end-component argument of Kelmendi, Kraemer,
+Kretinsky and Weininger, CAV 2018): a set where z - val(G_sigma) is
+largest and positive would be closed under avg children, sigma and one
+tight child per min vertex, and no vertex of it could join.
 """
 
 from __future__ import annotations
@@ -204,9 +205,10 @@ def _is_fixed_point(game: Game, z: list[tuple[int, int]]) -> bool:
     return True
 
 
-class _TightEdges:
-    """A successor view of game for markov.attractor: the edges that a
-    z-greedy play may take.
+def _tight_edges(game: Game, z: list[tuple[int, int]], sigma: Union[Strategy, None] = None) -> list:
+    """The edges that a z-greedy play may take, as successor lists of
+    the interior vertices for markov.attractor, whose target over them
+    is the 1-sink and every vertex worth 0 under z, with min blocking.
 
     z is given as reduced (numerator, denominator) pairs in vertex
     order, compared by cross-multiplying. An avg vertex keeps both
@@ -214,34 +216,22 @@ class _TightEdges:
     of z over its pair; with sigma given, a max vertex keeps sigma's
     pick instead.
     """
-
-    def __init__(self, game: Game, z: list[tuple[int, int]], sigma: Union[Strategy, None] = None):
-        self.game = game
-        self._z = z
-        self._succ = succ = []
-        for v, kind, pair in zip(game.vertices, game.kinds, game.children):
-            if pair is None or kind is VertexKind.AVG:
-                succ.append(pair or ())
-            elif sigma is not None and kind is VertexKind.MAX:
-                succ.append((sigma.pick(v),))
+    succ = []
+    for v, kind, pair in zip(game.interior, game.kinds, game.children):
+        if kind is VertexKind.AVG:
+            succ.append(pair)
+        elif sigma is not None and kind is VertexKind.MAX:
+            succ.append((sigma.pick(v),))
+        else:
+            a, b = pair
+            pa, qa = z[a - 1]
+            pb, qb = z[b - 1]
+            left, right = pa * qb, pb * qa
+            if left == right:
+                succ.append(pair)
             else:
-                a, b = pair
-                pa, qa = z[a - 1]
-                pb, qb = z[b - 1]
-                left, right = pa * qb, pb * qa
-                if left == right:
-                    succ.append(pair)
-                else:
-                    succ.append((a,) if (left > right) == (kind is VertexKind.MAX) else (b,))
-
-    def successors(self, v: int) -> tuple[int, ...]:
-        return self._succ[v - 1]
-
-    def layers(self) -> dict[int, int]:
-        """The attractor over these edges of the 1-sink and every vertex
-        worth 0 under z, with min blocking, as {vertex: layer}."""
-        zeros = (v for v, (p, _q) in zip(self.game.vertices, self._z) if p == 0)
-        return attractor(self, (self.game.sink1, *zeros), (VertexKind.MIN,))
+                succ.append((a,) if (left > right) == (kind is VertexKind.MAX) else (b,))
+    return succ
 
 
 def greedy_strategies(game: Game, v: ValueVector) -> tuple[Strategy, Strategy]:
@@ -249,7 +239,7 @@ def greedy_strategies(game: Game, v: ValueVector) -> tuple[Strategy, Strategy]:
 
     Each player vertex picks, among its tight children (those attaining
     v), the one in the lowest layer of the tight-edge attractor (see
-    _TightEdges.layers), then the lower id. A max vertex thereby always
+    _tight_edges), then the lower id. A max vertex thereby always
     steps one layer down, so the attractor with max fixed to sigma
     still covers every vertex and verify_ovv_certificate accepts
     (v, sigma): sigma is optimal. A merely v-greedy sigma need not be,
@@ -264,12 +254,13 @@ def greedy_strategies(game: Game, v: ValueVector) -> tuple[Strategy, Strategy]:
 def _greedy(game: Game, z: list[tuple[int, int]]) -> tuple[Strategy, Strategy]:
     """greedy_strategies for z given as reduced (numerator, denominator)
     pairs in vertex order."""
-    tight = _TightEdges(game, z)
-    layers = tight.layers()
+    tight = _tight_edges(game, z)
+    zeros = (v for v, (p, _q) in zip(game.vertices, z) if p == 0)
+    layers = attractor(game, tight, (game.sink1, *zeros), (VertexKind.MIN,))
     n = game.n
     tau_picks: dict[int, int] = {}
     sigma_picks: dict[int, int] = {}
-    for i, kind, options in zip(game.interior, game.kinds, tight._succ):
+    for i, kind, options in zip(game.interior, game.kinds, tight):
         if kind is VertexKind.AVG:
             continue
         pick = options[0]
@@ -383,7 +374,7 @@ def avg_free_run(game: Game) -> tuple[ValueVector, int]:
     """
     if game.has_kind(VertexKind.AVG):
         raise PreconditionError("game has avg vertices; this solver handles player-only games")
-    wins = attractor(ReducedGame(game), (game.sink1,), (VertexKind.MIN,))
+    wins = attractor(game, game.children, (game.sink1,), (VertexKind.MIN,))
     values = ValueVector(int(v in wins) for v in game.vertices)
     return values, max(wins.values())
 
@@ -916,7 +907,7 @@ def verify_ovv_certificate(game: Game, cert: Certificate) -> bool:
 
     Accepts exactly when T z = z (checked in integers, _is_fixed_point),
     sigma is z-greedy, and the tight-edge attractor with max fixed to
-    sigma covers every vertex (_TightEdges.layers). The first makes z a
+    sigma covers every vertex (_tight_edges). The first makes z a
     fixed point, hence at least the value, which is the least one. The
     other two make z at most val(G_sigma), hence at most the value: a
     set where z - val(G_sigma) is largest and positive holds no target
@@ -943,7 +934,9 @@ def verify_ovv_certificate(game: Game, cert: Certificate) -> bool:
     # reduced pairs are equal exactly when their values are
     if any(pairs[j - 1] != pairs[v - 1] for v, j in sigma.picks):
         return False
-    return len(_TightEdges(game, pairs, sigma).layers()) == game.n
+    tight = _tight_edges(game, pairs, sigma)
+    zeros = (v for v, (p, _q) in zip(game.vertices, pairs) if p == 0)
+    return len(attractor(game, tight, (game.sink1, *zeros), (VertexKind.MIN,))) == game.n
 
 
 def verify_value_certificate(

@@ -143,8 +143,13 @@ def transform_error_bound(n: int, c: int) -> Fraction:
     """Worst-case value perturbation of the chain construction: 2**(n*(3-c)).
 
     Vacuous (>= 1) for small c; at c = 9 it is 2**(-6n), far below the
-    4**(-2n) spacing of exactly representable values.
+    4**(-2n) spacing of exactly representable values. n and c must be
+    positive, as build_stopping_game requires of c.
     """
+    if n < 1:
+        raise PreconditionError(f"game size must be positive, got n={n}")
+    if c < 1:
+        raise PreconditionError(f"chain multiplier c must be positive, got {c}")
     e = n * (3 - c)
     if e >= 0:
         return Fraction(2**e)

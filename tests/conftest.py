@@ -7,13 +7,19 @@ import pytest
 from ssg import PreconditionError, attractor
 
 
+def successor_lists(rg):
+    """rg's successors of each interior vertex, in the layout of
+    game.children, as attractor takes them."""
+    return [rg.successors(v) for v in rg.game.interior]
+
+
 def sink_reachable_set(rg):
     """Non-sink vertices of a fully reduced game with a directed path to
     either sink: the attractor of the sinks with no vertex blocking."""
     if not rg.fully_reduced:
         raise PreconditionError("sink_reachable_set needs both players' strategies fixed")
     sinks = (rg.game.sink0, rg.game.sink1)
-    return frozenset(attractor(rg, sinks, ())).difference(sinks)
+    return frozenset(attractor(rg.game, successor_lists(rg), sinks, ())).difference(sinks)
 
 
 def in_value_set(x, t):

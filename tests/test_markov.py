@@ -28,9 +28,8 @@ from ssg import (
     solve_value_vector,
     zero_one_sets,
 )
-from conftest import in_value_set, sink_reachable_set
+from conftest import in_value_set, sink_reachable_set, successor_lists
 from ssg.fixtures import FIXTURES, GAME_A, GAME_B, GAME_C, GAME_E, GAME_G
-from ssg.markov import _Within
 from ssg.stopping import DEFAULT_C, chain_weight
 
 
@@ -67,19 +66,27 @@ def test_sink_reachable_set_drops_trapped_cycle():
 
 def test_attractor_layers_count_forced_steps():
     # GAME-E: max 1 -> (2, 0-sink 3), min 2 -> (1, 1-sink 4)
-    rg = ReducedGame(GAME_E)
-    assert attractor(rg, (4,), ()) == {4: 0, 2: 1, 1: 2}
+    succ = GAME_E.children
+    assert attractor(GAME_E, succ, (4,), ()) == {4: 0, 2: 1, 1: 2}
     # min at 2 blocks: it can always pick 1, so only the target is forced
-    assert attractor(rg, (4,), (VertexKind.MIN,)) == {4: 0}
+    assert attractor(GAME_E, succ, (4,), (VertexKind.MIN,)) == {4: 0}
     # an interior target stays at layer 0; 2 joins once both children have
-    assert attractor(rg, (1, 4), (VertexKind.MIN,)) == {1: 0, 4: 0, 2: 1}
+    assert attractor(GAME_E, succ, (1, 4), (VertexKind.MIN,)) == {1: 0, 4: 0, 2: 1}
 
 
 def test_attractor_follows_fixed_strategies():
     rg = fully_reduce(GAME_E, tau_picks={2: 4}, sigma_picks={1: 2})
-    assert attractor(rg, (4,), (VertexKind.MIN, VertexKind.MAX)) == {4: 0, 2: 1, 1: 2}
+    blocking = (VertexKind.MIN, VertexKind.MAX)
+    assert attractor(GAME_E, successor_lists(rg), (4,), blocking) == {4: 0, 2: 1, 1: 2}
     rg = fully_reduce(GAME_E, tau_picks={2: 1}, sigma_picks={1: 2})
-    assert attractor(rg, (3, 4), ()) == {3: 0, 4: 0}
+    assert attractor(GAME_E, successor_lists(rg), (3, 4), ()) == {3: 0, 4: 0}
+
+
+def test_attractor_refuses_targets_that_are_not_vertices():
+    # as list indices -1 is the last slot and 0 an unused one; 7 lies past the end
+    for game, target in ((GAME_G, (-1,)), (GAME_G, (0,)), (GAME_A, (7,))):
+        with pytest.raises(PreconditionError):
+            attractor(game, game.children, target, ())
 
 
 def test_linear_system_residual(residual_holds):
@@ -345,7 +352,7 @@ def check_every_pair(game, residual_holds):
     for tau in enumerate_strategies(game, VertexKind.MIN):
         for sigma in enumerate_strategies(game, VertexKind.MAX):
             rg = reduce_game(game, tau, sigma)
-            zero = set(game.vertices).difference(attractor(rg, (game.sink1,), ()))
+            zero = set(game.vertices).difference(attractor(game, successor_lists(rg), (game.sink1,), ()))
             for lam in lams:
                 v = solve_value_vector(rg, lam)
                 assert residual_holds(rg, v, lam), (game, tau, sigma, lam)
@@ -428,6 +435,53 @@ def test_avg_child_chain_ending_at_the_0_sink():
         assert solve_value_vector(rg, lam) == ValueVector([lam / 2, 0, 0, 0, 1])
 
 
+def naive_attractor(game, succ, target, blocking):
+    """The attractor by its definition, as a fixpoint: round d adds every
+    interior vertex outside it whose need is met by vertices of earlier
+    rounds, all its successors when its kind blocks and one otherwise."""
+    layers = dict.fromkeys(target, 0)
+    depth = 0
+    while True:
+        depth += 1
+        joined = []
+        for v in game.interior:
+            s = succ[v - 1]
+            met = sum(j in layers for j in s)
+            if v not in layers and s and met >= (len(s) if game.kind(v) in blocking else 1):
+                joined.append(v)
+        if not joined:
+            return layers
+        layers.update(dict.fromkeys(joined, depth))
+
+
+def check_attractor(game):
+    """Check attractor against naive_attractor on game unreduced and with
+    both players fixed to their first strategy, for every blocking set
+    and for the 1-sink, both sinks and each single vertex as target.
+    Returns the number of attractors compared."""
+    tau = enumerate_strategies(game, VertexKind.MIN)[0]
+    sigma = enumerate_strategies(game, VertexKind.MAX)[0]
+    targets = [(game.sink1,), (game.sink0, game.sink1), *((v,) for v in game.vertices)]
+    blockings = [(), (VertexKind.MIN,), (VertexKind.MAX,), (VertexKind.MAX, VertexKind.MIN)]
+    count = 0
+    for succ in (game.children, successor_lists(ReducedGame(game, tau, sigma))):
+        for target in targets:
+            for blocking in blockings:
+                expected = naive_attractor(game, succ, target, blocking)
+                assert attractor(game, succ, target, blocking) == expected, (game, succ, target, blocking)
+                count += 1
+    return count
+
+
+def test_attractor_on_every_4_vertex_game_and_a_5_vertex_sample():
+    # 4 vertices reach layer 2 at most; the 5-vertex sample reaches 3
+    games = list(every_game(4))
+    assert len(games) == 324
+    assert sum(map(check_attractor, games)) == 324 * 2 * 6 * 4
+    games = sample_games_on_5_vertices(N5_PER_KINDS, N5_SEED)
+    assert sum(map(check_attractor, games)) == 27 * N5_PER_KINDS * 2 * 7 * 4
+
+
 def check_zero_one_sets(game):
     """Check zero_one_sets against brute_force_oracle: the two sets are
     exactly the vertices worth 0 and worth 1. Returns whether they
@@ -463,5 +517,9 @@ def test_value_1_loop_starts_at_every_vertex():
     first = next(g for g in every_game(4) if set(g.vertices) - zero_one_sets(g)[0] != worth_1(g))
     assert first == build_game(4, 1, [(1, "max", 1, 2), (2, "avg", 3, 4)])
     positive = {1, 2, 4}
-    assert attractor(_Within(first, positive), (4,), (VertexKind.MIN,)).keys() == positive
+    within = [
+        [c for c in pair if c in positive] if v in positive else ()
+        for v, pair in zip(first.interior, first.children)
+    ]
+    assert attractor(first, within, (4,), (VertexKind.MIN,)).keys() == positive
     assert zero_one_sets(first) == ({3}, {4})

@@ -71,6 +71,10 @@ def test_error_bound_magnitudes():
     assert transform_error_bound(3, 4) == Fraction(1, 8)
     assert transform_error_bound(2, 1) == 16
     assert transform_error_bound(4, 9) == Fraction(1, 2**24)
+    # c = 0 would bound a companion build_stopping_game refuses, and n < 1 no game
+    for n, c in ((5, 0), (0, 9), (-2, 9)):
+        with pytest.raises(PreconditionError):
+            transform_error_bound(n, c)
 
 
 def test_default_multiplier_snaps_back_at_every_size():

@@ -1,5 +1,6 @@
 """Check the exact evaluator, the strategy-improvement loop, every solve
-route and the certificate verifier on every game on 5 vertices.
+route, the certificate verifier, the value-0 and value-1 pre-pass and
+the attractor on every game on 5 vertices.
 
     python3 tools/exhaustive_eval.py
 
@@ -17,14 +18,20 @@ on every game: each solve method that accepts the game must return the
 oracle's values with strategies worth exactly them, and
 `verify_ovv_certificate` must accept each candidate (z, sigma) exactly
 when z is the value and sigma is optimal.
-Last it runs `check_zero_one_sets` from tests/test_markov.py on every
+Then it runs `check_zero_one_sets` from tests/test_markov.py on every
 game: the qualitative pre-pass `zero_one_sets` must return exactly the
 oracle's vertices worth 0 and worth 1; the line counts the games whose
 every vertex it settles.
+Last it runs `check_attractor` from tests/test_markov.py on every game:
+`attractor` must return the same {vertex: layer} dict as a naive
+fixpoint, on the game unreduced and with both players fixed to their
+first strategy, for every blocking set and for the 1-sink, both sinks
+and each single vertex as target.
 Tier-1 runs the same checks on every game on 4 vertices and on seeded
 samples of the 5-vertex games. Prints one line per check with the game
 and check counts and the wall time; a failing check raises an
-AssertionError naming the game and the strategies.
+AssertionError naming the game and the strategies, or the attractor's
+successor lists, target and blocking set.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
 from conftest import _residual_holds  # noqa: E402
 from ssg import is_stopping  # noqa: E402
-from test_markov import check_every_pair, check_zero_one_sets, every_game  # noqa: E402
+from test_markov import check_attractor, check_every_pair, check_zero_one_sets, every_game  # noqa: E402
 from test_solvers import check_every_start, check_routes_and_certificates  # noqa: E402
 
 
@@ -65,6 +72,10 @@ def main() -> None:
     settled = sum(map(check_zero_one_sets, every_game(5)))
     print(f"{games} games on 5 vertices, value-0 and value-1 sets checked against the oracle, "
           f"{settled} games fully settled, {perf_counter() - start:.1f} s")
+    start = perf_counter()
+    attractors = sum(map(check_attractor, every_game(5)))
+    print(f"{games} games on 5 vertices, {attractors} attractors checked against the naive "
+          f"fixpoint, {perf_counter() - start:.1f} s")
 
 
 if __name__ == "__main__":
