@@ -7,11 +7,11 @@ absorption probabilities. Methods:
 
   value_iteration  approximate, sweeps the operator in place from zero
   avg_free_run     exact max attractor of the 1-sink, for games without chance
-  hoffman_karp     exact strategy improvement for stopping games
+  hoffman_karp     exact strategy improvement, through the chain
+                   transform on games that are not stopping
   (LP)             exact simplex when one player has no choices
   brute_force_oracle  exact by enumeration, for cross-checking
-  solve            dispatcher; falls back to the chain transform so
-                   every game gets an exact answer
+  solve            dispatcher; every game gets an exact answer
 
 Exactness on non-stopping mixed games comes from the transform: values
 of the stopping companion are within half the spacing of representable
@@ -49,10 +49,10 @@ The lp route and the transform therefore start with the qualitative
 pre-pass markov.zero_one_sets, which finds those vertices by
 attractors alone. When its two sets cover every vertex, the route
 returns them as the values (_settled) with no simplex, companion solve
-or evaluation, and counts 0 iterations. hk and vi skip it: vi is the
-independent exact reference, and on stopping games one evaluation from
-the vi-guided start usually confirms the optimum, so the same exit
-measured no gain there.
+or evaluation, and counts 0 iterations. hk on stopping games and vi
+skip it: vi is the independent exact reference, and on stopping games
+one evaluation from the vi-guided start usually confirms the optimum,
+so the same exit measured no gain there.
 
 The vi route sweeps value iteration on a stopping game, where T has one
 fixed point, so any snapped iterate with T z = z is the value whatever
@@ -541,24 +541,30 @@ def _strategy_improvement(
 
 
 def hoffman_karp(game: Game) -> SolveReport:
-    """Exact strategy improvement for stopping games (Hoffman and Karp).
+    """Exact strategy improvement (Hoffman and Karp) on every game.
 
-    The stopping test is markov.stopping_layers, computed once: a game
-    it does not cover whole raises PreconditionError, and its layers
-    order the sweeps of the start guess. Start both players at the
-    greedy picks of that short value-iteration guess (_vi_guess); each
-    round, compute min's exact best reply and switch every max vertex
-    whose other child is strictly better under those values; both steps
-    run _improve. No switchable vertex means the values are a fixed
-    point of the update operator, hence optimal. Rounds are bounded by
-    the number of distinct max strategies; when the guess names the
-    optimal strategies, one evaluation and no round confirm them.
+    The stopping test is markov.stopping_layers, computed once; its
+    layers order the sweeps of the start guess. On a stopping game,
+    start both players at the greedy picks of that short value-iteration
+    guess (_vi_guess); each round, compute min's exact best reply and
+    switch every max vertex whose other child is strictly better under
+    those values; both steps run _improve. No switchable vertex means the
+    values are a fixed point of the update operator, hence optimal.
+    Rounds are bounded by the number of distinct max strategies; when the
+    guess names the optimal strategies, one evaluation and no round
+    confirm them. Any other game gets the transform report, certificate
+    attached: _settled's values with 0 rounds, else _transform_solve's.
     """
     layers = stopping_layers(game)
-    if len(layers) < game.n:
-        raise PreconditionError("strategy improvement needs a stopping game; transform first")
-    pairs, rounds = _strategy_improvement(game, Fraction(1), _vi_guess(game, layers))
-    return _report(game, _vector(pairs), "hk", rounds, pairs)
+    if len(layers) == game.n:
+        pairs, rounds = _strategy_improvement(game, Fraction(1), _vi_guess(game, layers))
+        return _report(game, _vector(pairs), "hk", rounds, pairs)
+    values, pairs, rounds = _settled(game), None, 0
+    if values is None:
+        pairs, _s, rounds = _transform_solve(game, layers)
+        values = _vector(pairs)
+    report = _report(game, values, "transform", rounds, pairs)
+    return replace(report, certificate=Certificate(z=report.values, sigma=report.sigma))
 
 
 def _snap(num: int, den: int, n: int) -> Union[tuple[int, int], None]:
@@ -659,7 +665,7 @@ def _snap_fixed_point(
 
 
 def _transform_solve(
-    game: Game,
+    game: Game, layers: dict[int, int]
 ) -> tuple[list[tuple[int, int]], list[tuple[int, int]], int]:
     """Solve exactly through the stopping companion, in contracted form.
 
@@ -670,14 +676,12 @@ def _transform_solve(
     companion's exact optimal values there, and z is their snap-back
     onto the original game's representable values; s goes to the snap
     as pairs, and no Fraction is built for it. lam < 1 makes that
-    game stopping; the stopping attractor, computed again here, only
+    game stopping; layers, hoffman_karp's stopping attractor, only
     orders the guess's sweeps. At DEFAULT_C the transform error stays
     below half a separation, so the snap and the test T z = z are
     theory-guaranteed, and failing them means a bug, not bad input.
     """
-    s, rounds = _strategy_improvement(
-        game, chain_weight(DEFAULT_C * game.n), _vi_guess(game, stopping_layers(game))
-    )
+    s, rounds = _strategy_improvement(game, chain_weight(DEFAULT_C * game.n), _vi_guess(game, layers))
     nums, dens = zip(*s)
     z, _ = _snap_fixed_point(game, nums, dens, game.n)
     if z is None:
@@ -771,16 +775,16 @@ def solve(
     """Compute the optimal value vector by the requested method.
 
     auto picks the cheapest exact path: the attractor solver when there
-    is no chance, the LP when one player is absent, strategy
-    improvement when the game is stopping, and otherwise the chain
-    transform (solve the stopping companion with chains of DEFAULT_C * n
-    coin flips per edge, snap values back, verify T z = z).
-    hoffman_karp's own stopping test makes that last choice, so the
-    test runs once.
+    is no chance, the LP when one player is absent, and otherwise
+    hoffman_karp (the hk method, for every game), whose one stopping
+    test picks strategy improvement on a stopping game and the chain
+    transform on any other (solve the stopping companion with chains of
+    DEFAULT_C * n coin flips per edge, snap values back, verify T z = z).
     The lp route and the transform first run the qualitative pre-pass
     markov.zero_one_sets; when every vertex is worth exactly 0 or 1
     they return those values with 0 iterations and no exact solve. hk
-    and vi never run it, and no method accepts more games for it.
+    on a stopping game and vi never run it, and no method accepts more
+    games for it.
     The transform path always attaches the certificate (values, sigma);
     with_certificate attaches it on every path and checks it with
     verify_ovv_certificate, raising InternalCheckError on a rejection.
@@ -800,8 +804,7 @@ def solve(
     has_max = game.has_kind(VertexKind.MAX)
     has_min = game.has_kind(VertexKind.MIN)
 
-    routed = method == "auto"
-    if routed:
+    if method == "auto":
         if not has_avg:
             method = "avg-free"
         elif not has_min or not has_max:
@@ -810,8 +813,6 @@ def solve(
             method = "hk"
 
     if method == "avg-free":
-        if has_avg:
-            raise PreconditionError("avg-free method on a game with avg vertices")
         values, depth = avg_free_run(game)
         report = _report(game, values, "avg-free", depth)
     elif method == "lp":
@@ -823,17 +824,7 @@ def solve(
             values, pivots = ValueVector(result.values), result.pivots
         report = _report(game, values, "lp", pivots)
     elif method == "hk":
-        try:
-            report = hoffman_karp(game)
-        except PreconditionError:
-            if not routed:
-                raise
-            # hoffman_karp's stopping test found the game non-stopping
-            values, pairs, rounds = _settled(game), None, 0
-            if values is None:
-                pairs, _s, rounds = _transform_solve(game)
-                values = _vector(pairs)
-            report = _report(game, values, "transform", rounds, pairs)
+        report = hoffman_karp(game)
     else:  # vi
         layers = stopping_layers(game)
         if len(layers) < game.n:
@@ -841,9 +832,9 @@ def solve(
         pairs, iters = _vi_solve(game, layers)
         report = _report(game, _vector(pairs), "vi", iters, pairs)
 
-    if with_certificate or report.method == "transform":
+    if with_certificate:
         cert = Certificate(z=report.values, sigma=report.sigma)
-        if with_certificate and not verify_ovv_certificate(game, cert):
+        if not verify_ovv_certificate(game, cert):
             raise InternalCheckError("the solve result fails its own certificate check")
         report = replace(report, certificate=cert)
     return report

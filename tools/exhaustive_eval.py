@@ -14,8 +14,11 @@ the chain and read 0 at exactly the vertices with no path to the
 `check_every_start` from tests/test_solvers.py: the loop of
 `hoffman_karp` must reach the oracle's values from every start pair.
 Then it runs `check_routes_and_certificates` from tests/test_solvers.py
-on every game: each solve method that accepts the game must return the
-oracle's values with strategies worth exactly them, and
+on every game: each solve method that accepts the game (`auto` and `hk`
+every game, `vi` a stopping one, `lp` one with a player absent,
+`avg-free` one without avg vertices) must return the oracle's values
+with strategies worth exactly them, `hk` must return auto's report on
+every game with all three kinds, and
 `verify_ovv_certificate` must accept each candidate (z, sigma) exactly
 when z is the value and sigma is optimal.
 Then it runs `check_zero_one_sets` from tests/test_markov.py on every
