@@ -44,15 +44,24 @@ loop is kernels.ordered_sweeps, in place, in the layer order of the
 stopping test's attractor, which hoffman_karp computes once for both
 jobs; the vertices it misses, on a game the transform solves, go last.
 
-Random games are bimodal: many have every vertex worth exactly 0 or 1.
-The lp route and the transform therefore start with the qualitative
-pre-pass markov.zero_one_sets, which finds those vertices by
-attractors alone. When its two sets cover every vertex, the route
-returns them as the values (_settled) with no simplex, companion solve
-or evaluation, and counts 0 iterations. hk on stopping games and vi
-skip it: vi is the independent exact reference, and on stopping games
-one evaluation from the vi-guided start usually confirms the optimum,
-so the same exit measured no gain there.
+Random games are bimodal: many have every vertex worth exactly 0 or 1,
+and most others only a few vertices strictly between. The lp route and
+the transform therefore start with the qualitative pre-pass
+markov.zero_one_sets, which finds the vertices worth 0 or 1 by
+attractors alone, and contract them out of the game (_contract). When
+its two sets cover every vertex, the route returns them as the values
+with no simplex, companion solve or evaluation, and counts 0
+iterations. Otherwise the simplex, or the transform with its chain
+factor at the contracted size, solves the m undecided vertices and two
+sinks, every edge into a settled vertex sent to the sink of its value;
+its values are lifted back (_lift) and its pivots or rounds counted.
+As on every route, the strategies are read off the whole game's values
+(_greedy), never copied from the contracted solve: that has no pick at
+a settled vertex, and a max vertex worth 1 must take the tight-edge
+attractor's pick to reach the 1-sink almost surely. hk on stopping
+games and vi skip the pre-pass: vi is the independent exact reference,
+and on stopping games one evaluation from the vi-guided start usually
+confirms the optimum, so the contraction measured slower there.
 
 The vi route sweeps value iteration on a stopping game, where T has one
 fixed point, so any snapped iterate with T z = z is the value whatever
@@ -420,13 +429,48 @@ def _report(
     return SolveReport(values=values, tau=tau, sigma=sigma, method=method, iterations=iterations)
 
 
-def _settled(game: Game) -> Union[ValueVector, None]:
-    """The value vector when markov.zero_one_sets settles every vertex
-    at 0 or 1, else None."""
+def _contract(game: Game) -> tuple[list, Union[Game, None]]:
+    """Contract the vertices that markov.zero_one_sets settles out of
+    game; returns (z, contracted), one call of zero_one_sets.
+
+    z holds the values as reduced (numerator, denominator) pairs in
+    vertex order: (0, 1) or (1, 1) at every settled vertex and None at
+    the m undecided ones. When m = 0, z is the whole answer and
+    contracted is None. Otherwise contracted is the game on the
+    undecided vertices, relabelled 1..m in id order, and two sinks:
+    every edge into a vertex worth 0 goes to the 0-sink m+1, and every
+    edge into a vertex worth 1 to the 1-sink m+2. Children stay
+    distinct, since a vertex with both children worth 0, or both worth
+    1, is settled itself. A play from an undecided vertex that reaches
+    a settled one is worth that vertex's value from there on, whoever
+    moves, so contracted has the game's values at the undecided
+    vertices, and _lift writes them into z. Its start plays no part in
+    a solve.
+    """
     zeros, ones = zero_one_sets(game)
-    if len(zeros) + len(ones) < game.n:
-        return None
-    return ValueVector(int(v in ones) for v in game.vertices)
+    z = [(1, 1) if v in ones else (0, 1) if v in zeros else None for v in game.vertices]
+    m = game.n - len(zeros) - len(ones)
+    if not m:
+        return z, None
+    undecided = [v for v, x in zip(game.vertices, z) if x is None]
+    ids = dict.fromkeys(zeros, m + 1)
+    ids.update(dict.fromkeys(ones, m + 2))
+    ids.update((v, i) for i, v in enumerate(undecided, 1))
+    contracted = Game(
+        n=m + 2,
+        start=1,
+        kinds=(*(game.kinds[v - 1] for v in undecided), VertexKind.SINK0, VertexKind.SINK1),
+        children=(*((ids[a], ids[b]) for a, b in (game.children[v - 1] for v in undecided)), None, None),
+    )
+    return z, contracted
+
+
+def _lift(z: list, sub: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """z, _contract's values of a game, with its None entries, the
+    undecided vertices, filled in id order from sub, the values of the
+    contracted game in its vertex order."""
+    fill = iter(sub)
+    return [next(fill) if x is None else x for x in z]
 
 
 def _improve(
@@ -553,17 +597,24 @@ def hoffman_karp(game: Game) -> SolveReport:
     Rounds are bounded by the number of distinct max strategies; when the
     guess names the optimal strategies, one evaluation and no round
     confirm them. Any other game gets the transform report, certificate
-    attached: _settled's values with 0 rounds, else _transform_solve's.
+    attached: _contract's values with 0 rounds when they settle every
+    vertex, else those of _transform_solve on the contracted game,
+    lifted back, with its rounds; its guess sweeps the undecided
+    vertices in the order their layers give them here.
     """
     layers = stopping_layers(game)
     if len(layers) == game.n:
         pairs, rounds = _strategy_improvement(game, Fraction(1), _vi_guess(game, layers))
         return _report(game, _vector(pairs), "hk", rounds, pairs)
-    values, pairs, rounds = _settled(game), None, 0
-    if values is None:
-        pairs, _s, rounds = _transform_solve(game, layers)
-        values = _vector(pairs)
-    report = _report(game, values, "transform", rounds, pairs)
+    z, contracted = _contract(game)
+    rounds = 0
+    if contracted is not None:
+        # the guess sweeps the undecided vertices in their order in game
+        undecided = (v for v, x in zip(game.vertices, z) if x is None)
+        order = {i: layers.get(v, game.n) for i, v in enumerate(undecided, 1)}
+        sub, _s, rounds = _transform_solve(contracted, order)
+        z = _lift(z, sub)
+    report = _report(game, _vector(z), "transform", rounds, z)
     return replace(report, certificate=Certificate(z=report.values, sigma=report.sigma))
 
 
@@ -676,8 +727,9 @@ def _transform_solve(
     companion's exact optimal values there, and z is their snap-back
     onto the original game's representable values; s goes to the snap
     as pairs, and no Fraction is built for it. lam < 1 makes that
-    game stopping; layers, hoffman_karp's stopping attractor, only
-    orders the guess's sweeps. At DEFAULT_C the transform error stays
+    game stopping; layers only orders the guess's sweeps (hoffman_karp
+    passes its stopping attractor's layers of the vertices it keeps,
+    on their contracted ids). At DEFAULT_C the transform error stays
     below half a separation, so the snap and the test T z = z are
     theory-guaranteed, and failing them means a bug, not bad input.
     """
@@ -782,8 +834,10 @@ def solve(
     DEFAULT_C * n coin flips per edge, snap values back, verify T z = z).
     The lp route and the transform first run the qualitative pre-pass
     markov.zero_one_sets; when every vertex is worth exactly 0 or 1
-    they return those values with 0 iterations and no exact solve. hk
-    on a stopping game and vi never run it, and no method accepts more
+    they return those values with 0 iterations and no exact solve, and
+    otherwise they solve the game contracted to the vertices it leaves
+    undecided and count the pivots or rounds of that solve. hk on a
+    stopping game and vi never run it, and no method accepts more
     games for it.
     The transform path always attaches the certificate (values, sigma);
     with_certificate attaches it on every path and checks it with
@@ -818,11 +872,12 @@ def solve(
     elif method == "lp":
         if has_min and has_max:
             raise PreconditionError("lp method needs a game with at most one player present")
-        values, pivots = _settled(game), 0
-        if values is None:
-            result = simplex_optimize((build_lp_max_free if has_min else build_lp_min_free)(game))
-            values, pivots = ValueVector(result.values), result.pivots
-        report = _report(game, values, "lp", pivots)
+        z, contracted = _contract(game)
+        pivots = 0
+        if contracted is not None:
+            result = simplex_optimize((build_lp_max_free if has_min else build_lp_min_free)(contracted))
+            z, pivots = _lift(z, [x.as_integer_ratio() for x in result.values]), result.pivots
+        report = _report(game, _vector(z), "lp", pivots, z)
     elif method == "hk":
         report = hoffman_karp(game)
     else:  # vi

@@ -57,6 +57,7 @@ from ssg.fixtures import (
     GAME_F,
     GAME_G,
 )
+from ssg.lp import build_lp_max_free, build_lp_min_free, simplex_optimize
 from ssg.markov import _value_pairs, _vector, stopping_layers
 from ssg.solve import (
     METHODS,
@@ -737,16 +738,19 @@ PARTIAL_LOOPY = build_game(6, 1, [(1, "max", 2, 4), (2, "min", 1, 3), (3, "avg",
 
 @pytest.fixture
 def exact_calls(monkeypatch):
-    """Counts of the simplex and evaluator-core calls solve makes."""
-    calls = {"simplex_optimize": 0, "_value_pairs": 0}
-    for name in calls:
+    """The sizes of what solve hands its exact solvers, one entry per
+    call: the variables of each simplex program and the vertices of
+    each game the evaluator core solves."""
+    sizes = {"simplex_optimize": lambda lp: len(lp.variables), "_value_pairs": lambda game: game.n}
+    calls = {name: [] for name in sizes}
+    for name, size in sizes.items():
         inner = getattr(solve_module, name)
 
-        def counted(*args, _name=name, _inner=inner):
-            calls[_name] += 1
-            return _inner(*args)
+        def recorded(first, *rest, _name=name, _inner=inner, _size=size):
+            calls[_name].append(_size(first))
+            return _inner(first, *rest)
 
-        monkeypatch.setattr(solve_module, name, counted)
+        monkeypatch.setattr(solve_module, name, recorded)
     return calls
 
 
@@ -756,7 +760,7 @@ def exact_calls(monkeypatch):
 def test_settled_game_skips_the_exact_work(game, route, exact_calls):
     report = solve(game)
     assert (report.method, report.iterations) == (route, 0)
-    assert exact_calls == {"simplex_optimize": 0, "_value_pairs": 0}
+    assert exact_calls == {"simplex_optimize": [], "_value_pairs": []}
     assert report.values == brute_force_oracle(game).values
     assert (report.tau, report.sigma) == greedy_strategies(game, report.values)
     assert (report.certificate is not None) == (route == "transform")
@@ -771,11 +775,45 @@ def test_settled_game_skips_the_exact_work(game, route, exact_calls):
 def test_partially_settled_game_runs_its_route(game, route, called, exact_calls):
     zeros, ones = zero_one_sets(game)
     assert ones - {game.sink1} or zeros - {game.sink0}
-    assert len(zeros) + len(ones) < game.n
+    m = game.n - len(zeros) - len(ones)
+    assert m > 0
     report = solve(game)
     assert report.method == route
-    assert exact_calls[called] > 0
+    # the exact solver sees only the m undecided vertices and two sinks
+    assert set(exact_calls[called]) == {m + 2}
     assert report.values == brute_force_oracle(game).values
+
+
+@pytest.mark.parametrize(
+    "weights, n, seed",
+    [
+        *(((1, 0, 1), 40, seed) for seed in (0, 1, 3)),
+        ((1, 0, 1), 60, 1),
+        *(((0, 1, 1), 60, seed) for seed in (0, 1)),
+    ],
+)
+def test_contracted_lp_route_matches_the_full_program(weights, n, seed, exact_calls):
+    game = random_game(n, weights, seed=seed)
+    zeros, ones = zero_one_sets(game)
+    m = n - len(zeros) - len(ones)
+    assert 1 <= m < n - 2
+    report = solve(game, with_certificate=True)
+    assert report.method == "lp"
+    assert exact_calls["simplex_optimize"] == [m + 2]
+    full = simplex_optimize((build_lp_min_free if weights[1] == 0 else build_lp_max_free)(game))
+    assert report.values == ValueVector(full.values)
+    assert (report.tau, report.sigma) == greedy_strategies(game, report.values)
+    assert verify_ovv_certificate(game, report.certificate)
+
+
+def test_transform_route_solves_a_large_nearly_settled_game(exact_calls):
+    # zero_one_sets leaves 2 of the 10,000 vertices undecided, so the
+    # transform solves a 4-vertex game
+    game = random_game(10_000, (1, 1, 1), seed=0)
+    report = solve(game, with_certificate=True)
+    assert report.method == "transform"
+    assert set(exact_calls["_value_pairs"]) == {4}
+    assert verify_ovv_certificate(game, report.certificate)
 
 
 def test_settled_game_keeps_the_method_preconditions():
@@ -1297,19 +1335,41 @@ def _companion_reference(game, c):
     return z, s, rounds
 
 
-def test_transform_route_matches_built_companion():
+def test_transform_route_matches_built_companion(monkeypatch):
     games = [g for n in range(6, 13) for g in _mixed_non_stopping(n, 2 if n < 10 else 1, 100 * n)]
     # edges into the 0-sink end in a self-looping chain tail
     assert any(j == g.sink0 for g in games for _v, j in g.edges())
     assert any(j == g.sink1 for g in games for _v, j in g.edges())
+    routed = []  # (game, result) of each _transform_solve call that solve makes
+    inner = solve_module._transform_solve
+
+    def recorded(g, layers):
+        routed.append((g, inner(g, layers)))
+        return routed[-1][1]
+
+    monkeypatch.setattr(solve_module, "_transform_solve", recorded)
+    contracted = 0
     for game in games:
+        routed.clear()
         report = solve(game)
         assert report.method == "transform"
         z, s, rounds = _transform_solve(game, stopping_layers(game))
         ref_z, ref_s, ref_rounds = _companion_reference(game, DEFAULT_C)
-        assert s == ref_s
+        assert (s, rounds) == (ref_s, ref_rounds)
         assert report.certificate.z == report.values == _vector(z) == ref_z
-        assert report.iterations == rounds == ref_rounds
+        # the route solves the game with its settled vertices contracted
+        # out, and reports the rounds of that solve
+        zeros, ones = zero_one_sets(game)
+        m = game.n - len(zeros) - len(ones)
+        if not m:
+            assert (routed, report.iterations) == ([], 0)
+            continue
+        [(sub, (_z, sub_s, sub_rounds))] = routed
+        assert sub.n == m + 2
+        assert report.iterations == sub_rounds
+        assert sub_s == _companion_reference(sub, DEFAULT_C)[1]
+        contracted += m + 2 < game.n
+    assert contracted
 
 
 @pytest.mark.parametrize("n", [20, 40, 60])
@@ -1533,4 +1593,4 @@ def test_solve_answers_are_pinned():
                 iterations.update(repr((report.method, report.iterations)).encode())
     assert routes == {"avg-free", "lp", "hk", "transform", "vi"}
     assert answers.hexdigest() == "1c1c7ac20ccdef7837b2770c10a5dc9201b97471b0c48f88a16773f8d768fa1c"
-    assert iterations.hexdigest() == "45f6f4456ce49f0ec6467ac4705087e3f23920b1355742b8251e787f3bec253c"
+    assert iterations.hexdigest() == "2a74a71e3550bf9827715e6aa1bd4154d0a1962456a990b0f519e791fd756706"
