@@ -6,8 +6,13 @@ standard input ('-'). Every verb exits 0 on success, 1 on a domain
 error, 2 on a usage error; decide exits 3 when the answer is false and
 certify exits 1 when the certificate is rejected.
 
-Output is text by default; --format json emits one structured document
-with a schema: 3 field, sorted keys, and rationals as "p/q" strings.
+Each verb builds its json document and its text in one pass and
+returns (exit code, document, text); main prints the one that --format
+asks for, so no verb reads --format, and turns a domain error (an
+SSGError, or an OSError from a file) into exit 1 with the message on
+standard error. Output is text by default; --format json emits the
+document with a schema: 3 field, sorted keys, and rationals as "p/q"
+strings.
 Certificate files carry the same schema field, the values z and the
 max strategy sigma as [vertex, child] pairs; certify refuses a
 certificate of any other schema.
@@ -19,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os.path
 import sys
 import time
@@ -171,49 +177,57 @@ def _certificate_json(cert: Certificate, n: int) -> dict:
     return {"n": n, "sigma": _strategy_edges(cert.sigma), "z": _values_json(cert.z)}
 
 
-def _emit_json(doc: dict) -> None:
-    doc["schema"] = SCHEMA
-    print(json.dumps(doc, indent=2, sort_keys=True))
+def _json_text(doc: dict) -> str:
+    """doc with the schema stamped, as stdout and certificate files hold it."""
+    return json.dumps({**doc, "schema": SCHEMA}, indent=2, sort_keys=True) + "\n"
 
 
-def _report_doc(verb: str, game: Game, report: SolveReport, approx: Union[int, None]) -> dict:
+def _text(lines: list[str]) -> str:
+    return "".join(line + "\n" for line in lines)
+
+
+def _strategies_out(tau: Strategy, sigma: Strategy) -> tuple[dict, list[str]]:
+    """The strategy pair as json fields and as text lines."""
+    doc = {"tau": _strategy_edges(tau), "sigma": _strategy_edges(sigma)}
+    return doc, [f"tau: {_strategy_text(tau)}", f"sigma: {_strategy_text(sigma)}"]
+
+
+def _values_out(
+    doc: dict, values: ValueVector, start: int, approx: Union[int, None]
+) -> tuple[list[str], str]:
+    """Put the vector, the start vertex's value and, with approx, the
+    vector's decimals into doc; return the text lines of the vector and
+    the value line."""
+    doc["values"] = _values_json(values)
+    doc["value"] = format_rational(values[start])
+    if approx is not None:
+        doc["values_approx"] = [_decimal(x, approx) for _, x in values.items()]
+    lines = [f"v({i}) = {_fmt(x, approx)}" for i, x in values.items()]
+    return lines, f"value = {_fmt(values[start], approx)}"
+
+
+def _report_out(
+    verb: str, game: Game, report: SolveReport, approx: Union[int, None]
+) -> tuple[dict, list[str]]:
+    """solve's and oracle's output of one report, as a json document and
+    text lines."""
+    strategies, strategy_lines = _strategies_out(report.tau, report.sigma)
     doc = {
         "verb": verb,
         "n": game.n,
         "start": game.start,
         "method": report.method,
         "iterations": report.iterations,
-        "values": _values_json(report.values),
-        "value": format_rational(report.values[game.start]),
-        "strategies": {
-            "tau": _strategy_edges(report.tau),
-            "sigma": _strategy_edges(report.sigma),
-        },
+        "strategies": strategies,
         "certificate": (
             _certificate_json(report.certificate, game.n) if report.certificate else None
         ),
     }
+    value_lines, value_line = _values_out(doc, report.values, game.start, approx)
     if approx is not None:
-        doc["values_approx"] = [_decimal(x, approx) for _, x in report.values.items()]
         doc["value_approx"] = _decimal(report.values[game.start], approx)
-    return doc
-
-
-def _print_report(game: Game, report: SolveReport, approx: Union[int, None]) -> None:
-    print(f"method: {report.method}")
-    print(f"iterations: {report.iterations}")
-    for i, x in report.values.items():
-        print(f"v({i}) = {_fmt(x, approx)}")
-    print(f"tau: {_strategy_text(report.tau)}")
-    print(f"sigma: {_strategy_text(report.sigma)}")
-    print(f"value = {_fmt(report.values[game.start], approx)}")
-
-
-def _write_certificate(path: str, cert: Certificate, n: int) -> None:
-    doc = _certificate_json(cert, n)
-    doc["schema"] = SCHEMA
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    header = [f"method: {report.method}", f"iterations: {report.iterations}"]
+    return doc, header + value_lines + strategy_lines + [value_line]
 
 
 def _parse_value_list(raw, what: str) -> ValueVector:
@@ -256,195 +270,130 @@ def _load_certificate(path: str) -> Certificate:
 
 # ---------------------------------------------------------------- verbs
 
+Output = tuple[int, dict, str]
 
-def _cmd_validate(args) -> int:
+
+def _cmd_validate(args) -> Output:
     game = _read_game(args.game)
     counts = {
         kind.value: len(game.vertices_of_kind(kind))
         for kind in (VertexKind.MAX, VertexKind.MIN, VertexKind.AVG)
     }
-    if args.format == "json":
-        _emit_json(
-            {
-                "verb": "validate",
-                "ok": True,
-                "n": game.n,
-                "start": game.start,
-                "kinds": counts,
-                "stopping": is_stopping(game),
-            }
-        )
-    else:
-        kinds = " ".join(f"{k}={v}" for k, v in counts.items())
-        word = "stopping" if is_stopping(game) else "non-stopping"
-        print(f"ok: n={game.n} start={game.start} {kinds} ({word})")
-    return 0
+    stopping = is_stopping(game)
+    doc = {
+        "verb": "validate",
+        "ok": True,
+        "n": game.n,
+        "start": game.start,
+        "kinds": counts,
+        "stopping": stopping,
+    }
+    kinds = " ".join(f"{k}={v}" for k, v in counts.items())
+    word = "stopping" if stopping else "non-stopping"
+    return 0, doc, f"ok: n={game.n} start={game.start} {kinds} ({word})\n"
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> Output:
     game = _read_game(args.game)
     report = solve(game, method=args.method, with_certificate=args.cert_out is not None)
+    doc, lines = _report_out("solve", game, report, args.approx)
     if args.cert_out:
-        _write_certificate(args.cert_out, report.certificate, game.n)
-    if args.format == "json":
-        _emit_json(_report_doc("solve", game, report, args.approx))
-    else:
-        _print_report(game, report, args.approx)
-        if args.cert_out:
-            print(f"certificate written to {args.cert_out}")
-    return 0
+        with open(args.cert_out, "w", encoding="utf-8") as fh:
+            fh.write(_json_text(_certificate_json(report.certificate, game.n)))
+        lines.append(f"certificate written to {args.cert_out}")
+    return 0, doc, _text(lines)
 
 
-def _cmd_value(args) -> int:
+def _cmd_value(args) -> Output:
     value = game_value(_read_game(args.game))
-    if args.format == "json":
-        doc = {"verb": "value", "value": format_rational(value)}
-        if args.approx is not None:
-            doc["value_approx"] = _decimal(value, args.approx)
-        _emit_json(doc)
-    else:
-        print(_fmt(value, args.approx))
-    return 0
+    doc = {"verb": "value", "value": format_rational(value)}
+    if args.approx is not None:
+        doc["value_approx"] = _decimal(value, args.approx)
+    return 0, doc, _fmt(value, args.approx) + "\n"
 
 
-def _cmd_decide(args) -> int:
+def _cmd_decide(args) -> Output:
     if not 0 <= args.alpha <= 1:
         raise SSGError(f"alpha must lie in [0, 1], got {format_rational(args.alpha)}")
     value = game_value(_read_game(args.game))
     result = value > args.alpha
-    if args.format == "json":
-        _emit_json(
-            {
-                "verb": "decide",
-                "alpha": format_rational(args.alpha),
-                "value": format_rational(value),
-                "result": result,
-            }
-        )
-    else:
-        rel = ">" if result else "<="
-        print(f"{'true' if result else 'false'} (value {format_rational(value)} "
-              f"{rel} alpha {format_rational(args.alpha)})")
-    return 0 if result else 3
+    doc = {
+        "verb": "decide",
+        "alpha": format_rational(args.alpha),
+        "value": format_rational(value),
+        "result": result,
+    }
+    rel = ">" if result else "<="
+    text = f"{'true' if result else 'false'} (value {doc['value']} {rel} alpha {doc['alpha']})\n"
+    return 0 if result else 3, doc, text
 
 
-def _cmd_strategies(args) -> int:
-    game = _read_game(args.game)
-    report = solve(game, "auto")
-    if args.format == "json":
-        _emit_json(
-            {
-                "verb": "strategies",
-                "tau": _strategy_edges(report.tau),
-                "sigma": _strategy_edges(report.sigma),
-            }
-        )
-    else:
-        print(f"tau: {_strategy_text(report.tau)}")
-        print(f"sigma: {_strategy_text(report.sigma)}")
-    return 0
+def _cmd_strategies(args) -> Output:
+    report = solve(_read_game(args.game), "auto")
+    doc, lines = _strategies_out(report.tau, report.sigma)
+    return 0, {"verb": "strategies", **doc}, _text(lines)
 
 
-def _cmd_reduce(args) -> int:
+def _cmd_reduce(args) -> Output:
     game = _read_game(args.game)
     tau = Strategy(VertexKind.MIN, args.tau)
     sigma = Strategy(VertexKind.MAX, args.sigma)
-    rg = reduce_game(game, tau, sigma)
-    values = solve_value_vector(rg)
-    if args.format == "json":
-        doc = {
-            "verb": "reduce",
-            "values": _values_json(values),
-            "value": format_rational(values[game.start]),
-            "tau": _strategy_edges(tau),
-            "sigma": _strategy_edges(sigma),
-        }
-        if args.approx is not None:
-            doc["values_approx"] = [_decimal(x, args.approx) for _, x in values.items()]
-        _emit_json(doc)
-    else:
-        for i, x in values.items():
-            print(f"v({i}) = {_fmt(x, args.approx)}")
-        print(f"value = {_fmt(values[game.start], args.approx)}")
-    return 0
+    values = solve_value_vector(reduce_game(game, tau, sigma))
+    doc = {"verb": "reduce", "tau": _strategy_edges(tau), "sigma": _strategy_edges(sigma)}
+    value_lines, value_line = _values_out(doc, values, game.start, args.approx)
+    return 0, doc, _text(value_lines + [value_line])
 
 
-def _cmd_transform(args) -> int:
+def _cmd_transform(args) -> Output:
     game = _read_game(args.game)
     transformed, record = build_stopping_game(game, args.c)
-    if args.format == "json":
-        doc = {
-            "verb": "transform",
-            "c": args.c,
-            "n": transformed.n,
-            "game": serialize_game(transformed),
-        }
-        if args.map:
-            doc["map"] = {str(v): record.mapped(v) for v in game.vertices}
-        _emit_json(doc)
-    else:
-        out = serialize_game(transformed)
-        if args.map:
-            lines = [f"# map {v} -> {record.mapped(v)}" for v in game.vertices]
-            out += "".join(line + "\n" for line in lines)
-        sys.stdout.write(out)
-    return 0
+    text = serialize_game(transformed)
+    doc = {"verb": "transform", "c": args.c, "n": transformed.n, "game": text}
+    if args.map:
+        doc["map"] = {str(v): record.mapped(v) for v in game.vertices}
+        text += _text([f"# map {v} -> {record.mapped(v)}" for v in game.vertices])
+    return 0, doc, text
 
 
-def _cmd_certify(args) -> int:
+def _cmd_certify(args) -> Output:
     game = _read_game(args.game)
-    cert = _load_certificate(args.cert)
-    accepted = verify_ovv_certificate(game, cert)
-    if args.format == "json":
-        _emit_json({"verb": "certify", "accepted": accepted, "n": game.n})
-    else:
-        print("certificate accepted" if accepted else "certificate rejected")
-    return 0 if accepted else 1
+    accepted = verify_ovv_certificate(game, _load_certificate(args.cert))
+    doc = {"verb": "certify", "accepted": accepted, "n": game.n}
+    return 0 if accepted else 1, doc, f"certificate {'accepted' if accepted else 'rejected'}\n"
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> Output:
     game = random_game(
         args.n, weights=args.weights, seed=args.seed, require_stopping=args.stopping
     )
     text = serialize_game(game)
-    if args.format == "json":
-        _emit_json(
-            {
-                "verb": "gen",
-                "n": args.n,
-                "seed": args.seed,
-                "weights": ":".join(str(w) for w in args.weights),
-                "stopping": args.stopping,
-                "game": text,
-            }
-        )
-    else:
-        sys.stdout.write(text)
-    return 0
+    doc = {
+        "verb": "gen",
+        "n": args.n,
+        "seed": args.seed,
+        "weights": ":".join(str(w) for w in args.weights),
+        "stopping": args.stopping,
+        "game": text,
+    }
+    return 0, doc, text
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> Output:
     game = _read_game(args.game)
     report = brute_force_oracle(game, budget=args.budget)
-    if args.format == "json":
-        _emit_json(_report_doc("oracle", game, report, args.approx))
-    else:
-        _print_report(game, report, args.approx)
-    return 0
+    doc, lines = _report_out("oracle", game, report, args.approx)
+    return 0, doc, _text(lines)
 
 
 # ---------------------------------------------------------------- bench
 
 
 def _time_best(fn: Callable, repeat: int):
-    result = None
-    best = None
+    best = math.inf
     for _ in range(repeat):
         t0 = time.perf_counter()
         result = fn()
-        dt = time.perf_counter() - t0
-        if best is None or dt < best:
-            best = dt
+        best = min(best, time.perf_counter() - t0)
     return result, best
 
 
@@ -482,7 +431,7 @@ def _bench_rows(game: Game, name: str, methods, args):
         yield row
 
 
-def _cmd_bench(args) -> int:
+def _cmd_bench(args) -> Output:
     suite_dir = "." if args.suite == "-" else os.path.dirname(os.path.abspath(args.suite))
     paths = []
     for raw in _read_text(args.suite).splitlines():
@@ -498,12 +447,8 @@ def _cmd_bench(args) -> int:
         game = _read_game(full)
         rows.extend(_bench_rows(game, rel, args.methods, args))
 
-    if args.format == "json":
-        _emit_json({"verb": "bench", "rows": rows})
-        return 0
-
     headers = ["game", "n", "method", "iters", "ms", "value"]
-    table = [
+    table = [headers] + [
         [
             r["game"],
             str(r["n"]),
@@ -514,11 +459,9 @@ def _cmd_bench(args) -> int:
         ]
         for r in rows
     ]
-    widths = [max(len(h), *(len(row[i]) for row in table)) for i, h in enumerate(headers)]
-    print("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip())
-    for row in table:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-    return 0
+    widths = [max(len(row[i]) for row in table) for i in range(len(headers))]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in table]
+    return 0, {"verb": "bench", "rows": rows}, _text(lines)
 
 
 # ---------------------------------------------------------------- parser
@@ -617,13 +560,12 @@ def main(argv: Union[list[str], None] = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
-    except SSGError as exc:
+        code, doc, text = args.func(args)
+        sys.stdout.write(_json_text(doc) if args.format == "json" else text)
+    except (SSGError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return code
 
 
 def entry() -> None:

@@ -94,7 +94,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain
 from typing import Callable, Iterator, Sequence, Union
 
 from . import kernels
@@ -678,41 +677,30 @@ def round_to_value_set(x: Fraction, n: int) -> Fraction:
 
 
 def _snap_fixed_point(
-    game: Game, nums: Sequence[int], dens: Sequence[int], level: int, first: int = 0
-) -> tuple[Union[list[tuple[int, int]], None], int]:
+    game: Game, nums: Sequence[int], dens: Sequence[int], level: int
+) -> Union[list[tuple[int, int]], None]:
     """Snap the fractions nums[i] / dens[i] in vertex order, denominators
     positive and not necessarily reduced, to values with denominators at
     most 4**level, and test the snapped vector for an operator fixed
-    point. Returns (z, refused): z is the snapped vector, as reduced
-    (numerator, denominator) pairs in vertex order, if it is one, else
-    None; refused is the component without such a value within
-    half of 4**(-2*level), which ends the try, or first if every
-    component snapped. Snapping starts at component first and wraps
-    around, so a caller that passes back the component that refused
-    its last try often ends a failing try after one snap. Each distinct
-    fraction (nums[i], dens[i]) is snapped once per try and its pair
-    reused: vertex values repeat (every sink and many vertices are
-    worth 0 or 1), and a repeated fraction that fails refuses at its
-    first occurrence, so the memo never changes which component
-    refuses. level n is the game's own value set, where the snap of a
-    close enough approximation is guaranteed; a coarser level can only
-    be tried."""
-    m = len(nums)
+    point. Returns the snapped vector, as reduced (numerator,
+    denominator) pairs in vertex order, if it is one, else None; the
+    first component without such a value within half of 4**(-2*level)
+    ends the try. Each distinct fraction (nums[i], dens[i]) is snapped
+    once per try and its pair reused: vertex values repeat (every sink
+    and many vertices are worth 0 or 1). level n is the game's own
+    value set, where the snap of a close enough approximation is
+    guaranteed; a coarser level can only be tried."""
     z = []
     snapped: dict[tuple[int, int], tuple[int, int]] = {}
-    for i in chain(range(first, m), range(first)):
-        key = nums[i], dens[i]
+    for key in zip(nums, dens):
         pair = snapped.get(key)
         if pair is None:
             pair = _snap(*key, level)
             if pair is None:
-                return None, i
+                return None
             snapped[key] = pair
         z.append(pair)
-    z = z[m - first :] + z[: m - first]  # back to vertex order
-    if not _is_fixed_point(game, z):
-        return None, first
-    return z, first
+    return z if _is_fixed_point(game, z) else None
 
 
 def _transform_solve(
@@ -735,7 +723,7 @@ def _transform_solve(
     """
     s, rounds = _strategy_improvement(game, chain_weight(DEFAULT_C * game.n), _vi_guess(game, layers))
     nums, dens = zip(*s)
-    z, _ = _snap_fixed_point(game, nums, dens, game.n)
+    z = _snap_fixed_point(game, nums, dens, game.n)
     if z is None:
         raise InternalCheckError("companion values do not snap to an operator fixed point")
     return z, s, rounds
@@ -772,9 +760,7 @@ def _vi_solve(game: Game, layers: dict[int, int]) -> tuple[list[tuple[int, int]]
     again every SNAP_SPACING sweeps. The sweep whose gain reaches
     default_epsilon is the last try; its iterate lies within a quarter
     separation of the value, so a failed snap there means a bug, not
-    bad input. Each try starts snapping at the component that refused
-    the last one, which on slowly converging chains often refuses again
-    at once.
+    bad input.
     """
     max_iters = DEFAULT_MAX_ITERS
     n = game.n
@@ -789,7 +775,6 @@ def _vi_solve(game: Game, layers: dict[int, int]) -> tuple[list[tuple[int, int]]
     productive = 0
     due = None
     dens = [one] * n
-    refused = 0  # the component that refused the last snap
     swept = kernels.ordered_sweeps(game, _layer_order(game, layers), one, max_iters)
     for sweep, (v, gain) in enumerate(swept):
         productive += gain > 0
@@ -800,13 +785,13 @@ def _vi_solve(game: Game, layers: dict[int, int]) -> tuple[list[tuple[int, int]]
             if level == n - 1:
                 due = sweep
             else:
-                z, refused = _snap_fixed_point(game, v[1:], dens, level, refused)
+                z = _snap_fixed_point(game, v[1:], dens, level)
                 if z is not None:
                     return z, productive
             level += 1
             gate = gates[level]
         if converged or sweep == due:
-            z, refused = _snap_fixed_point(game, v[1:], dens, n, refused)
+            z = _snap_fixed_point(game, v[1:], dens, n)
             if z is not None:
                 return z, productive
             due = sweep + SNAP_SPACING

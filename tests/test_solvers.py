@@ -998,9 +998,9 @@ def test_vi_method_tries_the_highest_level_a_sweep_passes(monkeypatch):
     tried = []
     inner = solve_module._snap_fixed_point
 
-    def recorded(game, nums, dens, level, first=0):
+    def recorded(game, nums, dens, level):
         tried.append(level)
-        return inner(game, nums, dens, level, first)
+        return inner(game, nums, dens, level)
 
     monkeypatch.setattr(solve_module, "_snap_fixed_point", recorded)
     report = solve(game, "vi")
