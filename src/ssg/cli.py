@@ -196,12 +196,13 @@ def _values_out(
     doc: dict, values: ValueVector, start: int, approx: Union[int, None]
 ) -> tuple[list[str], str]:
     """Put the vector, the start vertex's value and, with approx, the
-    vector's decimals into doc; return the text lines of the vector and
+    decimals of both into doc; return the text lines of the vector and
     the value line."""
     doc["values"] = _values_json(values)
     doc["value"] = format_rational(values[start])
     if approx is not None:
         doc["values_approx"] = [_decimal(x, approx) for _, x in values.items()]
+        doc["value_approx"] = _decimal(values[start], approx)
     lines = [f"v({i}) = {_fmt(x, approx)}" for i, x in values.items()]
     return lines, f"value = {_fmt(values[start], approx)}"
 
@@ -224,8 +225,6 @@ def _report_out(
         ),
     }
     value_lines, value_line = _values_out(doc, report.values, game.start, approx)
-    if approx is not None:
-        doc["value_approx"] = _decimal(report.values[game.start], approx)
     header = [f"method: {report.method}", f"iterations: {report.iterations}"]
     return doc, header + value_lines + strategy_lines + [value_line]
 

@@ -22,8 +22,9 @@ lam**k, and every lam keeps the same rows. The avg-only system is
 eliminated in Markowitz order through a column-to-rows index (the
 column with the fewest holder rows, then the shortest holder row),
 which keeps the fill-in low on chance-heavy games. solve's
-strategy-improvement loop calls the core on one pick array;
-solve_value_vector is its public wrapper on a ReducedGame, returning a
+strategy-improvement loop calls the core on one pick array, and
+solve._contract calls it once, at lam = 1, on a contracted game with
+no player vertex left; solve_value_vector is its public wrapper on a ReducedGame, returning a
 ValueVector, for the oracle, the tools and the tests.
 
 attractor is the package's one qualitative engine: the linear-time

@@ -45,16 +45,20 @@ stopping test's attractor, which hoffman_karp computes once for both
 jobs; the vertices it misses, on a game the transform solves, go last.
 
 Random games are bimodal: many have every vertex worth exactly 0 or 1,
-and most others only a few vertices strictly between. The lp route and
-the transform therefore start with the qualitative pre-pass
-markov.zero_one_sets, which finds the vertices worth 0 or 1 by
-attractors alone, and contract them out of the game (_contract). When
-its two sets cover every vertex, the route returns them as the values
-with no simplex, companion solve or evaluation, and counts 0
-iterations. Otherwise the simplex, or the transform with its chain
-factor at the contracted size, solves the m undecided vertices and two
-sinks, every edge into a settled vertex sent to the sink of its value;
-its values are lifted back (_lift) and its pivots or rounds counted.
+and most others only a few vertices strictly between, often with no
+player vertex among them. The lp route and the transform therefore
+start with the qualitative pre-pass markov.zero_one_sets, which finds
+the vertices worth 0 or 1 by attractors alone, and contract them out
+of the game (_contract): the m undecided vertices and two sinks, every
+edge into a settled vertex sent to the sink of its value. _contract
+alone decides what is left. When the two sets cover every vertex, the
+route returns them as the values with no simplex, companion solve or
+evaluation. When the contracted game has no max or min vertex, it is
+an absorbing chain, and one evaluation at lam = 1 gives its values.
+Both count 0 iterations. Only a contraction that keeps a player vertex
+goes to the simplex, or to the transform with its chain factor at the
+contracted size; its values are lifted back (_lift) and its pivots or
+rounds counted.
 As on every route, the strategies are read off the whole game's values
 (_greedy), never copied from the contracted solve: that has no pick at
 a settled vertex, and a max vertex worth 1 must take the tight-edge
@@ -430,7 +434,10 @@ def _report(
 
 def _contract(game: Game) -> tuple[list, Union[Game, None]]:
     """Contract the vertices that markov.zero_one_sets settles out of
-    game; returns (z, contracted), one call of zero_one_sets.
+    game, and evaluate what is left when no player has a choice in it;
+    returns (z, contracted), one call of zero_one_sets. This is where
+    the lp route and the transform decide between settled, chain and
+    choice.
 
     z holds the values as reduced (numerator, denominator) pairs in
     vertex order: (0, 1) or (1, 1) at every settled vertex and None at
@@ -445,6 +452,14 @@ def _contract(game: Game) -> tuple[list, Union[Game, None]]:
     moves, so contracted has the game's values at the undecided
     vertices, and _lift writes them into z. Its start plays no part in
     a solve.
+
+    When contracted has no max or min vertex it is an absorbing Markov
+    chain: each of its vertices is worth strictly between 0 and 1, so
+    each reaches both sinks, and one call of the evaluator core at
+    lam = 1 gives its exact values. They are lifted into z, which is
+    then the whole answer, and contracted is None, as when m = 0; only
+    a contraction that keeps a player vertex goes to the simplex or the
+    transform.
     """
     zeros, ones = zero_one_sets(game)
     z = [(1, 1) if v in ones else (0, 1) if v in zeros else None for v in game.vertices]
@@ -455,13 +470,17 @@ def _contract(game: Game) -> tuple[list, Union[Game, None]]:
     ids = dict.fromkeys(zeros, m + 1)
     ids.update(dict.fromkeys(ones, m + 2))
     ids.update((v, i) for i, v in enumerate(undecided, 1))
+    kinds = tuple(game.kinds[v - 1] for v in undecided)
     contracted = Game(
         n=m + 2,
         start=1,
-        kinds=(*(game.kinds[v - 1] for v in undecided), VertexKind.SINK0, VertexKind.SINK1),
+        kinds=(*kinds, VertexKind.SINK0, VertexKind.SINK1),
         children=(*((ids[a], ids[b]) for a, b in (game.children[v - 1] for v in undecided)), None, None),
     )
-    return z, contracted
+    if any(kind is not VertexKind.AVG for kind in kinds):
+        return z, contracted
+    # no pick is read on a game without player vertices
+    return _lift(z, _value_pairs(contracted, (), 1, 1)), None
 
 
 def _lift(z: list, sub: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -597,9 +616,10 @@ def hoffman_karp(game: Game) -> SolveReport:
     guess names the optimal strategies, one evaluation and no round
     confirm them. Any other game gets the transform report, certificate
     attached: _contract's values with 0 rounds when they settle every
-    vertex, else those of _transform_solve on the contracted game,
-    lifted back, with its rounds; its guess sweeps the undecided
-    vertices in the order their layers give them here.
+    vertex or leave no player vertex, else those of _transform_solve
+    on the contracted game, lifted back, with its rounds; its guess
+    sweeps the undecided vertices in the order their layers give them
+    here.
     """
     layers = stopping_layers(game)
     if len(layers) == game.n:
@@ -819,9 +839,11 @@ def solve(
     DEFAULT_C * n coin flips per edge, snap values back, verify T z = z).
     The lp route and the transform first run the qualitative pre-pass
     markov.zero_one_sets; when every vertex is worth exactly 0 or 1
-    they return those values with 0 iterations and no exact solve, and
-    otherwise they solve the game contracted to the vertices it leaves
-    undecided and count the pivots or rounds of that solve. hk on a
+    they return those values with 0 iterations and no exact solve.
+    Otherwise they contract the game to the vertices it leaves
+    undecided; with no max or min vertex among them one evaluation of
+    that chain gives the values, again with 0 iterations, and with one
+    they solve it and count the pivots or rounds of that solve. hk on a
     stopping game and vi never run it, and no method accepts more
     games for it.
     The transform path always attaches the certificate (values, sigma);

@@ -21,7 +21,7 @@ GAMES = {
 }
 
 # sha256 of the transcript that _transcript writes
-TRANSCRIPT_SHA256 = "6b64a792845472e184ecf2f18b24bf06e6a4b1482c712be551c60a1a98b9b6d4"
+TRANSCRIPT_SHA256 = "d94b3bfc85e763a7fd290af2569007263569cc31476feb7221635a0ad7983e02"
 
 
 def _picks(game, kind):

@@ -730,10 +730,35 @@ def test_oracle_is_not_a_solve_method():
 SETTLED_ONE_PLAYER = build_game(4, 1, [(1, "max", 2, 4), (2, "avg", 2, 3)])
 # max 1 and min 2 may cycle, but max takes the 1-sink and min the 0-sink
 SETTLED_LOOPY = build_game(5, 1, [(1, "max", 2, 5), (2, "min", 1, 4), (3, "avg", 1, 5)])
-# the coin 1 is worth 1/2, max 2 is worth 1 and the looping coin 3 is worth 0
+# the coin 1 is worth 1/2, max 2 is worth 1 and the looping coin 3 is
+# worth 0, so only the coin 1 is left: a chain
 PARTIAL_ONE_PLAYER = build_game(5, 1, [(1, "avg", 3, 5), (2, "max", 3, 5), (3, "avg", 3, 4)])
-# the coin 3 is worth 1/2, while min traps max 1 on the cycle 1 <-> 2
+# the looping coin 4 is worth 0; max 1 takes the coin 2, worth 1/2, over
+# the coin 3, worth 1/4, so max 1 is left with a choice
+PARTIAL_ONE_PLAYER_CHOICE = build_game(
+    6, 1, [(1, "max", 2, 3), (2, "avg", 4, 6), (3, "avg", 2, 5), (4, "avg", 4, 5)]
+)
+# the coin 3 is worth 1/2, while min traps max 1 on the cycle 1 <-> 2,
+# so only the coin 3 is left: a chain
 PARTIAL_LOOPY = build_game(6, 1, [(1, "max", 2, 4), (2, "min", 1, 3), (3, "avg", 5, 6), (4, "avg", 4, 5)])
+# the looping coin 5 is worth 0; max 1 escapes the cycle 1 <-> 2 through
+# the coin 3, worth 1/2, and min 2 follows it back rather than take the
+# coin 4, worth 3/4, so both players are left
+PARTIAL_LOOPY_CHOICE = build_game(
+    7, 1, [(1, "max", 2, 3), (2, "min", 1, 4), (3, "avg", 5, 7), (4, "avg", 3, 7), (5, "avg", 5, 6)]
+)
+
+
+def _contraction(game):
+    """What _contract leaves of game: "settled" when zero_one_sets
+    settles every vertex, "chain" when no player vertex is left
+    undecided, else "choice"; and m, the undecided vertices."""
+    zeros, ones = zero_one_sets(game)
+    undecided = [game.kind(v) for v in game.vertices if v not in zeros and v not in ones]
+    if not undecided:
+        return "settled", 0
+    chain = all(kind is VertexKind.AVG for kind in undecided)
+    return "chain" if chain else "choice", len(undecided)
 
 
 @pytest.fixture
@@ -768,19 +793,29 @@ def test_settled_game_skips_the_exact_work(game, route, exact_calls):
 
 
 @pytest.mark.parametrize(
-    "game, route, called",
-    [(PARTIAL_ONE_PLAYER, "lp", "simplex_optimize"), (PARTIAL_LOOPY, "transform", "_value_pairs")],
-    ids=["lp", "transform"],
+    "game, route, left",
+    [
+        (PARTIAL_ONE_PLAYER_CHOICE, "lp", "choice"),
+        (PARTIAL_LOOPY, "transform", "chain"),
+        (PARTIAL_ONE_PLAYER, "lp", "chain"),
+        (PARTIAL_LOOPY_CHOICE, "transform", "choice"),
+    ],
+    ids=["lp", "transform", "lp-chain", "transform-choice"],
 )
-def test_partially_settled_game_runs_its_route(game, route, called, exact_calls):
+def test_partially_settled_game_runs_its_route(game, route, left, exact_calls):
     zeros, ones = zero_one_sets(game)
     assert ones - {game.sink1} or zeros - {game.sink0}
-    m = game.n - len(zeros) - len(ones)
-    assert m > 0
+    kind, m = _contraction(game)
+    assert kind == left
     report = solve(game)
     assert report.method == route
-    # the exact solver sees only the m undecided vertices and two sinks
-    assert set(exact_calls[called]) == {m + 2}
+    # the exact solver sees only the m undecided vertices and two sinks;
+    # with no player vertex among them it is one evaluation at lam = 1
+    if left == "chain":
+        assert exact_calls == {"simplex_optimize": [], "_value_pairs": [m + 2]}
+        assert report.iterations == 0
+    else:
+        assert set(exact_calls["simplex_optimize" if route == "lp" else "_value_pairs"]) == {m + 2}
     assert report.values == brute_force_oracle(game).values
 
 
@@ -794,12 +829,12 @@ def test_partially_settled_game_runs_its_route(game, route, called, exact_calls)
 )
 def test_contracted_lp_route_matches_the_full_program(weights, n, seed, exact_calls):
     game = random_game(n, weights, seed=seed)
-    zeros, ones = zero_one_sets(game)
-    m = n - len(zeros) - len(ones)
+    kind, m = _contraction(game)
     assert 1 <= m < n - 2
     report = solve(game, with_certificate=True)
     assert report.method == "lp"
-    assert exact_calls["simplex_optimize"] == [m + 2]
+    # the simplex runs exactly when a player vertex is left undecided
+    assert exact_calls["simplex_optimize"] == ([m + 2] if kind == "choice" else [])
     full = simplex_optimize((build_lp_min_free if weights[1] == 0 else build_lp_max_free)(game))
     assert report.values == ValueVector(full.values)
     assert (report.tau, report.sigma) == greedy_strategies(game, report.values)
@@ -1358,10 +1393,10 @@ def test_transform_route_matches_built_companion(monkeypatch):
         assert (s, rounds) == (ref_s, ref_rounds)
         assert report.certificate.z == report.values == _vector(z) == ref_z
         # the route solves the game with its settled vertices contracted
-        # out, and reports the rounds of that solve
-        zeros, ones = zero_one_sets(game)
-        m = game.n - len(zeros) - len(ones)
-        if not m:
+        # out, and reports the rounds of that solve; a contraction with
+        # no player vertex left is evaluated without it
+        kind, m = _contraction(game)
+        if kind != "choice":
             assert (routed, report.iterations) == ([], 0)
             continue
         [(sub, (_z, sub_s, sub_rounds))] = routed
@@ -1447,6 +1482,71 @@ def test_evaluator_core_holds_the_chain_equations_at_scale(n, chain, residual_ho
         assert residual_holds(ReducedGame(game, *_strategies(game, picks)), values, lam)
         inside += sum(0 < x < 1 for x in values.components)
     assert 2 * inside > n  # the systems are not all settled
+
+
+@pytest.mark.parametrize("weights", [(1, 0, 1), (0, 1, 1)], ids=["1:0:1", "0:1:1"])
+def test_lp_route_matches_the_full_program_above_n8(weights, exact_calls):
+    # the simplex on the whole, uncontracted program is the reference;
+    # these draws contract to settled games, chains and games with a
+    # player vertex left, and only the last reach the simplex
+    build = build_lp_min_free if weights[1] == 0 else build_lp_max_free
+    left = set()
+    for n in (16, 24, 32, 40, 60):
+        for seed in range(3):
+            game = random_game(n, weights, seed=seed)
+            kind, m = _contraction(game)
+            left.add(kind)
+            for calls in exact_calls.values():
+                calls.clear()
+            report = solve(game, "lp", with_certificate=True)
+            assert exact_calls == {
+                "simplex_optimize": [m + 2] if kind == "choice" else [],
+                "_value_pairs": [m + 2] if kind == "chain" else [],
+            }
+            assert (report.iterations == 0) == (kind != "choice")
+            assert report.values == ValueVector(simplex_optimize(build(game)).values)
+            assert verify_ovv_certificate(game, report.certificate)
+    assert left == {"settled", "chain", "choice"}
+
+
+def test_transform_route_matches_the_full_game_above_n8(evaluations):
+    # _transform_solve on the whole, uncontracted game is the reference;
+    # a chain contraction is one evaluation at lam = 1, not at the chain
+    # factor
+    left = set()
+    for n in (12, 16, 24, 32, 40):
+        for game in _mixed_non_stopping(n, 4, 1000 * n):
+            kind, m = _contraction(game)
+            left.add(kind)
+            evaluations.clear()
+            report = solve(game)
+            assert report.method == "transform"
+            if kind == "chain":
+                assert [(g.n, p, q) for g, _picks, p, q in evaluations] == [(m + 2, 1, 1)]
+                assert report.iterations == 0
+            z, _s, _rounds = _transform_solve(game, stopping_layers(game))
+            assert report.values == _vector(z)
+            assert verify_ovv_certificate(game, report.certificate)
+    assert left == {"settled", "chain", "choice"}
+
+
+# the coins 2 and 3 only flip between each other, so they are worth 0
+# and the game is not stopping; the coins 1 and 4 are worth 1/2 and 1/4
+COIN_LOOP = build_game(6, 1, [(1, "avg", 2, 6), (2, "avg", 2, 3), (3, "avg", 2, 3), (4, "avg", 1, 5)])
+
+
+@pytest.mark.parametrize("method", ["auto", "lp", "hk"])
+@pytest.mark.parametrize(
+    "game", [random_game(20, (0, 0, 1), seed=0), COIN_LOOP], ids=["stopping", "loop"]
+)
+def test_a_game_of_coins_is_one_evaluation(game, method, exact_calls, evaluations):
+    # no player has a choice: every route evaluates the one strategy
+    # pair once at lam = 1, on the whole game or on its contraction
+    report = solve(game, method)
+    assert exact_calls["simplex_optimize"] == []
+    assert [(p, q) for _g, _picks, p, q in evaluations] == [(1, 1)]
+    assert report.iterations == 0
+    assert report.values == brute_force_oracle(game).values
 
 
 @pytest.mark.parametrize("n", [300, 600])
@@ -1593,4 +1693,4 @@ def test_solve_answers_are_pinned():
                 iterations.update(repr((report.method, report.iterations)).encode())
     assert routes == {"avg-free", "lp", "hk", "transform", "vi"}
     assert answers.hexdigest() == "1c1c7ac20ccdef7837b2770c10a5dc9201b97471b0c48f88a16773f8d768fa1c"
-    assert iterations.hexdigest() == "2a74a71e3550bf9827715e6aa1bd4154d0a1962456a990b0f519e791fd756706"
+    assert iterations.hexdigest() == "213010d73ea19bedd31242c22d7c3382bf795e2870731fc3dd3100e65de88e85"

@@ -10,9 +10,12 @@ compared. After the summary it prints, for each file, the total
 `seconds` per route over the rows both files share, split into settled
 rows (`nontrivial` == 0) and nontrivial rows; rows without the field
 (files written before it existed) are totalled apart. It then prints
-each file's total `evaluations` (exact strategy-pair evaluations) per
-route over the same rows, and how many rows have no such field. Exits
-0 when every row matches and 1 otherwise.
+each file's total `iterations` (the route's own count: simplex pivots,
+improvement rounds, productive sweeps or attractor depth) and total
+`evaluations` (exact strategy-pair evaluations) per route over the same
+rows, and how many rows have no such field or hold null there (`mc`
+rows have no iterations). Exits 0 when every row matches and 1
+otherwise.
 """
 
 from __future__ import annotations
@@ -58,16 +61,16 @@ def route_totals(rows: dict[tuple, dict], keys) -> dict[str, dict[str, list]]:
     return totals
 
 
-def evaluation_totals(rows: dict[tuple, dict], keys) -> dict[str, list]:
-    """{route: [evaluations, rows with the field, rows without it]} over keys."""
+def count_totals(rows: dict[tuple, dict], keys, field: str) -> dict[str, list]:
+    """{route: [total of field, rows with it, rows without it]} over keys."""
     totals: dict[str, list] = {}
     for key in keys:
         row = rows[key]
         cell = totals.setdefault(row["route"], [0, 0, 0])
-        if row.get("evaluations") is None:
+        if row.get(field) is None:
             cell[2] += 1
         else:
-            cell[0] += row["evaluations"]
+            cell[0] += row[field]
             cell[1] += 1
     return totals
 
@@ -108,10 +111,11 @@ def main(argv=None) -> int:
             split = ", ".join(f"{part} {parts[part][0]:.6f} ({parts[part][1]} rows)"
                               for part in PARTS if part in parts)
             print(f"  {route}: {total:.6f} = {split}")
-    for path, rows in ((args.old, old), (args.new, new)):
-        print(f"evaluations per route in {path} over the {len(shared)} shared rows:")
-        for route, (count, counted, missing) in sorted(evaluation_totals(rows, shared).items()):
-            print(f"  {route}: {count} in {counted} rows, {missing} rows without the field")
+    for field in ("iterations", "evaluations"):
+        for path, rows in ((args.old, old), (args.new, new)):
+            print(f"{field} per route in {path} over the {len(shared)} shared rows:")
+            for route, (count, counted, missing) in sorted(count_totals(rows, shared, field).items()):
+                print(f"  {route}: {count} in {counted} rows, {missing} rows without the field")
     return 1 if differ or only_old or only_new else 0
 
 
