@@ -251,9 +251,12 @@ def _parse_sigma(raw) -> Strategy:
 
 
 def _load_certificate(path: str) -> Certificate:
+    text = _read_text(path)
     try:
-        doc = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # json.JSONDecodeError is a ValueError; so is an integer past the
+        # int-to-str digit limit, and deep nesting recurses too far
         raise SSGError(f"certificate file is not valid json: {exc}") from None
     if not isinstance(doc, dict):
         raise SSGError("certificate file must hold a json object")

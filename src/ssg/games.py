@@ -306,7 +306,7 @@ class ValueVector:
         vals = tuple(x if type(x) is Fraction else Fraction(x) for x in values)
         for idx, x in enumerate(vals):
             # A Fraction's denominator is positive, so this is 0 <= x <= 1
-            # in plain integers; certificate vectors hold hundreds of entries.
+            # in plain integers; a certificate z holds one entry per vertex.
             if not 0 <= x.numerator <= x.denominator:
                 raise ValidationError(f"value at vertex {idx + 1} outside [0, 1]: {x}")
         self._vals = vals

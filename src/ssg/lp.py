@@ -21,9 +21,11 @@ multiple of its true row, with a multiple of its own. A pivot touches
 only the rows that hold the pivot column. Scaling a row by a positive
 number moves no sign and no ratio within it, so Bland's entering column
 and the ratio test choose exactly the pivots they would choose on the
-true tableau. The two cost rows are positive multiples as well, summed
-from the rows over the lcm of their scales. Fractions appear only in
-the optimum it returns.
+true tableau. One pricing routine serves both phases: it sums a cost
+row, a positive multiple as well, from the rows over the lcm of their
+scales, with cost -1 on each artificial column in phase 1 and the
+scaled objective in phase 2. The 0 = 0 rows that phase 1 leaves stay
+in the tableau. Fractions appear only in the optimum it returns.
 """
 
 from __future__ import annotations
@@ -201,9 +203,13 @@ def simplex_optimize(lp: LinearProgram) -> SimplexResult:
     row. So Bland's entering column (the first negative reduced cost),
     the ratio test and its tie-break on the basis index pick the same
     pivots as on the true tableau. The cost rows are positive multiples
-    too: phase 1 sums the artificial rows, each weighted by the lcm of
-    their starting scales over its own scale, and phase 2 weights each
-    basic row by the lcm of the basic entries over its own entry.
+    too. run_phase prices a dict of integer costs, maximized: each row
+    whose basic column has a cost is weighted by that cost times the
+    lcm of those rows' basic entries over its own. Phase 1 prices cost
+    -1 on each artificial column and phase 2 the objective, scaled to
+    integers. A row left as 0 = 0 after phase 1, with no column below
+    the artificial ones, stays: no phase 2 pivot can enter a column it
+    holds, so none reads or changes it.
     """
     nv = len(lp.variables)
 
@@ -279,10 +285,16 @@ def simplex_optimize(lp: LinearProgram) -> SimplexResult:
                     row[k] //= g
         basis[r] = j
 
-    def run_phase(zrow: dict[int, int], limit: int) -> None:
-        # zrow holds the reduced costs z_j - c_j times a positive factor;
-        # optimal when all of columns 0..limit-1 are >= 0.
-        tableau.append(zrow)
+    def run_phase(cost: dict[int, int], limit: int) -> None:
+        # The reduced costs z_j - c_j of the maximized costs {column: c},
+        # times a positive factor, go in a row below the m constraint
+        # rows, which every pivot updates. Optimal when all of columns
+        # 0..limit-1 are >= 0.
+        priced = [i for i in range(m) if basis[i] in cost]
+        scale = lcm(*(tableau[i][basis[i]] for i in priced))
+        zrow = {k: -c * scale for k, c in cost.items()}
+        terms = ((tableau[i], cost[basis[i]] * (scale // tableau[i][basis[i]])) for i in priced)
+        tableau.append(_weighted_sum(terms, zrow))
         while True:
             if pivots > _MAX_PIVOTS:
                 raise InternalCheckError("simplex exceeded its pivot budget")
@@ -306,41 +318,24 @@ def simplex_optimize(lp: LinearProgram) -> SimplexResult:
         tableau.pop()
 
     if art_start < ncols:
-        # Phase 1: drive the artificial variables to zero. Its costs,
-        # canonicalized against the starting basis (artificials basic),
-        # are 1 on each artificial column minus the sum of the
-        # artificial rows, so the artificial columns cancel to 0.
-        arts = [i for i in range(m) if basis[i] >= art_start]
-        scale = lcm(*(tableau[i][basis[i]] for i in arts))
-        zrow = dict.fromkeys(range(art_start, ncols), scale)
-        terms = ((tableau[i], -(scale // tableau[i][basis[i]])) for i in arts)
-        run_phase(_weighted_sum(terms, zrow), ncols)
+        # Phase 1: drive the artificial variables to zero, at cost -1
+        # on each artificial column.
+        run_phase(dict.fromkeys(range(art_start, ncols), -1), ncols)
         if any(ncols in tableau[i] for i in range(m) if basis[i] >= art_start):
             raise InfeasibleError("constraints admit no solution")
-        # Pivot leftover artificials out of the basis, or drop dead rows.
+        # Pivot leftover artificials out of the basis; 0 = 0 rows stay.
         for i in range(m - 1, -1, -1):
-            if basis[i] < art_start:
-                continue
-            j = min((k for k in tableau[i] if k < art_start), default=-1)
-            if j >= 0:
-                pivot(i, j)
-            else:
-                del tableau[i]
-                del basis[i]
-                m -= 1
+            if basis[i] >= art_start:
+                j = min((k for k in tableau[i] if k < art_start), default=-1)
+                if j >= 0:
+                    pivot(i, j)
 
-    # Phase 2 reduced costs: the costs, scaled to integers by the lcm of
-    # their denominators and weighted by the lcm of the priced rows'
-    # basic entries, canonicalized against the basis.
+    # Phase 2: the objective, scaled to integers by the lcm of its
+    # denominators, and negated when it is minimized.
     obj = [_rational(x) for x in lp.objective]
     den = lcm(*(x.denominator for x in obj))
     sign = 1 if lp.direction == "max" else -1
-    cost = {k: sign * x.numerator * (den // x.denominator) for k, x in enumerate(obj) if x}
-    priced = [i for i in range(m) if basis[i] in cost]
-    scale = lcm(*(tableau[i][basis[i]] for i in priced))
-    zrow = {k: -c * scale for k, c in cost.items()}
-    terms = ((tableau[i], cost[basis[i]] * (scale // tableau[i][basis[i]])) for i in priced)
-    run_phase(_weighted_sum(terms, zrow), art_start)
+    run_phase({k: sign * x.numerator * (den // x.denominator) for k, x in enumerate(obj) if x}, art_start)
 
     values = [Fraction(0)] * nv
     for row, bj in zip(tableau, basis):

@@ -77,21 +77,22 @@ could lie within half of that level's spacing, before the bound 4**n
 that holds every vertex value; random games have values far coarser
 than 4**n, and each try snaps every distinct value once.
 
-Strategies and certificates share one qualitative engine,
-markov.attractor, run over the tight edges of a value vector z: both
-children of an avg vertex, and the children attaining z at a player
-vertex. _tight_edges lists them in the layout of game.children, which
-attractor reads as it is. Its target is the 1-sink and every vertex
-worth 0, and min blocks. greedy_strategies lets each player vertex pick
-its tight child in the lowest layer. Both compare values as integer
-(numerator, denominator) pairs by cross-multiplying; no Fraction is
-compared. A certificate is the pair (z, sigma), and the value is the
-least fixed point of the operator T, so z is the value exactly when
-T z = z, sigma is z-greedy, and the attractor with max fixed to sigma
-covers every vertex (the end-component argument of Kelmendi, Kraemer,
-Kretinsky and Weininger, CAV 2018): a set where z - val(G_sigma) is
-largest and positive would be closed under avg children, sigma and one
-tight child per min vertex, and no vertex of it could join.
+Strategies and certificates share one qualitative step, _tight_edges:
+the tight edges of a value vector z (both children of an avg vertex,
+and the children attaining z at a player vertex), in the layout of
+game.children, and markov.attractor's layers over them, with the
+1-sink and every vertex worth 0 as the target and min blocking.
+greedy_strategies lets each player vertex pick its tight child in the
+lowest layer. Both compare values as integer (numerator, denominator)
+pairs by cross-multiplying; no Fraction is compared. Every route hands
+its values to one report builder, _report, as such pairs. A
+certificate is the pair (z, sigma), and the value is the least fixed
+point of the operator T, so z is the value exactly when T z = z, sigma
+is z-greedy, and the attractor with max fixed to sigma covers every
+vertex (the end-component argument of Kelmendi, Kraemer, Kretinsky and
+Weininger, CAV 2018): a set where z - val(G_sigma) is largest and
+positive would be closed under avg children, sigma and one tight child
+per min vertex, and no vertex of it could join.
 """
 
 from __future__ import annotations
@@ -131,8 +132,6 @@ from .stopping import DEFAULT_C, chain_weight
 
 DEFAULT_ORACLE_BUDGET = 16
 DEFAULT_MAX_ITERS = 200_000
-# Floor of the value-iteration grid exponent K (see _grid_setup).
-MIN_GRID_BITS = 60
 # Sweeps between two snap tries of the vi route (see _vi_solve).
 SNAP_SPACING = 8
 # Sweeps between two greedy-pick checks of the hk start guess (see _vi_guess).
@@ -217,10 +216,10 @@ def _is_fixed_point(game: Game, z: list[tuple[int, int]]) -> bool:
     return True
 
 
-def _tight_edges(game: Game, z: list[tuple[int, int]], sigma: Union[Strategy, None] = None) -> list:
+def _tight_edges(game: Game, z: list[tuple[int, int]], sigma: Union[Strategy, None] = None) -> tuple[list, dict]:
     """The edges that a z-greedy play may take, as successor lists of
-    the interior vertices for markov.attractor, whose target over them
-    is the 1-sink and every vertex worth 0 under z, with min blocking.
+    the interior vertices, and markov.attractor's layers over them of
+    the 1-sink and every vertex worth 0 under z, with min blocking.
 
     z is given as reduced (numerator, denominator) pairs in vertex
     order, compared by cross-multiplying. An avg vertex keeps both
@@ -243,15 +242,16 @@ def _tight_edges(game: Game, z: list[tuple[int, int]], sigma: Union[Strategy, No
                 succ.append(pair)
             else:
                 succ.append((a,) if (left > right) == (kind is VertexKind.MAX) else (b,))
-    return succ
+    zeros = (v for v, (p, _q) in zip(game.vertices, z) if p == 0)
+    return succ, attractor(game, succ, (game.sink1, *zeros), (VertexKind.MIN,))
 
 
 def greedy_strategies(game: Game, v: ValueVector) -> tuple[Strategy, Strategy]:
     """Optimal positional strategies read off the optimal value vector v.
 
     Each player vertex picks, among its tight children (those attaining
-    v), the one in the lowest layer of the tight-edge attractor (see
-    _tight_edges), then the lower id. A max vertex thereby always
+    v), the one in the lowest layer of the tight-edge attractor that
+    _tight_edges returns, then the lower id. A max vertex thereby always
     steps one layer down, so the attractor with max fixed to sigma
     still covers every vertex and verify_ovv_certificate accepts
     (v, sigma): sigma is optimal. A merely v-greedy sigma need not be,
@@ -266,9 +266,7 @@ def greedy_strategies(game: Game, v: ValueVector) -> tuple[Strategy, Strategy]:
 def _greedy(game: Game, z: list[tuple[int, int]]) -> tuple[Strategy, Strategy]:
     """greedy_strategies for z given as reduced (numerator, denominator)
     pairs in vertex order."""
-    tight = _tight_edges(game, z)
-    zeros = (v for v, (p, _q) in zip(game.vertices, z) if p == 0)
-    layers = attractor(game, tight, (game.sink1, *zeros), (VertexKind.MIN,))
+    tight, layers = _tight_edges(game, z)
     n = game.n
     tau_picks: dict[int, int] = {}
     sigma_picks: dict[int, int] = {}
@@ -294,32 +292,40 @@ def _greedy(game: Game, z: list[tuple[int, int]]) -> tuple[Strategy, Strategy]:
 def _grid_setup(n: int, epsilon: Union[Fraction, None]):
     """Pick the fixed-point scale for a tolerance; returns (eps, K, thr).
 
-    The grid is at least 16x finer than epsilon. K is never below
-    MIN_GRID_BITS; past that floor it gets 16 guard bits above what
-    epsilon needs. Approximations and sweep counts depend on K, so
-    this rule fixes them for a given game and epsilon.
+    K is 16 guard bits above what epsilon needs, so the grid is at
+    least 2**20 times finer than epsilon. Approximations and sweep
+    counts depend on K, so this rule fixes them for a given game and
+    epsilon.
     """
     eps = Fraction(epsilon) if epsilon is not None else default_epsilon(n)
     if eps <= 0:
         raise PreconditionError(f"epsilon must be positive, got {eps}")
     scaled = (16 * eps.denominator + eps.numerator - 1) // eps.numerator
-    bits = (scaled - 1).bit_length()
-    if bits <= MIN_GRID_BITS:
-        bits = MIN_GRID_BITS
-    else:
-        bits += 16
+    bits = (scaled - 1).bit_length() + 16
     one = 1 << bits
     thr = (eps.numerator * one - 1) // eps.denominator
     return eps, bits, min(thr, one)
 
 
-def _vi_setup(game: Game, epsilon: Union[Fraction, None], max_iters: int):
+def _vi_setup(game: Game, epsilon: Union[Fraction, None], max_iters: int, layers: dict[int, int]):
     """Check value-iteration arguments; returns (eps, one, thr, order)
-    with one = 2**K and order the sweep order, _layer_order."""
+    with one = 2**K and order the sweep order, _layer_order of the
+    stopping attractor layers (markov.stopping_layers)."""
     if max_iters < 1:
         raise PreconditionError(f"max_iters must be positive, got {max_iters}")
     eps, bits, thr = _grid_setup(game.n, epsilon)
-    return eps, 1 << bits, thr, _layer_order(game, stopping_layers(game))
+    return eps, 1 << bits, thr, _layer_order(game, layers)
+
+
+def _not_converged(eps: Fraction, max_iters: int, ints: Sequence[int], one: int, productive: int):
+    """The NonConvergenceError of a value-iteration loop cut at max_iters
+    sweeps, with its last iterate ints, on the grid 1/one in vertex
+    order, and its productive sweeps attached."""
+    return NonConvergenceError(
+        f"value iteration did not reach epsilon={eps} within {max_iters} sweeps",
+        values=ValueVector(Fraction(x, one) for x in ints),
+        iterations=productive,
+    )
 
 
 def value_iteration(
@@ -340,16 +346,11 @@ def value_iteration(
     anything. Raises NonConvergenceError (with partial values
     attached) at max_iters.
     """
-    eps, one, thr, order = _vi_setup(game, epsilon, max_iters)
+    eps, one, thr, order = _vi_setup(game, epsilon, max_iters, stopping_layers(game))
     ints, productive, converged = kernels.vi_run(game, order, one, thr, max_iters)
-    values = ValueVector(Fraction(x, one) for x in ints)
     if not converged:
-        raise NonConvergenceError(
-            f"value iteration did not reach epsilon={eps} within {max_iters} sweeps",
-            values=values,
-            iterations=productive,
-        )
-    return values, productive
+        raise _not_converged(eps, max_iters, ints, one, productive)
+    return ValueVector(Fraction(x, one) for x in ints), productive
 
 
 def vi_iterates(
@@ -361,7 +362,7 @@ def vi_iterates(
     where value_iteration would stop. Same sweeps, so the last vector
     equals value_iteration's result exactly. Arguments are checked at
     the call, before the first vector is drawn."""
-    _eps, one, thr, order = _vi_setup(game, epsilon, max_iters)
+    _eps, one, thr, order = _vi_setup(game, epsilon, max_iters, stopping_layers(game))
 
     def vectors():
         yield [one if v == game.sink1 else 0 for v in game.vertices]
@@ -415,21 +416,12 @@ class SolveReport:
     certificate: Union[Certificate, None] = None
 
 
-def _report(
-    game: Game,
-    values: ValueVector,
-    method: str,
-    iterations: int,
-    pairs: Union[list[tuple[int, int]], None] = None,
-) -> SolveReport:
-    """The report of a route, with the strategies read off values, or
-    off pairs, the same values as reduced pairs, when the route has
+def _report(game: Game, pairs: list[tuple[int, int]], method: str, iterations: int) -> SolveReport:
+    """The report of a route whose values are pairs, reduced (numerator,
+    denominator) pairs in vertex order, with the strategies read off
     them."""
-    if pairs is None:
-        tau, sigma = greedy_strategies(game, values)
-    else:
-        tau, sigma = _greedy(game, pairs)
-    return SolveReport(values=values, tau=tau, sigma=sigma, method=method, iterations=iterations)
+    tau, sigma = _greedy(game, pairs)
+    return SolveReport(values=_vector(pairs), tau=tau, sigma=sigma, method=method, iterations=iterations)
 
 
 def _contract(game: Game) -> tuple[list, Union[Game, None]]:
@@ -624,7 +616,7 @@ def hoffman_karp(game: Game) -> SolveReport:
     layers = stopping_layers(game)
     if len(layers) == game.n:
         pairs, rounds = _strategy_improvement(game, Fraction(1), _vi_guess(game, layers))
-        return _report(game, _vector(pairs), "hk", rounds, pairs)
+        return _report(game, pairs, "hk", rounds)
     z, contracted = _contract(game)
     rounds = 0
     if contracted is not None:
@@ -633,7 +625,7 @@ def hoffman_karp(game: Game) -> SolveReport:
         order = {i: layers.get(v, game.n) for i, v in enumerate(undecided, 1)}
         sub, _s, rounds = _transform_solve(contracted, order)
         z = _lift(z, sub)
-    report = _report(game, _vector(z), "transform", rounds, z)
+    report = _report(game, z, "transform", rounds)
     return replace(report, certificate=Certificate(z=report.values, sigma=report.sigma))
 
 
@@ -782,10 +774,8 @@ def _vi_solve(game: Game, layers: dict[int, int]) -> tuple[list[tuple[int, int]]
     separation of the value, so a failed snap there means a bug, not
     bad input.
     """
-    max_iters = DEFAULT_MAX_ITERS
     n = game.n
-    eps, bits, thr = _grid_setup(n, None)
-    one = 1 << bits
+    eps, one, thr, order = _vi_setup(game, None, DEFAULT_MAX_ITERS, layers)
     # 4 guard bits between a level's half spacing 4**-2k / 2 and its
     # gate; level n-1's gate, one >> (4n+1), starts the level-n tries,
     # the higher level, so n-1 is never tried alone; -1 ends the coarse
@@ -795,7 +785,7 @@ def _vi_solve(game: Game, layers: dict[int, int]) -> tuple[list[tuple[int, int]]
     productive = 0
     due = None
     dens = [one] * n
-    swept = kernels.ordered_sweeps(game, _layer_order(game, layers), one, max_iters)
+    swept = kernels.ordered_sweeps(game, order, one, DEFAULT_MAX_ITERS)
     for sweep, (v, gain) in enumerate(swept):
         productive += gain > 0
         converged = gain <= thr
@@ -817,11 +807,7 @@ def _vi_solve(game: Game, layers: dict[int, int]) -> tuple[list[tuple[int, int]]
             due = sweep + SNAP_SPACING
     if converged:
         raise InternalCheckError("the converged vi iterate does not snap to a fixed point")
-    raise NonConvergenceError(
-        f"value iteration did not reach epsilon={eps} within {max_iters} sweeps",
-        values=ValueVector(Fraction(x, one) for x in v[1:]),
-        iterations=productive,
-    )
+    raise _not_converged(eps, DEFAULT_MAX_ITERS, v[1:], one, productive)
 
 
 def solve(
@@ -875,7 +861,7 @@ def solve(
 
     if method == "avg-free":
         values, depth = avg_free_run(game)
-        report = _report(game, values, "avg-free", depth)
+        report = _report(game, [x.as_integer_ratio() for x in values.components], "avg-free", depth)
     elif method == "lp":
         if has_min and has_max:
             raise PreconditionError("lp method needs a game with at most one player present")
@@ -884,7 +870,7 @@ def solve(
         if contracted is not None:
             result = simplex_optimize((build_lp_max_free if has_min else build_lp_min_free)(contracted))
             z, pivots = _lift(z, [x.as_integer_ratio() for x in result.values]), result.pivots
-        report = _report(game, _vector(z), "lp", pivots, z)
+        report = _report(game, z, "lp", pivots)
     elif method == "hk":
         report = hoffman_karp(game)
     else:  # vi
@@ -892,7 +878,7 @@ def solve(
         if len(layers) < game.n:
             raise PreconditionError("vi method needs a stopping game; transform first")
         pairs, iters = _vi_solve(game, layers)
-        report = _report(game, _vector(pairs), "vi", iters, pairs)
+        report = _report(game, pairs, "vi", iters)
 
     if with_certificate:
         cert = Certificate(z=report.values, sigma=report.sigma)
@@ -960,7 +946,7 @@ def verify_ovv_certificate(game: Game, cert: Certificate) -> bool:
 
     Accepts exactly when T z = z (checked in integers, _is_fixed_point),
     sigma is z-greedy, and the tight-edge attractor with max fixed to
-    sigma covers every vertex (_tight_edges). The first makes z a
+    sigma, which _tight_edges returns, covers every vertex. The first makes z a
     fixed point, hence at least the value, which is the least one. The
     other two make z at most val(G_sigma), hence at most the value: a
     set where z - val(G_sigma) is largest and positive holds no target
@@ -987,9 +973,7 @@ def verify_ovv_certificate(game: Game, cert: Certificate) -> bool:
     # reduced pairs are equal exactly when their values are
     if any(pairs[j - 1] != pairs[v - 1] for v, j in sigma.picks):
         return False
-    tight = _tight_edges(game, pairs, sigma)
-    zeros = (v for v, (p, _q) in zip(game.vertices, pairs) if p == 0)
-    return len(attractor(game, tight, (game.sink1, *zeros), (VertexKind.MIN,))) == game.n
+    return len(_tight_edges(game, pairs, sigma)[1]) == game.n
 
 
 def verify_value_certificate(

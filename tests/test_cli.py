@@ -328,6 +328,22 @@ def test_certify_undecodable_certificate_exits_1(game_file, tmp_path, capsys):
     assert f"{cert} is not valid UTF-8" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    ['{"schema": 3, "sigma": [[1' + "0" * 5000 + ", 2]]}", "[" * 100_000],
+    ids=["long-integer", "deep-nesting"],
+)
+def test_certify_unparsable_json_is_domain_error(game_file, tmp_path, capsys, text):
+    # json.loads raises ValueError past the int-to-str digit limit and
+    # RecursionError on deep nesting, not JSONDecodeError
+    cert = tmp_path / "cert.json"
+    cert.write_text(text)
+    code, out, err = run(capsys, "certify", "--cert", str(cert), game_file(GAME_B))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: certificate file is not valid json: ")
+
+
 def test_certify_json_reports_the_verdict(game_file, tmp_path, capsys):
     game = game_file(GAME_G)
     cert = str(tmp_path / "cert.json")

@@ -1647,6 +1647,31 @@ def test_routes_and_certificates_on_sampled_5_vertex_games():
     assert _total(map(check_routes_and_certificates, games)) == (1680, 3388)
 
 
+def sample_games_on_6_vertices(per_kinds, seed):
+    """per_kinds games for each of the 81 kind quadruples of the 4
+    interior vertices, every vertex's children one choice among the 15
+    pairs of distinct vertices in 1..6, drawn with one Random(seed)."""
+    rng = random.Random(seed)
+    pairs = list(combinations(range(1, 7), 2))
+    return [
+        build_game(6, 1, [(v, kind, *rng.choice(pairs)) for v, kind in enumerate(kinds, 1)])
+        for kinds in product(("max", "min", "avg"), repeat=4)
+        for _ in range(per_kinds)
+    ]
+
+
+# The 6-vertex sample: the first gate whose games can hold two max and
+# two min vertices.
+ROUTES6_PER_KINDS = 20
+ROUTES6_SEED = 6
+
+
+def test_routes_and_certificates_on_sampled_6_vertex_games():
+    games = sample_games_on_6_vertices(ROUTES6_PER_KINDS, ROUTES6_SEED)
+    assert len(games) == 81 * ROUTES6_PER_KINDS
+    assert _total(map(check_routes_and_certificates, games)) == (4503, 17662)
+
+
 def pinned_grid():
     """Seeded games at n = 3-30 under five weight mixes, plus stopping
     mixed draws, so that every route of solve is reached."""
