@@ -90,10 +90,11 @@ class Game:
         return pair
 
     def vertices_of_kind(self, kind: VertexKind) -> tuple[int, ...]:
-        return tuple(v for v in self.vertices if self.kinds[v - 1] is kind)
+        return tuple(v for v, k in enumerate(self.kinds, 1) if k is kind)
 
     def has_kind(self, kind: VertexKind) -> bool:
-        return any(k is kind for k in self.kinds)
+        # members compare by identity, so this is the identity test
+        return kind in self.kinds
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield every (vertex, child) pair, left slot first."""
@@ -243,10 +244,11 @@ class Strategy:
             except TypeError:
                 raise StrategyError(f"strategy pick {v!r}->{c!r} needs integer vertex ids") from None
         ordered = tuple(sorted(picks))
-        if len({v for v, _ in ordered}) != len(ordered):
+        by_vertex = dict(ordered)
+        if len(by_vertex) != len(ordered):
             raise StrategyError("strategy picks the same vertex twice")
         object.__setattr__(self, "picks", ordered)
-        object.__setattr__(self, "_map", dict(ordered))
+        object.__setattr__(self, "_map", by_vertex)
 
     @classmethod
     def of(cls, owner: VertexKind, picks: Mapping[int, int]) -> "Strategy":

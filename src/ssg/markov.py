@@ -22,10 +22,14 @@ lam**k, and every lam keeps the same rows. The avg-only system is
 eliminated in Markowitz order through a column-to-rows index (the
 column with the fewest holder rows, then the shortest holder row),
 which keeps the fill-in low on chance-heavy games. solve's
-strategy-improvement loop calls the core on one pick array, and
-solve._contract calls it once, at lam = 1, on a contracted game with
-no player vertex left; solve_value_vector is its public wrapper on a ReducedGame, returning a
-ValueVector, for the oracle, the tools and the tests.
+strategy-improvement loop calls the core on one pick array.
+solve._contract calls it once, at lam = 1, on the game itself when no
+free choice is left (a chain or forced picks), with the values of the
+qualitative pre-pass as known chain ends: a vertex worth 0 or 1 ends
+every pick chain at the sink of its value, and only the undecided avg
+vertices get rows. solve_value_vector is the core's public wrapper on
+a ReducedGame, returning a ValueVector, for the oracle, the tools and
+the tests.
 
 attractor is the package's one qualitative engine: the linear-time
 attractor of a reachability game (Condon 1992). The stopping test, the
@@ -182,25 +186,37 @@ def zero_one_sets(game: Game) -> tuple[frozenset[int], frozenset[int]]:
         # it, and any other vertex has none, so it never joins
         return [[c for c in pair if c in ones] if v in ones else () for v, pair in zip(interior, children)]
 
+    succ = children  # W is every vertex
     while outside:
-        removed = attractor(game, within(), outside, (VertexKind.MAX,))
+        removed = attractor(game, succ, outside, (VertexKind.MAX,))
         ones.difference_update(removed)
         if len(removed) == len(outside):
             # it removed U alone, so W is now A; A's vertices joined
             # through A, so the next A is all of W and the next U is empty
             break
-        reach = attractor(game, within(), sink1, (VertexKind.MIN,))
+        succ = within()
+        reach = attractor(game, succ, sink1, (VertexKind.MIN,))
         outside = ones.difference(reach)
     return zeros, frozenset(ones)
 
 
-def _value_pairs(game: Game, picks: Sequence[int], p: int, q: int) -> list[tuple[int, int]]:
+def _value_pairs(
+    game: Game, picks: Sequence[int], p: int, q: int, known: Union[Sequence, None] = None
+) -> list[tuple[int, int]]:
     """The core of solve_value_vector: exact values of game with every
     player vertex v moving to picks[v] (picks is indexed by vertex id;
     its other entries are not read) and every edge weighted by
     lam = p/q, 0 < p <= q, as reduced (numerator, denominator) pairs in
-    vertex order. No argument is checked here; solve_value_vector and
-    the strategy-improvement loop of solve pass valid ones.
+    vertex order. No argument is checked here; solve_value_vector, the
+    strategy-improvement loop of solve and solve._contract pass valid
+    ones.
+
+    known, at lam = 1 only, holds values already found in vertex order:
+    (0, 1) or (1, 1) at a vertex worth 0 or 1, None elsewhere; that is
+    solve._contract's z. A known vertex ends every pick chain that
+    reaches it at the sink of its value, its own pick is not read, and
+    only the other avg vertices get rows, so the game itself is
+    evaluated without contracting it.
 
     Rows and the (numerator, denominator) back-substitution are those
     described in solve_value_vector. The pivots follow Markowitz's rule
@@ -214,11 +230,15 @@ def _value_pairs(game: Game, picks: Sequence[int], p: int, q: int) -> list[tuple
     kinds, children = game.kinds, game.children
     sink0, sink1 = n - 1, n
     avg_kind = VertexKind.AVG
-    avg = [v for v, kind in zip(game.interior, kinds) if kind is avg_kind]
     # ends[v] = (t, k): v's pick chain ends at t, an avg vertex or sink,
     # after k edges; a vertex on the current walk reads (sink0, 0), so a
     # walk that meets it has closed a cycle of player vertices
     ends: list = [None] * (n + 1)
+    if known is not None:
+        for v, pair in enumerate(known, 1):
+            if pair is not None:
+                ends[v] = (sink1 if pair[0] else sink0, 0)
+    avg = [v for v, kind in zip(game.interior, kinds) if kind is avg_kind and ends[v] is None]
     for v in avg:
         ends[v] = (v, 0)
     ends[sink0], ends[sink1] = (sink0, 0), (sink1, 0)

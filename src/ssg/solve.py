@@ -46,19 +46,22 @@ jobs; the vertices it misses, on a game the transform solves, go last.
 
 Random games are bimodal: many have every vertex worth exactly 0 or 1,
 and most others only a few vertices strictly between, often with no
-player vertex among them. The lp route and the transform therefore
+free choice among them. The lp route and the transform therefore
 start with the qualitative pre-pass markov.zero_one_sets, which finds
-the vertices worth 0 or 1 by attractors alone, and contract them out
-of the game (_contract): the m undecided vertices and two sinks, every
-edge into a settled vertex sent to the sink of its value. _contract
-alone decides what is left. When the two sets cover every vertex, the
-route returns them as the values with no simplex, companion solve or
-evaluation. When the contracted game has no max or min vertex, it is
-an absorbing chain, and one evaluation at lam = 1 gives its values.
-Both count 0 iterations. Only a contraction that keeps a player vertex
-goes to the simplex, or to the transform with its chain factor at the
-contracted size; its values are lifted back (_lift) and its pivots or
-rounds counted.
+the vertices worth 0 or 1 by attractors alone, and _contract alone
+decides what is left. When the two sets cover every vertex, the route
+returns them as the values with no simplex, companion solve or
+evaluation. An undecided max vertex with a child worth 0, or min
+vertex with a child worth 1, is forced to its other child. When every
+undecided player vertex is forced, or none is left (a chain), the
+undecided part is an absorbing chain under those picks, and one
+evaluation of the game itself at lam = 1, with the settled vertices as
+known chain ends, gives the values. Both count 0 iterations. Only a
+game that keeps a free choice is contracted: the m undecided vertices
+and two sinks, every edge into a settled vertex sent to the sink of
+its value. The simplex, or the transform with its chain factor at the
+contracted size, solves that game; its values are lifted back (_lift)
+and its pivots or rounds counted.
 As on every route, the strategies are read off the whole game's values
 (_greedy), never copied from the contracted solve: that has no pick at
 a settled vertex, and a max vertex worth 1 must take the tight-edge
@@ -416,42 +419,54 @@ class SolveReport:
     certificate: Union[Certificate, None] = None
 
 
-def _report(game: Game, pairs: list[tuple[int, int]], method: str, iterations: int) -> SolveReport:
+def _report(
+    game: Game, pairs: list[tuple[int, int]], method: str, iterations: int, certified: bool = False
+) -> SolveReport:
     """The report of a route whose values are pairs, reduced (numerator,
     denominator) pairs in vertex order, with the strategies read off
-    them."""
+    them, and with certified the certificate (values, sigma)."""
     tau, sigma = _greedy(game, pairs)
-    return SolveReport(values=_vector(pairs), tau=tau, sigma=sigma, method=method, iterations=iterations)
+    values = _vector(pairs)
+    certificate = Certificate(z=values, sigma=sigma) if certified else None
+    return SolveReport(
+        values=values, tau=tau, sigma=sigma, method=method, iterations=iterations, certificate=certificate
+    )
 
 
 def _contract(game: Game) -> tuple[list, Union[Game, None]]:
     """Contract the vertices that markov.zero_one_sets settles out of
-    game, and evaluate what is left when no player has a choice in it;
+    game, and evaluate game when no player has a free choice left;
     returns (z, contracted), one call of zero_one_sets. This is where
-    the lp route and the transform decide between settled, chain and
-    choice.
+    the lp route and the transform decide between settled, chain or
+    forced, and choice.
 
     z holds the values as reduced (numerator, denominator) pairs in
     vertex order: (0, 1) or (1, 1) at every settled vertex and None at
     the m undecided ones. When m = 0, z is the whole answer and
-    contracted is None. Otherwise contracted is the game on the
-    undecided vertices, relabelled 1..m in id order, and two sinks:
-    every edge into a vertex worth 0 goes to the 0-sink m+1, and every
-    edge into a vertex worth 1 to the 1-sink m+2. Children stay
-    distinct, since a vertex with both children worth 0, or both worth
-    1, is settled itself. A play from an undecided vertex that reaches
-    a settled one is worth that vertex's value from there on, whoever
-    moves, so contracted has the game's values at the undecided
-    vertices, and _lift writes them into z. Its start plays no part in
-    a solve.
+    contracted is None.
 
-    When contracted has no max or min vertex it is an absorbing Markov
-    chain: each of its vertices is worth strictly between 0 and 1, so
-    each reaches both sinks, and one call of the evaluator core at
-    lam = 1 gives its exact values. They are lifted into z, which is
-    then the whole answer, and contracted is None, as when m = 0; only
-    a contraction that keeps a player vertex goes to the simplex or the
-    transform.
+    Every undecided vertex is worth strictly between 0 and 1, so no max
+    vertex among them has a child worth 1 and no min vertex a child
+    worth 0. An undecided max vertex with a child worth 0, or min
+    vertex with a child worth 1, is forced: its other child is the only
+    one that attains its value. When every undecided player vertex is
+    forced (a chain has none), the undecided vertices under the forced
+    picks form an absorbing chain: a set of them closed under those
+    picks would let min keep the play off the 1-sink, so it would be
+    worth 0 and settled. One call of the evaluator core at lam = 1 on
+    game itself, with z as its known chain ends, then gives the exact
+    values, and contracted is None, as when m = 0.
+
+    Otherwise contracted is the game on the undecided vertices,
+    relabelled 1..m in id order, and two sinks: every edge into a
+    vertex worth 0 goes to the 0-sink m+1, and every edge into a vertex
+    worth 1 to the 1-sink m+2. Children stay distinct, since a vertex
+    with both children worth 0, or both worth 1, is settled itself. A
+    play from an undecided vertex that reaches a settled one is worth
+    that vertex's value from there on, whoever moves, so contracted has
+    the game's values at the undecided vertices, and _lift writes them
+    into z. Its start plays no part in a solve. Only a contraction that
+    keeps a free choice goes to the simplex or the transform.
     """
     zeros, ones = zero_one_sets(game)
     z = [(1, 1) if v in ones else (0, 1) if v in zeros else None for v in game.vertices]
@@ -459,20 +474,29 @@ def _contract(game: Game) -> tuple[list, Union[Game, None]]:
     if not m:
         return z, None
     undecided = [v for v, x in zip(game.vertices, z) if x is None]
+    kinds, children = game.kinds, game.children
+    picks = [0] * (game.n + 1)
+    for v in undecided:
+        kind = kinds[v - 1]
+        if kind is not VertexKind.AVG:
+            a, b = children[v - 1]
+            worst = zeros if kind is VertexKind.MAX else ones
+            if a not in worst and b not in worst:
+                break
+            # not both: a vertex with both children in worst is settled
+            picks[v] = b if a in worst else a
+    else:
+        return _value_pairs(game, picks, 1, 1, z), None
     ids = dict.fromkeys(zeros, m + 1)
     ids.update(dict.fromkeys(ones, m + 2))
     ids.update((v, i) for i, v in enumerate(undecided, 1))
-    kinds = tuple(game.kinds[v - 1] for v in undecided)
     contracted = Game(
         n=m + 2,
         start=1,
-        kinds=(*kinds, VertexKind.SINK0, VertexKind.SINK1),
-        children=(*((ids[a], ids[b]) for a, b in (game.children[v - 1] for v in undecided)), None, None),
+        kinds=(*(kinds[v - 1] for v in undecided), VertexKind.SINK0, VertexKind.SINK1),
+        children=(*((ids[a], ids[b]) for a, b in (children[v - 1] for v in undecided)), None, None),
     )
-    if any(kind is not VertexKind.AVG for kind in kinds):
-        return z, contracted
-    # no pick is read on a game without player vertices
-    return _lift(z, _value_pairs(contracted, (), 1, 1)), None
+    return z, contracted
 
 
 def _lift(z: list, sub: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -608,10 +632,10 @@ def hoffman_karp(game: Game) -> SolveReport:
     guess names the optimal strategies, one evaluation and no round
     confirm them. Any other game gets the transform report, certificate
     attached: _contract's values with 0 rounds when they settle every
-    vertex or leave no player vertex, else those of _transform_solve
-    on the contracted game, lifted back, with its rounds; its guess
-    sweeps the undecided vertices in the order their layers give them
-    here.
+    vertex or leave no free choice (a chain or forced picks), else
+    those of _transform_solve on the contracted game, lifted back, with
+    its rounds; its guess sweeps the undecided vertices in the order
+    their layers give them here.
     """
     layers = stopping_layers(game)
     if len(layers) == game.n:
@@ -625,8 +649,7 @@ def hoffman_karp(game: Game) -> SolveReport:
         order = {i: layers.get(v, game.n) for i, v in enumerate(undecided, 1)}
         sub, _s, rounds = _transform_solve(contracted, order)
         z = _lift(z, sub)
-    report = _report(game, z, "transform", rounds)
-    return replace(report, certificate=Certificate(z=report.values, sigma=report.sigma))
+    return _report(game, z, "transform", rounds, certified=True)
 
 
 def _snap(num: int, den: int, n: int) -> Union[tuple[int, int], None]:
@@ -826,12 +849,13 @@ def solve(
     The lp route and the transform first run the qualitative pre-pass
     markov.zero_one_sets; when every vertex is worth exactly 0 or 1
     they return those values with 0 iterations and no exact solve.
-    Otherwise they contract the game to the vertices it leaves
-    undecided; with no max or min vertex among them one evaluation of
-    that chain gives the values, again with 0 iterations, and with one
-    they solve it and count the pivots or rounds of that solve. hk on a
-    stopping game and vi never run it, and no method accepts more
-    games for it.
+    When no free choice is left among the vertices it leaves undecided
+    (a chain, or every player vertex forced by a child that settles
+    against it), one evaluation of the game at lam = 1 gives the
+    values, again with 0 iterations. Otherwise they contract the game
+    to the undecided vertices, solve that and count the pivots or
+    rounds of that solve. hk on a stopping game and vi never run the
+    pre-pass, and no method accepts more games for it.
     The transform path always attaches the certificate (values, sigma);
     with_certificate attaches it on every path and checks it with
     verify_ovv_certificate, raising InternalCheckError on a rejection.

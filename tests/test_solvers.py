@@ -61,6 +61,7 @@ from ssg.lp import build_lp_max_free, build_lp_min_free, simplex_optimize
 from ssg.markov import _value_pairs, _vector, stopping_layers
 from ssg.solve import (
     METHODS,
+    _contract,
     _improve,
     _is_fixed_point,
     _snap,
@@ -747,18 +748,42 @@ PARTIAL_LOOPY = build_game(6, 1, [(1, "max", 2, 4), (2, "min", 1, 3), (3, "avg",
 PARTIAL_LOOPY_CHOICE = build_game(
     7, 1, [(1, "max", 2, 3), (2, "min", 1, 4), (3, "avg", 5, 7), (4, "avg", 3, 7), (5, "avg", 5, 6)]
 )
+# the coins 5 and 6 only flip between each other, so they are worth 0
+# and the game is not stopping; max 1 must leave the coin 5 for min 2,
+# and min 2 the 1-sink for the coin 3, so both are forced: 1, 2 and 3
+# are worth 2/3 and the coin 4 is worth 1/3
+FORCED_LOOPY = build_game(
+    8, 1, [(1, "max", 2, 5), (2, "min", 3, 8), (3, "avg", 4, 8), (4, "avg", 7, 1), (5, "avg", 5, 6), (6, "avg", 5, 6)]
+)
+# the looping coin 3 is worth 0, so max 1 is forced to the coin 2: max 1
+# and the coin 2 are worth 2/3, the coin 4 is worth 1/3
+FORCED_MIN_FREE = build_game(6, 1, [(1, "max", 2, 3), (2, "avg", 4, 6), (3, "avg", 3, 5), (4, "avg", 1, 5)])
+# the looping coin 3 is worth 1, so min 1 is forced to the coin 2: min 1
+# and the coin 2 are worth 1/3, the coin 4 is worth 2/3
+FORCED_MAX_FREE = build_game(6, 1, [(1, "min", 2, 3), (2, "avg", 4, 5), (3, "avg", 3, 6), (4, "avg", 1, 6)])
+# max 1 is forced to min 2 as in FORCED_LOOPY, but min 2 chooses between
+# the coin 3, worth 2/3, and the coin 4, worth 1/3, and takes the coin 4
+FORCED_AND_FREE = build_game(
+    8, 1, [(1, "max", 2, 5), (2, "min", 3, 4), (3, "avg", 1, 8), (4, "avg", 3, 7), (5, "avg", 5, 6), (6, "avg", 5, 6)]
+)
 
 
 def _contraction(game):
     """What _contract leaves of game: "settled" when zero_one_sets
     settles every vertex, "chain" when no player vertex is left
-    undecided, else "choice"; and m, the undecided vertices."""
+    undecided, "forced" when every undecided max vertex has a child
+    worth 0 and every undecided min vertex a child worth 1, else
+    "choice"; and m, the undecided vertices."""
     zeros, ones = zero_one_sets(game)
-    undecided = [game.kind(v) for v in game.vertices if v not in zeros and v not in ones]
+    undecided = [v for v in game.vertices if v not in zeros and v not in ones]
     if not undecided:
         return "settled", 0
-    chain = all(kind is VertexKind.AVG for kind in undecided)
-    return "chain" if chain else "choice", len(undecided)
+    players = [v for v in undecided if game.kind(v) is not VertexKind.AVG]
+    if not players:
+        return "chain", len(undecided)
+    worst = {VertexKind.MAX: zeros, VertexKind.MIN: ones}
+    forced = all(worst[game.kind(v)].intersection(game.children_of(v)) for v in players)
+    return "forced" if forced else "choice", len(undecided)
 
 
 @pytest.fixture
@@ -809,13 +834,56 @@ def test_partially_settled_game_runs_its_route(game, route, left, exact_calls):
     assert kind == left
     report = solve(game)
     assert report.method == route
-    # the exact solver sees only the m undecided vertices and two sinks;
-    # with no player vertex among them it is one evaluation at lam = 1
+    # with no player vertex left undecided the game itself is evaluated
+    # once, at lam = 1; otherwise the exact solver sees only the m
+    # undecided vertices and two sinks
     if left == "chain":
-        assert exact_calls == {"simplex_optimize": [], "_value_pairs": [m + 2]}
+        assert exact_calls == {"simplex_optimize": [], "_value_pairs": [game.n]}
         assert report.iterations == 0
     else:
         assert set(exact_calls["simplex_optimize" if route == "lp" else "_value_pairs"]) == {m + 2}
+    assert report.values == brute_force_oracle(game).values
+
+
+@pytest.fixture
+def transform_calls(monkeypatch):
+    """The sizes of the games solve hands _transform_solve, in order."""
+    sizes = []
+    inner = solve_module._transform_solve
+    monkeypatch.setattr(solve_module, "_transform_solve", lambda g, layers: sizes.append(g.n) or inner(g, layers))
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "game, route",
+    [(FORCED_LOOPY, "transform"), (FORCED_MIN_FREE, "lp"), (FORCED_MAX_FREE, "lp")],
+    ids=["transform", "lp-min-free", "lp-max-free"],
+)
+def test_forced_choices_are_one_evaluation(game, route, exact_calls, evaluations, transform_calls):
+    # every undecided player vertex has a child that settles against
+    # it, so the game is an absorbing chain under the other children:
+    # one evaluation of the whole game at lam = 1, no simplex and no
+    # companion solve
+    assert _contraction(game)[0] == "forced"
+    report = solve(game)
+    assert (report.method, report.iterations) == (route, 0)
+    assert exact_calls == {"simplex_optimize": [], "_value_pairs": [game.n]}
+    assert [(g.n, p, q) for g, _picks, p, q, _known in evaluations] == [(game.n, 1, 1)]
+    assert transform_calls == []
+    assert report.values == brute_force_oracle(game).values
+    assert verify_ovv_certificate(game, solve(game, with_certificate=True).certificate)
+
+
+def test_a_free_choice_keeps_the_contracted_solve(exact_calls, transform_calls):
+    # max 1 is forced, but min 2 has a choice, so the transform solves
+    # the contraction: the 4 undecided vertices and two sinks
+    game = FORCED_AND_FREE
+    kind, m = _contraction(game)
+    assert (kind, m) == ("choice", 4)
+    report = solve(game)
+    assert report.method == "transform"
+    assert transform_calls == [m + 2]
+    assert set(exact_calls["_value_pairs"]) == {m + 2}
     assert report.values == brute_force_oracle(game).values
 
 
@@ -833,7 +901,7 @@ def test_contracted_lp_route_matches_the_full_program(weights, n, seed, exact_ca
     assert 1 <= m < n - 2
     report = solve(game, with_certificate=True)
     assert report.method == "lp"
-    # the simplex runs exactly when a player vertex is left undecided
+    # the simplex runs exactly when a free choice is left undecided
     assert exact_calls["simplex_optimize"] == ([m + 2] if kind == "choice" else [])
     full = simplex_optimize((build_lp_min_free if weights[1] == 0 else build_lp_max_free)(game))
     assert report.values == ValueVector(full.values)
@@ -842,12 +910,14 @@ def test_contracted_lp_route_matches_the_full_program(weights, n, seed, exact_ca
 
 
 def test_transform_route_solves_a_large_nearly_settled_game(exact_calls):
-    # zero_one_sets leaves 2 of the 10,000 vertices undecided, so the
-    # transform solves a 4-vertex game
+    # zero_one_sets leaves 2 of the 10,000 vertices undecided, both
+    # coins, so the transform route evaluates the game once with the
+    # settled vertices as known chain ends: 2 rows, no companion solve
     game = random_game(10_000, (1, 1, 1), seed=0)
+    assert _contraction(game) == ("chain", 2)
     report = solve(game, with_certificate=True)
-    assert report.method == "transform"
-    assert set(exact_calls["_value_pairs"]) == {4}
+    assert (report.method, report.iterations) == ("transform", 0)
+    assert exact_calls["_value_pairs"] == [game.n]
     assert verify_ovv_certificate(game, report.certificate)
 
 
@@ -1393,8 +1463,8 @@ def test_transform_route_matches_built_companion(monkeypatch):
         assert (s, rounds) == (ref_s, ref_rounds)
         assert report.certificate.z == report.values == _vector(z) == ref_z
         # the route solves the game with its settled vertices contracted
-        # out, and reports the rounds of that solve; a contraction with
-        # no player vertex left is evaluated without it
+        # out, and reports the rounds of that solve; a game with no free
+        # choice left is evaluated without it
         kind, m = _contraction(game)
         if kind != "choice":
             assert (routed, report.iterations) == ([], 0)
@@ -1487,8 +1557,8 @@ def test_evaluator_core_holds_the_chain_equations_at_scale(n, chain, residual_ho
 @pytest.mark.parametrize("weights", [(1, 0, 1), (0, 1, 1)], ids=["1:0:1", "0:1:1"])
 def test_lp_route_matches_the_full_program_above_n8(weights, exact_calls):
     # the simplex on the whole, uncontracted program is the reference;
-    # these draws contract to settled games, chains and games with a
-    # player vertex left, and only the last reach the simplex
+    # these draws contract to settled games, chains, forced choices and
+    # free choices, and only the last reach the simplex
     build = build_lp_min_free if weights[1] == 0 else build_lp_max_free
     left = set()
     for n in (16, 24, 32, 40, 60):
@@ -1501,18 +1571,19 @@ def test_lp_route_matches_the_full_program_above_n8(weights, exact_calls):
             report = solve(game, "lp", with_certificate=True)
             assert exact_calls == {
                 "simplex_optimize": [m + 2] if kind == "choice" else [],
-                "_value_pairs": [m + 2] if kind == "chain" else [],
+                "_value_pairs": [n] if kind in ("chain", "forced") else [],
             }
             assert (report.iterations == 0) == (kind != "choice")
             assert report.values == ValueVector(simplex_optimize(build(game)).values)
             assert verify_ovv_certificate(game, report.certificate)
-    assert left == {"settled", "chain", "choice"}
+    # the 0:1:1 draws hold no forced choice; FORCED_MAX_FREE is one
+    assert {"settled", "chain", "choice"} <= left
 
 
 def test_transform_route_matches_the_full_game_above_n8(evaluations):
     # _transform_solve on the whole, uncontracted game is the reference;
-    # a chain contraction is one evaluation at lam = 1, not at the chain
-    # factor
+    # a game with no free choice left is one evaluation of the whole
+    # game at lam = 1, not at the chain factor
     left = set()
     for n in (12, 16, 24, 32, 40):
         for game in _mixed_non_stopping(n, 4, 1000 * n):
@@ -1521,13 +1592,13 @@ def test_transform_route_matches_the_full_game_above_n8(evaluations):
             evaluations.clear()
             report = solve(game)
             assert report.method == "transform"
-            if kind == "chain":
-                assert [(g.n, p, q) for g, _picks, p, q in evaluations] == [(m + 2, 1, 1)]
+            if kind in ("chain", "forced"):
+                assert [(g.n, p, q) for g, _picks, p, q, _known in evaluations] == [(n, 1, 1)]
                 assert report.iterations == 0
             z, _s, _rounds = _transform_solve(game, stopping_layers(game))
             assert report.values == _vector(z)
             assert verify_ovv_certificate(game, report.certificate)
-    assert left == {"settled", "chain", "choice"}
+    assert left == {"settled", "chain", "forced", "choice"}
 
 
 # the coins 2 and 3 only flip between each other, so they are worth 0
@@ -1541,10 +1612,11 @@ COIN_LOOP = build_game(6, 1, [(1, "avg", 2, 6), (2, "avg", 2, 3), (3, "avg", 2, 
 )
 def test_a_game_of_coins_is_one_evaluation(game, method, exact_calls, evaluations):
     # no player has a choice: every route evaluates the one strategy
-    # pair once at lam = 1, on the whole game or on its contraction
+    # pair of the whole game once at lam = 1, the lp route and the
+    # transform with the settled vertices as known chain ends
     report = solve(game, method)
     assert exact_calls["simplex_optimize"] == []
-    assert [(p, q) for _g, _picks, p, q in evaluations] == [(1, 1)]
+    assert [(g.n, p, q) for g, _picks, p, q, *_known in evaluations] == [(game.n, 1, 1)]
     assert report.iterations == 0
     assert report.values == brute_force_oracle(game).values
 
@@ -1670,6 +1742,19 @@ def test_routes_and_certificates_on_sampled_6_vertex_games():
     games = sample_games_on_6_vertices(ROUTES6_PER_KINDS, ROUTES6_SEED)
     assert len(games) == 81 * ROUTES6_PER_KINDS
     assert _total(map(check_routes_and_certificates, games)) == (4503, 17662)
+    # of the games whose route contracts them (lp, and the transform on
+    # the games that are not stopping), 88 keep a player vertex
+    # undecided, and in 48 every such vertex is forced: _contract
+    # evaluates those instead of handing them on
+    left = []
+    for game in games:
+        players = game.has_kind(VertexKind.MAX) + game.has_kind(VertexKind.MIN)
+        if game.has_kind(VertexKind.AVG) and (players < 2 or not is_stopping(game)):
+            kind = _contraction(game)[0]
+            if kind in ("forced", "choice"):
+                left.append(kind)
+                assert (_contract(game)[1] is None) == (kind == "forced"), game
+    assert (len(left), left.count("forced")) == (88, 48)
 
 
 def pinned_grid():
@@ -1687,7 +1772,8 @@ def test_solve_answers_are_pinned():
     # Exact values are unique, and strategies and certificates are read
     # off them, so a change to how a route finds the values must leave
     # all of these unchanged; the iteration counts of hk and vi may move
-    # with their sweeps, and the transform's with its start. hk on a
+    # with their sweeps, the transform's with its start, and lp's and
+    # the transform's drop to 0 where every choice left is forced. hk on a
     # non-stopping game, which it refused when the digests were taken,
     # stays out of them: it must repeat auto's transform report, or on
     # a game auto sends elsewhere, auto's values
@@ -1718,4 +1804,4 @@ def test_solve_answers_are_pinned():
                 iterations.update(repr((report.method, report.iterations)).encode())
     assert routes == {"avg-free", "lp", "hk", "transform", "vi"}
     assert answers.hexdigest() == "1c1c7ac20ccdef7837b2770c10a5dc9201b97471b0c48f88a16773f8d768fa1c"
-    assert iterations.hexdigest() == "213010d73ea19bedd31242c22d7c3382bf795e2870731fc3dd3100e65de88e85"
+    assert iterations.hexdigest() == "221740f19032a7c22172712d2c223654fccf209d10328839dca400206d7206a7"
