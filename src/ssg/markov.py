@@ -23,13 +23,16 @@ eliminated in Markowitz order through a column-to-rows index (the
 column with the fewest holder rows, then the shortest holder row),
 which keeps the fill-in low on chance-heavy games. solve's
 strategy-improvement loop calls the core on one pick array.
-solve._contract calls it once, at lam = 1, on the game itself when no
+solve._settle calls it once, at lam = 1, on the game itself when no
 free choice is left (a chain or forced picks), with the values of the
 qualitative pre-pass as known chain ends: a vertex worth 0 or 1 ends
 every pick chain at the sink of its value, and only the undecided avg
-vertices get rows. solve_value_vector is the core's public wrapper on
-a ReducedGame, returning a ValueVector, for the oracle, the tools and
-the tests.
+vertices get rows. hoffman_karp's loop on a stopping game passes the
+same known ends to every evaluation. Both callers absorb every play,
+so known mode gives every undecided avg vertex a row and builds no
+live attractor. solve_value_vector is the core's public wrapper on a
+ReducedGame, returning a ValueVector, for the oracle, the tools and
+the tests; it takes any strategy pair and keeps the attractor.
 
 attractor is the package's one qualitative engine: the linear-time
 attractor of a reachability game (Condon 1992). The stopping test, the
@@ -157,7 +160,7 @@ def attractor(
     return layers
 
 
-def zero_one_sets(game: Game) -> tuple[frozenset[int], frozenset[int]]:
+def zero_one_sets(game: Game, *, _stopping: bool = False) -> tuple[frozenset[int], frozenset[int]]:
     """The vertices worth exactly 0 and those worth exactly 1, found by
     attractors alone, with no arithmetic (the Prob0/Prob1 step of
     probabilistic model checking; de Alfaro, Henzinger and Kupferman,
@@ -173,6 +176,12 @@ def zero_one_sets(game: Game) -> tuple[frozenset[int], frozenset[int]]:
     blocking. When U is empty, max can reach the 1-sink with positive
     probability from every vertex of W without leaving it, so max
     reaches it almost surely. The first A is the positive set.
+
+    On a stopping game the first round is the answer: outside the first
+    U's attractor max can stay off U, and every play ends in a sink,
+    which is then the 1-sink. solve.hoffman_karp, which has tested the
+    game, passes the private _stopping to end the loop there: two
+    attractor calls and no restriction to W.
     """
     interior, children = game.interior, game.children
     sink1 = (game.sink1,)
@@ -190,8 +199,9 @@ def zero_one_sets(game: Game) -> tuple[frozenset[int], frozenset[int]]:
     while outside:
         removed = attractor(game, succ, outside, (VertexKind.MAX,))
         ones.difference_update(removed)
-        if len(removed) == len(outside):
-            # it removed U alone, so W is now A; A's vertices joined
+        if _stopping or len(removed) == len(outside):
+            # a stopping game ends here (see above); otherwise it
+            # removed U alone, so W is now A; A's vertices joined
             # through A, so the next A is all of W and the next U is empty
             break
         succ = within()
@@ -208,15 +218,23 @@ def _value_pairs(
     its other entries are not read) and every edge weighted by
     lam = p/q, 0 < p <= q, as reduced (numerator, denominator) pairs in
     vertex order. No argument is checked here; solve_value_vector, the
-    strategy-improvement loop of solve and solve._contract pass valid
+    strategy-improvement loop of solve and solve._settle pass valid
     ones.
 
     known, at lam = 1 only, holds values already found in vertex order:
     (0, 1) or (1, 1) at a vertex worth 0 or 1, None elsewhere; that is
-    solve._contract's z. A known vertex ends every pick chain that
-    reaches it at the sink of its value, its own pick is not read, and
-    only the other avg vertices get rows, so the game itself is
-    evaluated without contracting it.
+    the z of solve's pre-pass (_settle). A known vertex ends every pick
+    chain that reaches it at the sink of its value, its own pick is not
+    read, and every other avg vertex gets a row, so the game itself is
+    evaluated without contracting it. Known mode builds no live
+    attractor: its callers pass picks under which every play is
+    absorbed in a sink, so I - Q is nonsingular and a row that cannot
+    reach the 1-sink solves to 0. They are solve._settle, on a chain or
+    forced picks, which its docstring shows absorbing, and the
+    strategy-improvement loop of hoffman_karp on a stopping game.
+    Without known the attractor stays: solve_value_vector takes any
+    strategy pair, and one that traps a play off the sinks would make
+    the system singular.
 
     Rows and the (numerator, denominator) back-substitution are those
     described in solve_value_vector. The pivots follow Markowitz's rule
@@ -254,23 +272,26 @@ def _value_pairs(
         for u in reversed(path):
             k += 1
             ends[u] = (t, k)
-    # the contracted chain: an avg vertex's successors are its children's
-    # chain ends, and a player vertex has none
-    arms = [(ends[x][0], ends[y][0]) if kind is avg_kind else () for kind, (x, y) in zip(kinds, children[:-2])]
-    live = attractor(game, arms, (sink1,), ())
-
-    unknowns = [a for a in avg if a in live]
+    if known is None:
+        # the contracted chain: an avg vertex's successors are its
+        # children's chain ends, and a player vertex has none; the rows
+        # are the avg vertices that reach the 1-sink there
+        arms = [(ends[x][0], ends[y][0]) if kind is avg_kind else () for kind, (x, y) in zip(kinds, children[:-2])]
+        live = attractor(game, arms, (sink1,), ())
+        avg = [a for a in avg if a in live]
     # the open columns in id order, each with the rows that hold it
-    holders = {a: {a} for a in unknowns}
+    holders = {a: {a} for a in avg}
     rows: dict[int, dict[int, int]] = {}
-    for a in unknowns:
+    for a in avg:
         x, y = children[a - 1]
         ex, ey = ends[x], ends[y]
         top = max(ex[1], ey[1])
         row = {a: 2 * q ** (top + 1)}
         for t, k in (ex, ey):
-            if t in live:
-                # no diagonal cancels: a live a has an end besides itself
+            if t == sink1 or t in holders:
+                # no diagonal cancels: with both ends at a itself, a
+                # would trap a play, which the attractor or the
+                # absorbing picks of known mode rule out
                 row[t] = row.get(t, 0) - p ** (k + 1) * q ** (top - k)
                 if t != sink1:
                     holders[t].add(a)

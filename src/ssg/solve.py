@@ -46,29 +46,33 @@ jobs; the vertices it misses, on a game the transform solves, go last.
 
 Random games are bimodal: many have every vertex worth exactly 0 or 1,
 and most others only a few vertices strictly between, often with no
-free choice among them. The lp route and the transform therefore
-start with the qualitative pre-pass markov.zero_one_sets, which finds
-the vertices worth 0 or 1 by attractors alone, and _contract alone
-decides what is left. When the two sets cover every vertex, the route
-returns them as the values with no simplex, companion solve or
+free choice among them. Every exact route but vi therefore starts with
+the qualitative pre-pass markov.zero_one_sets, which finds the
+vertices worth 0 or 1 by attractors alone, and _settle alone decides
+what is left. When the two sets cover every vertex, the route returns
+them as the values with no simplex, start guess, companion solve or
 evaluation. An undecided max vertex with a child worth 0, or min
 vertex with a child worth 1, is forced to its other child. When every
 undecided player vertex is forced, or none is left (a chain), the
 undecided part is an absorbing chain under those picks, and one
 evaluation of the game itself at lam = 1, with the settled vertices as
-known chain ends, gives the values. Both count 0 iterations. Only a
-game that keeps a free choice is contracted: the m undecided vertices
-and two sinks, every edge into a settled vertex sent to the sink of
-its value. The simplex, or the transform with its chain factor at the
-contracted size, solves that game; its values are lifted back (_lift)
-and its pivots or rounds counted.
+known chain ends, gives the values. Both count 0 iterations. A game
+that keeps a free choice goes on by route. hk on a stopping game,
+where the pre-pass is one round, runs its loop on the whole game, and
+every evaluation reads the settled vertices as known chain ends, so
+only the undecided avg vertices get rows. The lp route and the
+transform contract it (_contract): the m undecided vertices and two
+sinks, every edge into a settled vertex sent to the sink of its value.
+The simplex, or the transform with its chain factor at the contracted
+size, solves that game; its values are lifted back (_lift) and its
+pivots or rounds counted. On hk's stopping branch the contracted game
+would cost more than it saves at the sizes the benchmark draws: its
+validation, relabelling and lift made a prototype 16% slower there.
 As on every route, the strategies are read off the whole game's values
 (_greedy), never copied from the contracted solve: that has no pick at
 a settled vertex, and a max vertex worth 1 must take the tight-edge
-attractor's pick to reach the 1-sink almost surely. hk on stopping
-games and vi skip the pre-pass: vi is the independent exact reference,
-and on stopping games one evaluation from the vi-guided start usually
-confirms the optimum, so the contraction measured slower there.
+attractor's pick to reach the 1-sink almost surely. vi skips the
+pre-pass: it is the independent exact reference.
 
 The vi route sweeps value iteration on a stopping game, where T has one
 fixed point, so any snapped iterate with T z = z is the value whatever
@@ -433,63 +437,68 @@ def _report(
     )
 
 
-def _contract(game: Game) -> tuple[list, Union[Game, None]]:
-    """Contract the vertices that markov.zero_one_sets settles out of
-    game, and evaluate game when no player has a free choice left;
-    returns (z, contracted), one call of zero_one_sets. This is where
-    the lp route and the transform decide between settled, chain or
-    forced, and choice.
+def _settle(game: Game, stopping: bool = False) -> list:
+    """The qualitative pre-pass of game and what it decides: the values
+    as reduced (numerator, denominator) pairs in vertex order, with
+    None at the m undecided vertices exactly when a free choice is left
+    among them. One call of markov.zero_one_sets, ended after its first
+    round when stopping says that game is stopping. This is where every
+    exact route but vi decides between settled, chain or forced, and
+    choice.
 
-    z holds the values as reduced (numerator, denominator) pairs in
-    vertex order: (0, 1) or (1, 1) at every settled vertex and None at
-    the m undecided ones. When m = 0, z is the whole answer and
-    contracted is None.
-
-    Every undecided vertex is worth strictly between 0 and 1, so no max
-    vertex among them has a child worth 1 and no min vertex a child
-    worth 0. An undecided max vertex with a child worth 0, or min
-    vertex with a child worth 1, is forced: its other child is the only
-    one that attains its value. When every undecided player vertex is
-    forced (a chain has none), the undecided vertices under the forced
-    picks form an absorbing chain: a set of them closed under those
-    picks would let min keep the play off the 1-sink, so it would be
-    worth 0 and settled. One call of the evaluator core at lam = 1 on
-    game itself, with z as its known chain ends, then gives the exact
-    values, and contracted is None, as when m = 0.
-
-    Otherwise contracted is the game on the undecided vertices,
-    relabelled 1..m in id order, and two sinks: every edge into a
-    vertex worth 0 goes to the 0-sink m+1, and every edge into a vertex
-    worth 1 to the 1-sink m+2. Children stay distinct, since a vertex
-    with both children worth 0, or both worth 1, is settled itself. A
-    play from an undecided vertex that reaches a settled one is worth
-    that vertex's value from there on, whoever moves, so contracted has
-    the game's values at the undecided vertices, and _lift writes them
-    into z. Its start plays no part in a solve. Only a contraction that
-    keeps a free choice goes to the simplex or the transform.
+    When m = 0 the pre-pass is the whole answer. Every undecided vertex
+    is worth strictly between 0 and 1, so no max vertex among them has
+    a child worth 1 and no min vertex a child worth 0. An undecided max
+    vertex with a child worth 0, or min vertex with a child worth 1, is
+    forced: its other child is the only one that attains its value.
+    When every undecided player vertex is forced (a chain has none),
+    the undecided vertices under the forced picks form an absorbing
+    chain: a set of them closed under those picks would let min keep
+    the play off the 1-sink, so it would be worth 0 and settled. One
+    call of the evaluator core at lam = 1 on game itself, with the
+    settled values as its known chain ends, then gives the exact values.
     """
-    zeros, ones = zero_one_sets(game)
+    zeros, ones = zero_one_sets(game, _stopping=stopping)
     z = [(1, 1) if v in ones else (0, 1) if v in zeros else None for v in game.vertices]
-    m = game.n - len(zeros) - len(ones)
-    if not m:
-        return z, None
-    undecided = [v for v, x in zip(game.vertices, z) if x is None]
-    kinds, children = game.kinds, game.children
+    if len(zeros) + len(ones) == game.n:
+        return z
     picks = [0] * (game.n + 1)
-    for v in undecided:
-        kind = kinds[v - 1]
-        if kind is not VertexKind.AVG:
-            a, b = children[v - 1]
+    for v, kind, pair, x in zip(game.interior, game.kinds, game.children, z):
+        if x is None and kind is not VertexKind.AVG:
+            a, b = pair
             worst = zeros if kind is VertexKind.MAX else ones
             if a not in worst and b not in worst:
-                break
+                return z
             # not both: a vertex with both children in worst is settled
             picks[v] = b if a in worst else a
-    else:
-        return _value_pairs(game, picks, 1, 1, z), None
-    ids = dict.fromkeys(zeros, m + 1)
-    ids.update(dict.fromkeys(ones, m + 2))
-    ids.update((v, i) for i, v in enumerate(undecided, 1))
+    return _value_pairs(game, picks, 1, 1, z)
+
+
+def _contract(game: Game) -> tuple[list, Union[Game, None]]:
+    """_settle's values z of game and, when they leave a free choice,
+    the contracted game that the lp route and the transform solve;
+    returns (z, contracted), contracted None when z is the whole answer.
+
+    contracted is the game on the m undecided vertices, relabelled 1..m
+    in id order, and two sinks: every edge into a vertex worth 0 goes
+    to the 0-sink m+1, and every edge into a vertex worth 1 to the
+    1-sink m+2. Children stay distinct, since a vertex with both
+    children worth 0, or both worth 1, is settled itself. A play from
+    an undecided vertex that reaches a settled one is worth that
+    vertex's value from there on, whoever moves, so contracted has the
+    game's values at the undecided vertices, and _lift writes them into
+    z. Its start plays no part in a solve.
+    """
+    z = _settle(game)
+    if None not in z:
+        return z, None
+    undecided = [v for v, x in zip(game.vertices, z) if x is None]
+    m = len(undecided)
+    # by vertex id: a settled vertex maps to the sink of its value
+    ids = [0] + [m + 1 + x[0] if x is not None else 0 for x in z]
+    for i, v in enumerate(undecided, 1):
+        ids[v] = i
+    kinds, children = game.kinds, game.children
     contracted = Game(
         n=m + 2,
         start=1,
@@ -596,7 +605,7 @@ def _vi_guess(game: Game, layers: dict[int, int]) -> list[int]:
 
 
 def _strategy_improvement(
-    game: Game, lam: Fraction, picks: list[int]
+    game: Game, lam: Fraction, picks: list[int], known: Union[list, None] = None
 ) -> tuple[list[tuple[int, int]], int]:
     """The loop of hoffman_karp on a game whose every edge carries
     weight lam, which must make it stopping, from the pick array picks
@@ -606,11 +615,14 @@ def _strategy_improvement(
     which is _improve for min against max's current picks, started
     from min's picks of the previous round. Both players read and
     write the one array, and every evaluation is markov's core
-    _value_pairs on it: no strategy object or reduced game is built."""
+    _value_pairs on it: no strategy object or reduced game is built.
+    known, at lam = 1 on a stopping game only, is _settle's z, passed to
+    every evaluation: the settled vertices end the pick chains, and
+    only the undecided avg vertices get rows."""
     p, q = lam.numerator, lam.denominator
 
     def evaluate() -> list[tuple[int, int]]:
-        return _value_pairs(game, picks, p, q)
+        return _value_pairs(game, picks, p, q, known)
 
     def min_reply() -> list[tuple[int, int]]:
         return _improve(game, VertexKind.MIN, picks, evaluate)[0]
@@ -630,17 +642,24 @@ def hoffman_karp(game: Game) -> SolveReport:
     values are a fixed point of the update operator, hence optimal.
     Rounds are bounded by the number of distinct max strategies; when the
     guess names the optimal strategies, one evaluation and no round
-    confirm them. Any other game gets the transform report, certificate
-    attached: _contract's values with 0 rounds when they settle every
-    vertex or leave no free choice (a chain or forced picks), else
-    those of _transform_solve on the contracted game, lifted back, with
-    its rounds; its guess sweeps the undecided vertices in the order
-    their layers give them here.
+    confirm them. Before the guess, _settle runs the pre-pass, one
+    round on a stopping game: a game it settles, or leaves with no free
+    choice (its one evaluation), is reported with 0 rounds, no guess
+    and no loop; otherwise every evaluation of the loop reads its
+    settled vertices as known chain ends. Any other game gets the
+    transform report, certificate attached: _contract's values with 0
+    rounds when they settle every vertex or leave no free choice (a
+    chain or forced picks), else those of _transform_solve on the
+    contracted game, lifted back, with its rounds; its guess sweeps the
+    undecided vertices in the order their layers give them here.
     """
     layers = stopping_layers(game)
     if len(layers) == game.n:
-        pairs, rounds = _strategy_improvement(game, Fraction(1), _vi_guess(game, layers))
-        return _report(game, pairs, "hk", rounds)
+        z = _settle(game, stopping=True)
+        rounds = 0
+        if None in z:
+            z, rounds = _strategy_improvement(game, Fraction(1), _vi_guess(game, layers), z)
+        return _report(game, z, "hk", rounds)
     z, contracted = _contract(game)
     rounds = 0
     if contracted is not None:
@@ -846,16 +865,18 @@ def solve(
     test picks strategy improvement on a stopping game and the chain
     transform on any other (solve the stopping companion with chains of
     DEFAULT_C * n coin flips per edge, snap values back, verify T z = z).
-    The lp route and the transform first run the qualitative pre-pass
-    markov.zero_one_sets; when every vertex is worth exactly 0 or 1
-    they return those values with 0 iterations and no exact solve.
+    Every route but avg-free and vi first runs the qualitative
+    pre-pass markov.zero_one_sets; when every vertex is worth exactly 0
+    or 1 it returns those values with 0 iterations and no exact solve.
     When no free choice is left among the vertices it leaves undecided
     (a chain, or every player vertex forced by a child that settles
     against it), one evaluation of the game at lam = 1 gives the
-    values, again with 0 iterations. Otherwise they contract the game
-    to the undecided vertices, solve that and count the pivots or
-    rounds of that solve. hk on a stopping game and vi never run the
-    pre-pass, and no method accepts more games for it.
+    values, again with 0 iterations. Otherwise the lp route and the
+    transform contract the game to the undecided vertices, solve that
+    and count the pivots or rounds of that solve, and hk on a stopping
+    game runs its loop on the whole game with the settled vertices as
+    known chain ends. vi never runs the pre-pass, and no method accepts
+    more games for it.
     The transform path always attaches the certificate (values, sigma);
     with_certificate attaches it on every path and checks it with
     verify_ovv_certificate, raising InternalCheckError on a rejection.

@@ -138,6 +138,29 @@ def test_validate_game_checks_sink_positions():
         )
 
 
+SINK0, SINK1 = VertexKind.SINK0, VertexKind.SINK1
+
+
+@pytest.mark.parametrize(
+    "fields, msg",
+    [
+        (dict(n=1, kinds=(SINK1,), children=(None,)), "vertex count must be at least 2, got 1"),
+        (dict(kinds=AVG3[1:]), "kinds/children length does not match vertex count"),
+        (dict(children=((2, 3), None)), "kinds/children length does not match vertex count"),
+        (dict(kinds=(VertexKind.AVG, SINK0, SINK0)), "vertex 3 must be the 1-sink"),
+        (dict(children=((2, 3), None, (1, 2))), "sink 3 must not have children"),
+        (
+            dict(n=4, kinds=(VertexKind.AVG, SINK1, SINK0, SINK1), children=((3, 4), None, None, None)),
+            "only the last two vertices may be sinks, vertex 2 is one",
+        ),
+    ],
+    ids=["one-vertex", "short-kinds", "short-children", "no-1-sink", "sink-children", "interior-sink"],
+)
+def test_validate_game_checks_the_shape(fields, msg):
+    with pytest.raises(ValidationError, match=msg):
+        Game(**{"n": 3, "start": 1, "kinds": AVG3, "children": ((2, 3), None, None), **fields})
+
+
 def test_game_built_directly_is_validated():
     # both used to build games that solve and game_value failed on
     # with a bare IndexError

@@ -340,6 +340,15 @@ def test_lp_shape_validation():
         lp_of([[1]], ["<>"], [1], [1], "max")
 
 
+def test_lp_refuses_an_objective_or_row_of_the_wrong_width():
+    one, two = (Fraction(1),), (Fraction(1), Fraction(2))
+    with pytest.raises(PreconditionError, match="objective length does not match variable count"):
+        LinearProgram(("x", "y"), one, "max", ())
+    row = Constraint(two, "<=", Fraction(1))
+    with pytest.raises(PreconditionError, match="constraint 0 width does not match variable count"):
+        LinearProgram(("x",), one, "max", (row,))
+
+
 # ------------------------------------------------------------- builders
 
 

@@ -29,6 +29,8 @@ from ssg import (
     zero_one_sets,
 )
 from conftest import in_value_set, sink_reachable_set, successor_lists
+from ssg import markov
+from ssg.markov import _value_pairs, _vector
 from ssg.fixtures import FIXTURES, GAME_A, GAME_B, GAME_C, GAME_E, GAME_G
 from ssg.stopping import DEFAULT_C, chain_weight
 
@@ -48,6 +50,15 @@ def test_reduce_game_validates_ownership():
     assert not rg.fully_reduced
     assert rg.successors(1) == (2,)
     assert rg.successors(2) == (1, 4)
+
+
+def test_reduce_game_refuses_swapped_strategies():
+    tau = Strategy.of(VertexKind.MIN, {2: 1})
+    sigma = Strategy.of(VertexKind.MAX, {1: 2})
+    with pytest.raises(StrategyError, match="tau must be a min-player strategy"):
+        reduce_game(GAME_E, tau=sigma)
+    with pytest.raises(StrategyError, match="sigma must be a max-player strategy"):
+        reduce_game(GAME_E, sigma=tau)
 
 
 def test_successors_of_avg_vertex_keeps_both():
@@ -433,6 +444,44 @@ def test_avg_child_chain_ending_at_the_0_sink():
     rg = fully_reduce(g, tau_picks={3: 4}, sigma_picks={2: 3})
     for lam in (Fraction(1), Fraction(2, 3), chain_weight(DEFAULT_C * g.n)):
         assert solve_value_vector(rg, lam) == ValueVector([lam / 2, 0, 0, 0, 1])
+
+
+def test_known_ends_give_a_cut_off_coin_a_row_that_solves_to_0(monkeypatch):
+    # max 1 picks the coin 2, whose other child is the 0-sink, so 2
+    # cannot reach the 1-sink; every play still ends in a sink. The
+    # pre-pass settles only the sinks, and with them as known ends the
+    # core gives 2 a row, builds no live attractor, and 2 solves to 0
+    g = build_game(6, 1, [(1, "max", 2, 3), (2, "avg", 1, 5), (3, "avg", 4, 6), (4, "avg", 5, 6)])
+    assert is_stopping(g)
+    assert zero_one_sets(g) == ({5}, {6})
+    known = [None] * 4 + [(0, 1), (1, 1)]
+    picks = [0, 2, 0, 0, 0, 0, 0]
+    calls = []
+    inner = markov.attractor
+    monkeypatch.setattr(markov, "attractor", lambda *a: calls.append(a) or inner(*a))
+    pairs = _value_pairs(g, picks, 1, 1, known)
+    assert calls == []
+    assert pairs == [(0, 1), (0, 1), (3, 4), (1, 2), (0, 1), (1, 1)]
+    # without known ends the live attractor leaves 2 without a row
+    assert _value_pairs(g, picks, 1, 1) == pairs
+    assert len(calls) == 1 and 2 not in calls[0][1][0]
+    assert _vector(pairs) == solve_value_vector(fully_reduce(g, sigma_picks={1: 2}))
+
+
+def check_zero_one_sets_first_round(game):
+    """On a stopping game, check that zero_one_sets ended after its
+    first round gives its full answer. Returns whether game is
+    stopping."""
+    if not is_stopping(game):
+        return False
+    assert zero_one_sets(game, _stopping=True) == zero_one_sets(game), game
+    return True
+
+
+def test_zero_one_sets_first_round_is_the_answer_on_stopping_games():
+    games = [*every_game(4), *sample_games_on_5_vertices(N5_PER_KINDS, N5_SEED)]
+    games += (random_game(24, (1, 1, 1), seed=s, require_stopping=True) for s in range(40))
+    assert sum(map(check_zero_one_sets_first_round, games)) == 119 + 149 + 40
 
 
 def naive_attractor(game, succ, target, blocking):

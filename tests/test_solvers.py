@@ -101,6 +101,14 @@ def test_operator_fixed_point_family(x):
     assert apply_operator(GAME_D, v) == v
 
 
+def test_operator_and_greedy_refuse_a_vector_of_the_wrong_length():
+    v = ValueVector([HALF, 0])
+    with pytest.raises(PreconditionError, match="value vector length 2 does not match game size 3"):
+        apply_operator(GAME_A, v)
+    with pytest.raises(PreconditionError, match="value vector length 2 does not match game size 3"):
+        greedy_strategies(GAME_A, v)
+
+
 def test_operator_keeps_sinks():
     v = apply_operator(GAME_G, ValueVector([0, 0, 0, 0, 1]))
     assert v[4] == 0 and v[5] == 1
@@ -205,6 +213,12 @@ def test_vi_rejects_bad_max_iters():
         value_iteration(GAME_A, max_iters=0)
     with pytest.raises(PreconditionError):
         vi_iterates(GAME_A, max_iters=0)
+
+
+@pytest.mark.parametrize("epsilon", [Fraction(0), Fraction(-1, 8)])
+def test_vi_rejects_a_non_positive_epsilon(epsilon):
+    with pytest.raises(PreconditionError, match=f"epsilon must be positive, got {epsilon}"):
+        value_iteration(GAME_A, epsilon=epsilon)
 
 
 def test_vi_iterates_monotone_and_consistent():
@@ -365,11 +379,12 @@ def evaluations(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("game", [GAME_F, GAME_G], ids=["GAME_F", "GAME_G"])
+@pytest.mark.parametrize("game", [GAME_G], ids=["GAME_G"])
 def test_hk_confirms_the_guess_with_one_evaluation(game, evaluations):
-    # from the all-left start each game takes 2 evaluations and one max
+    # from the all-left start the game takes 2 evaluations and one max
     # switch; the vi guess names the optimal sigma, so one evaluation
-    # confirms it and no round is run
+    # confirms it and no round is run (GAME_F, which the pre-pass
+    # settles, is in test_settled_game_skips_the_exact_work)
     cold = _strategy_improvement(game, Fraction(1), _start_picks(game))
     assert (len(evaluations), cold[1]) == (2, 1)
     evaluations.clear()
@@ -804,17 +819,31 @@ def exact_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def guesses(monkeypatch):
+    """The games solve hands _vi_guess, in order."""
+    games = []
+    inner = solve_module._vi_guess
+    monkeypatch.setattr(solve_module, "_vi_guess", lambda g, layers: games.append(g) or inner(g, layers))
+    return games
+
+
 @pytest.mark.parametrize(
-    "game, route", [(SETTLED_ONE_PLAYER, "lp"), (SETTLED_LOOPY, "transform")], ids=["lp", "transform"]
+    "game, method, route",
+    [(SETTLED_ONE_PLAYER, "auto", "lp"), (SETTLED_LOOPY, "auto", "transform"), (GAME_F, "hk", "hk")],
+    ids=["lp", "transform", "hk"],
 )
-def test_settled_game_skips_the_exact_work(game, route, exact_calls):
-    report = solve(game)
+def test_settled_game_skips_the_exact_work(game, method, route, exact_calls, guesses):
+    # hk on the stopping GAME_F reads its values off the pre-pass too:
+    # no start guess and no evaluation
+    report = solve(game, method)
     assert (report.method, report.iterations) == (route, 0)
     assert exact_calls == {"simplex_optimize": [], "_value_pairs": []}
+    assert guesses == []
     assert report.values == brute_force_oracle(game).values
     assert (report.tau, report.sigma) == greedy_strategies(game, report.values)
     assert (report.certificate is not None) == (route == "transform")
-    assert verify_ovv_certificate(game, solve(game, with_certificate=True).certificate)
+    assert verify_ovv_certificate(game, solve(game, method, with_certificate=True).certificate)
 
 
 @pytest.mark.parametrize(
@@ -885,6 +914,53 @@ def test_a_free_choice_keeps_the_contracted_solve(exact_calls, transform_calls):
     assert transform_calls == [m + 2]
     assert set(exact_calls["_value_pairs"]) == {m + 2}
     assert report.values == brute_force_oracle(game).values
+
+
+def _known(game):
+    """The known chain ends that hk's evaluations receive: (0, 1) or
+    (1, 1) at the vertices zero_one_sets settles, None elsewhere."""
+    zeros, ones = zero_one_sets(game)
+    return [(1, 1) if v in ones else (0, 1) if v in zeros else None for v in game.vertices]
+
+
+# max 1 leaves the 0-sink for the coin 3, and min 2 the 1-sink for it;
+# the coins 3 and 4 are worth 3/4 and 1/2, and every play ends in a sink
+FORCED_STOPPING = build_game(6, 1, [(1, "max", 3, 5), (2, "min", 3, 6), (3, "avg", 4, 6), (4, "avg", 5, 6)])
+
+
+@pytest.mark.parametrize("game, left", [(GAME_B, "chain"), (FORCED_STOPPING, "forced")], ids=["chain", "forced"])
+def test_hk_evaluates_a_stopping_game_with_no_free_choice_once(game, left, evaluations, guesses):
+    # no start guess and no loop: one evaluation of the whole game at
+    # lam = 1, with the settled vertices as known chain ends
+    assert is_stopping(game)
+    assert _contraction(game)[0] == left
+    report = solve(game, "hk")
+    assert (report.method, report.iterations, report.certificate) == ("hk", 0, None)
+    assert guesses == []
+    assert [(g, p, q, known) for g, _picks, p, q, known in evaluations] == [(game, 1, 1, _known(game))]
+    assert report.values == brute_force_oracle(game).values
+
+
+@pytest.mark.parametrize("weights, games, settled", [((1, 1, 1), 13, 6), ((1, 1, 3), 11, 4)], ids=["1:1:1", "1:1:3"])
+def test_hk_loop_reads_the_settled_vertices_as_known_ends(weights, games, settled, evaluations, guesses):
+    # a stopping game with a free choice left runs the loop on the whole
+    # game from the start guess, and every evaluation gets the
+    # pre-pass's values; such games are rare at these sizes, and some
+    # of them settle an interior vertex
+    seen = []
+    for n, seed in product(range(6, 9), range(30)):
+        game = random_game(n, weights, seed=seed, require_stopping=True)
+        if _contraction(game)[0] != "choice":
+            continue
+        evaluations.clear()
+        guesses.clear()
+        report = solve(game, "hk")
+        known = _known(game)
+        assert (report.method, guesses) == ("hk", [game])
+        assert evaluations and all(args[0] is game and args[4] == known for args in evaluations)
+        assert report.values == brute_force_oracle(game).values
+        seen.append(known[:-2] != [None] * (n - 2))
+    assert (len(seen), sum(seen)) == (games, settled)
 
 
 @pytest.mark.parametrize(

@@ -95,6 +95,12 @@ def test_lift_strategy_targets_chain_heads():
     assert head in transformed.children_of(1)
 
 
+def test_lift_strategy_refuses_a_pick_off_the_game():
+    _transformed, record = build_stopping_game(GAME_E, 2)
+    with pytest.raises(PreconditionError, match="pick 1->4 is not an original-game edge"):
+        lift_strategy(record, Strategy.of(VertexKind.MAX, {1: 4}))
+
+
 def test_lifted_pair_value_within_bound():
     for name in ("GAME-E", "GAME-G"):
         g = FIXTURES[name]

@@ -34,7 +34,9 @@ require_stopping=True)` draws, scanning seed upward from --seed, that
 are nontrivial: at least half the interior lies strictly inside (0, 1)
 by `zero_one_sets`, which finds exactly the vertices worth 0 or 1.
 These rows have no vi or mc companion rows; the seeds skipped at each
-size are recorded under "scale" as "skipped".
+size are recorded under "scale" as "skipped", and each skipped draw is
+timed as a row of its own, marked "scale_skipped": true, since the
+pre-pass decides most of such a game.
 The run writes BENCH_<label>.json at the root of the checkout: one row
 per solve with n, weights, seed, route, seconds, a hash of the output (values,
 strategies, method, iterations and certificate z and sigma; for `mc` rows,
@@ -165,10 +167,10 @@ def draw(n: int, games: int, seed: int) -> list[tuple[int, tuple, bool, ssg.Game
     return kept
 
 
-def draw_scale(n: int, games: int, seed: int) -> tuple[list[tuple[int, ssg.Game]], list[int]]:
+def draw_scale(n: int, games: int, seed: int) -> tuple[list[tuple[int, ssg.Game]], list[tuple[int, ssg.Game]]]:
     """The first `games` nontrivial stopping SCALE_WEIGHTS draws at size
-    n, scanning seeds upward from `seed`, as [(seed, game)], and the
-    seeds skipped on the way: a kept game has at least half of its
+    n, scanning seeds upward from `seed`, and the draws skipped on the
+    way, both as [(seed, game)]: a kept game has at least half of its
     interior strictly inside (0, 1)."""
     kept, skipped = [], []
     s = seed
@@ -178,7 +180,7 @@ def draw_scale(n: int, games: int, seed: int) -> tuple[list[tuple[int, ssg.Game]
         if 2 * (n - len(zeros) - len(ones)) >= n - 2:
             kept.append((s, g))
         else:
-            skipped.append(s)
+            skipped.append((s, g))
         s += 1
     return kept, skipped
 
@@ -227,12 +229,15 @@ def main(argv=None) -> int:
 
     scale_skipped = {}
     for n in SCALE_SIZES:
-        kept, scale_skipped[n] = draw_scale(n, SCALE_GAMES, args.seed)
-        for seed, game in kept:
+        kept, skipped = draw_scale(n, SCALE_GAMES, args.seed)
+        scale_skipped[n] = [seed for seed, _game in skipped]
+        for seed, game in kept + skipped:
             report, seconds = timed(lambda: ssg.solve(game), output_hash)
             record(n, seed, SCALE_WEIGHTS, True, report.method, seconds, report.iterations,
                    output_hash(report), report)
             rows[-1]["evaluations"] = evaluations(game, "auto")
+            if seed in scale_skipped[n]:
+                rows[-1]["scale_skipped"] = True
 
     summary = {}
     for row in rows:
