@@ -12,27 +12,31 @@ of the other avg vertices are uniquely solvable.
 
 The package has one exact evaluator of a strategy pair. Its core,
 _value_pairs, takes the game, a pick array indexed by vertex id (each
-player vertex's chosen child) and an edge weight lam = p/q as two
-integers, solves v = lam (Q v + b), and returns reduced (numerator,
-denominator) pairs in vertex order: at lam = 1 for Hoffman-Karp, and
-at the chain factor lam = 1 - 2**-(c*n) for the stopping transform,
-whose companion game contracts to the original vertices with that
-weight on every edge. A pick chain of k edges then carries the weight
-lam**k, and every lam keeps the same rows. The avg-only system is
-eliminated in Markowitz order through a column-to-rows index (the
-column with the fewest holder rows, then the shortest holder row),
-which keeps the fill-in low on chance-heavy games. solve's
-strategy-improvement loop calls the core on one pick array.
-solve._settle calls it once, at lam = 1, on the game itself when no
-free choice is left (a chain or forced picks), with the values of the
-qualitative pre-pass as known chain ends: a vertex worth 0 or 1 ends
-every pick chain at the sink of its value, and only the undecided avg
-vertices get rows. hoffman_karp's loop on a stopping game passes the
-same known ends to every evaluation. Both callers absorb every play,
-so known mode gives every undecided avg vertex a row and builds no
-live attractor. solve_value_vector is the core's public wrapper on a
+player vertex's chosen child), an edge weight lam = p/q as two
+integers and the known chain ends, solves v = lam (Q v + b), and
+returns reduced (numerator, denominator) pairs in vertex order: at
+lam = 1 for Hoffman-Karp on a stopping game, and at the chain factor
+lam = 1 - 2**-(c*n) for the stopping transform, whose companion game
+contracts to the original vertices with that weight on every edge. A
+pick chain of k edges then carries the weight lam**k, and every lam
+keeps the same rows. The known ends are values already found, 0 or 1:
+such a vertex ends every pick chain that reaches it at the sink of its
+value, and only the other avg vertices get rows. Every caller passes
+known ends under which each play is absorbed in a sink, so I - Q is
+nonsingular, no row needs an attractor of its own, and a row cut off
+from the 1-sink solves to 0. solve's strategy-improvement loop passes
+the values of the qualitative pre-pass (solve._settle) to every
+evaluation, at lam = 1 on a stopping game and at the chain factor on
+any other, where every weighted play is absorbed; solve._settle
+passes them once, at lam = 1, when no free choice is left (a chain or
+forced picks). solve_value_vector is the core's public wrapper on a
 ReducedGame, returning a ValueVector, for the oracle, the tools and
-the tests; it takes any strategy pair and keeps the attractor.
+the tests; it takes any strategy pair, so its known ends are the
+vertices with no path to the 1-sink under that pair, one attractor
+call. The avg-only system is eliminated in Markowitz order through a
+column-to-rows index (the column with the fewest holder rows, then the
+shortest holder row), which keeps the fill-in low on chance-heavy
+games.
 
 attractor is the package's one qualitative engine: the linear-time
 attractor of a reachability game (Condon 1992). The stopping test, the
@@ -41,7 +45,7 @@ zero_one_sets, the solver for games without chance, optimal strategy
 extraction and the certificate check are all calls of it. Each call
 passes a list of successor lists in the layout of game.children: the
 game's own children, or the list of a fixed strategy, of a restriction
-to a vertex set, of the contracted pick chains or of the tight edges.
+to a vertex set or of the tight edges.
 """
 
 from __future__ import annotations
@@ -211,7 +215,7 @@ def zero_one_sets(game: Game, *, _stopping: bool = False) -> tuple[frozenset[int
 
 
 def _value_pairs(
-    game: Game, picks: Sequence[int], p: int, q: int, known: Union[Sequence, None] = None
+    game: Game, picks: Sequence[int], p: int, q: int, known: Sequence
 ) -> list[tuple[int, int]]:
     """The core of solve_value_vector: exact values of game with every
     player vertex v moving to picks[v] (picks is indexed by vertex id;
@@ -221,20 +225,20 @@ def _value_pairs(
     strategy-improvement loop of solve and solve._settle pass valid
     ones.
 
-    known, at lam = 1 only, holds values already found in vertex order:
-    (0, 1) or (1, 1) at a vertex worth 0 or 1, None elsewhere; that is
-    the z of solve's pre-pass (_settle). A known vertex ends every pick
-    chain that reaches it at the sink of its value, its own pick is not
-    read, and every other avg vertex gets a row, so the game itself is
-    evaluated without contracting it. Known mode builds no live
-    attractor: its callers pass picks under which every play is
-    absorbed in a sink, so I - Q is nonsingular and a row that cannot
-    reach the 1-sink solves to 0. They are solve._settle, on a chain or
-    forced picks, which its docstring shows absorbing, and the
-    strategy-improvement loop of hoffman_karp on a stopping game.
-    Without known the attractor stays: solve_value_vector takes any
-    strategy pair, and one that traps a play off the sinks would make
-    the system singular.
+    known holds values already found, in vertex order: (0, 1) or
+    (1, 1) at a vertex worth 0 or 1, None elsewhere. A known vertex
+    ends every pick chain that reaches it at the sink of its value, its
+    own pick is not read, and every other avg vertex gets a row, so the
+    game itself is evaluated without contracting it. The callers pass
+    picks and known ends under which every play is absorbed in a sink,
+    so I - Q is nonsingular and a row that cannot reach the 1-sink
+    solves to 0. solve._settle passes its values on a chain or forced
+    picks, which its docstring shows absorbing; the strategy-improvement
+    loop of hoffman_karp passes them at lam = 1 on a stopping game and
+    at lam < 1, where every weighted play is absorbed, on any other;
+    solve_value_vector passes, for any strategy pair, the vertices that
+    cannot reach the 1-sink under it, and from every other vertex a
+    play reaches the 1-sink with positive probability.
 
     Rows and the (numerator, denominator) back-substitution are those
     described in solve_value_vector. The pivots follow Markowitz's rule
@@ -252,10 +256,9 @@ def _value_pairs(
     # after k edges; a vertex on the current walk reads (sink0, 0), so a
     # walk that meets it has closed a cycle of player vertices
     ends: list = [None] * (n + 1)
-    if known is not None:
-        for v, pair in enumerate(known, 1):
-            if pair is not None:
-                ends[v] = (sink1 if pair[0] else sink0, 0)
+    for v, pair in enumerate(known, 1):
+        if pair is not None:
+            ends[v] = (sink1 if pair[0] else sink0, 0)
     avg = [v for v, kind in zip(game.interior, kinds) if kind is avg_kind and ends[v] is None]
     for v in avg:
         ends[v] = (v, 0)
@@ -272,13 +275,6 @@ def _value_pairs(
         for u in reversed(path):
             k += 1
             ends[u] = (t, k)
-    if known is None:
-        # the contracted chain: an avg vertex's successors are its
-        # children's chain ends, and a player vertex has none; the rows
-        # are the avg vertices that reach the 1-sink there
-        arms = [(ends[x][0], ends[y][0]) if kind is avg_kind else () for kind, (x, y) in zip(kinds, children[:-2])]
-        live = attractor(game, arms, (sink1,), ())
-        avg = [a for a in avg if a in live]
     # the open columns in id order, each with the rows that hold it
     holders = {a: {a} for a in avg}
     rows: dict[int, dict[int, int]] = {}
@@ -289,9 +285,9 @@ def _value_pairs(
         row = {a: 2 * q ** (top + 1)}
         for t, k in (ex, ey):
             if t == sink1 or t in holders:
-                # no diagonal cancels: with both ends at a itself, a
-                # would trap a play, which the attractor or the
-                # absorbing picks of known mode rule out
+                # no diagonal cancels: below lam = 1 the weights keep
+                # it, and at lam = 1 both ends at a itself would trap
+                # a play, which the callers' picks and known ends rule out
                 row[t] = row.get(t, 0) - p ** (k + 1) * q ** (top - k)
                 if t != sink1:
                     holders[t].add(a)
@@ -390,11 +386,12 @@ def solve_value_vector(rg: ReducedGame, lam: Fraction = Fraction(1)) -> ValueVec
     the vertices records its end as the 0-sink.
 
     lam = 1 gives the absorption probabilities into the 1-sink. At any
-    lam an avg vertex with no path to the 1-sink is worth 0, and at
-    lam = 1 its row could make the system singular, so the rows are the
-    avg vertices in the attractor of the 1-sink over the contracted
-    view, where an avg vertex's successors are its children's chain
-    ends; for lam < 1 they are also strictly diagonally dominant.
+    lam a vertex with no path to the 1-sink is worth 0, and at lam = 1
+    an avg vertex's row there could make the system singular, so one
+    attractor of the 1-sink over the pair's successors finds those
+    vertices, and they go to the core as known chain ends worth 0. The
+    rows are the other avg vertices; for lam < 1 they are also strictly
+    diagonally dominant.
 
     With lam = p/q, avg vertex a with chain ends (tx, kx) and (ty, ky)
     and K = max(kx, ky) has the integer row
@@ -419,11 +416,11 @@ def solve_value_vector(rg: ReducedGame, lam: Fraction = Fraction(1)) -> ValueVec
     if not 0 < p <= q:
         raise PreconditionError(f"edge weight lam must lie in (0, 1], got {lam}")
     game = rg.game
-    picks = [0] * (game.n + 1)
-    for v, kind in zip(game.interior, game.kinds):
-        if kind is not VertexKind.AVG:
-            picks[v] = rg.successors(v)[0]
-    return _vector(_value_pairs(game, picks, p, q))
+    succ = [rg.successors(v) for v in game.interior]
+    picks = [0, *(s[0] for s in succ)]
+    live = attractor(game, succ, (game.sink1,), ())
+    zeros = [None if v in live else (0, 1) for v in game.vertices]
+    return _vector(_value_pairs(game, picks, p, q, zeros))
 
 
 def stopping_layers(game: Game) -> dict[int, int]:

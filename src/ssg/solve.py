@@ -16,25 +16,28 @@ absorption probabilities. Methods:
 Exactness on non-stopping mixed games comes from the transform: values
 of the stopping companion are within half the spacing of representable
 values of the original's, so snapping them back recovers the original
-values exactly. The companion is solved in contracted form: strategy
-improvement runs on the original n vertices with every edge weighted
-by the chain factor lam = 1 - 2**-(c*n), which gives the companion's
-values s at those n vertices; every chain entry is fixed by its
-target. hoffman_karp and the transform share that loop and its one
-exact evaluator, the core of markov.solve_value_vector (_value_pairs),
-at lam = 1 and at the chain factor; it solves for the avg vertices
-only, and each player vertex takes the value at the end of its pick
-chain. c is fixed at stopping.DEFAULT_C = 9, whose transform error
-2**(-6n) stays below half the value separation at every n, so
-snap-back is exact; the transform and the vi route snap and test
-T z = z through one integer helper, _snap_fixed_point. Both players
-run one policy-iteration loop, _improve; min's reply switches only on
-a strict improvement. hoffman_karp and the transform start that loop
-from the greedy picks of a few integer value-iteration sweeps at
-lam = 1 (_vi_guess), which on most stopping games are already optimal,
-so one exact evaluation confirms them, and the two differ in lam only.
-The loop runs on integers: both players read and write one pick
-array indexed by vertex id, a switch writes one entry, every
+values exactly. The companion is never built: strategy improvement
+runs on the original vertices with every edge weighted by the chain
+factor lam = 1 - 2**-(c*n), which gives the companion's values s
+there; every chain entry is fixed by its target. hoffman_karp has one
+body for every game, the pre-pass (_settle) and then, if a free choice
+is left, one loop on the whole game with the settled vertices as known
+chain ends: at lam = 1 on a stopping game, and otherwise at the chain
+factor of the m undecided vertices and two sinks, the size of the
+game that contracting the settled vertices would leave. Every
+evaluation is the one exact evaluator, the core of
+markov.solve_value_vector (_value_pairs); it solves for the undecided
+avg vertices only, and each player vertex takes the value at the end
+of its pick chain. c is fixed at stopping.DEFAULT_C = 9, whose
+transform error 2**(-6n) stays below half the value separation at
+every n, so snap-back is exact; the transform and the vi route snap
+and test T z = z through one integer helper, _snap_fixed_point. Both
+players run one policy-iteration loop, _improve; min's reply switches
+only on a strict improvement. The loop starts from the greedy picks of
+a few integer value-iteration sweeps at lam = 1 (_vi_guess), which on
+most stopping games are already optimal, so one exact evaluation
+confirms them. The loop runs on integers: both players read and write
+one pick array indexed by vertex id, a switch writes one entry, every
 evaluation returns reduced (numerator, denominator) pairs, and
 children are compared by cross-multiplying. No Strategy, ReducedGame
 or Fraction is built per evaluation; hoffman_karp builds one Fraction
@@ -57,22 +60,18 @@ undecided player vertex is forced, or none is left (a chain), the
 undecided part is an absorbing chain under those picks, and one
 evaluation of the game itself at lam = 1, with the settled vertices as
 known chain ends, gives the values. Both count 0 iterations. A game
-that keeps a free choice goes on by route. hk on a stopping game,
-where the pre-pass is one round, runs its loop on the whole game, and
-every evaluation reads the settled vertices as known chain ends, so
-only the undecided avg vertices get rows. The lp route and the
-transform contract it (_contract): the m undecided vertices and two
-sinks, every edge into a settled vertex sent to the sink of its value.
-The simplex, or the transform with its chain factor at the contracted
-size, solves that game; its values are lifted back (_lift) and its
-pivots or rounds counted. On hk's stopping branch the contracted game
-would cost more than it saves at the sizes the benchmark draws: its
-validation, relabelling and lift made a prototype 16% slower there.
-As on every route, the strategies are read off the whole game's values
-(_greedy), never copied from the contracted solve: that has no pick at
-a settled vertex, and a max vertex worth 1 must take the tight-edge
-attractor's pick to reach the 1-sink almost surely. vi skips the
-pre-pass: it is the independent exact reference.
+that keeps a free choice goes on by route. hk never contracts it: its
+loop runs on the whole game, and every evaluation reads the settled
+vertices as known chain ends, so only the undecided avg vertices get
+rows. Only the lp route contracts it (_contract): the m undecided
+vertices and two sinks, every edge into a settled vertex sent to the
+sink of its value. The simplex solves that game; its values are lifted
+back (_lift) and its pivots counted. As on every route, the strategies
+are read off the whole game's values (_greedy), never copied from the
+solve: the simplex has no pick at a settled vertex, and a max vertex
+worth 1 must take the tight-edge attractor's pick to reach the 1-sink
+almost surely. vi skips the pre-pass: it is the independent exact
+reference.
 
 The vi route sweeps value iteration on a stopping game, where T has one
 fixed point, so any snapped iterate with T z = z is the value whatever
@@ -476,7 +475,7 @@ def _settle(game: Game, stopping: bool = False) -> list:
 
 def _contract(game: Game) -> tuple[list, Union[Game, None]]:
     """_settle's values z of game and, when they leave a free choice,
-    the contracted game that the lp route and the transform solve;
+    the contracted game that the lp route solves;
     returns (z, contracted), contracted None when z is the whole answer.
 
     contracted is the game on the m undecided vertices, relabelled 1..m
@@ -558,10 +557,10 @@ def _layer_order(game: Game, layers: dict[int, int]) -> list[int]:
 
 
 def _vi_guess(game: Game, layers: dict[int, int]) -> list[int]:
-    """The starting pick array of _strategy_improvement in hoffman_karp
-    and the transform, indexed by vertex id with both players' picks
-    (its other entries are 0), guessed by in-place (Gauss-Seidel)
-    value-iteration sweeps on a 2**-64 grid, kernels.ordered_sweeps.
+    """The starting pick array of _strategy_improvement in hoffman_karp,
+    indexed by vertex id with both players' picks (its other entries
+    are 0), guessed by in-place (Gauss-Seidel) value-iteration sweeps
+    on a 2**-64 grid, kernels.ordered_sweeps.
 
     layers is the game's stopping attractor, markov.stopping_layers,
     and the sweeps visit the interior vertices in increasing layer
@@ -605,20 +604,20 @@ def _vi_guess(game: Game, layers: dict[int, int]) -> list[int]:
 
 
 def _strategy_improvement(
-    game: Game, lam: Fraction, picks: list[int], known: Union[list, None] = None
+    game: Game, lam: Fraction, picks: list[int], known: list
 ) -> tuple[list[tuple[int, int]], int]:
     """The loop of hoffman_karp on a game whose every edge carries
-    weight lam, which must make it stopping, from the pick array picks
-    (_vi_guess's), which it updates in place; returns (optimal values
-    as reduced (numerator, denominator) pairs in vertex order, max's
-    switch rounds). Max runs _improve against min's exact best reply,
-    which is _improve for min against max's current picks, started
-    from min's picks of the previous round. Both players read and
-    write the one array, and every evaluation is markov's core
-    _value_pairs on it: no strategy object or reduced game is built.
-    known, at lam = 1 on a stopping game only, is _settle's z, passed to
-    every evaluation: the settled vertices end the pick chains, and
-    only the undecided avg vertices get rows."""
+    weight lam, which must make every play that known leaves open end
+    in a sink, from the pick array picks (_vi_guess's), which it
+    updates in place; returns (optimal values as reduced (numerator,
+    denominator) pairs in vertex order, max's switch rounds). Max runs
+    _improve against min's exact best reply, which is _improve for min
+    against max's current picks, started from min's picks of the
+    previous round. Both players read and write the one array, and
+    every evaluation is markov's core _value_pairs on it: no strategy
+    object or reduced game is built. known, _settle's z in
+    hoffman_karp, is passed to every evaluation: the settled vertices
+    end the pick chains, and only the undecided avg vertices get rows."""
     p, q = lam.numerator, lam.denominator
 
     def evaluate() -> list[tuple[int, int]]:
@@ -634,41 +633,45 @@ def hoffman_karp(game: Game) -> SolveReport:
     """Exact strategy improvement (Hoffman and Karp) on every game.
 
     The stopping test is markov.stopping_layers, computed once; its
-    layers order the sweeps of the start guess. On a stopping game,
-    start both players at the greedy picks of that short value-iteration
-    guess (_vi_guess); each round, compute min's exact best reply and
-    switch every max vertex whose other child is strictly better under
-    those values; both steps run _improve. No switchable vertex means the
-    values are a fixed point of the update operator, hence optimal.
-    Rounds are bounded by the number of distinct max strategies; when the
-    guess names the optimal strategies, one evaluation and no round
-    confirm them. Before the guess, _settle runs the pre-pass, one
-    round on a stopping game: a game it settles, or leaves with no free
-    choice (its one evaluation), is reported with 0 rounds, no guess
-    and no loop; otherwise every evaluation of the loop reads its
-    settled vertices as known chain ends. Any other game gets the
-    transform report, certificate attached: _contract's values with 0
-    rounds when they settle every vertex or leave no free choice (a
-    chain or forced picks), else those of _transform_solve on the
-    contracted game, lifted back, with its rounds; its guess sweeps the
-    undecided vertices in the order their layers give them here.
+    layers order the sweeps of the start guess. Then _settle runs the
+    qualitative pre-pass, one round on a stopping game. A game it
+    settles, or leaves with no free choice (its one evaluation), is
+    reported with 0 rounds, no guess and no loop. Otherwise both
+    players start at the greedy picks of a short value-iteration guess
+    (_vi_guess); each round computes min's exact best reply and
+    switches every max vertex whose other child is strictly better
+    under those values; both steps run _improve. No switchable vertex
+    means the values are a fixed point of the update operator, hence
+    optimal. Rounds are bounded by the number of distinct max
+    strategies; when the guess names the optimal strategies, one
+    evaluation and no round confirm them.
+
+    The loop always runs on the whole game, and every evaluation reads
+    the settled vertices as known chain ends. A stopping game runs at
+    lam = 1 and is reported as hk. Any other game gets the transform
+    report, certificate attached: its loop runs at the chain factor
+    lam = 1 - 2**-(DEFAULT_C*(m+2)), m the undecided vertices. A
+    settled vertex ends a pick chain after the edges that the
+    contracted game's sink edge has (see _contract), so the loop's
+    values s are the stopping companion's values of that (m+2)-vertex
+    game, and the snap at level m+2 recovers the exact values, within
+    the companion's error bound. The snap and the test T z = z on the
+    whole game are theory-guaranteed, and failing them means a bug,
+    not bad input.
     """
     layers = stopping_layers(game)
-    if len(layers) == game.n:
-        z = _settle(game, stopping=True)
-        rounds = 0
-        if None in z:
-            z, rounds = _strategy_improvement(game, Fraction(1), _vi_guess(game, layers), z)
-        return _report(game, z, "hk", rounds)
-    z, contracted = _contract(game)
+    stopping = len(layers) == game.n
+    z = _settle(game, stopping)
     rounds = 0
-    if contracted is not None:
-        # the guess sweeps the undecided vertices in their order in game
-        undecided = (v for v, x in zip(game.vertices, z) if x is None)
-        order = {i: layers.get(v, game.n) for i, v in enumerate(undecided, 1)}
-        sub, _s, rounds = _transform_solve(contracted, order)
-        z = _lift(z, sub)
-    return _report(game, z, "transform", rounds, certified=True)
+    if None in z:
+        size = z.count(None) + 2  # the contracted game's n
+        lam = Fraction(1) if stopping else chain_weight(DEFAULT_C * size)
+        z, rounds = _strategy_improvement(game, lam, _vi_guess(game, layers), z)
+        if not stopping:
+            z = _snap_fixed_point(game, *zip(*z), size)
+            if z is None:
+                raise InternalCheckError("companion values do not snap to an operator fixed point")
+    return _report(game, z, "hk" if stopping else "transform", rounds, certified=not stopping)
 
 
 def _snap(num: int, den: int, n: int) -> Union[tuple[int, int], None]:
@@ -757,32 +760,6 @@ def _snap_fixed_point(
     return z if _is_fixed_point(game, z) else None
 
 
-def _transform_solve(
-    game: Game, layers: dict[int, int]
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]], int]:
-    """Solve exactly through the stopping companion, in contracted form.
-
-    Returns (z, s, improvement rounds), z and s as reduced (numerator,
-    denominator) pairs in vertex order. Strategy improvement runs from
-    hoffman_karp's start on the original n vertices with every edge
-    weighted by lam = 1 - 2**-(DEFAULT_C*n), which gives s, the
-    companion's exact optimal values there, and z is their snap-back
-    onto the original game's representable values; s goes to the snap
-    as pairs, and no Fraction is built for it. lam < 1 makes that
-    game stopping; layers only orders the guess's sweeps (hoffman_karp
-    passes its stopping attractor's layers of the vertices it keeps,
-    on their contracted ids). At DEFAULT_C the transform error stays
-    below half a separation, so the snap and the test T z = z are
-    theory-guaranteed, and failing them means a bug, not bad input.
-    """
-    s, rounds = _strategy_improvement(game, chain_weight(DEFAULT_C * game.n), _vi_guess(game, layers))
-    nums, dens = zip(*s)
-    z = _snap_fixed_point(game, nums, dens, game.n)
-    if z is None:
-        raise InternalCheckError("companion values do not snap to an operator fixed point")
-    return z, s, rounds
-
-
 def _vi_solve(game: Game, layers: dict[int, int]) -> tuple[list[tuple[int, int]], int]:
     """The vi route on a stopping game: sweep from zero and return the
     exact values, as reduced (numerator, denominator) pairs in vertex
@@ -864,19 +841,21 @@ def solve(
     hoffman_karp (the hk method, for every game), whose one stopping
     test picks strategy improvement on a stopping game and the chain
     transform on any other (solve the stopping companion with chains of
-    DEFAULT_C * n coin flips per edge, snap values back, verify T z = z).
+    DEFAULT_C * (m + 2) coin flips per edge, m the vertices the pre-pass
+    leaves undecided, snap values back, verify T z = z).
     Every route but avg-free and vi first runs the qualitative
     pre-pass markov.zero_one_sets; when every vertex is worth exactly 0
     or 1 it returns those values with 0 iterations and no exact solve.
     When no free choice is left among the vertices it leaves undecided
     (a chain, or every player vertex forced by a child that settles
     against it), one evaluation of the game at lam = 1 gives the
-    values, again with 0 iterations. Otherwise the lp route and the
-    transform contract the game to the undecided vertices, solve that
-    and count the pivots or rounds of that solve, and hk on a stopping
-    game runs its loop on the whole game with the settled vertices as
-    known chain ends. vi never runs the pre-pass, and no method accepts
-    more games for it.
+    values, again with 0 iterations. Otherwise the lp route contracts
+    the game to the undecided vertices, solves that and counts its
+    pivots, and hk runs its loop on the whole game with the settled
+    vertices as known chain ends, at the transform's chain factor for
+    the undecided vertices and two sinks on a game that is not
+    stopping. vi never runs the pre-pass, and no method accepts more
+    games for it.
     The transform path always attaches the certificate (values, sigma);
     with_certificate attaches it on every path and checks it with
     verify_ovv_certificate, raising InternalCheckError on a rejection.

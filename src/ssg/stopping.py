@@ -17,13 +17,16 @@ edge into j is worth v(j)*(1 - 2**-(m-k)) in closed form, so each
 chain head is worth lam*v(j) with lam = chain_weight(m) = 1 - 2**-m,
 and the companion restricted to the original vertices is the n-vertex
 game whose edges all carry weight lam. solve.hoffman_karp solves a
-game that is not stopping there (solve._transform_solve): it evaluates
-strategy pairs on that small game with the core of
-markov.solve_value_vector, the evaluator its loop uses at lam = 1 on a
-stopping game, and snaps the values back onto the original game's. The
-evaluator's unknowns are the avg vertices: a player vertex whose pick
-chain reaches avg vertex or sink t after k edges is worth lam**k times
-t's value. The companion stays inside that solve: certificates hold
+game that is not stopping there: its one strategy-improvement loop,
+the one it runs at lam = 1 on a stopping game, evaluates strategy
+pairs on that small game with the core of markov.solve_value_vector,
+and the values are snapped back onto the original game's. The vertices
+that the qualitative pre-pass settles end every pick chain at the sink
+of their value, so m = c * (u + 2) for the u vertices it leaves
+undecided, the size of the game that contracting the others leaves.
+The evaluator's unknowns are the undecided avg vertices: a player
+vertex whose pick chain reaches avg vertex or sink t after k edges is
+worth lam**k times t's value. The companion stays inside that solve: certificates hold
 the original game's values and max strategy only.
 build_stopping_game stays for callers that need the companion itself:
 the transform verb, verify_transform_bound, and the tests, which use it

@@ -409,6 +409,13 @@ def test_cycle_of_player_vertices_is_worth_zero():
     rg = fully_reduce(g, tau_picks={2: 1}, sigma_picks={1: 2})
     for lam in (Fraction(1), Fraction(1, 3), chain_weight(DEFAULT_C * g.n)):
         assert solve_value_vector(rg, lam) == ValueVector([0, 0, lam / 2, 0, 1])
+    # the same cycle, and the coins 4 and 5 flip only between each other
+    # (COIN_LOOP's closed coins); the coins 3 and 6 lead into the traps
+    rows = [(1, "max", 2, 7), (2, "min", 1, 8), (3, "avg", 1, 8), (4, "avg", 4, 5), (5, "avg", 4, 5), (6, "avg", 4, 8)]
+    g = build_game(8, 3, rows)
+    rg = fully_reduce(g, tau_picks={2: 1}, sigma_picks={1: 2})
+    for lam in (Fraction(1), Fraction(1, 3), chain_weight(DEFAULT_C * g.n)):
+        assert solve_value_vector(rg, lam) == ValueVector([0, 0, lam / 2, 0, 0, lam / 2, 0, 1])
 
 
 def test_avg_vertex_whose_children_chain_back_to_it():
@@ -462,10 +469,12 @@ def test_known_ends_give_a_cut_off_coin_a_row_that_solves_to_0(monkeypatch):
     pairs = _value_pairs(g, picks, 1, 1, known)
     assert calls == []
     assert pairs == [(0, 1), (0, 1), (3, 4), (1, 2), (0, 1), (1, 1)]
-    # without known ends the live attractor leaves 2 without a row
-    assert _value_pairs(g, picks, 1, 1) == pairs
-    assert len(calls) == 1 and 2 not in calls[0][1][0]
+    # solve_value_vector takes any pair, so it finds the zeros itself,
+    # with one attractor of the 1-sink, and passes them as known ends:
+    # there 1 and 2 end their chains at the 0-sink and 2 gets no row
     assert _vector(pairs) == solve_value_vector(fully_reduce(g, sigma_picks={1: 2}))
+    assert len(calls) == 1 and calls[0][2] == (g.sink1,)
+    assert _value_pairs(g, picks, 1, 1, [(0, 1), (0, 1), None, None, (0, 1), None]) == pairs
 
 
 def check_zero_one_sets_first_round(game):

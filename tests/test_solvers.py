@@ -23,6 +23,7 @@ from ssg import (
     ValueVector,
     VertexKind,
     apply_operator,
+    attractor,
     avg_free_run,
     brute_force_oracle,
     build_game,
@@ -64,9 +65,11 @@ from ssg.solve import (
     _contract,
     _improve,
     _is_fixed_point,
+    _lift,
+    _settle,
     _snap,
+    _snap_fixed_point,
     _strategy_improvement,
-    _transform_solve,
     _vi_guess,
 )
 from ssg.stopping import DEFAULT_C, chain_weight
@@ -329,7 +332,8 @@ def _min_reply(game, sigma, tau):
     loop, started from tau, as hoffman_karp runs it: (values, tau,
     rounds)."""
     picks = _picks(game, tau, sigma)
-    values, rounds = _improve(game, VertexKind.MIN, picks, lambda: _value_pairs(game, picks, 1, 1))
+    known = [None] * game.n
+    values, rounds = _improve(game, VertexKind.MIN, picks, lambda: _value_pairs(game, picks, 1, 1, known))
     return _vector(values), _strategies(game, picks)[0], rounds
 
 
@@ -369,6 +373,16 @@ def _start_picks(game):
     ]
 
 
+def _whole_game_transform(game):
+    """The transform of the whole, uncontracted game, the reference for
+    hk's transform route: the loop from the vi guess at the chain factor
+    of all n vertices, with no known ends, and the snap at level n.
+    Returns (z, s, rounds), z and s as reduced pairs in vertex order."""
+    lam = chain_weight(DEFAULT_C * game.n)
+    s, rounds = _strategy_improvement(game, lam, _vi_guess(game, stopping_layers(game)), [None] * game.n)
+    return _snap_fixed_point(game, *zip(*s), game.n), s, rounds
+
+
 @pytest.fixture
 def evaluations(monkeypatch):
     """The calls of the evaluator core, markov._value_pairs, made
@@ -379,13 +393,28 @@ def evaluations(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def loops(monkeypatch):
+    """The runs of _strategy_improvement that solve makes, in order, as
+    (game, lam, known, (values, rounds))."""
+    runs = []
+    inner = solve_module._strategy_improvement
+
+    def recorded(game, lam, picks, known):
+        runs.append((game, lam, known, inner(game, lam, picks, known)))
+        return runs[-1][3]
+
+    monkeypatch.setattr(solve_module, "_strategy_improvement", recorded)
+    return runs
+
+
 @pytest.mark.parametrize("game", [GAME_G], ids=["GAME_G"])
 def test_hk_confirms_the_guess_with_one_evaluation(game, evaluations):
     # from the all-left start the game takes 2 evaluations and one max
     # switch; the vi guess names the optimal sigma, so one evaluation
     # confirms it and no round is run (GAME_F, which the pre-pass
     # settles, is in test_settled_game_skips_the_exact_work)
-    cold = _strategy_improvement(game, Fraction(1), _start_picks(game))
+    cold = _strategy_improvement(game, Fraction(1), _start_picks(game), [None] * game.n)
     assert (len(evaluations), cold[1]) == (2, 1)
     evaluations.clear()
     report = hoffman_karp(game)
@@ -399,13 +428,13 @@ def test_transform_starts_from_the_guess(evaluations):
     # evaluation confirms the optimum
     game = random_game(32, (1, 1, 1), 0)
     lam = chain_weight(DEFAULT_C * game.n)
-    cold = _strategy_improvement(game, lam, _start_picks(game))
+    cold = _strategy_improvement(game, lam, _start_picks(game), [None] * game.n)
     assert (len(evaluations), cold[1]) == (9, 3)
     evaluations.clear()
     report = solve(game)
     assert report.method == "transform"
     assert (len(evaluations), report.iterations) == (1, 0)
-    z, s, _rounds = _transform_solve(game, stopping_layers(game))
+    z, s, _rounds = _whole_game_transform(game)
     assert s == cold[0]
     assert _vector(z) == report.values
 
@@ -476,7 +505,7 @@ def check_every_start(game):
     count = 0
     for tau in enumerate_strategies(game, VertexKind.MIN):
         for sigma in enumerate_strategies(game, VertexKind.MAX):
-            values, _rounds = _strategy_improvement(game, Fraction(1), _picks(game, tau, sigma))
+            values, _rounds = _strategy_improvement(game, Fraction(1), _picks(game, tau, sigma), [None] * game.n)
             assert _vector(values) == expected, (game, tau, sigma)
             count += 1
     return count
@@ -784,7 +813,7 @@ FORCED_AND_FREE = build_game(
 
 
 def _contraction(game):
-    """What _contract leaves of game: "settled" when zero_one_sets
+    """What _settle leaves of game: "settled" when zero_one_sets
     settles every vertex, "chain" when no player vertex is left
     undecided, "forced" when every undecided max vertex has a child
     worth 0 and every undecided min vertex a child worth 1, else
@@ -799,6 +828,24 @@ def _contraction(game):
     worst = {VertexKind.MAX: zeros, VertexKind.MIN: ones}
     forced = all(worst[game.kind(v)].intersection(game.children_of(v)) for v in players)
     return "forced" if forced else "choice", len(undecided)
+
+
+def _check_contracted_companion(game, run, report):
+    """Check the transform report of hk on game and its loop, as the
+    loops fixture records it: the loop ran on the whole game at the
+    chain factor of the contracted game's size m + 2, with _settle's
+    values as its known ends; its values are those of the built
+    companion of the contracted game at the undecided vertices and the
+    settled values elsewhere, and the report holds their snap-back and
+    the loop's rounds."""
+    g, lam, known, (s, rounds) = run
+    z, contracted = _contract(game)
+    assert (g, known) == (game, z)
+    assert lam == chain_weight(DEFAULT_C * contracted.n)
+    ref_z, ref_s, _rounds = _companion_reference(contracted, DEFAULT_C)
+    assert s == _lift(z, ref_s)
+    assert report.values == _vector(_lift(z, [x.as_integer_ratio() for x in ref_z.components]))
+    assert (report.method, report.iterations) == ("transform", rounds)
 
 
 @pytest.fixture
@@ -856,7 +903,7 @@ def test_settled_game_skips_the_exact_work(game, method, route, exact_calls, gue
     ],
     ids=["lp", "transform", "lp-chain", "transform-choice"],
 )
-def test_partially_settled_game_runs_its_route(game, route, left, exact_calls):
+def test_partially_settled_game_runs_its_route(game, route, left, exact_calls, loops):
     zeros, ones = zero_one_sets(game)
     assert ones - {game.sink1} or zeros - {game.sink0}
     kind, m = _contraction(game)
@@ -864,23 +911,20 @@ def test_partially_settled_game_runs_its_route(game, route, left, exact_calls):
     report = solve(game)
     assert report.method == route
     # with no player vertex left undecided the game itself is evaluated
-    # once, at lam = 1; otherwise the exact solver sees only the m
-    # undecided vertices and two sinks
+    # once, at lam = 1; otherwise the simplex sees only the m undecided
+    # vertices and two sinks, and the transform evaluates the whole game
+    # with the settled vertices as known chain ends, at the chain factor
+    # of that contracted size
     if left == "chain":
         assert exact_calls == {"simplex_optimize": [], "_value_pairs": [game.n]}
-        assert report.iterations == 0
+        assert (report.iterations, loops) == (0, [])
+    elif route == "lp":
+        assert set(exact_calls["simplex_optimize"]) == {m + 2}
     else:
-        assert set(exact_calls["simplex_optimize" if route == "lp" else "_value_pairs"]) == {m + 2}
+        assert set(exact_calls["_value_pairs"]) == {game.n}
+        [run] = loops
+        _check_contracted_companion(game, run, report)
     assert report.values == brute_force_oracle(game).values
-
-
-@pytest.fixture
-def transform_calls(monkeypatch):
-    """The sizes of the games solve hands _transform_solve, in order."""
-    sizes = []
-    inner = solve_module._transform_solve
-    monkeypatch.setattr(solve_module, "_transform_solve", lambda g, layers: sizes.append(g.n) or inner(g, layers))
-    return sizes
 
 
 @pytest.mark.parametrize(
@@ -888,7 +932,7 @@ def transform_calls(monkeypatch):
     [(FORCED_LOOPY, "transform"), (FORCED_MIN_FREE, "lp"), (FORCED_MAX_FREE, "lp")],
     ids=["transform", "lp-min-free", "lp-max-free"],
 )
-def test_forced_choices_are_one_evaluation(game, route, exact_calls, evaluations, transform_calls):
+def test_forced_choices_are_one_evaluation(game, route, exact_calls, evaluations, loops):
     # every undecided player vertex has a child that settles against
     # it, so the game is an absorbing chain under the other children:
     # one evaluation of the whole game at lam = 1, no simplex and no
@@ -898,22 +942,50 @@ def test_forced_choices_are_one_evaluation(game, route, exact_calls, evaluations
     assert (report.method, report.iterations) == (route, 0)
     assert exact_calls == {"simplex_optimize": [], "_value_pairs": [game.n]}
     assert [(g.n, p, q) for g, _picks, p, q, _known in evaluations] == [(game.n, 1, 1)]
-    assert transform_calls == []
+    assert loops == []
     assert report.values == brute_force_oracle(game).values
     assert verify_ovv_certificate(game, solve(game, with_certificate=True).certificate)
 
 
-def test_a_free_choice_keeps_the_contracted_solve(exact_calls, transform_calls):
-    # max 1 is forced, but min 2 has a choice, so the transform solves
-    # the contraction: the 4 undecided vertices and two sinks
+def test_a_free_choice_keeps_the_contracted_solve(exact_calls, loops):
+    # max 1 is forced, but min 2 has a choice, so the transform runs its
+    # loop on the whole game with the settled vertices as known chain
+    # ends; its values are the contraction's, the 4 undecided vertices
+    # and two sinks, in the built companion of that contraction
     game = FORCED_AND_FREE
     kind, m = _contraction(game)
     assert (kind, m) == ("choice", 4)
     report = solve(game)
     assert report.method == "transform"
-    assert transform_calls == [m + 2]
-    assert set(exact_calls["_value_pairs"]) == {m + 2}
+    assert set(exact_calls["_value_pairs"]) == {game.n}
+    [run] = loops
+    _check_contracted_companion(game, run, report)
     assert report.values == brute_force_oracle(game).values
+
+
+@pytest.mark.parametrize(
+    "game", [FORCED_AND_FREE, PARTIAL_LOOPY_CHOICE, MIXED_LOOPY], ids=["forced-and-free", "partial", "mixed"]
+)
+def test_transform_loop_evaluates_the_whole_game_with_known_ends(game, evaluations, loops, monkeypatch):
+    # a game that is not stopping and keeps a free choice after the
+    # pre-pass: hk contracts nothing, every evaluation is of the whole
+    # game at the chain factor of the m undecided vertices and two
+    # sinks, with _settle's values as known ends, and the loop's values
+    # and the report's are those of the contraction's built companion
+    kind, m = _contraction(game)
+    assert kind == "choice" and not is_stopping(game)
+    contracts = []
+    inner = solve_module._contract
+    monkeypatch.setattr(solve_module, "_contract", lambda g: contracts.append(g) or inner(g))
+    report = hoffman_karp(game)
+    assert contracts == []
+    lam = chain_weight(DEFAULT_C * (m + 2))
+    known = _settle(game)
+    assert evaluations
+    assert all((g, p, q, k) == (game, lam.numerator, lam.denominator, known) for g, _picks, p, q, k in evaluations)
+    [run] = loops
+    _check_contracted_companion(game, run, report)
+    assert report.certificate.z == report.values
 
 
 def _known(game):
@@ -1510,45 +1582,35 @@ def _companion_reference(game, c):
     transformed, record = build_stopping_game(game, c)
     start = _strategies(game, _vi_guess(game, stopping_layers(game)))
     picks = _picks(transformed, *(lift_strategy(record, x) for x in start))
-    values, rounds = _strategy_improvement(transformed, Fraction(1), picks)
+    values, rounds = _strategy_improvement(transformed, Fraction(1), picks, [None] * transformed.n)
     s = [values[record.mapped(i) - 1] for i in game.vertices]
     z = ValueVector(round_to_value_set(Fraction(*x), game.n) for x in s)
     return z, s, rounds
 
 
-def test_transform_route_matches_built_companion(monkeypatch):
+def test_transform_route_matches_built_companion(loops):
     games = [g for n in range(6, 13) for g in _mixed_non_stopping(n, 2 if n < 10 else 1, 100 * n)]
     # edges into the 0-sink end in a self-looping chain tail
     assert any(j == g.sink0 for g in games for _v, j in g.edges())
     assert any(j == g.sink1 for g in games for _v, j in g.edges())
-    routed = []  # (game, result) of each _transform_solve call that solve makes
-    inner = solve_module._transform_solve
-
-    def recorded(g, layers):
-        routed.append((g, inner(g, layers)))
-        return routed[-1][1]
-
-    monkeypatch.setattr(solve_module, "_transform_solve", recorded)
     contracted = 0
     for game in games:
-        routed.clear()
+        loops.clear()
         report = solve(game)
         assert report.method == "transform"
-        z, s, rounds = _transform_solve(game, stopping_layers(game))
+        z, s, rounds = _whole_game_transform(game)
         ref_z, ref_s, ref_rounds = _companion_reference(game, DEFAULT_C)
         assert (s, rounds) == (ref_s, ref_rounds)
         assert report.certificate.z == report.values == _vector(z) == ref_z
-        # the route solves the game with its settled vertices contracted
-        # out, and reports the rounds of that solve; a game with no free
-        # choice left is evaluated without it
+        # the route's loop reads the settled vertices as known ends at
+        # the chain factor of the contracted game, and reports its
+        # rounds; a game with no free choice left runs no loop
         kind, m = _contraction(game)
         if kind != "choice":
-            assert (routed, report.iterations) == ([], 0)
+            assert (loops, report.iterations) == ([], 0)
             continue
-        [(sub, (_z, sub_s, sub_rounds))] = routed
-        assert sub.n == m + 2
-        assert report.iterations == sub_rounds
-        assert sub_s == _companion_reference(sub, DEFAULT_C)[1]
+        [run] = loops
+        _check_contracted_companion(game, run, report)
         contracted += m + 2 < game.n
     assert contracted
 
@@ -1575,7 +1637,7 @@ def test_requested_certificate_matches_built_companion(weights, route):
         report = solve(game, with_certificate=True)
         if report.method != route:
             continue
-        z, s, _rounds = _transform_solve(game, stopping_layers(game))
+        z, s, _rounds = _whole_game_transform(game)
         ref_z, ref_s, _ref_rounds = _companion_reference(game, DEFAULT_C)
         assert s == ref_s
         assert report.certificate.z == report.values == _vector(z) == ref_z
@@ -1609,6 +1671,18 @@ def _random_picks(game, seed):
     return picks
 
 
+def _pair_zeros(game, picks):
+    """The known ends of the pick array's chain as solve_value_vector
+    finds them: (0, 1) at every vertex with no path to the 1-sink under
+    picks, None elsewhere."""
+    succ = [
+        pair if kind is VertexKind.AVG else (picks[v],)
+        for v, kind, pair in zip(game.interior, game.kinds, game.children)
+    ]
+    live = attractor(game, succ, (game.sink1,), ())
+    return [None if v in live else (0, 1) for v in game.vertices]
+
+
 @pytest.mark.parametrize(
     "n, chain",
     [(150, False), (300, False), (1000, False), (60, True)],
@@ -1624,7 +1698,7 @@ def test_evaluator_core_holds_the_chain_equations_at_scale(n, chain, residual_ho
         game = random_game(n, (1, 1, 8), seed)
         lam = chain_weight(DEFAULT_C * n) if chain else Fraction(1)
         picks = _random_picks(game, seed)
-        values = _vector(_value_pairs(game, picks, lam.numerator, lam.denominator))
+        values = _vector(_value_pairs(game, picks, lam.numerator, lam.denominator, _pair_zeros(game, picks)))
         assert residual_holds(ReducedGame(game, *_strategies(game, picks)), values, lam)
         inside += sum(0 < x < 1 for x in values.components)
     assert 2 * inside > n  # the systems are not all settled
@@ -1657,9 +1731,11 @@ def test_lp_route_matches_the_full_program_above_n8(weights, exact_calls):
 
 
 def test_transform_route_matches_the_full_game_above_n8(evaluations):
-    # _transform_solve on the whole, uncontracted game is the reference;
-    # a game with no free choice left is one evaluation of the whole
-    # game at lam = 1, not at the chain factor
+    # the transform of the whole, uncontracted game is the reference; a
+    # game with no free choice left is one evaluation of the whole game
+    # at lam = 1, not at the chain factor, and one with a free choice
+    # evaluates the whole game at the chain factor of the m undecided
+    # vertices and two sinks
     left = set()
     for n in (12, 16, 24, 32, 40):
         for game in _mixed_non_stopping(n, 4, 1000 * n):
@@ -1671,7 +1747,12 @@ def test_transform_route_matches_the_full_game_above_n8(evaluations):
             if kind in ("chain", "forced"):
                 assert [(g.n, p, q) for g, _picks, p, q, _known in evaluations] == [(n, 1, 1)]
                 assert report.iterations == 0
-            z, _s, _rounds = _transform_solve(game, stopping_layers(game))
+            elif kind == "choice":
+                lam = chain_weight(DEFAULT_C * (m + 2))
+                assert {(g.n, p, q) for g, _picks, p, q, _known in evaluations} == {
+                    (n, lam.numerator, lam.denominator)
+                }
+            z, _s, _rounds = _whole_game_transform(game)
             assert report.values == _vector(z)
             assert verify_ovv_certificate(game, report.certificate)
     assert left == {"settled", "chain", "forced", "choice"}
@@ -1818,10 +1899,10 @@ def test_routes_and_certificates_on_sampled_6_vertex_games():
     games = sample_games_on_6_vertices(ROUTES6_PER_KINDS, ROUTES6_SEED)
     assert len(games) == 81 * ROUTES6_PER_KINDS
     assert _total(map(check_routes_and_certificates, games)) == (4503, 17662)
-    # of the games whose route contracts them (lp, and the transform on
-    # the games that are not stopping), 88 keep a player vertex
-    # undecided, and in 48 every such vertex is forced: _contract
-    # evaluates those instead of handing them on
+    # of the games that lp or the transform solves (one player absent,
+    # or not stopping), 88 keep a player vertex undecided, and in 48
+    # every such vertex is forced: _settle evaluates those instead of
+    # handing them on
     left = []
     for game in games:
         players = game.has_kind(VertexKind.MAX) + game.has_kind(VertexKind.MIN)
@@ -1829,7 +1910,7 @@ def test_routes_and_certificates_on_sampled_6_vertex_games():
             kind = _contraction(game)[0]
             if kind in ("forced", "choice"):
                 left.append(kind)
-                assert (_contract(game)[1] is None) == (kind == "forced"), game
+                assert (None not in _settle(game)) == (kind == "forced"), game
     assert (len(left), left.count("forced")) == (88, 48)
 
 
